@@ -41,12 +41,15 @@ class RunConfig:
         return RunConfig(suites=suites, nmax=args.nmax, out_dir=args.out_dir)
 
 
+def _scoreline(counts: dict[str, int]) -> str:
+    return "  ".join(f"{counts[status]:>5} {status}" for status in ver.STATUSES)
+
+
 def main(argv=None) -> int:
     config = RunConfig.from_args(argv)
     if config.out_dir:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-    grand = {"equal": 0, "mismatch": 0, "skipped": 0}
-    failed = False
+    everything = []
     for suite in config.suites:
         out_path = (
             str(config.out_dir / f"{suite}.jsonl") if config.out_dir else None
@@ -56,25 +59,16 @@ def main(argv=None) -> int:
             ver.SuiteConfig(suite=suite, nmax=config.nmax, out_path=out_path)
         )
         elapsed = time.perf_counter() - started
-        counts = ver.summarize(reports)
-        for key in grand:
-            grand[key] += counts[key]
-        print(
-            f"{suite:<12} {len(reports):>5} cases  "
-            f"{counts['equal']:>5} equal  {counts['mismatch']:>3} mismatch  "
-            f"{counts['skipped']:>3} skipped  ({elapsed:.1f}s)"
-        )
+        everything += reports
+        print(f"{suite:<12} {len(reports):>5} cases  "
+              f"{_scoreline(ver.summarize(reports))}  ({elapsed:.1f}s)")
         for report in reports:
-            if report.status == "mismatch":
-                failed = True
-                print(f"  !! {report.identity_id} {report.params}: {report.witness}")
-    total = sum(grand.values())
-    print(
-        f"{'total':<12} {total:>5} cases  "
-        f"{grand['equal']:>5} equal  {grand['mismatch']:>3} mismatch  "
-        f"{grand['skipped']:>3} skipped"
-    )
-    return 1 if failed else 0
+            if report.status in ("mismatch", "error"):
+                print(f"  !! {report.identity_id} {report.params} {report.status}: "
+                      f"{report.witness}")
+    grand = ver.summarize(everything)
+    print(f"{'total':<12} {len(everything):>5} cases  {_scoreline(grand)}")
+    return 1 if grand["mismatch"] or grand["error"] else 0
 
 
 if __name__ == "__main__":

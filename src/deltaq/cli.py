@@ -78,9 +78,9 @@ def _cmd_verify(args) -> int:
     counts = ver.summarize(reports)
     print(
         f"total {len(reports)}: {counts['equal']} equal, "
-        f"{counts['mismatch']} mismatch, {counts['skipped']} skipped"
+        f"{counts['mismatch']} mismatch, {counts['skipped']} skipped, {counts['error']} error"
     )
-    return 1 if counts["mismatch"] else 0
+    return 1 if counts["mismatch"] or counts["error"] else 0
 
 
 def _expand_target(args) -> sf.SymFunc:

@@ -28,15 +28,7 @@ from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
 from .qfield import Coef, ONE, ZERO, q, qbinom, qpoch, qpoch_at
-from .symfunc import SymFunc
-
-
-def _as_partition(nu) -> Partition:
-    if isinstance(nu, Partition):
-        return nu
-    if isinstance(nu, int):
-        return Partition((nu,)) if nu else Partition(())
-    return Partition(tuple(nu))
+from .symfunc import SymFunc, _as_partition
 
 
 # -- hook parameter bundle ------------------------------------------------------
@@ -124,38 +116,55 @@ def lhs_nu(nu, n: int) -> SymFunc:
 
 # -- hook-indexed closed forms ---------------------------------------------------
 
+def length_graded_P(n: int, length: int) -> SymFunc:
+    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n."""
+    total = sf.zero()
+    for mu in partitions_of(n, length=length):
+        total = total + hl.hl_P(mu).scale(q ** mu.nstat())
+    return total
+
+
+def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
+    """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
+    k, m = params.k, params.m
+    return (
+        q ** (m + comb(k + 1, 2))
+        * qbinom(m - 1, k)
+        * qbinom(m + ell - (k + 2), m)
+        * qpoch(ell)
+    )
+
+
 def lhs_hook_closed(params: HookParams) -> SymFunc:
     """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
-    k, m, n = params.k, params.m, params.n
-    pref = q ** (m + comb(k + 1, 2))
     total = sf.zero()
-    for mu in partitions_of(n):
-        ell = len(mu)
-        c = qbinom(m - 1, k) * qbinom(m + ell - (k + 2), m)
+    for mu in partitions_of(params.n):
+        c = lhs_hook_coeff(params, len(mu))
         if c == ZERO:
             continue
-        c = c * qpoch(ell) * q ** (-mu.nstat())
-        total = total + hl.hl_P(mu, inverse_q=True).scale(pref * c)
+        total = total + hl.hl_P(mu, inverse_q=True).scale(c * q ** (-mu.nstat()))
     return total
+
+
+def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
+    """Coefficient of length_graded_P(n, j) in rhs_hook."""
+    k, m = params.k, params.m
+    return (
+        q ** (m + comb(k + 2, 2) - (k + 2) * j + 1)
+        * qbinom(j - 2, k)
+        * qbinom(m - 1, j - 2)
+        * qpoch(j)
+    )
 
 
 def rhs_hook(params: HookParams) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of the same hook image."""
-    k, m, n = params.k, params.m, params.n
     total = sf.zero()
-    for j in range(k + 2, m + 2):
-        c = (
-            q ** (m + comb(k + 2, 2) - (k + 2) * j + 1)
-            * qbinom(j - 2, k)
-            * qbinom(m - 1, j - 2)
-            * qpoch(j)
-        )
+    for j in range(params.k + 2, params.m + 2):
+        c = rhs_hook_coeff(params, j)
         if c == ZERO:
             continue
-        grade = sf.zero()
-        for mu in partitions_of(n, length=j):
-            grade = grade + hl.hl_P(mu).scale(q ** mu.nstat())
-        total = total + grade.scale(c)
+        total = total + length_graded_P(params.n, j).scale(c)
     return total
 
 
@@ -214,22 +223,20 @@ def cor32(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
     return lhs, rhs
 
 
+def _kernel_moment(params: HookParams, shift: int, length: int) -> Coef:
+    """sum_s remmel_coeff(s) * (q^(s+shift); q)_length over the kernel indices s."""
+    total = ZERO
+    for s in range(1, params.m + 2):
+        total = total + remmel_coeff(s, params) * qpoch_at(s + shift, length)
+    return total
+
+
 def prop33a(params: HookParams, j: int) -> tuple[Coef, Coef]:
     """Pochhammer moment of the kernel coefficients against (q^(s-j+1);q)_(j-1).
 
     Returns (lhs, rhs); the rhs is the length-j coefficient of rhs_hook.
     """
-    k, m = params.k, params.m
-    lhs = ZERO
-    for s in range(1, m + 2):
-        lhs = lhs + remmel_coeff(s, params) * qpoch_at(s - j + 1, j - 1)
-    rhs = (
-        q ** (m + comb(k + 2, 2) - (k + 2) * j + 1)
-        * qbinom(j - 2, k)
-        * qbinom(m - 1, j - 2)
-        * qpoch(j)
-    )
-    return lhs, rhs
+    return _kernel_moment(params, 1 - j, j - 1), rhs_hook_coeff(params, j)
 
 
 def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
@@ -237,17 +244,7 @@ def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
 
     Returns (lhs, rhs); the rhs is the length-ell coefficient of lhs_hook_closed.
     """
-    k, m = params.k, params.m
-    lhs = ZERO
-    for s in range(1, m + 2):
-        lhs = lhs + remmel_coeff(s, params) * qpoch_at(s + 1, ell - 1)
-    rhs = (
-        q ** (m + comb(k + 1, 2))
-        * qbinom(m - 1, k)
-        * qbinom(m + ell - (k + 2), m)
-        * qpoch(ell)
-    )
-    return lhs, rhs
+    return _kernel_moment(params, 1, ell - 1), lhs_hook_coeff(params, ell)
 
 
 # -- shifted Cauchy kernels --------------------------------------------------------
@@ -294,10 +291,7 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
             continue
         c = c * q ** (-mu.nstat()) * qpoch(ell)
         left = left + hl.hl_P(mu, inverse_q=True).scale(c)
-    right = sf.zero()
-    for mu in partitions_of(n, length=k):
-        right = right + hl.hl_P(mu).scale(q ** mu.nstat())
-    right = right.scale(q ** (-k * (k - 1)) * qpoch(k))
+    right = length_graded_P(n, k).scale(q ** (-k * (k - 1)) * qpoch(k))
     return left, right
 
 
@@ -321,6 +315,21 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     return total.scale(q ** nu.size)
 
 
+def charge_content(nu: Partition, k: int) -> Coef:
+    """Charge-graded length-k content of s_nu.
+
+    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with b_rho the P-to-Q
+    normalization prod_i (q;q)_(m_i(rho)).
+    """
+    total = ZERO
+    for rho in partitions_of(nu.size, length=k):
+        c = hl.kostka_foulkes(nu, rho)
+        if c == ZERO:
+            continue
+        total = total + c * q ** rho.nstat() / hl.b_factor(rho)
+    return total
+
+
 def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
     """Principal evaluation s_nu[1 + q + ... + q^(j-2)] two ways; returns (direct, graded).
 
@@ -332,16 +341,7 @@ def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
     direct = sf.apply_transform(sf.s(nu), sf.eval_geometric(j - 1))
     graded = ZERO
     for k in range(len(nu), nu.size + 1):
-        inner = ZERO
-        for rho in partitions_of(nu.size, length=k):
-            c = hl.kostka_foulkes(nu, rho)
-            if c == ZERO:
-                continue
-            denom = ONE
-            for mult in rho.multiplicities().values():
-                denom = denom * qpoch(mult)
-            inner = inner + c * q ** rho.nstat() / denom
-        graded = graded + inner * qpoch_at(j - k, k)
+        graded = graded + charge_content(nu, k) * qpoch_at(j - k, k)
     return direct, graded
 
 
@@ -354,22 +354,11 @@ def rhs_nu(nu, n: int) -> SymFunc:
     nu = _as_partition(nu)
     total = sf.zero()
     for k in range(len(nu), nu.size + 1):
-        inner = ZERO
-        for rho in partitions_of(nu.size, length=k):
-            c = hl.kostka_foulkes(nu, rho)
-            if c == ZERO:
-                continue
-            denom = ONE
-            for mult in rho.multiplicities().values():
-                denom = denom * qpoch(mult)
-            inner = inner + c * q ** rho.nstat() / denom
+        inner = charge_content(nu, k)
         if inner == ZERO:
             continue
-        grade = sf.zero()
-        for mu in partitions_of(n, length=k + 1):
-            grade = grade + hl.hl_P(mu).scale(q ** mu.nstat())
         coeff = qpoch(k) * inner * q ** (-k * (k + 1)) * qpoch(k + 1)
-        total = total + grade.scale(coeff)
+        total = total + length_graded_P(n, k + 1).scale(coeff)
     return total.scale(q ** nu.size)
 
 

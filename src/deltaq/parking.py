@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import qfield
 from . import symfunc as sf
@@ -173,40 +173,6 @@ def _composition_from_descents(descents, n: int) -> tuple[int, ...]:
         prev = d
     comp.append(n - prev)
     return tuple(comp)
-
-
-# -- functional accessors -----------------------------------------------------------
-# Function-style views of the class API, for callers that pass objects around
-# without touching methods.
-
-def enumerate_paths(n: int) -> tuple[DyckPath, ...]:
-    return DyckPath.all_paths(n)
-
-
-def enumerate_pfs(source: "DyckPath | int") -> tuple[ParkingFunction, ...]:
-    if isinstance(source, DyckPath):
-        return ParkingFunction.all_on(source)
-    return ParkingFunction.all_parking(source)
-
-
-def area(pf: "ParkingFunction | DyckPath") -> int:
-    return pf.area
-
-
-def dinv(pf: ParkingFunction) -> int:
-    return pf.dinv()
-
-
-def word(pf: ParkingFunction) -> tuple[int, ...]:
-    return pf.word()
-
-
-def ides(pf: ParkingFunction) -> tuple[int, ...]:
-    return pf.ides()
-
-
-def haglund_factor(path: DyckPath) -> dict[int, dict[int, int]]:
-    return path.rise_factor()
 
 
 # -- quasisymmetric expansion -------------------------------------------------------

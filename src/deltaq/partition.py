@@ -98,24 +98,6 @@ def dominates(lam, mu) -> bool:
     return True
 
 
-# Function-style views of the Partition methods, accepting any parts iterable.
-
-def conjugate(mu) -> Partition:
-    return Partition(mu).conjugate()
-
-
-def nstat(mu) -> int:
-    return Partition(mu).nstat()
-
-
-def multiplicities(mu) -> dict[int, int]:
-    return Partition(mu).multiplicities()
-
-
-def cell_stats(mu) -> list[CellStat]:
-    return Partition(mu).cell_stats()
-
-
 def _gen(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()

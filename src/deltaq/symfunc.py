@@ -23,17 +23,6 @@ Coef = qfield.Coef
 
 BASES = ("m", "e", "h", "p", "s")
 
-DEGREE_LIMIT = 10
-
-
-class DegreeLimitError(ValueError):
-    """Product degree exceeded the working-degree guard."""
-
-
-def set_degree_limit(n: int) -> None:
-    global DEGREE_LIMIT
-    DEGREE_LIMIT = n
-
 
 # -- symmetric group characters ----------------------------------------------
 
@@ -197,14 +186,6 @@ def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
 @lru_cache(maxsize=None)
 def _h_single_to_power(n: int) -> dict[Partition, Coef]:
     return {rho: qfield.coef(Fraction(1, zee(rho))) for rho in partitions_of(n)}
-
-
-@lru_cache(maxsize=None)
-def _e_single_to_power(n: int) -> dict[Partition, Coef]:
-    return {
-        rho: qfield.coef(Fraction((-1) ** (n - len(rho)), zee(rho)))
-        for rho in partitions_of(n)
-    }
 
 
 def _convolve_powers(parts, single: Callable[[int], dict]) -> dict[Partition, Coef]:
@@ -375,14 +356,9 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product via the power-sum basis, guarded by the working-degree limit."""
+    """Product via the power-sum basis."""
     if f.is_zero() or g.is_zero():
         return SymFunc()
-    total = f.degree() + g.degree()
-    if total > DEGREE_LIMIT:
-        raise DegreeLimitError(
-            f"product degree {total} exceeds working-degree limit {DEGREE_LIMIT}"
-        )
     fp = basis_convert(f, "p")
     gp = basis_convert(g, "p")
     prod: dict[Partition, Coef] = {}
@@ -493,13 +469,6 @@ def eval_geometric_shifted(num_letters: int) -> AlphabetTransform:
             (qfield.q ** (i * k) for i in range(1, num_letters)), qfield.ZERO
         ),
         label=f"[{num_letters}]_q - 1",
-    )
-
-
-def eval_one_minus_qpow(i: int) -> AlphabetTransform:
-    """Evaluate at the formal alphabet 1 - q^i:  p_k -> 1 - q^(ik)."""
-    return AlphabetTransform(
-        "evaluate", lambda k: qfield.ONE - qfield.q ** (i * k), label=f"1-q^{i}"
     )
 
 

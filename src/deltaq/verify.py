@@ -1,10 +1,13 @@
-"""Identity registry, suite runner, and JSONL reporting.
+"""Identity registry, the case runner, and JSONL reporting.
 
-Every checkable identity in the package is registered here under a stable id.
-A checker receives a plain parameter dict, computes both sides exactly, and
-returns an :class:`IdentityReport` whose renders round-trip through the
-``symfunc`` grammar (scalar identities are wrapped as degree-0 expansions
-``s[]*(coef)`` for that reason).
+Every checkable identity in the package is one :class:`Identity` record under
+a stable id: a ``sides`` function that computes both sides exactly from a
+plain parameter dict, the hypothesis under which the identity is claimed (a
+predicate plus its text), optional extra predicates, and a default parameter
+sweep.  :meth:`Identity.check` is the single runner: it skips a case only
+when the hypothesis fails, turns any exception into an ``error`` report, and
+renders both sides through the ``symfunc`` grammar (scalar identities are
+wrapped as degree-0 expansions ``s[]*(coef)`` for that reason).
 
 ``run_suite`` drives whole families with their default parameter sweeps;
 the CLI wraps it.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import delta_ops as do
 from . import hall_littlewood as hl
@@ -26,6 +29,8 @@ from .partition import Partition, partitions_of
 from .qfield import ZERO, q, t
 from .symfunc import SymFunc
 
+STATUSES = ("equal", "mismatch", "skipped", "error")
+
 
 # -- reports -----------------------------------------------------------------------
 
@@ -33,7 +38,7 @@ from .symfunc import SymFunc
 class IdentityReport:
     identity_id: str
     params: dict
-    status: str  # "equal" | "mismatch" | "skipped"
+    status: str  # one of STATUSES
     lhs_render: str
     rhs_render: str
     witness: str
@@ -60,268 +65,172 @@ def _scalar_sym(c) -> SymFunc:
     return sf.one().scale(qfield.coef(c))
 
 
-def _finish(identity_id: str, params: dict, lhs: SymFunc, rhs: SymFunc,
-            started: float, extra_witness: str = "") -> IdentityReport:
-    status = "equal" if lhs == rhs else "mismatch"
-    witness = "" if status == "equal" else _sym_witness(lhs, rhs)
-    if extra_witness:
-        status = "mismatch"
-        witness = (witness + "; " if witness else "") + extra_witness
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        status=status,
-        lhs_render=sf.render(lhs),
-        rhs_render=sf.render(rhs),
-        witness=witness,
-        elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
-    )
+def _compare_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:
+    return "" if lhs == rhs else _sym_witness(lhs, rhs)
 
 
-def _skip(identity_id: str, params: dict, reason: str, started: float) -> IdentityReport:
-    return IdentityReport(
-        identity_id=identity_id,
-        params=params,
-        status="skipped",
-        lhs_render="",
-        rhs_render="",
-        witness=reason,
-        elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
-    )
+def _render_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> tuple[str, str]:
+    return sf.render(lhs), sf.render(rhs)
 
 
-# -- individual checkers --------------------------------------------------------------
+# -- the identity record and its runner --------------------------------------------
 
-def _hook_params(params: dict) -> do.HookParams:
-    return do.HookParams(k=int(params["k"]), m=int(params["m"]), n=int(params["n"]))
+@dataclass(frozen=True)
+class Identity:
+    """One checkable identity.
 
-
-def check_prop31(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    k, m, ell = int(params["k"]), int(params["m"]), int(params["ell"])
-    if not (k + 2 <= ell <= m + 1):
-        return _skip("prop31", params, f"hypothesis k+2 <= ell <= m+1 fails", started)
-    lhs, rhs = do.prop31(k, m, ell)
-    return _finish("prop31", params, _scalar_sym(lhs), _scalar_sym(rhs), started)
-
-
-def check_cor32(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    k, m, ell = int(params["k"]), int(params["m"]), int(params["ell"])
-    if ell < k + 2:
-        return _skip("cor32", params, "hypothesis ell >= k+2 fails", started)
-    lhs, rhs = do.cor32(k, m, ell)
-    return _finish("cor32", params, _scalar_sym(lhs), _scalar_sym(rhs), started)
-
-
-def check_prop33a(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    hp = _hook_params(params)
-    j = int(params["j"])
-    lhs, rhs = do.prop33a(hp, j)
-    return _finish("prop33a", params, _scalar_sym(lhs), _scalar_sym(rhs), started)
-
-
-def check_prop33b(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    hp = _hook_params(params)
-    ell = int(params["ell"])
-    lhs, rhs = do.prop33b(hp, ell)
-    return _finish("prop33b", params, _scalar_sym(lhs), _scalar_sym(rhs), started)
-
-
-def check_prop33(params: dict) -> IdentityReport:
-    """Dispatch to part ``a`` or ``b`` of the kernel-coefficient moment identity.
-
-    Both parts share the hook parameters k, m, n; the product bound may be
-    passed as ``ell`` for either part (part a also accepts its native ``j``).
+    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two field elements
+    (wrapped as degree-0 expansions), or any pair that ``compare`` and
+    ``render`` understand.  ``compare`` and ``extra`` return "" when their
+    predicate holds and a witness otherwise; ``extra`` is the predicate beyond
+    equality (hook support, a third route).
     """
-    part = str(params.get("part", "")).lower()
-    if part == "a":
-        sub = dict(params)
-        if "j" not in sub:
-            sub["j"] = sub["ell"]
-        return check_prop33a(sub)
-    if part == "b":
-        return check_prop33b(params)
-    raise ValueError(f"part must be 'a' or 'b', got {params.get('part')!r}")
+
+    identity_id: str
+    description: str
+    sides: Callable[[dict], tuple[Any, Any]]
+    hypothesis: Callable[[dict], bool]
+    hypothesis_text: str
+    default_cases: Callable[[int | None], Iterator[dict]]
+    extra: Callable[[Any, Any, dict], str] | None = None
+    compare: Callable[[Any, Any, dict], str] = _compare_sym
+    render: Callable[[Any, Any, dict], tuple[str, str]] = _render_sym
+
+    def check(self, params: dict) -> IdentityReport:
+        started = time.perf_counter()
+        lhs_render = rhs_render = ""
+        try:
+            if not self.hypothesis(params):
+                status, witness = "skipped", f"hypothesis {self.hypothesis_text} fails"
+            else:
+                lhs, rhs = self.sides(params)
+                if isinstance(lhs, qfield.Coef):
+                    lhs, rhs = _scalar_sym(lhs), _scalar_sym(rhs)
+                failed = [self.compare(lhs, rhs, params)]
+                if self.extra is not None:
+                    failed.append(self.extra(lhs, rhs, params))
+                witness = "; ".join(w for w in failed if w)
+                status = "mismatch" if witness else "equal"
+                lhs_render, rhs_render = self.render(lhs, rhs, params)
+        except Exception as exc:  # an implementation limit or a fault, never a skip
+            status, witness = "error", f"{type(exc).__name__}: {exc}"
+        return IdentityReport(
+            identity_id=self.identity_id,
+            params=params,
+            status=status,
+            lhs_render=lhs_render,
+            rhs_render=rhs_render,
+            witness=witness,
+            elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
+        )
 
 
-def check_eq17(params: dict) -> IdentityReport:
-    report = check_prop33b(params)
-    return IdentityReport(**{**asdict(report), "identity_id": "eq17"})
+# -- hypotheses, sides and extra predicates --------------------------------------------
+
+_HOOK = "0 <= k, k+1 <= m, m < n"
 
 
-def check_eq13_system(params: dict) -> IdentityReport:
-    """Full j-sweep of the kernel-coefficient moments for one hook parameter pair."""
-    started = time.perf_counter()
-    hp = _hook_params(params)
-    bad = []
-    for j in range(1, hp.n + 1):
-        lhs, rhs = do.prop33a(hp, j)
-        if lhs != rhs:
-            bad.append(j)
-    status = "equal" if not bad else "mismatch"
-    return IdentityReport(
-        identity_id="eq13_system",
-        params=params,
-        status=status,
-        lhs_render=f"moments j=1..{hp.n}",
-        rhs_render=f"length-graded coefficients j=1..{hp.n}",
-        witness="" if not bad else f"failing j values: {bad}",
-        elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
-    )
+def _is_hook(p: dict) -> bool:
+    return 0 <= p["k"] and p["k"] + 1 <= p["m"] < p["n"]
 
 
-def check_eq10(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    hp = _hook_params(params)
-    lhs = do.lhs_hook_closed(hp)
-    rhs = do.rhs_hook(hp)
-    kernel = do.remmel_sum(hp)
-    extra = ""
-    if kernel != lhs:
-        extra = "kernel-route expansion disagrees: " + (_sym_witness(kernel, lhs) or "?")
-    return _finish("eq10", params, lhs, rhs, started, extra_witness=extra)
+def _hook_params(p: dict) -> do.HookParams:
+    return do.HookParams(k=p["k"], m=p["m"], n=p["n"])
 
 
-def check_eq12(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    n, i = int(params["n"]), int(params["i"])
-    lhs = do.shifted_cauchy(n, i, "direct")
-    rhs = do.shifted_cauchy_target(n, i)
-    return _finish("eq12", params, lhs, rhs, started)
+def _is_partition(parts) -> bool:
+    return all(isinstance(x, int) and x > 0 for x in parts) and (
+        list(parts) == sorted(parts, reverse=True))
 
 
-def check_eq16(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    n, i = int(params["n"]), int(params["i"])
-    lhs = do.shifted_cauchy(n, i, "inverse")
-    rhs = do.shifted_cauchy_target(n, i)
-    return _finish("eq16", params, lhs, rhs, started)
+def _nu(p: dict) -> Partition:
+    return Partition(tuple(p["nu"]))
 
 
-def check_thm41(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    nu = Partition(tuple(params["nu"]))
-    n = int(params["n"])
-    lhs = do.lhs_expansion_thm41(nu, n)
-    rhs = do.lhs_nu(nu, n)
-    return _finish("thm41", params, lhs, rhs, started)
+def _hook_support(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:
+    return "" if sf.is_hook_only(lhs) and sf.is_hook_only(rhs) else "support leaves the hooks"
 
 
-def check_cor42(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    hp = _hook_params(params)
-    lhs = do.lhs_nu(hp.nu, hp.n)
-    rhs = do.lhs_hook_closed(hp)
-    return _finish("cor42", params, lhs, rhs, started)
+def _kernel_route(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:
+    kernel = do.remmel_sum(_hook_params(params))
+    if kernel == lhs:
+        return ""
+    return "kernel-route expansion disagrees: " + (_sym_witness(kernel, lhs) or "?")
 
 
-def check_thm43(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    nu = Partition(tuple(params["nu"]))
-    j = int(params["j"])
-    direct, graded = do.schur_principal_eval(nu, j)
-    return _finish("thm43", params, _scalar_sym(direct), _scalar_sym(graded), started)
+def _moment_system(p: dict) -> tuple[tuple, tuple]:
+    """prop33a at every j = 1..n: the moment vector against the coefficient vector."""
+    hp = _hook_params(p)
+    lhs, rhs = zip(*(do.prop33a(hp, j) for j in range(1, hp.n + 1)))
+    return lhs, rhs
 
 
-def check_thm44(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    nu = Partition(tuple(params["nu"]))
-    n = int(params["n"])
-    lhs = do.lhs_nu(nu, n)
-    rhs = do.rhs_nu(nu, n)
-    extra = ""
-    if not sf.is_hook_only(lhs) or not sf.is_hook_only(rhs):
-        extra = "support leaves the hooks"
-    return _finish("thm44", params, lhs, rhs, started, extra_witness=extra)
+def _compare_moments(lhs: tuple, rhs: tuple, params: dict) -> str:
+    bad = [j for j, (a, b) in enumerate(zip(lhs, rhs), start=1) if a != b]
+    return f"failing j values: {bad}" if bad else ""
 
 
-def check_ghry23(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    n, k = int(params["n"]), int(params["k"])
-    lhs, rhs = do.ghry_sides(n, k)
-    extra = ""
-    if not sf.is_hook_only(lhs) or not sf.is_hook_only(rhs):
-        extra = "support leaves the hooks"
-    return _finish("ghry23", params, lhs, rhs, started, extra_witness=extra)
+def _render_moments(lhs: tuple, rhs: tuple, params: dict) -> tuple[str, str]:
+    n = params["n"]
+    return f"moments j=1..{n}", f"length-graded coefficients j=1..{n}"
 
 
-def check_hook_support(params: dict) -> IdentityReport:
-    """h_n[X(1-q^u)] via power-sum scaling vs the closed hook-indexed expansion."""
-    started = time.perf_counter()
-    n, u = int(params["n"]), int(params["u"])
-    lhs = sf.apply_transform(sf.h(n), sf.scale_one_minus_qpow(u))
-    rhs = sf.hn_times_one_minus_u(n, q**u)
-    extra = ""
-    if not sf.is_hook_only(lhs):
-        extra = "support leaves the hooks"
-    return _finish("hook_support", params, lhs, rhs, started, extra_witness=extra)
+def _span_sides(p: dict) -> tuple[do.SpanReport, int]:
+    """The exact span report against the bound its rank must exceed."""
+    return do.span_dimension_report(p["n"], p.get("nu_size_max")), p["n"]
+
+
+def _compare_rank(report: do.SpanReport, n: int, params: dict) -> str:
+    return "" if report.rank > n else f"rank {report.rank} <= n = {n}"
+
+
+def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]:
+    return (f"rank {report.rank} from {report.nu_count} images",
+            f"required > {n}; ambient dimension p({n}) = {report.dim}")
 
 
 def _e_km1(k: int) -> SymFunc:
     return sf.one() if k == 1 else sf.e(k - 1)
 
 
-def check_deltaconj_t0(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    n, k = int(params["n"]), int(params["k"])
-    lhs = pk.delta_side_combinatorial(n, k, t_zero=True)
-    rhs = do.delta_prime_t0(_e_km1(k), n)
-    return _finish("deltaconj_t0", params, lhs, rhs, started)
+# -- default sweeps ------------------------------------------------------------------
+
+def _upto(first: int, default: int, at: Callable[[int], Iterable[dict]]):
+    """The cases ``at(size)`` for every size first..nmax (default ``default``)."""
+    def cases(nmax):
+        for size in range(first, (nmax or default) + 1):
+            yield from at(size)
+    return cases
 
 
-def check_deltaconj_q0(params: dict) -> IdentityReport:
-    """q=0 of the rise-product parking sum vs the t=0 operator image renamed q->t."""
-    started = time.perf_counter()
-    n, k = int(params["n"]), int(params["k"])
-    lhs = sf.subs_coeffs(pk.delta_side_combinatorial(n, k), ZERO, None)
-    rhs = sf.subs_coeffs(do.delta_prime_t0(_e_km1(k), n), t, None)
-    return _finish("deltaconj_q0", params, lhs, rhs, started)
+def _exactly(default: int, at: Callable[[int], Iterable[dict]]):
+    """The cases ``at(size)`` for the one size nmax (default ``default``)."""
+    return lambda nmax: iter(at(nmax or default))
 
 
-def check_wmu_consistency(params: dict) -> IdentityReport:
-    started = time.perf_counter()
-    mu = Partition(tuple(params["mu"]))
-    lhs = hl.t0_specializations(mu).w
-    rhs = hl.w_t0_cell_product(mu)
-    return _finish("wmu_consistency", params, _scalar_sym(lhs), _scalar_sym(rhs), started)
+def _hooks(n: int, kmin: int = 0) -> Iterator[dict]:
+    """Hook parameters kmin <= k < m < n, m outer."""
+    for m in range(1, n):
+        for k in range(kmin, m):
+            yield {"k": k, "m": m, "n": n}
 
 
-def check_span_dim(params: dict) -> IdentityReport:
-    """Rank of the plain-Delta image span must exceed n."""
-    started = time.perf_counter()
-    n = int(params["n"])
-    report = do.span_dimension_report(n, params.get("nu_size_max"))
-    status = "equal" if report.rank > n else "mismatch"
-    return IdentityReport(
-        identity_id="span_dim",
-        params=params,
-        status=status,
-        lhs_render=f"rank {report.rank} from {report.nu_count} images",
-        rhs_render=f"required > {n}; ambient dimension p({n}) = {report.dim}",
-        witness="" if status == "equal" else f"rank {report.rank} <= n = {n}",
-        elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
-    )
+def _windows(key: str, lengths: Callable[[int, int, int], Iterable[int]]):
+    """Every hook of size n, each with ``key`` over ``lengths(k, m, n)``."""
+    return lambda n: ({**h, key: x} for h in _hooks(n) for x in lengths(h["k"], h["m"], n))
 
 
-# -- registry and default sweeps --------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity_id: str
-    description: str
-    check: Callable[[dict], IdentityReport]
-    default_cases: Callable[[int | None], Iterator[dict]]
+def _kernel_indices(n: int) -> Iterator[dict]:
+    return ({"n": n, "i": i} for i in range(1, n + 1))
 
 
-def _cases_prop31(nmax):
-    top = (nmax or 11) - 1
-    for m in range(1, top + 1):
-        for k in range(0, m):
-            for ell in range(k + 2, m + 2):
-                yield {"k": k, "m": m, "ell": ell}
+def _all_k(n: int) -> Iterator[dict]:
+    return ({"n": n, "k": k} for k in range(1, n + 1))
+
+
+def _nus(sizes: Callable[[int], range]):
+    """Every partition nu with |nu| in sizes(n), paired with n."""
+    return lambda n: ({"nu": list(nu), "n": n} for size in sizes(n) for nu in partitions_of(size))
 
 
 def _cases_cor32(nmax):
@@ -332,211 +241,180 @@ def _cases_cor32(nmax):
                 yield {"k": k, "m": m, "ell": ell}
 
 
-def _cases_prop33a(nmax):
-    n = nmax or 12
-    for m in range(1, n):
-        for k in range(0, m):
-            for j in range(k + 2, m + 2):
-                yield {"k": k, "m": m, "n": n, "j": j}
-
-
-def _cases_prop33b(nmax):
-    n = nmax or 12
-    for m in range(1, n):
-        for k in range(0, m):
-            for ell in range(k + 2, m + 2):
-                yield {"k": k, "m": m, "n": n, "ell": ell}
-
-
-def _cases_eq17(nmax):
-    n = nmax or 12
-    for m in range(1, n):
-        for k in range(0, m):
-            for ell in range(1, n + 1):
-                yield {"k": k, "m": m, "n": n, "ell": ell}
-
-
-def _cases_eq13_system(nmax):
-    n = nmax or 12
-    for m in range(1, n):
-        for k in range(0, m):
-            yield {"k": k, "m": m, "n": n}
-
-
-def _cases_eq10(nmax):
-    for n in range(2, (nmax or 6) + 1):
-        for m in range(2, n):
-            for k in range(1, m):
-                yield {"k": k, "m": m, "n": n}
-
-
-def _cases_eq12(nmax):
-    for n in range(1, (nmax or 7) + 1):
-        for i in range(1, n + 1):
-            yield {"n": n, "i": i}
-
-
-def _cases_thm41(nmax):
-    for n in range(2, (nmax or 5) + 1):
-        for size in range(1, n):
-            for nu in partitions_of(size):
-                yield {"nu": list(nu), "n": n}
-
-
-def _cases_cor42(nmax):
-    for n in range(2, (nmax or 5) + 1):
-        for m in range(1, n):
-            for k in range(0, m):
-                yield {"k": k, "m": m, "n": n}
-
-
-def _cases_thm43(nmax):
-    for size in range(1, (nmax or 6) + 1):
-        for nu in partitions_of(size):
-            for j in range(1, 9):
-                yield {"nu": list(nu), "j": j}
-
-
-def _cases_thm44(nmax):
-    for n in range(1, (nmax or 5) + 1):
-        for size in range(1, n + 1):
-            for nu in partitions_of(size):
-                yield {"nu": list(nu), "n": n}
-
-
-def _cases_ghry23(nmax):
-    for n in range(1, (nmax or 6) + 1):
-        for k in range(1, n + 1):
-            yield {"n": n, "k": k}
-
-
-def _cases_hook_support(nmax):
-    for n in range(1, (nmax or 8) + 1):
-        for u in (1, 2, 3):
-            yield {"n": n, "u": u}
-
-
-def _cases_deltaconj_t0(nmax):
-    for n in range(1, (nmax or 6) + 1):
-        for k in range(1, n + 1):
-            yield {"n": n, "k": k}
-
-
-def _cases_deltaconj_q0(nmax):
-    for n in range(1, (nmax or 5) + 1):
-        for k in range(1, n + 1):
-            yield {"n": n, "k": k}
-
-
-def _cases_wmu(nmax):
-    for n in range(1, (nmax or 6) + 1):
-        for mu in partitions_of(n):
-            yield {"mu": list(mu)}
-
-
 def _cases_span(nmax):
     for n in (4, 5) if nmax is None else range(1, nmax + 1):
         yield {"n": n}
 
 
-REGISTRY: dict[str, IdentityCheck] = {
+def _moment_windows(k: int, m: int, n: int) -> range:
+    return range(k + 2, m + 2)
+
+
+# -- registry -------------------------------------------------------------------------
+
+_prop33b = Identity(
+    "prop33b",
+    "kernel-coefficient moments against shifted Pochhammers, inverse grading",
+    lambda p: do.prop33b(_hook_params(p), p["ell"]),
+    lambda p: _is_hook(p) and p["ell"] >= 1, _HOOK + ", ell >= 1",
+    _exactly(12, _windows("ell", _moment_windows)),
+)
+
+REGISTRY: dict[str, Identity] = {
     c.identity_id: c
     for c in (
-        IdentityCheck(
+        Identity(
             "prop31",
             "alternating q-binomial sum collapses to a single product",
-            check_prop31, _cases_prop31,
+            lambda p: do.prop31(p["k"], p["m"], p["ell"]),
+            lambda p: 0 <= p["k"] and p["k"] + 2 <= p["ell"] <= p["m"] + 1,
+            "0 <= k, k+2 <= ell <= m+1",
+            # size m+1
+            _upto(2, 11, lambda n: ({"k": k, "m": n - 1, "ell": ell}
+                                    for k in range(n - 1) for ell in range(k + 2, n + 1))),
         ),
-        IdentityCheck(
+        Identity(
             "cor32",
             "companion alternating q-binomial sum collapses to a single product",
-            check_cor32, _cases_cor32,
+            lambda p: do.cor32(p["k"], p["m"], p["ell"]),
+            lambda p: 0 <= p["k"] and p["ell"] >= p["k"] + 2, "0 <= k, ell >= k+2",
+            _cases_cor32,
         ),
-        IdentityCheck(
+        Identity(
             "prop33a",
             "kernel-coefficient moments against shifted Pochhammers, direct grading",
-            check_prop33a, _cases_prop33a,
+            lambda p: do.prop33a(_hook_params(p), p["j"]),
+            lambda p: _is_hook(p) and p["j"] >= 1, _HOOK + ", j >= 1",
+            _exactly(12, _windows("j", _moment_windows)),
         ),
-        IdentityCheck(
-            "prop33b",
-            "kernel-coefficient moments against shifted Pochhammers, inverse grading",
-            check_prop33b, _cases_prop33b,
-        ),
-        IdentityCheck(
+        _prop33b,
+        Identity(
             "eq10",
             "hook image: closed inverse-q expansion equals length-graded expansion "
             "and the kernel route",
-            check_eq10, _cases_eq10,
+            lambda p: (do.lhs_hook_closed(_hook_params(p)), do.rhs_hook(_hook_params(p))),
+            _is_hook, _HOOK,
+            _upto(2, 6, lambda n: _hooks(n, kmin=1)),
+            extra=_kernel_route,
         ),
-        IdentityCheck(
+        Identity(
             "eq12",
             "direct length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
-            check_eq12, _cases_eq12,
+            lambda p: (do.shifted_cauchy(p["n"], p["i"], "direct"),
+                       do.shifted_cauchy_target(p["n"], p["i"])),
+            lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
+            _upto(1, 7, _kernel_indices),
         ),
-        IdentityCheck(
+        Identity(
             "eq16",
             "inverse length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
-            check_eq16, _cases_eq12,
+            lambda p: (do.shifted_cauchy(p["n"], p["i"], "inverse"),
+                       do.shifted_cauchy_target(p["n"], p["i"])),
+            lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
+            _upto(1, 7, _kernel_indices),
         ),
-        IdentityCheck(
+        Identity(
             "eq13_system",
             "full moment system (all j) for one hook parameter pair",
-            check_eq13_system, _cases_eq13_system,
+            _moment_system,
+            _is_hook, _HOOK,
+            _exactly(12, _hooks),
+            compare=_compare_moments,
+            render=_render_moments,
         ),
-        IdentityCheck(
+        Identity(
             "eq17",
             "inverse-grading moments swept over every length, including out-of-range",
-            check_eq17, _cases_eq17,
+            _prop33b.sides,
+            _prop33b.hypothesis, _prop33b.hypothesis_text,
+            _exactly(12, _windows("ell", lambda k, m, n: range(1, n + 1))),
         ),
-        IdentityCheck(
+        Identity(
             "thm41",
             "eigenvalue-weighted inverse-q expansion equals the operator image",
-            check_thm41, _cases_thm41,
+            lambda p: (do.lhs_expansion_thm41(_nu(p), p["n"]), do.lhs_nu(_nu(p), p["n"])),
+            lambda p: _is_partition(p["nu"]) and 1 <= sum(p["nu"]) < p["n"],
+            "nu a partition, 1 <= |nu| < n",
+            _upto(2, 5, _nus(lambda n: range(1, n))),
         ),
-        IdentityCheck(
+        Identity(
             "cor42",
             "hook case of the operator image equals the closed expansion",
-            check_cor42, _cases_cor42,
+            lambda p: (do.lhs_nu(_hook_params(p).nu, p["n"]),
+                       do.lhs_hook_closed(_hook_params(p))),
+            _is_hook, _HOOK,
+            _upto(2, 5, _hooks),
         ),
-        IdentityCheck(
+        Identity(
             "thm43",
             "principal Schur evaluation equals its charge-graded double sum",
-            check_thm43, _cases_thm43,
+            lambda p: do.schur_principal_eval(_nu(p), p["j"]),
+            lambda p: _is_partition(p["nu"]) and sum(p["nu"]) >= 1 and p["j"] >= 1,
+            "nu a partition, |nu| >= 1, j >= 1",
+            # size |nu|
+            _upto(1, 6, lambda size: ({"nu": list(nu), "j": j}
+                                      for nu in partitions_of(size) for j in range(1, 9))),
         ),
-        IdentityCheck(
+        Identity(
             "thm44",
             "operator image equals the direct-q length-graded expansion",
-            check_thm44, _cases_thm44,
+            lambda p: (do.lhs_nu(_nu(p), p["n"]), do.rhs_nu(_nu(p), p["n"])),
+            lambda p: _is_partition(p["nu"]) and 1 <= sum(p["nu"]) <= p["n"],
+            "nu a partition, 1 <= |nu| <= n",
+            _upto(1, 5, _nus(lambda n: range(1, n + 1))),
+            extra=_hook_support,
         ),
-        IdentityCheck(
+        Identity(
             "ghry23",
             "two expansions of the length-k Hall-Littlewood aggregate, hook support",
-            check_ghry23, _cases_ghry23,
+            lambda p: do.ghry_sides(p["n"], p["k"]),
+            lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
+            _upto(1, 6, _all_k),
+            extra=_hook_support,
         ),
-        IdentityCheck(
+        Identity(
             "hook_support",
             "h_n[X(1-q^u)] is supported on hooks with alternating coefficients",
-            check_hook_support, _cases_hook_support,
+            lambda p: (sf.apply_transform(sf.h(p["n"]), sf.scale_one_minus_qpow(p["u"])),
+                       sf.hn_times_one_minus_u(p["n"], q ** p["u"])),
+            lambda p: p["n"] >= 1 and p["u"] >= 1, "n >= 1, u >= 1",
+            _upto(1, 8, lambda n: ({"n": n, "u": u} for u in (1, 2, 3))),
+            extra=_hook_support,
         ),
-        IdentityCheck(
+        Identity(
             "deltaconj_t0",
             "rise-product parking sum at t=0 equals the primed operator image",
-            check_deltaconj_t0, _cases_deltaconj_t0,
+            lambda p: (pk.delta_side_combinatorial(p["n"], p["k"], t_zero=True),
+                       do.delta_prime_t0(_e_km1(p["k"]), p["n"])),
+            lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
+            _upto(1, 6, _all_k),
         ),
-        IdentityCheck(
+        Identity(
             "deltaconj_q0",
             "rise-product parking sum at q=0 equals the renamed t=0 operator image",
-            check_deltaconj_q0, _cases_deltaconj_q0,
+            lambda p: (sf.subs_coeffs(pk.delta_side_combinatorial(p["n"], p["k"]), ZERO, None),
+                       sf.subs_coeffs(do.delta_prime_t0(_e_km1(p["k"]), p["n"]), t, None)),
+            lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
+            _upto(1, 5, _all_k),
         ),
-        IdentityCheck(
+        Identity(
             "wmu_consistency",
             "closed t=0 normalization factor equals its cell-product form",
-            check_wmu_consistency, _cases_wmu,
+            lambda p: (hl.t0_specializations(Partition(tuple(p["mu"]))).w,
+                       hl.w_t0_cell_product(Partition(tuple(p["mu"])))),
+            lambda p: _is_partition(p["mu"]) and sum(p["mu"]) >= 1,
+            "mu a partition, |mu| >= 1",
+            _upto(1, 6, lambda n: ({"mu": list(mu)} for mu in partitions_of(n))),
         ),
-        IdentityCheck(
+        Identity(
             "span_dim",
             "plain-Delta images span more than n dimensions",
-            check_span_dim, _cases_span,
+            _span_sides,
+            # below 4, rank <= p(n) <= n by counting dimensions
+            lambda p: p["n"] >= 4, "n >= 4",
+            _cases_span,
+            compare=_compare_rank,
+            render=_render_rank,
         ),
     )
 }
@@ -570,14 +448,10 @@ class SuiteConfig:
 
 
 def run_one(identity_id: str, params: dict) -> IdentityReport:
-    started = time.perf_counter()
     entry = REGISTRY.get(identity_id)
     if entry is None:
         raise KeyError(f"unknown identity id {identity_id!r}")
-    try:
-        return entry.check(params)
-    except ValueError as exc:
-        return _skip(identity_id, params, f"invalid parameters: {exc}", started)
+    return entry.check(params)
 
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
@@ -608,7 +482,7 @@ def write_jsonl(reports: list[IdentityReport], path: str) -> None:
 
 
 def summarize(reports: list[IdentityReport]) -> dict[str, int]:
-    counts = {"equal": 0, "mismatch": 0, "skipped": 0}
+    counts = dict.fromkeys(STATUSES, 0)
     for report in reports:
-        counts[report.status] = counts.get(report.status, 0) + 1
+        counts[report.status] += 1
     return counts

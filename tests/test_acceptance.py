@@ -37,7 +37,7 @@ def verdict(capsys):
 
 
 def _sweep(*identity_ids: str) -> tuple[dict, list[str]]:
-    counts = {"equal": 0, "mismatch": 0, "skipped": 0}
+    counts = dict.fromkeys(ver.STATUSES, 0)
     bad: list[str] = []
     for identity_id in identity_ids:
         entry = ver.REGISTRY[identity_id]
@@ -50,7 +50,7 @@ def _sweep(*identity_ids: str) -> tuple[dict, list[str]]:
 
 
 def _clean(counts: dict, bad: list[str]) -> tuple[bool, str]:
-    ok = counts["mismatch"] == 0 and counts["skipped"] == 0
+    ok = counts["equal"] == sum(counts.values())
     detail = f"{counts['equal']} cases all equal"
     if not ok:
         detail = "; ".join(bad[:3]) or str(counts)
@@ -248,9 +248,7 @@ def test_infrastructure(verdict):
                     problems.append(f"cauchy {r1.render()},{r2.render()}")
 
     # dual displays of the t=0 w weight, n <= 6
-    counts, bad = _sweep("wmu_consistency")
-    if counts["mismatch"] or counts["skipped"]:
-        problems.extend(bad)
+    problems.extend(_sweep("wmu_consistency")[1])
 
     verdict("infrastructure", not problems,
              "round trips deg<=8; Kostka-Foulkes unitriangular/positive deg<=8; "

@@ -93,19 +93,19 @@ class TestParkingFunction:
 
 class TestFunctionalAccessors:
     def test_enumeration_delegates(self):
-        assert parking.enumerate_paths(3) == DyckPath.all_paths(3)
-        assert len(parking.enumerate_pfs(3)) == 16
-        path = DyckPath((0, 1, 1))
-        assert parking.enumerate_pfs(path) == ParkingFunction.all_on(path)
+        assert len(DyckPath.all_paths(3)) == CATALAN[3]
+        assert len(ParkingFunction.all_parking(3)) == 16
+        # one rise (row 1), so cars 1..3 with cars[1] > cars[0]
+        assert len(ParkingFunction.all_on(DyckPath((0, 1, 1)))) == 3
 
     def test_statistics_delegate(self):
         pf = ParkingFunction(DyckPath((0, 1)), (1, 2))
-        assert parking.area(pf) == pf.area == 1
-        assert parking.dinv(pf) == pf.dinv() == 0
-        assert parking.word(pf) == pf.word() == (2, 1)
-        assert parking.ides(pf) == pf.ides() == (1, 1)
-        assert parking.area(pf.path) == 1
-        assert parking.haglund_factor(pf.path) == {0: {0: 1}, 1: {-1: 1}}
+        assert pf.area == 1
+        assert pf.dinv() == 0
+        assert pf.word() == (2, 1)
+        assert pf.ides() == (1, 1)
+        assert pf.path.area == 1
+        assert pf.path.rise_factor() == {0: {0: 1}, 1: {-1: 1}}
 
 
 class TestFundamentalMonomials:

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaq import partition
 from deltaq.partition import (
     CellStat,
     Partition,
@@ -69,13 +68,10 @@ class TestStatistics:
 
     def test_functional_accessors_delegate(self):
         mu = Partition((3, 2, 2, 1))
-        assert partition.conjugate(mu) == mu.conjugate() == Partition((4, 3, 1))
-        assert partition.nstat(mu) == mu.nstat()
-        assert partition.multiplicities(mu) == mu.multiplicities()
-        assert partition.cell_stats(mu) == mu.cell_stats()
-        # loose iterables are coerced
-        assert partition.conjugate((1, 1, 1)) == Partition((3,))
-        assert partition.nstat([2, 1]) == 1
+        assert mu.conjugate() == Partition((4, 3, 1))
+        # loose iterables are coerced by the constructor
+        assert Partition((1, 1, 1)).conjugate() == Partition((3,))
+        assert Partition([2, 1]).nstat() == 1
 
     @given(partitions_strategy)
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, coef, q, t
-from deltaq.symfunc import DegreeLimitError, SymFunc
+from deltaq.symfunc import SymFunc
 
 partitions_upto = lambda size: st.integers(1, size).flatmap(
     lambda n: st.sampled_from(partitions_of(n))
@@ -134,15 +134,7 @@ class TestMultiplication:
     def test_e_h_products(self):
         assert sf.e(1) * sf.e(1) == sf.e((1, 1))
         assert sf.h(2) * sf.h(3) == sf.h((3, 2))
-
-    def test_degree_limit_guard(self):
-        with pytest.raises(DegreeLimitError):
-            sf.s(6) * sf.s(5)
-        sf.set_degree_limit(11)
-        try:
-            assert sf.h(6) * sf.h(5) == sf.h((6, 5))
-        finally:
-            sf.set_degree_limit(10)
+        assert sf.h(6) * sf.h(5) == sf.h((6, 5))
 
 
 class TestOmega:

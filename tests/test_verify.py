@@ -1,12 +1,15 @@
 """Tests for the identity registry, the suite runner, and the command line."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
-from deltaq.qfield import ONE, ZERO
+from deltaq.partition import partitions_of
+from deltaq.qfield import ONE, ZERO, PoleError
 
 
 class TestRegistry:
@@ -47,10 +50,10 @@ class TestRunOne:
         assert report.status == "skipped"
 
     def test_skip_invalid_params(self):
-        # HookParams rejects m >= n, the runner downgrades that to a skip
+        # HookParams rejects m >= n; the hook identities state that as their hypothesis
         report = ver.run_one("eq10", {"k": 0, "m": 3, "n": 3})
         assert report.status == "skipped"
-        assert "invalid parameters" in report.witness
+        assert report.witness == "hypothesis 0 <= k, k+1 <= m, m < n fails"
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -69,21 +72,74 @@ class TestRunOne:
             report = ver.run_one(identity_id, params)
             assert report.status == "equal", (identity_id, params, report.witness)
 
-    def test_prop33_part_dispatch(self):
-        base = {"k": 0, "m": 2, "n": 4, "ell": 2}
-        report_a = ver.check_prop33({**base, "part": "a"})
-        assert report_a.identity_id == "prop33a"
-        assert report_a.status == "equal"
-        direct_a = ver.check_prop33a({**base, "j": 2})
-        assert report_a.lhs_render == direct_a.lhs_render
-        report_b = ver.check_prop33({**base, "part": "b"})
-        assert report_b.identity_id == "prop33b"
-        assert report_b.status == "equal"
-        assert report_b.lhs_render == ver.check_prop33b(base).lhs_render
-        with pytest.raises(ValueError):
-            ver.check_prop33({**base, "part": "c"})
-        with pytest.raises(ValueError):
-            ver.check_prop33(base)
+
+class TestOutcomes:
+    def test_implementation_limit_is_an_error(self):
+        report = ver.run_one("span_dim", {"n": 7})
+        assert report.status == "error"
+        assert report.witness == "ValueError: filling enumeration limited to size 6, got 7"
+        assert report.lhs_render == report.rhs_render == ""
+
+    def test_error_exit_code(self, capsys):
+        rc = cli.main(["verify", "--id", "span_dim", "--params", "n=7"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "total 1: 0 equal, 0 mismatch, 0 skipped, 1 error" in out
+
+    def test_span_below_four_is_skipped(self, capsys):
+        reports = ver.run_suite(ver.SuiteConfig(suite="span", nmax=3))
+        assert [r.params["n"] for r in reports] == [1, 2, 3]
+        assert all(r.status == "skipped" for r in reports)
+        assert all(r.witness == "hypothesis n >= 4 fails" for r in reports)
+        rc = cli.main(["verify", "--suite", "span", "--nmax", "3"])
+        capsys.readouterr()
+        assert rc == 0
+
+    @pytest.mark.parametrize("exc", [ValueError("bad"), PoleError("pole")])
+    def test_exceptions_do_not_abort_the_suite(self, monkeypatch, exc):
+        def boom(k, m, ell):
+            raise exc
+
+        monkeypatch.setattr(ver.do, "cor32", boom)
+        reports = ver.run_suite(ver.SuiteConfig(suite="qbinom", nmax=2))
+        errors = [r for r in reports if r.status == "error"]
+        assert errors and all(r.identity_id == "cor32" for r in errors)
+        assert errors[0].witness == f"{type(exc).__name__}: {exc}"
+        assert ver.summarize(reports)["error"] == len(errors)
+
+
+# Registry-wide properties over a small grid of parameters: every integer
+# parameter in -2..4, every partition of size <= 4 plus some non-partitions.
+_GRID_INTS = range(-2, 5)
+_GRID_PARTS = [list(nu) for size in range(5) for nu in partitions_of(size)] + [
+    [0], [-1], [1, 2], [2, 0]]
+
+
+def _grid(identity_id: str, inside: bool) -> list[dict]:
+    entry = ver.REGISTRY[identity_id]
+    keys = list(next(iter(entry.default_cases(None))))
+    axes = [_GRID_PARTS if key in ("nu", "mu") else _GRID_INTS for key in keys]
+    points = (dict(zip(keys, values)) for values in itertools.product(*axes))
+    return [p for p in points if bool(entry.hypothesis(p)) == inside]
+
+
+class TestRegistryProperties:
+    @pytest.mark.parametrize("identity_id", sorted(ver.REGISTRY))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_outside_hypothesis_is_skipped(self, identity_id, data):
+        params = data.draw(st.sampled_from(_grid(identity_id, inside=False)))
+        report = ver.run_one(identity_id, params)
+        assert report.status == "skipped", (params, report.witness)
+        assert report.witness == f"hypothesis {ver.REGISTRY[identity_id].hypothesis_text} fails"
+
+    @pytest.mark.parametrize("identity_id", sorted(ver.REGISTRY))
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_inside_hypothesis_is_equal(self, identity_id, data):
+        params = data.draw(st.sampled_from(_grid(identity_id, inside=True)))
+        report = ver.run_one(identity_id, params)
+        assert report.status == "equal", (params, report.witness)
 
 
 class TestSuiteRunner:
@@ -125,7 +181,7 @@ class TestSuiteRunner:
             ver.run_one("prop31", {"k": 0, "m": 2, "ell": 2}),
             ver.run_one("prop31", {"k": 0, "m": 2, "ell": 9}),
         ]
-        assert ver.summarize(reports) == {"equal": 1, "mismatch": 0, "skipped": 1}
+        assert ver.summarize(reports) == {"equal": 1, "mismatch": 0, "skipped": 1, "error": 0}
 
 
 class TestParamParsing:
