@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Report the rank of span{ Delta_{s_nu} e_n } against the ambient dimension p(n).
 
-Ranks are computed by exact Gaussian elimination over Q(q,t), feeding images in
-increasing |nu| and stopping once the span is full.
+Ranks are computed by exact fraction-free elimination over ZZ[q,t], feeding
+images in increasing |nu| and stopping once the span is full.
 
 Examples:
     python scripts/span_report.py

@@ -15,12 +15,14 @@ The central objects:
   that link them.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
   ``h_n[X(1-q^i)]/(1-q^i)``.
-* ``span_dimension_report`` -- exact rank of the span of plain-Delta images.
+* ``span_dimension_report`` -- exact rank of the span of plain-Delta images, by
+  fraction-free elimination over ZZ[q,t].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import hall_littlewood as hl
@@ -168,6 +170,7 @@ def rhs_hook(params: HookParams) -> SymFunc:
     return total
 
 
+@lru_cache(maxsize=None)
 def remmel_coeff(s: int, params: HookParams) -> Coef:
     """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image."""
     k, m = params.k, params.m
@@ -375,7 +378,13 @@ class SpanReport:
 
 
 def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
-    """Gaussian-eliminate the plain-Delta images of e_n over Q(q,t).
+    """Rank the plain-Delta images of e_n by fraction-free elimination over ZZ[q,t].
+
+    Each image is cleared of denominators by the lcm of its coefficient
+    denominators, then reduced against the stored rows in order by Bareiss's
+    step v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th
+    stored row and p_k its pivot entry in column c_k.  Every such division is
+    exact (Sylvester's identity); ``exquo`` raises if one is not.
 
     Stops feeding new images once the span is already full, so nu_count then
     reports how many images were examined, not the whole sweep size.
@@ -383,30 +392,26 @@ def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
     if nu_size_max is None:
         nu_size_max = n
     basis = list(partitions_of(n))
-    index = {lam: i for i, lam in enumerate(basis)}
-    pivots: dict[int, list[Coef]] = {}
+    ring = qfield.FIELD.ring
+    rows: list[tuple[int, list]] = []  # (pivot column, row) in insertion order
     count = 0
     for size in range(1, nu_size_max + 1):
-        if len(pivots) == len(basis):
-            break
         for nu in partitions_of(size):
-            if len(pivots) == len(basis):
+            if len(rows) == len(basis):
                 break
             count += 1
             image = delta_full(sf.s(nu), n, prime=False)
-            vec = [ZERO] * len(basis)
-            for lam, c in image.terms.items():
-                vec[index[lam]] = c
-            for col in range(len(basis)):
-                if vec[col] == ZERO:
-                    continue
-                if col in pivots:
-                    ratio = vec[col]
-                    row = pivots[col]
-                    for jj in range(col, len(basis)):
-                        vec[jj] = vec[jj] - ratio * row[jj]
-                else:
-                    inv = ONE / vec[col]
-                    pivots[col] = [v * inv for v in vec]
-                    break
-    return SpanReport(n=n, nu_count=count, rank=len(pivots), dim=len(basis))
+            coeffs = [image.terms.get(lam, ZERO) for lam in basis]
+            den = ring.one
+            for c in coeffs:
+                den = den.lcm(c.denom)
+            vec = [c.numer * den.exquo(c.denom) for c in coeffs]
+            prev = ring.one
+            for col, row in rows:
+                piv, lead = row[col], vec[col]
+                vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]
+                prev = piv
+            col = next((j for j, v in enumerate(vec) if v), None)
+            if col is not None:
+                rows.append((col, vec))
+    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=len(basis))

@@ -250,6 +250,7 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
     exponent vector must carry an identical coefficient dictionary).
     """
     by_partition: dict[Partition, dict] = {}
+    present: dict[Partition, int] = {}
     for expvec, coeffs in mono.items():
         if sum(expvec) != degree:
             raise ValueError("inhomogeneous monomial aggregate")
@@ -257,16 +258,12 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
         ref = by_partition.setdefault(key, coeffs)
         if ref is not coeffs and ref != coeffs:
             raise AsymmetricAggregateError(f"asymmetric at exponent vector {expvec}")
+        present[key] = present.get(key, 0) + 1
     nvars = len(next(iter(mono))) if mono else degree
     terms: dict[Partition, Coef] = {}
     for lam, coeffs in by_partition.items():
         # symmetry check: every distinct rearrangement must be present
-        count = _rearrangement_count(lam, nvars)
-        present = sum(
-            1 for expvec in mono
-            if Partition(tuple(sorted((x for x in expvec if x), reverse=True))) == lam
-        )
-        if count != present:
+        if _rearrangement_count(lam, nvars) != present[lam]:
             raise AsymmetricAggregateError(f"missing rearrangements of {lam}")
         val = ZERO
         for (qe, te), c in coeffs.items():

@@ -1,7 +1,7 @@
 """Exact arithmetic in Q(q,t), plus q-Pochhammer and q-binomial primitives.
 
 Coefficients throughout the package are elements of the fraction field of
-ZZ[q,t] with graded-lex monomial order.  sympy keeps every element in the
+ZZ[q,t] with lex monomial order (q > t).  sympy keeps every element in the
 canonical form this package relies on: numerator and denominator coprime,
 integer coefficients with no common content, denominator leading coefficient
 positive.  Equality of coefficients is therefore plain ``==``.
@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _make_field
-from sympy.polys.orderings import grlex
+from sympy.polys.orderings import lex
 
-FIELD, q, t = _make_field("q,t", ZZ, grlex)
+FIELD, q, t = _make_field("q,t", ZZ, lex)
 
 #: element type of Q(q,t); used in annotations
 Coef = type(q)

@@ -209,6 +209,21 @@ class TestSpan:
         assert (r4.rank, r4.dim) == (5, 5)
         assert r4.nu_count >= r4.rank
 
+    # (nu_count, rank, dim) for nu_size_max = 1..n, as computed by elimination over Q(q,t)
+    SPAN_REPORTS = {
+        1: [(1, 1, 1)],
+        2: [(1, 1, 2), (2, 2, 2)],
+        3: [(1, 1, 3), (3, 2, 3), (4, 3, 3)],
+        4: [(1, 1, 5), (3, 3, 5), (6, 4, 5), (7, 5, 5)],
+        5: [(1, 1, 7), (3, 3, 7), (6, 5, 7), (11, 6, 7), (12, 7, 7)],
+    }
+
+    @pytest.mark.parametrize("n", sorted(SPAN_REPORTS))
+    def test_reports_match_field_elimination(self, n):
+        for s, expected in enumerate(self.SPAN_REPORTS[n], start=1):
+            r = d.span_dimension_report(n, s)
+            assert (r.nu_count, r.rank, r.dim) == expected, (n, s)
+
     def test_restricted_nu_range(self):
         # with only |nu| = 1 available the span cannot fill degree 3
         report = d.span_dimension_report(3, nu_size_max=1)

@@ -120,18 +120,29 @@ class TestFundamentalMonomials:
             assert all(c == 1 for c in mono.values())
             assert all(sum(v) == 3 for v in mono)
 
-    def test_standard_tableaux_assemble_schur(self):
+    @staticmethod
+    def _s21_aggregate() -> dict[tuple[int, ...], dict]:
         # descent compositions of the two standard tableaux of shape (2,1)
         mono: dict[tuple[int, ...], dict] = {}
         for alpha in ((2, 1), (1, 2)):
             for expvec, c in fundamental_monomials(alpha, 3).items():
                 slot = mono.setdefault(expvec, {})
                 slot[(0, 0)] = slot.get((0, 0), 0) + c
-        assert parking._monomials_to_symfunc(mono, 3) == sf.s((2, 1))
+        return mono
+
+    def test_standard_tableaux_assemble_schur(self):
+        assert parking._monomials_to_symfunc(self._s21_aggregate(), 3) == sf.s((2, 1))
 
     def test_asymmetric_aggregate_rejected(self):
         with pytest.raises(AsymmetricAggregateError):
             parking._monomials_to_symfunc({(2, 0): {(0, 0): 1}}, 2)
+
+    def test_missing_rearrangement_rejected(self):
+        # one rearrangement of (2,1,0) dropped; the coefficient dicts left all agree
+        mono = self._s21_aggregate()
+        del mono[(0, 1, 2)]
+        with pytest.raises(AsymmetricAggregateError, match="missing rearrangements"):
+            parking._monomials_to_symfunc(mono, 3)
 
 
 class TestRibbonSchur:

@@ -86,6 +86,16 @@ class TestRenderParse:
         assert render(coef(5)) == "5"
         assert render((q - t) / (q + t)) == "(q - t)/(q + t)"
 
+    def test_lex_canonical_form(self):
+        # leading terms differ under grlex and lex; lex (q > t) decides the sign
+        cases = {
+            ONE / (q - t**2): "1/(q - t^2)",
+            (q**2 - t**3) / (t - q**2): "(-q^2 + t^3)/(q^2 - t)",
+        }
+        for f, text in cases.items():
+            assert render(f) == text
+            assert parse(render(f)) == f
+
     def test_parse_handwritten(self):
         assert parse("q^2 - 2*q + 1") == (ONE - q) ** 2
         assert parse("(1 - q)/(1 - t)") == (ONE - q) / (ONE - t)
