@@ -6,6 +6,9 @@ Subcommands:
 * ``deltaq expand``   -- print a named expansion in the Schur basis
 * ``deltaq pf``       -- enumerate parking functions, optionally with statistics CSV
 * ``deltaq deltaside``-- print the combinatorial operator side for given n, k
+
+``expand``, ``pf`` and ``deltaside`` report invalid input (a ``ValueError``) as
+``error: <message>`` on stderr and exit with status 2.
 """
 
 from __future__ import annotations
@@ -195,9 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and args.suite is None and args.id is None:
-        args.suite = "all"
-    return args.func(args)
+    if args.command == "verify":
+        if args.suite is None and args.id is None:
+            args.suite = "all"
+        return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input to expand, pf or deltaside
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

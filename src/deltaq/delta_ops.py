@@ -21,6 +21,7 @@ The central objects:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -137,15 +138,29 @@ def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
     )
 
 
-def lhs_hook_closed(params: HookParams) -> SymFunc:
-    """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
+def _length_sum(n: int, coeff: Callable[[int], Coef], inverse_q: bool = True) -> SymFunc:
+    """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q] over the partitions mu of n.
+
+    With inverse_q False: sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q].  coeff is
+    called once per length; lengths with a zero coefficient are skipped.
+    """
+    sign = -1 if inverse_q else 1
+    by_length: dict[int, Coef] = {}
     total = sf.zero()
-    for mu in partitions_of(params.n):
-        c = lhs_hook_coeff(params, len(mu))
+    for mu in partitions_of(n):
+        ell = len(mu)
+        if ell not in by_length:
+            by_length[ell] = coeff(ell)
+        c = by_length[ell]
         if c == ZERO:
             continue
-        total = total + hl.hl_P(mu, inverse_q=True).scale(c * q ** (-mu.nstat()))
+        total = total + hl.hl_P(mu, inverse_q=inverse_q).scale(c * q ** (sign * mu.nstat()))
     return total
+
+
+def lhs_hook_closed(params: HookParams) -> SymFunc:
+    """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
+    return _length_sum(params.n, lambda ell: lhs_hook_coeff(params, ell))
 
 
 def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
@@ -258,21 +273,11 @@ def shifted_cauchy(n: int, i: int, variant: str = "direct") -> SymFunc:
     variant "direct":  sum_mu q^(n(mu))  (q^(i-l+1);q)_(l-1) P_mu[X;q]
     variant "inverse": sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1)   P_mu[X;1/q]
     """
-    if variant not in ("direct", "inverse"):
-        raise ValueError(f"unknown variant {variant!r}")
-    total = sf.zero()
-    for mu in partitions_of(n):
-        ell = len(mu)
-        if variant == "direct":
-            c = q ** mu.nstat() * qpoch_at(i - ell + 1, ell - 1)
-            base = hl.hl_P(mu)
-        else:
-            c = q ** (-mu.nstat()) * qpoch_at(i + 1, ell - 1)
-            base = hl.hl_P(mu, inverse_q=True)
-        if c == ZERO:
-            continue
-        total = total + base.scale(c)
-    return total
+    if variant == "direct":
+        return _length_sum(n, lambda ell: qpoch_at(i - ell + 1, ell - 1), inverse_q=False)
+    if variant == "inverse":
+        return _length_sum(n, lambda ell: qpoch_at(i + 1, ell - 1))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:
@@ -286,14 +291,7 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     left:  sum_mu q^(-n(mu)) [l(mu)-1 choose k-1]_q (q;q)_(l(mu)) P_mu[X;1/q]
     right: q^(-k(k-1)) (q;q)_k sum_{l(mu)=k} q^(n(mu)) P_mu[X;q]
     """
-    left = sf.zero()
-    for mu in partitions_of(n):
-        ell = len(mu)
-        c = qbinom(ell - 1, k - 1)
-        if c == ZERO:
-            continue
-        c = c * q ** (-mu.nstat()) * qpoch(ell)
-        left = left + hl.hl_P(mu, inverse_q=True).scale(c)
+    left = _length_sum(n, lambda ell: qbinom(ell - 1, k - 1) * qpoch(ell))
     right = length_graded_P(n, k).scale(q ** (-k * (k - 1)) * qpoch(k))
     return left, right
 
@@ -307,14 +305,9 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     """
     nu = _as_partition(nu)
     snu = sf.s(nu)
-    total = sf.zero()
-    for mu in partitions_of(n):
-        ell = len(mu)
-        eig = sf.apply_transform(snu, sf.eval_geometric(ell - 1))
-        if eig == ZERO:
-            continue
-        c = eig * q ** (-mu.nstat()) * qpoch(ell)
-        total = total + hl.hl_P(mu, inverse_q=True).scale(c)
+    total = _length_sum(
+        n, lambda ell: sf.apply_transform(snu, sf.eval_geometric(ell - 1)) * qpoch(ell)
+    )
     return total.scale(q ** nu.size)
 
 

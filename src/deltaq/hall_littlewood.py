@@ -3,9 +3,11 @@
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux.  P expands through the unitriangular inverse of the Kostka-Foulkes
 matrix against the Schur basis.  The two-parameter modified Macdonald
-functions come from the inv/maj filling formula; their one-parameter
-specialization used throughout the Delta-operator pipeline is the cocharge
-variant built from Kostka-Foulkes at 1/q.
+functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
+standard fillings, whose F-expansion is straightened into Schur functions by
+``symfunc.from_fundamentals``; their one-parameter specialization used
+throughout the Delta-operator pipeline is the cocharge variant built from
+Kostka-Foulkes at 1/q.
 """
 
 from __future__ import annotations
@@ -222,23 +224,18 @@ def _filling_stats(values, attack, descent) -> tuple[int, int]:
 def modified_macdonald_full(mu, limit: int = MACDONALD_FULL_LIMIT) -> SymFunc:
     """Two-parameter modified Macdonald function by the inv/maj filling formula.
 
-    Monomial coefficients aggregate over all fillings with partition content;
-    symmetry of the result makes those determine the whole function.
+    Sums q^inv t^maj F_(ides) over the n! standard fillings of mu (Haglund-
+    Haiman-Loehr), ides being the inverse-descent composition of the reading
+    word, and straightens that F-aggregate into Schur functions.
     """
     mu = Partition(mu)
     n = mu.size
     if n > limit:
         raise ValueError(f"filling enumeration limited to size {limit}, got {n}")
     attack, descent = _shape_geometry(mu)
-    mono: dict[Partition, Coef] = {}
-    for lam in partitions_of(n):
-        multiset = [v + 1 for v, count in enumerate(lam) for _ in range(count)]
-        agg: dict[tuple[int, int], int] = {}
-        for values in multiset_permutations(multiset):
-            key = _filling_stats(values, attack, descent)
-            agg[key] = agg.get(key, 0) + 1
-        total = qfield.ZERO
-        for (inv, maj), count in agg.items():
-            total += count * q**inv * t**maj
-        mono[lam] = total
-    return symfunc.sym("m", mono)
+    agg: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for values in multiset_permutations(range(1, n + 1)):
+        slot = agg.setdefault(symfunc.inverse_descents(values), {})
+        key = _filling_stats(values, attack, descent)
+        slot[key] = slot.get(key, 0) + 1
+    return symfunc.from_fundamentals(agg)

@@ -9,12 +9,16 @@ The generating-function side assembled here:
 
 * per path, the rise factor  prod_{i in Rise} (1 + z t^(-a_i))  and the
   cars sum  sum_{PF} q^(dinv) F_(ides(word))  with F a fundamental
-  quasisymmetric polynomial in n variables;
+  quasisymmetric function (``llt_sum``);
 * ``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient and
   aggregates everything into a Schur expansion over Q(q,t).
 
-All hot loops work with plain int dictionaries keyed by exponent vectors and
-convert to field coefficients only at the very end.
+Both count parking functions in a plain int F-aggregate
+{ides: {(q_exp, t_exp): count}} and pass it once to
+``symfunc.from_fundamentals``, the one route from F-expansions to Schur
+functions.  The older monomial route (``fundamental_monomials``,
+``_monomials_to_symfunc``) stays as the reference the tests check that route
+against; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import permutations
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition
-from .qfield import Coef, ONE, ZERO, q, t
+from .qfield import Coef, ZERO, q, t
 from .symfunc import SymFunc
 
 
@@ -143,10 +147,7 @@ class ParkingFunction:
 
     def ides(self) -> tuple[int, ...]:
         """Descent composition of the inverse of the reading word."""
-        w = self.word()
-        pos = {v: i for i, v in enumerate(w)}
-        descents = [v for v in range(1, self.n) if pos[v + 1] < pos[v]]
-        return _composition_from_descents(descents, self.n)
+        return sf.inverse_descents(self.word())
 
     @staticmethod
     def all_on(path: DyckPath) -> tuple["ParkingFunction", ...]:
@@ -165,17 +166,7 @@ class ParkingFunction:
         return tuple(out)
 
 
-def _composition_from_descents(descents, n: int) -> tuple[int, ...]:
-    prev = 0
-    comp = []
-    for d in sorted(descents):
-        comp.append(d - prev)
-        prev = d
-    comp.append(n - prev)
-    return tuple(comp)
-
-
-# -- quasisymmetric expansion -------------------------------------------------------
+# -- monomial reference route (tests only) ------------------------------------------
 
 @lru_cache(maxsize=None)
 def fundamental_monomials(alpha: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
@@ -204,39 +195,6 @@ def fundamental_monomials(alpha: tuple[int, ...], nvars: int) -> dict[tuple[int,
 
     walk(0, 0, (0,) * nvars)
     return out
-
-
-def ribbon_schur(alpha: tuple[int, ...]) -> SymFunc:
-    """Straightened Schur function indexed by a composition.
-
-    Applies the determinantal slide beta_i = alpha_i - i; collisions give 0,
-    otherwise sorting gives a sign and a partition.
-    """
-    beta = [alpha[i] - i for i in range(len(alpha))]
-    if len(set(beta)) != len(beta):
-        return sf.zero()
-    order = sorted(range(len(beta)), key=lambda i: -beta[i])
-    sign = ONE
-    perm = list(order)
-    parity = 0
-    visited = [False] * len(perm)
-    for i in range(len(perm)):
-        if visited[i]:
-            continue
-        j, clen = i, 0
-        while not visited[j]:
-            visited[j] = True
-            j = perm[j]
-            clen += 1
-        parity += clen - 1
-    if parity % 2:
-        sign = -ONE
-    lam = tuple(beta[order[i]] + i for i in range(len(beta)))
-    lam = tuple(x for x in lam if x)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(x < 0 for x in lam):
-        # a trailing zero row may hide a negative entry after the slide
-        return sf.zero()
-    return sf.s(Partition(lam)).scale(sign)
 
 
 class AsymmetricAggregateError(ValueError):
@@ -288,29 +246,20 @@ def _rearrangement_count(lam: Partition, nvars: int) -> int:
 
 # -- LLT-type sums ---------------------------------------------------------------
 
-def llt_sum(path: DyckPath, mode: str = "fundamental") -> SymFunc:
-    """sum over parking functions on the path of q^(dinv) * F_(ides(word)).
-
-    mode "fundamental" expands fundamental quasisymmetric polynomials in n
-    variables (faithful in degree n) and solves the resulting symmetric
-    aggregate into Schur functions; mode "ribbon" instead substitutes the
-    straightened ribbon Schur function for each descent composition.
-    """
-    n = path.n
-    if mode == "ribbon":
-        total = sf.zero()
-        for pf in ParkingFunction.all_on(path):
-            total = total + ribbon_schur(pf.ides()).scale(q ** pf.dinv())
-        return total
-    if mode != "fundamental":
-        raise ValueError(f"unknown mode {mode!r}")
-    mono: dict[tuple[int, ...], dict] = {}
+def _add_cars(agg: dict, path: DyckPath, tpoly: dict[int, int]) -> None:
+    """Add sum_{PF on path} q^(dinv) F_(ides) * sum_e tpoly[e] t^e into an F-aggregate."""
     for pf in ParkingFunction.all_on(path):
+        slot = agg.setdefault(pf.ides(), {})
         qe = pf.dinv()
-        for expvec, c in fundamental_monomials(pf.ides(), n).items():
-            slot = mono.setdefault(expvec, {})
-            slot[(qe, 0)] = slot.get((qe, 0), 0) + c
-    return _monomials_to_symfunc(mono, n)
+        for te, ct in tpoly.items():
+            slot[(qe, te)] = slot.get((qe, te), 0) + ct
+
+
+def llt_sum(path: DyckPath) -> SymFunc:
+    """sum over parking functions on the path of q^(dinv) * F_(ides(word)), in the Schur basis."""
+    agg: dict[tuple[int, ...], dict] = {}
+    _add_cars(agg, path, {0: 1})
+    return sf.from_fundamentals(agg)
 
 
 def delta_side_combinatorial(n: int, k: int, t_zero: bool = False) -> SymFunc:
@@ -324,7 +273,7 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False) -> SymFunc:
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     zdeg = n - k
-    mono: dict[tuple[int, ...], dict] = {}
+    agg: dict[tuple[int, ...], dict] = {}
     for path in DyckPath.all_paths(n):
         zfac = path.rise_factor().get(zdeg)
         if not zfac:
@@ -337,16 +286,6 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False) -> SymFunc:
             if t_zero and te != 0:
                 continue
             tpoly[te] = tpoly.get(te, 0) + c
-        if not tpoly:
-            continue
-        for pf in ParkingFunction.all_on(path):
-            qe = pf.dinv()
-            fmono = fundamental_monomials(pf.ides(), n)
-            for expvec, c in fmono.items():
-                slot = mono.setdefault(expvec, {})
-                for te, ct in tpoly.items():
-                    key = (qe, te)
-                    slot[key] = slot.get(key, 0) + c * ct
-    if not mono:
-        return sf.zero()
-    return _monomials_to_symfunc(mono, n)
+        if tpoly:
+            _add_cars(agg, path, tpoly)
+    return sf.from_fundamentals(agg)

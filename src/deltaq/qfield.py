@@ -41,11 +41,6 @@ def coef(value) -> Coef:
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(q,t)")
 
 
-def qpow(e: int) -> Coef:
-    """q**e for any integer e, negative exponents included."""
-    return q**e
-
-
 @lru_cache(maxsize=None)
 def qpoch_at(s: int, m: int) -> Coef:
     """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)).  m < 0 is rejected."""
@@ -117,13 +112,6 @@ def subs(f: Coef, q_image=None, t_image=None) -> Coef:
     if not den:
         raise PoleError(f"substitution hits a pole of {render(f)}")
     return _eval_poly(f.numer, q_val, t_val) / den
-
-
-def neg_shift_poch_identity_check(n: int, m: int) -> bool:
-    """Check (q^-n; q)_m = q^(m(m-2n-1)/2) (-1)^m (q^(n-m+1); q)_m exactly."""
-    lhs = qpoch_at(-n, m)
-    rhs = q ** (m * (m - 2 * n - 1) // 2) * (-1) ** m * qpoch_at(n - m + 1, m)
-    return lhs == rhs
 
 
 # -- rendering and parsing ---------------------------------------------------

@@ -4,6 +4,11 @@ Internally everything is stored in the Schur basis as a sparse map
 {Partition: Coef}, one homogeneous degree per function.  The classical bases
 m, e, h, p, s convert in and out through two cached matrix families: power
 sums via Murnaghan-Nakayama characters, monomials via Kostka numbers.
+
+``from_fundamentals`` is the package's one route from fundamental
+quasisymmetric expansions to Schur functions: it straightens each
+composition (Egge-Loehr-Warrington) and sums signed integer counts.  The
+parking-function sides and the Macdonald fillings both go through it.
 """
 
 from __future__ import annotations
@@ -484,6 +489,59 @@ def hn_times_one_minus_u(n: int, u: Coef) -> SymFunc:
         terms[hook] = (qfield.ONE - u) * sign_pow
         sign_pow = sign_pow * (-u)
     return SymFunc(terms)
+
+
+# -- fundamental quasisymmetric expansions ---------------------------------------
+
+def inverse_descents(word) -> tuple[int, ...]:
+    """Descent composition of the inverse of a word in 1..n: i descends when i+1 sits left of i."""
+    pos = {v: i for i, v in enumerate(word)}
+    comp, prev = [], 0
+    for v in range(1, len(word)):
+        if pos[v + 1] < pos[v]:
+            comp.append(v - prev)
+            prev = v
+    comp.append(len(word) - prev)
+    return tuple(comp)
+
+
+def straighten(alpha: tuple[int, ...]) -> tuple[Partition, int] | None:
+    """The Schur function indexed by a composition, as (partition, +-1) or None for 0.
+
+    Slides beta_i = alpha_i - i; a repeated entry makes the Jacobi-Trudi
+    determinant vanish, otherwise sorting beta decreasingly costs the sign of
+    the sort and leaves the partition sorted(beta)_i + i.
+    """
+    beta = [a - i for i, a in enumerate(alpha)]
+    if len(set(beta)) < len(beta):
+        return None
+    swaps = sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
+    lam = Partition(b + i for i, b in enumerate(sorted(beta, reverse=True)))
+    return lam, (-1) ** swaps
+
+
+def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) -> SymFunc:
+    """Schur expansion of sum_alpha F_alpha * sum c q^a t^b, given as {alpha: {(a, b): c}}.
+
+    Valid when the sum is symmetric: then replacing each fundamental
+    quasisymmetric function F_alpha by the straightened Schur function s_alpha
+    gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
+    until each Schur coefficient is built once; exponents are nonnegative.
+    """
+    by_shape: dict[Partition, dict[tuple[int, int], int]] = {}
+    for alpha, coeffs in agg.items():
+        hit = straighten(alpha)
+        if hit is None:
+            continue
+        lam, sign = hit
+        slot = by_shape.setdefault(lam, {})
+        for key, c in coeffs.items():
+            slot[key] = slot.get(key, 0) + sign * c
+    ring = qfield.FIELD.ring
+    return SymFunc({
+        lam: qfield.FIELD(ring.from_dict({k: c for k, c in coeffs.items() if c}))
+        for lam, coeffs in by_shape.items()
+    })
 
 
 # -- rendering and parsing -----------------------------------------------------

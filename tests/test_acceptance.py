@@ -178,12 +178,24 @@ def test_delta_identity_q0(verdict):
 def test_llt_symmetry(verdict):
     started = time.perf_counter()
     paths = 0
+    bad: list[str] = []
     for n in range(1, 7):
         for path in DyckPath.all_paths(n):
-            parking.llt_sum(path)  # raises if any aggregate is asymmetric
+            agg: dict = {}
+            parking._add_cars(agg, path, {0: 1})
+            mono: dict = {}
+            for alpha, coeffs in agg.items():
+                for expvec, c in parking.fundamental_monomials(alpha, n).items():
+                    slot = mono.setdefault(expvec, {})
+                    for key, ct in coeffs.items():
+                        slot[key] = slot.get(key, 0) + c * ct
+            # raises if the aggregate is asymmetric
+            if parking._monomials_to_symfunc(mono, n) != parking.llt_sum(path):
+                bad.append(str(path.areas))
             paths += 1
-    verdict("llt_symmetry", True,
-             f"every per-path aggregate symmetric, n<=6 ({paths} paths)",
+    verdict("llt_symmetry", not bad,
+             "every per-path aggregate symmetric and equal to its straightening, "
+             f"n<=6 ({paths} paths)" + ("" if not bad else " -- " + "; ".join(bad[:3])),
              time.perf_counter() - started)
 
 

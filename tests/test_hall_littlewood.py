@@ -8,6 +8,7 @@ power-sum inner product, so the tableau conventions cannot drift silently.
 from fractions import Fraction
 
 import pytest
+from sympy.utilities.iterables import multiset_permutations
 
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.partition import Partition, dominates, partitions_of
@@ -179,6 +180,21 @@ class TestModifiedMacdonald:
                     hl.modified_macdonald_full(mu.conjugate()), q_image=t, t_image=q
                 )
                 assert hl.modified_macdonald_full(mu) == swapped
+
+    def test_matches_content_fillings(self):
+        # the coefficient of m_lam counts the fillings of content lam by q^inv t^maj
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                attack, descent = hl._shape_geometry(mu)
+                mono = {}
+                for lam in partitions_of(n):
+                    multiset = [v + 1 for v, count in enumerate(lam) for _ in range(count)]
+                    agg: dict[tuple[int, int], int] = {}
+                    for values in multiset_permutations(multiset):
+                        key = hl._filling_stats(values, attack, descent)
+                        agg[key] = agg.get(key, 0) + 1
+                    mono[lam] = sum((c * q**a * t**b for (a, b), c in agg.items()), ZERO)
+                assert sf.basis_convert(hl.modified_macdonald_full(mu), "m") == mono, mu
 
     def test_size_limit_guard(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,24 @@ from deltaq.parking import (
     DyckPath,
     ParkingFunction,
     fundamental_monomials,
-    ribbon_schur,
 )
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, q, subs, t
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42}
+
+
+def monomial_route(agg: dict) -> sf.SymFunc:
+    """Schur expansion of an F-aggregate {alpha: {(a, b): c}} through n-variable monomials."""
+    mono: dict[tuple[int, ...], dict] = {}
+    for alpha, coeffs in agg.items():
+        for expvec, c in fundamental_monomials(alpha, sum(alpha)).items():
+            slot = mono.setdefault(expvec, {})
+            for key, ct in coeffs.items():
+                slot[key] = slot.get(key, 0) + c * ct
+    if not mono:
+        return sf.zero()
+    return parking._monomials_to_symfunc(mono, len(next(iter(mono))))
 
 
 def small_pf() -> st.SearchStrategy[ParkingFunction]:
@@ -149,21 +161,29 @@ class TestRibbonSchur:
     def test_partitions_pass_through(self):
         for n in range(1, 5):
             for lam in partitions_of(n):
-                assert ribbon_schur(tuple(lam)) == sf.s(lam)
+                assert sf.straighten(tuple(lam)) == (lam, 1)
 
     def test_frozen_straightening(self):
-        assert ribbon_schur((1, 2)) == sf.zero()
-        assert ribbon_schur((1, 3)) == sf.s((2, 2)).scale(-ONE)
-        assert ribbon_schur((1, 1, 4)) == sf.s((2, 2, 2))
+        assert sf.straighten((1, 2)) is None
+        assert sf.straighten((1, 3)) == (Partition((2, 2)), -1)
+        assert sf.straighten((1, 1, 4)) == (Partition((2, 2, 2)), 1)
+        assert sf.straighten((2, 1, 3)) == (Partition((2, 2, 2)), -1)
+
+    def test_signed_counts_add_up(self):
+        # F_(1,3) straightens to -s_(2,2) and cancels F_(2,2); F_(1,2) vanishes
+        agg = {(1, 3): {(0, 0): 2, (1, 0): 1}, (2, 2): {(0, 0): 2}, (1, 2): {(0, 0): 5}}
+        assert sf.from_fundamentals(agg) == sf.s((2, 2)).scale(-q)
+        assert sf.from_fundamentals({(1, 3): {(0, 0): 1}, (2, 2): {(0, 0): 1}}) == sf.zero()
+        assert sf.from_fundamentals({}) == sf.zero()
 
 
 class TestLLTSums:
-    def test_modes_agree_per_path(self):
-        for n in range(1, 5):
+    def test_matches_monomial_route_per_path(self):
+        for n in range(1, 6):
             for path in DyckPath.all_paths(n):
-                fund = parking.llt_sum(path, "fundamental")
-                ribbon = parking.llt_sum(path, "ribbon")
-                assert fund == ribbon, path
+                agg: dict = {}
+                parking._add_cars(agg, path, {0: 1})
+                assert parking.llt_sum(path) == monomial_route(agg), path
 
     def test_schur_positive(self):
         for n in range(1, 5):
@@ -171,10 +191,6 @@ class TestLLTSums:
                 for lam, c in parking.llt_sum(path).terms.items():
                     assert c.denom == ONE.numer, (path, lam)
                     assert all(int(v) > 0 for _, v in c.numer.terms()), (path, lam)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            parking.llt_sum(DyckPath((0,)), "sideways")
 
     def test_q1_counts_parking_functions(self):
         # each Schur term contributes its standard-tableau count, so every
@@ -207,6 +223,22 @@ class TestDeltaSideCombinatorial:
                 full = parking.delta_side_combinatorial(n, k)
                 assert pruned == sf.subs_coeffs(full, t_image=ZERO), (n, k)
                 assert pruned == d.delta_prime_t0(sf.e(k - 1), n), (n, k)
+
+    def test_matches_monomial_route(self, monkeypatch):
+        # the F-aggregate the side straightens, expanded into monomials instead
+        aggs = []
+        straighten = sf.from_fundamentals
+
+        def capture(agg):
+            aggs.append(agg)
+            return straighten(agg)
+
+        monkeypatch.setattr(sf, "from_fundamentals", capture)
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for t_zero in (False, True):
+                    side = parking.delta_side_combinatorial(n, k, t_zero)
+                    assert side == monomial_route(aggs.pop()), (n, k, t_zero)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,14 +12,12 @@ from deltaq.qfield import (
     ZERO,
     PoleError,
     coef,
-    neg_shift_poch_identity_check,
     parse,
     q,
     qbinom,
     qbinom_hook,
     qpoch,
     qpoch_at,
-    qpow,
     render,
     subs,
     t,
@@ -55,7 +53,7 @@ class TestFieldBasics:
         assert coef(q) is not None and coef(q) == q
 
     def test_qpow_negative(self):
-        assert qpow(-2) * q**2 == ONE
+        assert q**-2 * q**2 == ONE
 
 
 class TestSubs:
@@ -120,7 +118,7 @@ class TestPochhammer:
 
     def test_shifted_window(self):
         assert qpoch_at(3, 2) == (ONE - q**3) * (ONE - q**4)
-        assert qpoch_at(-1, 1) == ONE - qpow(-1)
+        assert qpoch_at(-1, 1) == ONE - q**-1
 
     def test_zero_factor_inside_window(self):
         # the window (q^-1;q)_3 crosses q^0 = 1, so a factor vanishes
@@ -139,7 +137,9 @@ class TestPochhammer:
     @given(st.integers(1, 10), st.integers(0, 10))
     @settings(max_examples=40, deadline=None)
     def test_neg_shift_identity(self, n, m):
-        assert neg_shift_poch_identity_check(n, m)
+        # (q^-n; q)_m = q^(m(m-2n-1)/2) (-1)^m (q^(n-m+1); q)_m
+        rhs = q ** (m * (m - 2 * n - 1) // 2) * (-1) ** m * qpoch_at(n - m + 1, m)
+        assert qpoch_at(-n, m) == rhs
 
 
 class TestQBinom:

@@ -239,6 +239,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["expand", "--what", "Htilde0"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--what", "Htilde", "--mu", "7"],
+         "filling enumeration limited to size 6, got 7"),
+        (["expand", "--what", "lhs_hook", "--params", "k=2,m=1,n=3"],
+         "need 0 <= k, k+1 <= m, m < n; got k=2, m=1, n=3"),
+        (["expand", "--what", "P", "--mu", "3,x"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["pf", "--n", "0"], "n must be at least 1"),
+        (["deltaside", "--n", "3", "--k", "0"], "need 1 <= k <= n, got k=0, n=3"),
+    ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
+            "deltaside-k-0"])
+    def test_bad_input_exits_2(self, capsys, argv, message):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_pf_count_and_stats(self, capsys):
         rc = cli.main(["pf", "--n", "2"])
         out = capsys.readouterr().out
