@@ -86,12 +86,20 @@ def _cmd_verify(args) -> int:
     return 1 if counts["mismatch"] or counts["error"] else 0
 
 
+def _required(params: dict, what: str, *names: str) -> list:
+    """The values of the named parameters; a missing one is invalid input."""
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"--what {what} needs {', '.join(missing)} in --params")
+    return [params[name] for name in names]
+
+
 def _expand_target(args) -> sf.SymFunc:
     what = args.what
     params = _split_params(args.params) if args.params else {}
     if what in ("P", "Q", "Htilde0", "Htilde"):
         if not args.mu:
-            raise SystemExit(f"--what {what} requires --mu")
+            raise ValueError(f"--what {what} needs --mu")
         mu = _parse_mu(args.mu)
         if what == "P":
             return hl.hl_P(mu)
@@ -101,14 +109,15 @@ def _expand_target(args) -> sf.SymFunc:
             return hl.modified_macdonald_t0(mu)
         return hl.modified_macdonald_full(mu)
     if what in ("lhs_nu", "rhs_nu"):
-        nu = Partition(tuple(params["nu"]))
-        n = int(params["n"])
+        nu, n = _required(params, what, "nu", "n")
+        nu = Partition(tuple(nu))
         return do.lhs_nu(nu, n) if what == "lhs_nu" else do.rhs_nu(nu, n)
     if what in ("lhs_hook", "rhs_hook"):
-        hp = do.HookParams(k=int(params["k"]), m=int(params["m"]), n=int(params["n"]))
+        k, m, n = _required(params, what, "k", "m", "n")
+        hp = do.HookParams(k=k, m=m, n=n)
         return do.lhs_hook_closed(hp) if what == "lhs_hook" else do.rhs_hook(hp)
     if what == "ghry":
-        left, right = do.ghry_sides(int(params["n"]), int(params["k"]))
+        left, right = do.ghry_sides(*_required(params, what, "n", "k"))
         if left != right:
             print("note: the two sides differ; printing the left side", file=sys.stderr)
         return left

@@ -6,7 +6,10 @@ subfield) and Schur-basis symmetric functions from :mod:`deltaq.symfunc`.
 The central objects:
 
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
-  Hall-Littlewood / Macdonald expansions of ``e_n``.
+  Hall-Littlewood / Macdonald expansions of ``e_n``.  The eigenvalue on H~_mu
+  is ``symfunc.evaluate`` of f at the alphabet B_mu (minus 1 when primed), one
+  element of Q(q,t); at t=0 it depends only on l(mu) and is computed once per
+  length.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.
@@ -21,7 +24,7 @@ The central objects:
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -61,23 +64,34 @@ class HookParams:
 
 # -- Delta operators ------------------------------------------------------------
 
+def _per_length(n: int, coeff: Callable[[int], Coef]) -> Iterator[tuple[Partition, Coef]]:
+    """(mu, coeff(l(mu))) over the partitions mu of n, in order.
+
+    coeff is called once per length; lengths with a zero coefficient are skipped.
+    """
+    by_length: dict[int, Coef] = {}
+    for mu in partitions_of(n):
+        ell = len(mu)
+        if ell not in by_length:
+            by_length[ell] = coeff(ell)
+        if by_length[ell] != ZERO:
+            yield mu, by_length[ell]
+
+
 def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
     """Image of e_n under the primed Delta operator for f, with t set to 0.
 
-    Expands e_n over the t=0 modified Macdonald functions and multiplies each
-    by the eigenvalue of f at the alphabet q + q^2 + ... + q^(l-1), where l is
-    the length of the indexing partition.
+    e_n = sum_mu (1-q) Pi'_mu B_mu / w_mu H~_mu over the t=0 modified
+    Macdonald functions, and the operator scales H~_mu by f[B_mu - 1].  At
+    t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
+    l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So f[q + ... + q^(l-1)] (q;q)_l
+    is computed once per length l, and each H~_mu is scaled by it over w_mu.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     total = sf.zero()
-    for mu in partitions_of(n):
-        wts = hl.t0_specializations(mu)
-        eig = sf.apply_transform(f, sf.eval_geometric_shifted(len(mu)))
-        if eig == ZERO:
-            continue
-        coeff = eig * (ONE - q) * wts.pi_prime * wts.b / wts.w
-        total = total + hl.modified_macdonald_t0(mu).scale(coeff)
+    for mu, c in _per_length(n, lambda ell: sf.evaluate(f, qbinom(ell, 1) - ONE) * qpoch(ell)):
+        total = total + hl.modified_macdonald_t0(mu).scale(c / hl.w_t0(mu))
     return total
 
 
@@ -86,23 +100,14 @@ def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
 
     Expands e_n over the two-parameter modified Macdonald functions; the
     eigenvalue of f is its evaluation at the cell alphabet
-    sum q^(col) t^(row), minus 1 for the primed variant.
+    B_mu = sum q^(col) t^(row), minus 1 for the primed variant.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     total = sf.zero()
-    one = qfield.ONE
     for mu in partitions_of(n):
         wts = hl.macdonald_weights(mu)
-        cells = tuple(mu.cells())
-
-        def pk_image(k, _cells=cells):
-            val = ZERO
-            for (i, j) in _cells:
-                val = val + q ** (k * j) * qfield.t ** (k * i)
-            return val - one if prime else val
-
-        eig = sf.apply_transform(f, sf.AlphabetTransform("evaluate", pk_image))
+        eig = sf.evaluate(f, wts.b - ONE if prime else wts.b)
         if eig == ZERO:
             continue
         coeff = eig * (ONE - q) * (ONE - qfield.t) * wts.pi_prime * wts.b / wts.w
@@ -114,7 +119,7 @@ def lhs_nu(nu, n: int) -> SymFunc:
     """omega of the primed-Delta image of e_n for s_nu at t=0, restricted to X(1-q)."""
     nu = _as_partition(nu)
     image = delta_prime_t0(sf.s(nu), n)
-    return sf.apply_transform(sf.omega(image), sf.scale_one_minus_qpow(1))
+    return sf.plethysm(sf.omega(image), ONE - q)
 
 
 # -- hook-indexed closed forms ---------------------------------------------------
@@ -141,19 +146,11 @@ def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
 def _length_sum(n: int, coeff: Callable[[int], Coef], inverse_q: bool = True) -> SymFunc:
     """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q] over the partitions mu of n.
 
-    With inverse_q False: sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q].  coeff is
-    called once per length; lengths with a zero coefficient are skipped.
+    With inverse_q False: sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q].
     """
     sign = -1 if inverse_q else 1
-    by_length: dict[int, Coef] = {}
     total = sf.zero()
-    for mu in partitions_of(n):
-        ell = len(mu)
-        if ell not in by_length:
-            by_length[ell] = coeff(ell)
-        c = by_length[ell]
-        if c == ZERO:
-            continue
+    for mu, c in _per_length(n, coeff):
         total = total + hl.hl_P(mu, inverse_q=inverse_q).scale(c * q ** (sign * mu.nstat()))
     return total
 
@@ -306,7 +303,7 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     nu = _as_partition(nu)
     snu = sf.s(nu)
     total = _length_sum(
-        n, lambda ell: sf.apply_transform(snu, sf.eval_geometric(ell - 1)) * qpoch(ell)
+        n, lambda ell: sf.evaluate(snu, qbinom(ell - 1, 1)) * qpoch(ell)
     )
     return total.scale(q ** nu.size)
 
@@ -334,7 +331,7 @@ def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
             each paired with the Pochhammer (q^(j-k);q)_k.
     """
     nu = _as_partition(nu)
-    direct = sf.apply_transform(sf.s(nu), sf.eval_geometric(j - 1))
+    direct = sf.evaluate(sf.s(nu), qbinom(j - 1, 1))
     graded = ZERO
     for k in range(len(nu), nu.size + 1):
         graded = graded + charge_content(nu, k) * qpoch_at(j - k, k)

@@ -85,20 +85,16 @@ def b_factor(mu) -> Coef:
     return out
 
 
-def hl_Q(mu, inverse_q: bool = False) -> SymFunc:
-    """Q_mu = b_mu(q) P_mu; with inverse_q, everything at q -> 1/q."""
+def hl_Q(mu) -> SymFunc:
+    """Q_mu = b_mu(q) P_mu."""
     mu = Partition(mu)
-    if inverse_q:
-        return hl_P(mu, inverse_q=True).scale(
-            qfield.subs(b_factor(mu), q_image=qfield.ONE / q)
-        )
     return hl_P(mu).scale(b_factor(mu))
 
 
 @lru_cache(maxsize=None)
 def transformed_H(rho) -> SymFunc:
     """Transformed Hall-Littlewood H_rho = Q_rho[X/(1-q)]."""
-    return symfunc.apply_transform(hl_Q(Partition(rho)), symfunc.scale_inv_one_minus_q())
+    return symfunc.plethysm(hl_Q(Partition(rho)), qfield.ONE / (qfield.ONE - q))
 
 
 @lru_cache(maxsize=None)
@@ -120,27 +116,15 @@ def modified_macdonald_t0(mu) -> SymFunc:
 
 # -- specialized weights -------------------------------------------------------
 
-@dataclass(frozen=True)
-class T0Weights:
-    """The scalar weights of the t=0 expansion of e_n over the modified basis."""
-
-    b: Coef
-    pi_prime: Coef
-    w: Coef
-
-
-def t0_specializations(mu) -> T0Weights:
+def w_t0(mu) -> Coef:
+    """The t=0 weight w_mu of the expansion of e_n over the modified basis."""
     mu = Partition(mu)
-    length = len(mu)
-    b = sum((q**i for i in range(length)), qfield.ZERO)
-    pi_prime = qpoch(length - 1)
     mult_exp = sum(m * (m + 1) // 2 for m in mu.multiplicities().values())
-    w = (
-        (-1) ** (mu.size - length)
+    return (
+        (-1) ** (mu.size - len(mu))
         * q ** (2 * mu.nstat() + mu.size - mult_exp)
         * b_factor(mu)
     )
-    return T0Weights(b=b, pi_prime=pi_prime, w=w)
 
 
 def w_t0_cell_product(mu) -> Coef:

@@ -5,6 +5,9 @@ Internally everything is stored in the Schur basis as a sparse map
 m, e, h, p, s convert in and out through two cached matrix families: power
 sums via Murnaghan-Nakayama characters, monomials via Kostka numbers.
 
+A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
+``plethysm(f, A)`` is f[X A] and ``evaluate(f, A)`` is the scalar f[A].
+
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
 composition (Egge-Loehr-Warrington) and sums signed integer counts.  The
@@ -14,7 +17,6 @@ parking-function sides and the Macdonald fillings both go through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -402,79 +404,35 @@ def is_hook_only(f: SymFunc) -> bool:
     return all(lam.is_hook() for lam in f.terms)
 
 
-# -- alphabet transforms -------------------------------------------------------
+# -- plethysm by an alphabet -----------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphabetTransform:
-    """Linear substitution on power sums.
+def _power_images(f: SymFunc, alphabet) -> dict[Partition, Coef]:
+    """{rho: c_rho p_rho[A]} over the power-sum expansion sum_rho c_rho p_rho of f.
 
-    kind "scale": p_k -> pk_image(k) * p_k, result stays a SymFunc.
-    kind "evaluate": p_k -> pk_image(k) as a scalar, result is a Coef.
+    The alphabet A is one element of Q(q,t), so p_k[A] = A(q^k, t^k): the
+    exponents of A's numerator and denominator scale by k.  Each distinct
+    part k is computed once.
     """
-
-    kind: str
-    pk_image: Callable[[int], Coef]
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("scale", "evaluate"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-
-
-def apply_transform(f: SymFunc, transform: AlphabetTransform):
-    fp = basis_convert(f, "p")
-    if transform.kind == "scale":
-        out: dict[Partition, Coef] = {}
-        for rho, c in fp.items():
-            acc = c
-            for part in rho:
-                acc = acc * transform.pk_image(part)
-            if acc:
-                out[rho] = acc
-        return _from_power(out)
-    total = qfield.ZERO
-    for rho, c in fp.items():
-        acc = c
-        for part in rho:
-            acc = acc * transform.pk_image(part)
-        total += acc
-    return total
+    a = qfield.coef(alphabet)
+    images: dict[int, Coef] = {}
+    out = {}
+    for rho, c in basis_convert(f, "p").items():
+        for k in rho:
+            if k not in images:
+                images[k] = qfield.FIELD.new(a.numer.inflate((k, k)), a.denom.inflate((k, k)))
+            c = c * images[k]
+        out[rho] = c
+    return out
 
 
-def scale_one_minus_qpow(i: int) -> AlphabetTransform:
-    """X -> X(1 - q^i):  p_k -> (1 - q^(ik)) p_k."""
-    return AlphabetTransform(
-        "scale", lambda k: qfield.ONE - qfield.q ** (i * k), label=f"X(1-q^{i})"
-    )
+def plethysm(f: SymFunc, alphabet) -> SymFunc:
+    """f[X A] for an alphabet A in Q(q,t): p_k -> p_k[A] p_k; A = 1 - q gives f[X(1-q)]."""
+    return _from_power(_power_images(f, alphabet))
 
 
-def scale_inv_one_minus_q() -> AlphabetTransform:
-    """X -> X/(1 - q):  p_k -> p_k / (1 - q^k)."""
-    return AlphabetTransform(
-        "scale", lambda k: qfield.ONE / (qfield.ONE - qfield.q**k), label="X/(1-q)"
-    )
-
-
-def eval_geometric(num_letters: int) -> AlphabetTransform:
-    """Evaluate at 1 + q + ... + q^(num_letters - 1)."""
-    return AlphabetTransform(
-        "evaluate",
-        lambda k: sum(
-            (qfield.q ** (i * k) for i in range(num_letters)), qfield.ZERO
-        ),
-        label=f"[{num_letters}]_q",
-    )
-
-
-def eval_geometric_shifted(num_letters: int) -> AlphabetTransform:
-    """Evaluate at q + q^2 + ... + q^(num_letters - 1) (the geometric alphabet minus 1)."""
-    return AlphabetTransform(
-        "evaluate",
-        lambda k: sum(
-            (qfield.q ** (i * k) for i in range(1, num_letters)), qfield.ZERO
-        ),
-        label=f"[{num_letters}]_q - 1",
-    )
+def evaluate(f: SymFunc, alphabet) -> Coef:
+    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = qbinom(N, 1) is 1 + ... + q^(N-1)."""
+    return sum(_power_images(f, alphabet).values(), qfield.ZERO)
 
 
 def hn_times_one_minus_u(n: int, u: Coef) -> SymFunc:

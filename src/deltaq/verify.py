@@ -375,7 +375,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "hook_support",
             "h_n[X(1-q^u)] is supported on hooks with alternating coefficients",
-            lambda p: (sf.apply_transform(sf.h(p["n"]), sf.scale_one_minus_qpow(p["u"])),
+            lambda p: (sf.plethysm(sf.h(p["n"]), 1 - q ** p["u"]),
                        sf.hn_times_one_minus_u(p["n"], q ** p["u"])),
             lambda p: p["n"] >= 1 and p["u"] >= 1, "n >= 1, u >= 1",
             _upto(1, 8, lambda n: ({"n": n, "u": u} for u in (1, 2, 3))),
@@ -400,7 +400,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "wmu_consistency",
             "closed t=0 normalization factor equals its cell-product form",
-            lambda p: (hl.t0_specializations(Partition(tuple(p["mu"]))).w,
+            lambda p: (hl.w_t0(Partition(tuple(p["mu"]))),
                        hl.w_t0_cell_product(Partition(tuple(p["mu"])))),
             lambda p: _is_partition(p["mu"]) and sum(p["mu"]) >= 1,
             "mu a partition, |mu| >= 1",

@@ -158,7 +158,7 @@ class TestShiftedCauchy:
     def test_target_is_scaled_h(self):
         for n in range(1, 5):
             for i in range(1, 4):
-                scaled = sf.apply_transform(sf.h(n), sf.scale_one_minus_qpow(i))
+                scaled = sf.plethysm(sf.h(n), ONE - q**i)
                 assert scaled == d.shifted_cauchy_target(n, i).scale(ONE - q**i)
 
     def test_unknown_variant(self):

@@ -184,5 +184,5 @@ class TestQBinomHook:
         # function, up to the q^(n(conjugate)) staircase factor
         lam = Partition(shape)
         conj = lam.conjugate()
-        direct = sf.apply_transform(sf.s(conj), sf.eval_geometric(n))
+        direct = sf.evaluate(sf.s(conj), qbinom(n, 1))
         assert q ** conj.nstat() * qbinom_hook(n, lam) == direct

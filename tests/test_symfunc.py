@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, coef, q, t
+from deltaq.qfield import ONE, ZERO, coef, q, qbinom, t
 from deltaq.symfunc import SymFunc
 
 partitions_upto = lambda size: st.integers(1, size).flatmap(
@@ -157,40 +157,67 @@ class TestOmega:
 class TestTransforms:
     def test_scale_one_minus_q_on_h2(self):
         expected = (sf.s(2) + sf.s((1, 1)).scale(-q)).scale(ONE - q)
-        assert sf.apply_transform(sf.h(2), sf.scale_one_minus_qpow(1)) == expected
+        assert sf.plethysm(sf.h(2), ONE - q) == expected
 
     def test_hook_expansion_route(self):
         # the closed hook formula agrees with the power-sum scaling route
         for n in range(1, 7):
             for u in (q, q**2, t):
-                via_transform = sf.apply_transform(
-                    sf.h(n),
-                    sf.AlphabetTransform("scale", lambda k, u=u: ONE - u**k),
-                )
-                assert via_transform == sf.hn_times_one_minus_u(n, u)
+                assert sf.plethysm(sf.h(n), ONE - u) == sf.hn_times_one_minus_u(n, u)
 
-    def test_eval_geometric(self):
-        assert sf.apply_transform(sf.s(2), sf.eval_geometric(2)) == ONE + q + q**2
-        assert sf.apply_transform(sf.s((1, 1)), sf.eval_geometric(2)) == q
+    def test_evaluate_geometric(self):
+        assert sf.evaluate(sf.s(2), qbinom(2, 1)) == ONE + q + q**2
+        assert sf.evaluate(sf.s((1, 1)), qbinom(2, 1)) == q
         # too few letters kills columns that are too tall
-        assert sf.apply_transform(sf.s((1, 1, 1)), sf.eval_geometric(2)) == ZERO
+        assert sf.evaluate(sf.s((1, 1, 1)), qbinom(2, 1)) == ZERO
 
-    def test_eval_geometric_shifted_drops_the_one(self):
+    def test_evaluate_shifted_geometric_drops_the_one(self):
         # alphabet {q, ..., q^(l-1)} equals q * {1, ..., q^(l-2)}; compare the
         # shifted evaluation with the scale-then-evaluate route
         for lam in partitions_of(3):
             f = sf.s(lam)
-            lhs = sf.apply_transform(f, sf.eval_geometric_shifted(4))
-            scaled = sf.apply_transform(
-                f, sf.AlphabetTransform("scale", lambda k: q**k)
-            )
-            assert lhs == sf.apply_transform(scaled, sf.eval_geometric(3))
+            lhs = sf.evaluate(f, qbinom(4, 1) - ONE)
+            assert lhs == sf.evaluate(sf.plethysm(f, q), qbinom(3, 1))
 
-    def test_scale_inv_one_minus_q_inverts(self):
-        f = sf.s((2, 1))
-        scaled = sf.apply_transform(f, sf.scale_one_minus_qpow(1))
-        back = sf.apply_transform(scaled, sf.scale_inv_one_minus_q())
-        assert back == f
+    def test_plethysm_by_inverse_alphabet_inverts(self):
+        for f in (sf.s((2, 1)), sf.h(3) + sf.e(3).scale(t), sf.p((2, 2)).scale(q / (ONE + t))):
+            scaled = sf.plethysm(f, ONE - q)
+            assert sf.plethysm(scaled, ONE / (ONE - q)) == f
+
+    @pytest.mark.parametrize("alphabet", [
+        (q**2 - t) / (ONE - q * t**3), q**-2 * t**3, -q / t, coef(Fraction(3, 2)) * q,
+    ], ids=["bivariate-fraction", "laurent-monomial", "negative-monomial", "rational"])
+    def test_power_sum_image_is_substitution(self, alphabet):
+        # p_k[A] = A(q^k, t^k), read off the one-part power sums p_k
+        for k in range(1, 5):
+            expected = qfield.subs(alphabet, q_image=q**k, t_image=t**k)
+            assert sf.evaluate(sf.p(k), alphabet) == expected
+            assert sf.plethysm(sf.p(k), alphabet) == sf.p(k).scale(expected)
+
+    def test_products_of_power_sums(self):
+        a = (q**2 - t) / (ONE - q * t**3)
+        pk = {k: qfield.subs(a, q_image=q**k, t_image=t**k) for k in (1, 2, 3)}
+        assert sf.evaluate(sf.p((3, 1, 1)), a) == pk[3] * pk[1] ** 2
+        assert sf.plethysm(sf.p((2, 2, 1)), a) == sf.p((2, 2, 1)).scale(pk[2] ** 2 * pk[1])
+
+    def test_edge_cases(self):
+        a = ONE - q * t
+        # degree 0: f[A] is the constant itself, f[XA] = f
+        assert sf.evaluate(sf.one().scale(q + 2), a) == q + 2
+        assert sf.plethysm(sf.one().scale(q + 2), a) == sf.one().scale(q + 2)
+        # f = 0
+        assert sf.evaluate(sf.zero(), a) == ZERO
+        assert sf.plethysm(sf.zero(), a) == sf.zero()
+        # the empty alphabet: p_k[0] = 0, so only degree 0 survives
+        empty = qbinom(0, 1)
+        assert empty == ZERO
+        for lam in ((1,), (2, 1), (3,)):
+            assert sf.evaluate(sf.s(lam), empty) == ZERO
+            assert sf.plethysm(sf.s(lam), empty) == sf.zero()
+        assert sf.evaluate(sf.one(), empty) == ONE
+        # an int alphabet counts letters: h_2[3] = 6, e_3[2] = 0
+        assert sf.evaluate(sf.h(2), 3) == coef(6)
+        assert sf.evaluate(sf.e(3), 2) == ZERO
 
     def test_subs_coeffs(self):
         f = sf.s(2).scale(q * t + q)

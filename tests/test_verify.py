@@ -235,10 +235,6 @@ class TestCli:
         assert out[0] == "partition,coefficient"
         assert out[1] == '"[1,1]",q^3 - q^2 - q + 1'
 
-    def test_expand_requires_mu(self):
-        with pytest.raises(SystemExit):
-            cli.main(["expand", "--what", "Htilde0"])
-
     @pytest.mark.parametrize("argv, message", [
         (["expand", "--what", "Htilde", "--mu", "7"],
          "filling enumeration limited to size 6, got 7"),
@@ -248,8 +244,15 @@ class TestCli:
          "invalid literal for int() with base 10: 'x'"),
         (["pf", "--n", "0"], "n must be at least 1"),
         (["deltaside", "--n", "3", "--k", "0"], "need 1 <= k <= n, got k=0, n=3"),
+        (["expand", "--what", "Htilde0"], "--what Htilde0 needs --mu"),
+        (["expand", "--what", "P"], "--what P needs --mu"),
+        (["expand", "--what", "lhs_hook", "--params", "k=1,m=3"],
+         "--what lhs_hook needs n in --params"),
+        (["expand", "--what", "lhs_nu"], "--what lhs_nu needs nu, n in --params"),
+        (["expand", "--what", "ghry", "--params", "n=3"], "--what ghry needs k in --params"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
-            "deltaside-k-0"])
+            "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
+            "nu-without-params", "ghry-without-k"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
