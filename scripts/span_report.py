@@ -2,7 +2,9 @@
 """Report the rank of span{ Delta_{s_nu} e_n } against the ambient dimension p(n).
 
 Ranks are computed by exact fraction-free elimination over ZZ[q,t], feeding
-images in increasing |nu| and stopping once the span is full.
+images in increasing |nu| and stopping once the span is full.  This is the
+exact reference: ``deltaq verify --id span_dim`` certifies the rank at a
+point mod 2^61-1 instead (``delta_ops.span_rank_at_point``).
 
 Examples:
     python scripts/span_report.py

@@ -87,10 +87,19 @@ def _cmd_verify(args) -> int:
 
 
 def _required(params: dict, what: str, *names: str) -> list:
-    """The values of the named parameters; a missing one is invalid input."""
+    """The values of the named parameters: ``nu`` a list of ints, every other one an int.
+
+    A missing parameter or one of the wrong shape is invalid input.
+    """
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"--what {what} needs {', '.join(missing)} in --params")
+    for name in names:
+        value = params[name]
+        if name == "nu" and not isinstance(value, list):
+            raise ValueError(f"--what {what} needs nu as a list such as [2,1], got {value}")
+        if name != "nu" and not isinstance(value, int):
+            raise ValueError(f"--what {what} needs {name} as an int, got {value}")
     return [params[name] for name in names]
 
 

@@ -18,8 +18,11 @@ The central objects:
   that link them.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
   ``h_n[X(1-q^i)]/(1-q^i)``.
-* ``span_dimension_report`` -- exact rank of the span of plain-Delta images, by
-  fraction-free elimination over ZZ[q,t].
+* ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
+  (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
+  computed from integer filling counts without a field operation.
+  ``span_dimension_report`` is the exact reference, by fraction-free
+  elimination over ZZ[q,t].
 """
 
 from __future__ import annotations
@@ -357,51 +360,159 @@ def rhs_nu(nu, n: int) -> SymFunc:
 
 # -- span of plain-Delta images ------------------------------------------------------
 
+#: The prime of the rank at a point, and the points (q, t) tried in order.
+SPAN_PRIME = 2**61 - 1
+SPAN_POINTS = ((123456789, 987654321), (314159265, 271828182), (161803398, 141421356))
+
+
+def point_label(point: tuple[int, int]) -> str:
+    """'(q,t) = (a, b) mod 2^61-1', the text every rank at a point is reported with."""
+    return f"(q,t) = {tuple(point)} mod 2^61-1"
+
+
 @dataclass(frozen=True)
 class SpanReport:
-    """Exact rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max }."""
+    """Rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max }.
+
+    ``point`` is None for the exact rank over Q(q,t), else the point (q, t) of
+    GF(SPAN_PRIME)^2 the rank was taken at.
+    """
 
     n: int
     nu_count: int
     rank: int
     dim: int  # number of partitions of n, the ambient dimension
+    point: tuple[int, int] | None = None
+
+
+def _feed(n: int, nu_size_max: int | None, image: Callable[[Partition], list],
+          reduce: Callable[[list, list], list], point=None) -> SpanReport:
+    """Feed the images of s_nu, |nu| = 1..nu_size_max in partitions_of order, to an echelon form.
+
+    ``image(nu)`` is the image's row over the basis partitions_of(n) and
+    ``reduce(vec, rows)`` reduces it against the stored (pivot column, row)
+    pairs.  Feeding stops once the span is full, so nu_count then reports how
+    many images were examined, not the whole sweep size.
+    """
+    basis = partitions_of(n)
+    rows: list[tuple[int, list]] = []  # (pivot column, row) in insertion order
+    count = 0
+    for size in range(1, (n if nu_size_max is None else nu_size_max) + 1):
+        for nu in partitions_of(size):
+            if len(rows) == len(basis):
+                break
+            count += 1
+            vec = reduce(image(nu), rows)
+            col = next((j for j, v in enumerate(vec) if v), None)
+            if col is not None:
+                rows.append((col, vec))
+    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=len(basis), point=point)
 
 
 def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
     """Rank the plain-Delta images of e_n by fraction-free elimination over ZZ[q,t].
 
-    Each image is cleared of denominators by the lcm of its coefficient
-    denominators, then reduced against the stored rows in order by Bareiss's
-    step v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th
-    stored row and p_k its pivot entry in column c_k.  Every such division is
-    exact (Sylvester's identity); ``exquo`` raises if one is not.
-
-    Stops feeding new images once the span is already full, so nu_count then
-    reports how many images were examined, not the whole sweep size.
+    The exact reference for ``span_rank_at_point``.  Each image is cleared of
+    denominators by the lcm of its coefficient denominators, then reduced
+    against the stored rows in order by Bareiss's step
+    v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th stored
+    row and p_k its pivot entry in column c_k.  Every such division is exact
+    (Sylvester's identity); ``exquo`` raises if one is not.
     """
-    if nu_size_max is None:
-        nu_size_max = n
-    basis = list(partitions_of(n))
+    basis = partitions_of(n)
     ring = qfield.FIELD.ring
-    rows: list[tuple[int, list]] = []  # (pivot column, row) in insertion order
-    count = 0
-    for size in range(1, nu_size_max + 1):
-        for nu in partitions_of(size):
-            if len(rows) == len(basis):
-                break
-            count += 1
-            image = delta_full(sf.s(nu), n, prime=False)
-            coeffs = [image.terms.get(lam, ZERO) for lam in basis]
-            den = ring.one
-            for c in coeffs:
-                den = den.lcm(c.denom)
-            vec = [c.numer * den.exquo(c.denom) for c in coeffs]
-            prev = ring.one
-            for col, row in rows:
-                piv, lead = row[col], vec[col]
-                vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]
-                prev = piv
-            col = next((j for j, v in enumerate(vec) if v), None)
-            if col is not None:
-                rows.append((col, vec))
-    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=len(basis))
+
+    def image(nu):
+        terms = delta_full(sf.s(nu), n, prime=False).terms
+        coeffs = [terms.get(lam, ZERO) for lam in basis]
+        den = ring.one
+        for c in coeffs:
+            den = den.lcm(c.denom)
+        return [c.numer * den.exquo(c.denom) for c in coeffs]
+
+    def reduce(vec, rows):
+        prev = ring.one
+        for col, row in rows:
+            piv, lead = row[col], vec[col]
+            vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]
+            prev = piv
+        return vec
+
+    return _feed(n, nu_size_max, image, reduce)
+
+
+def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition], list[int]] | None:
+    """nu -> Delta_{s_nu} e_n at (q,t) = point mod SPAN_PRIME, a row over partitions_of(n).
+
+    The image is sum_mu s_nu[B_mu] (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu.  At
+    the point, H~_mu comes from its straightened integer filling aggregate,
+    s_nu[B_mu] from sum_rho chi^nu(rho)/z_rho p_rho[B_mu] with the power sums
+    of the cell monomials (p > n, so every z_rho is a unit), and the weights
+    from their cell formulas.  None when some w_mu vanishes mod p there.
+    """
+    p = SPAN_PRIME
+    a, b = point
+    shapes = basis = partitions_of(n)
+    weights = {mu: hl.macdonald_weights(mu, point) for mu in shapes}
+    if any(wts.w % p == 0 for wts in weights.values()):
+        return None
+    # inv, maj <= n(n+1)/2 and the power-sum exponents are below n^2
+    apow = [pow(a, e, p) for e in range(n * n + 1)]
+    bpow = [pow(b, e, p) for e in range(n * n + 1)]
+    # (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu as a row over the basis
+    scaled = {}
+    for mu in shapes:
+        wts = weights[mu]
+        scale = (1 - a) * (1 - b) * wts.pi_prime * wts.b * pow(wts.w, -1, p)
+        counts = sf.straighten_aggregate(hl.filling_aggregate(mu))
+        row = [sum(k * apow[i] * bpow[j] for (i, j), k in counts.get(lam, {}).items())
+               for lam in basis]
+        scaled[mu] = [scale * v % p for v in row]
+    # p_k[B_mu] for k = 1..n
+    power = {mu: [0] + [sum(apow[j * k] * bpow[i * k] for i, j in mu.cells()) % p
+                        for k in range(1, n + 1)]
+             for mu in shapes}
+
+    def image(nu: Partition) -> list[int]:
+        # s_nu = sum_rho chi^nu(rho)/z_rho p_rho
+        classes = [(rho, chi * pow(sf.zee(rho), -1, p)) for rho in partitions_of(nu.size)
+                   if (chi := sf.character(nu, rho))]
+        vec = [0] * len(basis)
+        for mu in shapes:
+            eig = 0
+            for rho, c in classes:
+                for k in rho:
+                    c = c * power[mu][k] % p
+                eig += c
+            vec = [(v + eig * h) % p for v, h in zip(vec, scaled[mu])]
+        return vec
+
+    return image
+
+
+def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
+    """Rank the plain-Delta images of e_n at one point of GF(p)^2, p = SPAN_PRIME.
+
+    The images come from ``delta_images_at_point`` at the first point of
+    SPAN_POINTS where no w_mu vanishes mod p (ValueError if there is none),
+    and are fed and reduced in the order of ``span_dimension_report``.
+
+    The images lie in ZZ[q, t, 1/n!, 1/prod_mu w_mu], which maps onto GF(p)
+    at every such point.  A minor that is nonzero there is nonzero over
+    Q(q,t), so the rank at the point is a lower bound on the exact rank.
+    """
+    p = SPAN_PRIME
+
+    def reduce(vec, rows):
+        for col, row in rows:
+            piv, lead = row[col], vec[col]
+            if lead:
+                vec = [(piv * v - lead * r) % p for v, r in zip(vec, row)]
+        return vec
+
+    for point in SPAN_POINTS:
+        image = delta_images_at_point(n, point)
+        if image is not None:
+            return _feed(n, nu_size_max, image, reduce, point=point)
+    raise ValueError("some w_mu vanishes at every point: "
+                     + "; ".join(point_label(pt) for pt in SPAN_POINTS))

@@ -4,8 +4,10 @@ Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux.  P expands through the unitriangular inverse of the Kostka-Foulkes
 matrix against the Schur basis.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
-standard fillings, whose F-expansion is straightened into Schur functions by
-``symfunc.from_fundamentals``; their one-parameter specialization used
+standard fillings: ``filling_aggregate`` counts them as an integer
+F-aggregate, which ``symfunc.from_fundamentals`` straightens into Schur
+functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
+point mod p.  Their one-parameter specialization used
 throughout the Delta-operator pipeline is the cocharge variant built from
 Kostka-Foulkes at 1/q.
 """
@@ -143,22 +145,27 @@ def w_t0_cell_product(mu) -> Coef:
 class MacdonaldWeights:
     """Two-parameter weights of the expansion of e_n over the modified basis."""
 
-    b: Coef
-    pi_prime: Coef
-    w: Coef
+    b: Coef | int
+    pi_prime: Coef | int
+    w: Coef | int
 
 
-def macdonald_weights(mu) -> MacdonaldWeights:
+def macdonald_weights(mu, at=(q, t)) -> MacdonaldWeights:
+    """B_mu, Pi'_mu and w_mu by their cell formulas, with (q, t) set to ``at``.
+
+    At the default ``at`` the weights lie in Q(q,t); at a pair of ints they are
+    the exact integer values of the same formulas.
+    """
     mu = Partition(mu)
-    b = qfield.ZERO
-    pi_prime = qfield.ONE
+    qv, tv = at
+    one = qv**0
+    b, pi_prime, w = one - one, one, one
     for i, j in mu.cells():
-        b += q**j * t**i
+        b += qv**j * tv**i
         if (i, j) != (0, 0):
-            pi_prime *= qfield.ONE - q**j * t**i
-    w = qfield.ONE
+            pi_prime *= one - qv**j * tv**i
     for cell in mu.cell_stats():
-        w *= (q**cell.arm - t ** (cell.leg + 1)) * (t**cell.leg - q ** (cell.arm + 1))
+        w *= (qv**cell.arm - tv ** (cell.leg + 1)) * (tv**cell.leg - qv ** (cell.arm + 1))
     return MacdonaldWeights(b=b, pi_prime=pi_prime, w=w)
 
 
@@ -204,22 +211,33 @@ def _filling_stats(values, attack, descent) -> tuple[int, int]:
     return inv, maj
 
 
-@lru_cache(maxsize=None)
-def modified_macdonald_full(mu, limit: int = MACDONALD_FULL_LIMIT) -> SymFunc:
-    """Two-parameter modified Macdonald function by the inv/maj filling formula.
+def filling_aggregate(mu) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The inv/maj filling sum of mu as an integer F-aggregate {ides: {(inv, maj): count}}.
 
-    Sums q^inv t^maj F_(ides) over the n! standard fillings of mu (Haglund-
-    Haiman-Loehr), ides being the inverse-descent composition of the reading
-    word, and straightens that F-aggregate into Schur functions.
+    Counts the n! standard fillings of mu (Haglund-Haiman-Loehr) by the
+    inverse-descent composition of the reading word and the exponents of
+    q^inv t^maj.  ``symfunc.straighten_aggregate`` turns it into Schur counts.
     """
     mu = Partition(mu)
-    n = mu.size
-    if n > limit:
-        raise ValueError(f"filling enumeration limited to size {limit}, got {n}")
     attack, descent = _shape_geometry(mu)
     agg: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for values in multiset_permutations(range(1, n + 1)):
+    for values in multiset_permutations(range(1, mu.size + 1)):
         slot = agg.setdefault(symfunc.inverse_descents(values), {})
         key = _filling_stats(values, attack, descent)
         slot[key] = slot.get(key, 0) + 1
-    return symfunc.from_fundamentals(agg)
+    return agg
+
+
+@lru_cache(maxsize=None)
+def modified_macdonald_full(mu) -> SymFunc:
+    """Two-parameter modified Macdonald function over Q(q,t), by the filling formula.
+
+    Straightens the integer F-aggregate of ``filling_aggregate`` into Schur
+    functions.  Refuses sizes above MACDONALD_FULL_LIMIT, where building the
+    coefficients in Q(q,t) is too slow to be useful.
+    """
+    mu = Partition(mu)
+    if mu.size > MACDONALD_FULL_LIMIT:
+        raise ValueError(
+            f"filling enumeration limited to size {MACDONALD_FULL_LIMIT}, got {mu.size}")
+    return symfunc.from_fundamentals(filling_aggregate(mu))

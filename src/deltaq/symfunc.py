@@ -11,7 +11,8 @@ A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
 composition (Egge-Loehr-Warrington) and sums signed integer counts.  The
-parking-function sides and the Macdonald fillings both go through it.
+parking-function sides and the Macdonald fillings both go through it; the
+rank at a point mod p shares its integer half, ``straighten_aggregate``.
 """
 
 from __future__ import annotations
@@ -478,13 +479,13 @@ def straighten(alpha: tuple[int, ...]) -> tuple[Partition, int] | None:
     return lam, (-1) ** swaps
 
 
-def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) -> SymFunc:
-    """Schur expansion of sum_alpha F_alpha * sum c q^a t^b, given as {alpha: {(a, b): c}}.
+def straighten_aggregate(
+    agg: dict[tuple[int, ...], dict[tuple[int, int], int]],
+) -> dict[Partition, dict[tuple[int, int], int]]:
+    """Schur counts {lam: {(a, b): c}} of an F-aggregate {alpha: {(a, b): c}}.
 
-    Valid when the sum is symmetric: then replacing each fundamental
-    quasisymmetric function F_alpha by the straightened Schur function s_alpha
-    gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
-    until each Schur coefficient is built once; exponents are nonnegative.
+    Straightens each composition once and adds the signed integer counts per
+    Schur term; counts that cancel stay in the map as zeros.
     """
     by_shape: dict[Partition, dict[tuple[int, int], int]] = {}
     for alpha, coeffs in agg.items():
@@ -495,10 +496,21 @@ def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) ->
         slot = by_shape.setdefault(lam, {})
         for key, c in coeffs.items():
             slot[key] = slot.get(key, 0) + sign * c
+    return by_shape
+
+
+def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) -> SymFunc:
+    """Schur expansion of sum_alpha F_alpha * sum c q^a t^b, given as {alpha: {(a, b): c}}.
+
+    Valid when the sum is symmetric: then replacing each fundamental
+    quasisymmetric function F_alpha by the straightened Schur function s_alpha
+    gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
+    until each Schur coefficient is built once; exponents are nonnegative.
+    """
     ring = qfield.FIELD.ring
     return SymFunc({
         lam: qfield.FIELD(ring.from_dict({k: c for k, c in coeffs.items() if c}))
-        for lam, coeffs in by_shape.items()
+        for lam, coeffs in straighten_aggregate(agg).items()
     })
 
 

@@ -176,17 +176,25 @@ def _render_moments(lhs: tuple, rhs: tuple, params: dict) -> tuple[str, str]:
 
 
 def _span_sides(p: dict) -> tuple[do.SpanReport, int]:
-    """The exact span report against the bound its rank must exceed."""
-    return do.span_dimension_report(p["n"], p.get("nu_size_max")), p["n"]
+    """The rank of the images at a point mod 2^61-1 against the bound it must exceed.
+
+    The rank at the point is a lower bound on the rank over Q(q,t), so rank > n
+    proves the identity; ``_compare_rank`` reports any smaller rank as an error.
+    """
+    return do.span_rank_at_point(p["n"], p.get("nu_size_max")), p["n"]
 
 
 def _compare_rank(report: do.SpanReport, n: int, params: dict) -> str:
-    return "" if report.rank > n else f"rank {report.rank} <= n = {n}"
+    if report.rank <= n:  # a lower bound that does not exceed n proves nothing
+        raise ValueError(f"inconclusive: rank {report.rank} <= n = {n} at "
+                         f"{do.point_label(report.point)}")
+    return ""
 
 
 def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]:
     return (f"rank {report.rank} from {report.nu_count} images",
-            f"required > {n}; ambient dimension p({n}) = {report.dim}")
+            f"required > {n}; ambient dimension p({n}) = {report.dim}; "
+            f"rank at {do.point_label(report.point)}")
 
 
 def _e_km1(k: int) -> SymFunc:
@@ -242,7 +250,7 @@ def _cases_cor32(nmax):
 
 
 def _cases_span(nmax):
-    for n in (4, 5) if nmax is None else range(1, nmax + 1):
+    for n in range(4, 8) if nmax is None else range(1, nmax + 1):
         yield {"n": n}
 
 

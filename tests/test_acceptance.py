@@ -203,10 +203,10 @@ def test_span_rank_exceeds_n(verdict):
     started = time.perf_counter()
     details = []
     ok = True
-    for n in (4, 5):
-        report = do.span_dimension_report(n)
-        ok = ok and report.rank > n
-        details.append(f"n={n}: rank {report.rank} > {n}, p({n}) = {report.dim}")
+    for params in ver.REGISTRY["span_dim"].default_cases(None):
+        report = ver.run_one("span_dim", params)
+        ok = ok and report.status == "equal"
+        details.append(f"n={params['n']}: {report.status}, {report.lhs_render}")
     verdict("span_dim", ok, "; ".join(details), time.perf_counter() - started)
 
 

@@ -6,10 +6,10 @@ budgets are in test_acceptance.py.
 
 import pytest
 
-from deltaq import delta_ops as d, symfunc as sf
+from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, t
+from deltaq.qfield import ONE, ZERO, q, subs, t
 
 
 def all_hooks(n: int):
@@ -223,6 +223,48 @@ class TestSpan:
         for s, expected in enumerate(self.SPAN_REPORTS[n], start=1):
             r = d.span_dimension_report(n, s)
             assert (r.nu_count, r.rank, r.dim) == expected, (n, s)
+
+    @pytest.mark.parametrize("n", sorted(SPAN_REPORTS))
+    def test_point_route_matches_field_elimination(self, n):
+        for s, expected in enumerate(self.SPAN_REPORTS[n], start=1):
+            r = d.span_rank_at_point(n, s)
+            assert (r.nu_count, r.rank, r.dim) == expected, (n, s)
+            assert r.point == d.SPAN_POINTS[0]
+
+    def test_point_with_vanishing_weight_is_skipped(self, monkeypatch):
+        # at q = t = 1 the cell factor q^arm - t^(leg+1) of every w_mu is 0
+        assert hl.macdonald_weights(Partition((2, 1)), (1, 1)).w == 0
+        second = d.SPAN_POINTS[0]
+        monkeypatch.setattr(d, "SPAN_POINTS", ((1, 1), second))
+        r = d.span_rank_at_point(5)
+        assert (r.nu_count, r.rank, r.dim, r.point) == (12, 7, 7, second)
+
+    def test_no_usable_point_raises(self, monkeypatch):
+        monkeypatch.setattr(d, "SPAN_POINTS", ((1, 1), (0, 0)))
+        with pytest.raises(ValueError, match=r"\(q,t\) = \(0, 0\) mod 2\^61-1"):
+            d.span_rank_at_point(4)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_images_at_point_are_the_field_images_there(self, n):
+        p, (a, b) = d.SPAN_PRIME, d.SPAN_POINTS[0]
+
+        def at_point(poly):
+            return sum(c * pow(a, i, p) * pow(b, j, p) for (i, j), c in poly.terms()) % p
+
+        image = d.delta_images_at_point(n, (a, b))
+        for nu in small_nus(n + 1):
+            terms = d.delta_full(sf.s(nu), n, prime=False).terms
+            exact = [at_point(c.numer) * pow(at_point(c.denom), -1, p) % p if c else 0
+                     for c in (terms.get(lam, ZERO) for lam in partitions_of(n))]
+            assert image(nu) == exact, nu
+
+    def test_weights_at_a_point_are_the_field_weights_there(self):
+        point = d.SPAN_POINTS[0]
+        for mu in partitions_of(5):
+            exact, at = hl.macdonald_weights(mu), hl.macdonald_weights(mu, point)
+            for name in ("b", "pi_prime", "w"):
+                value = subs(getattr(exact, name), q_image=point[0], t_image=point[1])
+                assert value == qfield.coef(getattr(at, name)), (mu, name)
 
     def test_restricted_nu_range(self):
         # with only |nu| = 1 available the span cannot fill degree 3

@@ -74,17 +74,35 @@ class TestRunOne:
 
 
 class TestOutcomes:
-    def test_implementation_limit_is_an_error(self):
+    def test_implementation_limit_is_an_error(self, monkeypatch):
         report = ver.run_one("span_dim", {"n": 7})
+        assert report.status == "equal"
+        assert report.lhs_render == "rank 15 from 30 images"
+        # a rank at a point that does not exceed n proves nothing: error, not mismatch
+        monkeypatch.setattr(delta_ops, "SPAN_POINTS", ((1, 1), (2, 0)))
+        report = ver.run_one("span_dim", {"n": 4})
         assert report.status == "error"
-        assert report.witness == "ValueError: filling enumeration limited to size 6, got 7"
+        assert report.witness == (
+            "ValueError: inconclusive: rank 4 <= n = 4 at (q,t) = (2, 0) mod 2^61-1")
         assert report.lhs_render == report.rhs_render == ""
+        # so is a sweep of points that each make some w_mu vanish
+        monkeypatch.setattr(delta_ops, "SPAN_POINTS", ((1, 1),))
+        report = ver.run_one("span_dim", {"n": 4})
+        assert report.status == "error"
+        assert report.witness == (
+            "ValueError: some w_mu vanishes at every point: (q,t) = (1, 1) mod 2^61-1")
 
-    def test_error_exit_code(self, capsys):
+    def test_error_exit_code(self, capsys, monkeypatch):
+        rc = cli.main(["verify", "--id", "span_dim", "--params", "n=7"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "total 1: 1 equal, 0 mismatch, 0 skipped, 0 error" in out
+        monkeypatch.setattr(delta_ops, "SPAN_POINTS", ((2, 0),))
         rc = cli.main(["verify", "--id", "span_dim", "--params", "n=7"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "total 1: 0 equal, 0 mismatch, 0 skipped, 1 error" in out
+        assert "rank 7 <= n = 7 at (q,t) = (2, 0) mod 2^61-1" in out
 
     def test_span_below_four_is_skipped(self, capsys):
         reports = ver.run_suite(ver.SuiteConfig(suite="span", nmax=3))
@@ -250,9 +268,13 @@ class TestCli:
          "--what lhs_hook needs n in --params"),
         (["expand", "--what", "lhs_nu"], "--what lhs_nu needs nu, n in --params"),
         (["expand", "--what", "ghry", "--params", "n=3"], "--what ghry needs k in --params"),
+        (["expand", "--what", "lhs_nu", "--params", "nu=2,n=3"],
+         "--what lhs_nu needs nu as a list such as [2,1], got 2"),
+        (["expand", "--what", "lhs_hook", "--params", "k=[1],m=3,n=4"],
+         "--what lhs_hook needs k as an int, got [1]"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
-            "nu-without-params", "ghry-without-k"])
+            "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
