@@ -461,10 +461,10 @@ def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition
     bpow = [pow(b, e, p) for e in range(n * n + 1)]
     # (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu as a row over the basis
     scaled = {}
-    for mu in shapes:
+    for mu, agg in hl.filling_aggregates(shapes).items():
         wts = weights[mu]
         scale = (1 - a) * (1 - b) * wts.pi_prime * wts.b * pow(wts.w, -1, p)
-        counts = sf.straighten_aggregate(hl.filling_aggregate(mu))
+        counts = sf.straighten_aggregate(agg)
         row = [sum(k * apow[i] * bpow[j] for (i, j), k in counts.get(lam, {}).items())
                for lam in basis]
         scaled[mu] = [scale * v % p for v in row]

@@ -4,8 +4,8 @@ Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux.  P expands through the unitriangular inverse of the Kostka-Foulkes
 matrix against the Schur basis.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
-standard fillings: ``filling_aggregate`` counts them as an integer
-F-aggregate, which ``symfunc.from_fundamentals`` straightens into Schur
+standard fillings: ``filling_aggregates`` counts them as integer
+F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
 functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
 point mod p.  Their one-parameter specialization used
 throughout the Delta-operator pipeline is the cocharge variant built from
@@ -211,28 +211,37 @@ def _filling_stats(values, attack, descent) -> tuple[int, int]:
     return inv, maj
 
 
-def filling_aggregate(mu) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
-    """The inv/maj filling sum of mu as an integer F-aggregate {ides: {(inv, maj): count}}.
+def filling_aggregates(shapes) -> dict[Partition, dict[tuple[int, ...], dict]]:
+    """The inv/maj filling sums of shapes of one size, as integer F-aggregates.
 
-    Counts the n! standard fillings of mu (Haglund-Haiman-Loehr) by the
-    inverse-descent composition of the reading word and the exponents of
-    q^inv t^maj.  ``symfunc.straighten_aggregate`` turns it into Schur counts.
+    Each aggregate {ides: {(inv, maj): count}} counts the n! standard
+    fillings of one shape mu (Haglund-Haiman-Loehr) by the inverse-descent
+    composition of the reading word and the exponents of q^inv t^maj.  A
+    filling's reading word is the same list of values for every shape, so
+    one pass over the n! words computes each composition once and counts
+    every shape against it.  ``symfunc.straighten_aggregate`` turns an
+    aggregate into Schur counts.
     """
-    mu = Partition(mu)
-    attack, descent = _shape_geometry(mu)
-    agg: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for values in multiset_permutations(range(1, mu.size + 1)):
-        slot = agg.setdefault(symfunc.inverse_descents(values), {})
-        key = _filling_stats(values, attack, descent)
-        slot[key] = slot.get(key, 0) + 1
-    return agg
+    shapes = [Partition(mu) for mu in shapes]
+    sizes = {mu.size for mu in shapes}
+    if len(sizes) != 1:
+        raise ValueError(f"need shapes of one size, got sizes {sorted(sizes)}")
+    aggs: dict[Partition, dict] = {mu: {} for mu in shapes}
+    shape_data = [(aggs[mu], *_shape_geometry(mu)) for mu in aggs]
+    for values in multiset_permutations(range(1, sizes.pop() + 1)):
+        ides = symfunc.inverse_descents(values)
+        for agg, attack, descent in shape_data:
+            slot = agg.setdefault(ides, {})
+            key = _filling_stats(values, attack, descent)
+            slot[key] = slot.get(key, 0) + 1
+    return aggs
 
 
 @lru_cache(maxsize=None)
 def modified_macdonald_full(mu) -> SymFunc:
     """Two-parameter modified Macdonald function over Q(q,t), by the filling formula.
 
-    Straightens the integer F-aggregate of ``filling_aggregate`` into Schur
+    Straightens the integer F-aggregate of ``filling_aggregates`` into Schur
     functions.  Refuses sizes above MACDONALD_FULL_LIMIT, where building the
     coefficients in Q(q,t) is too slow to be useful.
     """
@@ -240,4 +249,4 @@ def modified_macdonald_full(mu) -> SymFunc:
     if mu.size > MACDONALD_FULL_LIMIT:
         raise ValueError(
             f"filling enumeration limited to size {MACDONALD_FULL_LIMIT}, got {mu.size}")
-    return symfunc.from_fundamentals(filling_aggregate(mu))
+    return symfunc.from_fundamentals(filling_aggregates([mu])[mu])

@@ -5,13 +5,24 @@ a_1 = 0, each a_{i+1} <= a_i + 1, all entries nonnegative.  A parking function
 is a Dyck path with car labels 1..n attached to the rows, increasing along
 consecutive rows that sit in the same column (the rises).
 
-The generating-function side assembled here:
+The rises cut a path into maximal runs of rows, and the cars of each run form
+one increasing block, so a path whose runs have sizes c_1, ..., c_r carries
+n!/(c_1! ... c_r!) parking functions.  ``ParkingFunction.all_on`` generates
+them as block shuffles, one combination of the free cars per run, in
+lexicographic order and with none filtered.
+
+The generating-function side builds no ``ParkingFunction``.  ``car_counts``
+counts the parking functions on one path by descent set of the inverse
+reading word and dinv, with a dynamic program over the cars 1..n, and caches
+the count on the area sequence, so every k and both families read one count
+per path.  From those counts:
 
 * per path, the rise factor  prod_{i in Rise} (1 + z t^(-a_i))  and the
   cars sum  sum_{PF} q^(dinv) F_(ides(word))  with F a fundamental
   quasisymmetric function (``llt_sum``);
 * ``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient and
-  aggregates everything into a Schur expansion over Q(q,t).
+  aggregates everything into a Schur expansion over Q(q,t); ``t_zero`` keeps
+  its t-degree-0 part and ``q_zero`` its q-degree-0 part (dinv = 0).
 
 Both count parking functions in a plain int F-aggregate
 {ides: {(q_exp, t_exp): count}} and pass it once to
@@ -23,9 +34,11 @@ against; nothing in the package calls it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+# bench/spans.py counts the permutations tried through parking.permutations
+from itertools import combinations, permutations  # noqa: F401
 
 from . import qfield
 from . import symfunc as sf
@@ -151,12 +164,12 @@ class ParkingFunction:
 
     @staticmethod
     def all_on(path: DyckPath) -> tuple["ParkingFunction", ...]:
+        """Every parking function on the path, cars in lexicographic order."""
         rises = set(path.rises())
-        out = []
-        for perm in permutations(range(1, path.n + 1)):
-            if all(perm[i] > perm[i - 1] for i in rises):
-                out.append(ParkingFunction(path, perm))
-        return tuple(out)
+        starts = [i for i in range(path.n) if i not in rises] + [path.n]
+        sizes = tuple(b - a for a, b in zip(starts, starts[1:]))
+        return tuple(ParkingFunction(path, cars)
+                     for cars in _block_shuffles(sizes, tuple(range(1, path.n + 1))))
 
     @staticmethod
     def all_parking(n: int) -> tuple["ParkingFunction", ...]:
@@ -164,6 +177,70 @@ class ParkingFunction:
         for path in DyckPath.all_paths(n):
             out.extend(ParkingFunction.all_on(path))
         return tuple(out)
+
+
+def _block_shuffles(sizes: tuple[int, ...], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every way to deal the free cars to consecutive blocks of these sizes, each
+    block increasing, in lexicographic order."""
+    if len(sizes) == 1:
+        yield free
+        return
+    for block in combinations(free, sizes[0]):
+        rest = tuple(c for c in free if c not in block)
+        for tail in _block_shuffles(sizes[1:], rest):
+            yield block + tail
+
+
+@lru_cache(maxsize=None)
+def car_counts(areas: tuple[int, ...], q_zero: bool = False) -> dict[int, int]:
+    """The parking functions on the path counted by (ides, dinv), as {dinv << n | ides: count}.
+
+    ``ides`` is a bitmask with bit v set when v is a descent of the inverse
+    reading word (car v+1 is read before car v).  With ``q_zero`` only the
+    parking functions with dinv = 0 are counted.
+
+    The cars 1..n are placed in increasing order.  Each run of rises fills
+    from its bottom row up, so a state is the set of filled rows (a bitmask)
+    and the row of the last car.  Car v+1 on row x adds one dinv pair for each
+    filled row i with i < x and a_i = a_x, or i > x and a_i = a_x - 1, and a
+    descent at v when row x is read before the row of car v.  dinv never
+    falls, so ``q_zero`` drops a state as soon as it gains a pair.
+    """
+    n = len(areas)
+    a = areas
+    read = [0] * n  # position in the reading order of ParkingFunction.word
+    for pos, row in enumerate(sorted(range(n), key=lambda i: (-a[i], -i))):
+        read[row] = pos
+    below = [1 << (x - 1) if x and a[x] == a[x - 1] + 1 else 0 for x in range(n)]
+    pairs = [sum(1 << i for i in range(n)
+                 if (i < x and a[i] == a[x]) or (i > x and a[i] == a[x] - 1))
+             for x in range(n)]
+    states = {(1 << x, x): {0: 1} for x in range(n) if not below[x]}
+    for v in range(1, n):
+        descent = 1 << v
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (filled, last), counts in states.items():
+            for x in range(n):
+                if filled >> x & 1 or filled & below[x] != below[x]:
+                    continue
+                dinv = (filled & pairs[x]).bit_count()
+                if q_zero and dinv:
+                    continue
+                step = dinv << n | (descent if read[x] < read[last] else 0)
+                state = (filled | 1 << x, x)
+                slot = nxt.get(state)
+                if slot is None:
+                    nxt[state] = {key + step: c for key, c in counts.items()}
+                else:
+                    for key, c in counts.items():
+                        key += step
+                        slot[key] = slot.get(key, 0) + c
+        states = nxt
+    out: dict[int, int] = {}
+    for counts in states.values():
+        for key, c in counts.items():
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 # -- monomial reference route (tests only) ------------------------------------------
@@ -246,34 +323,50 @@ def _rearrangement_count(lam: Partition, nvars: int) -> int:
 
 # -- LLT-type sums ---------------------------------------------------------------
 
-def _add_cars(agg: dict, path: DyckPath, tpoly: dict[int, int]) -> None:
-    """Add sum_{PF on path} q^(dinv) F_(ides) * sum_e tpoly[e] t^e into an F-aggregate."""
-    for pf in ParkingFunction.all_on(path):
-        slot = agg.setdefault(pf.ides(), {})
-        qe = pf.dinv()
+def _add_cars(agg: dict, path: DyckPath, tpoly: dict[int, int], q_zero: bool) -> None:
+    """Add sum_{PF on path} q^(dinv) F_(ides) * sum_e tpoly[e] t^e into an F-aggregate.
+
+    The aggregate is keyed by the ides bitmask of ``car_counts``.
+    """
+    n = path.n
+    low = (1 << n) - 1
+    for key, count in car_counts(path.areas, q_zero).items():
+        slot = agg.setdefault(key & low, {})
+        qe = key >> n
         for te, ct in tpoly.items():
-            slot[(qe, te)] = slot.get((qe, te), 0) + ct
+            slot[(qe, te)] = slot.get((qe, te), 0) + count * ct
+
+
+def _from_masks(agg: dict[int, dict], n: int) -> SymFunc:
+    """``from_fundamentals`` of an aggregate keyed by ides bitmask instead of composition."""
+    by_comp = {}
+    for mask, coeffs in agg.items():
+        cuts = [v for v in range(1, n) if mask >> v & 1]
+        by_comp[tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))] = coeffs
+    return sf.from_fundamentals(by_comp)
 
 
 def llt_sum(path: DyckPath) -> SymFunc:
     """sum over parking functions on the path of q^(dinv) * F_(ides(word)), in the Schur basis."""
-    agg: dict[tuple[int, ...], dict] = {}
-    _add_cars(agg, path, {0: 1})
-    return sf.from_fundamentals(agg)
+    agg: dict[int, dict] = {}
+    _add_cars(agg, path, {0: 1}, False)
+    return _from_masks(agg, path.n)
 
 
-def delta_side_combinatorial(n: int, k: int, t_zero: bool = False) -> SymFunc:
+def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool = False) -> SymFunc:
     """z^(n-k) coefficient of the rise-product parking sum, as a Schur expansion.
 
     Aggregates  sum_paths [z^(n-k)] t^(area) prod_{rises}(1 + z t^(-a_i))
                 * sum_{PF} q^(dinv) F_(ides(word))
     over Q(q,t).  With t_zero, only the t-degree-0 part is kept (every
     surviving path must cover all its positive-area rows by chosen rises).
+    With q_zero, only the q-degree-0 part is kept (parking functions with
+    dinv = 0).  Both together keep the constant term.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     zdeg = n - k
-    agg: dict[tuple[int, ...], dict] = {}
+    agg: dict[int, dict] = {}
     for path in DyckPath.all_paths(n):
         zfac = path.rise_factor().get(zdeg)
         if not zfac:
@@ -287,5 +380,5 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False) -> SymFunc:
                 continue
             tpoly[te] = tpoly.get(te, 0) + c
         if tpoly:
-            _add_cars(agg, path, tpoly)
-    return sf.from_fundamentals(agg)
+            _add_cars(agg, path, tpoly, q_zero)
+    return _from_masks(agg, n)

@@ -400,7 +400,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "deltaconj_q0",
             "rise-product parking sum at q=0 equals the renamed t=0 operator image",
-            lambda p: (sf.subs_coeffs(pk.delta_side_combinatorial(p["n"], p["k"]), ZERO, None),
+            lambda p: (pk.delta_side_combinatorial(p["n"], p["k"], q_zero=True),
                        sf.subs_coeffs(do.delta_prime_t0(_e_km1(p["k"]), p["n"]), t, None)),
             lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
             _upto(1, 5, _all_k),

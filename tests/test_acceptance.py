@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from filter_route import counts_aggregate
+
 from deltaq import delta_ops as do, hall_littlewood as hl, parking, qfield
 from deltaq import symfunc as sf
 from deltaq import verify as ver
@@ -181,8 +183,7 @@ def test_llt_symmetry(verdict):
     bad: list[str] = []
     for n in range(1, 7):
         for path in DyckPath.all_paths(n):
-            agg: dict = {}
-            parking._add_cars(agg, path, {0: 1})
+            agg = counts_aggregate(path)
             mono: dict = {}
             for alpha, coeffs in agg.items():
                 for expvec, c in parking.fundamental_monomials(alpha, n).items():

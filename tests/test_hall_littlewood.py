@@ -198,6 +198,16 @@ class TestModifiedMacdonald:
         with pytest.raises(ValueError):
             hl.modified_macdonald_full(Partition((7,)))
 
+    def test_one_pass_over_the_words_matches_one_shape_at_a_time(self):
+        for n in range(1, 6):
+            shapes = partitions_of(n)
+            together = hl.filling_aggregates(shapes)
+            assert list(together) == list(shapes)
+            for mu in shapes:
+                assert together[mu] == hl.filling_aggregates([mu])[mu], mu
+        with pytest.raises(ValueError, match="one size"):
+            hl.filling_aggregates([Partition((2,)), Partition((1,))])
+
 
 class TestOneParameterSpecializations:
     def test_t_zero_conjugates(self):

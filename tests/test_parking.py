@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import filter_route
 from deltaq import delta_ops as d, parking, qfield, symfunc as sf
 from deltaq.parking import (
     AsymmetricAggregateError,
@@ -103,6 +104,36 @@ class TestParkingFunction:
         assert pf.dinv() >= 0
 
 
+class TestBlockShuffles:
+    """Generation and counting against the filter over all n! permutations."""
+
+    PATHS = [path for n in range(1, 7) for path in DyckPath.all_paths(n)]
+
+    def test_all_on_matches_filter(self):
+        for path in self.PATHS:
+            assert ParkingFunction.all_on(path) == filter_route.all_on(path), path
+
+    def test_car_counts_total(self):
+        # n! / prod c_i! parking functions on a path whose runs have sizes c_i
+        path = DyckPath((0, 1, 2, 0, 1, 0))
+        assert sum(parking.car_counts(path.areas).values()) == 720 // (6 * 2)
+        assert sum(parking.car_counts(path.areas, True).values()) == sum(
+            1 for pf in ParkingFunction.all_on(path) if pf.dinv() == 0)
+
+    def test_llt_sum_matches_filter(self):
+        for path in self.PATHS:
+            assert parking.llt_sum(path) == filter_route.llt_sum(path), path
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_side_matches_filter(self, n):
+        for k in range(1, n + 1):
+            for t_zero in (False, True):
+                for q_zero in (False, True):
+                    flags = (t_zero, q_zero)
+                    assert parking.delta_side_combinatorial(n, k, *flags) == \
+                        filter_route.delta_side_combinatorial(n, k, *flags), (k, flags)
+
+
 class TestFunctionalAccessors:
     def test_enumeration_delegates(self):
         assert len(DyckPath.all_paths(3)) == CATALAN[3]
@@ -181,8 +212,7 @@ class TestLLTSums:
     def test_matches_monomial_route_per_path(self):
         for n in range(1, 6):
             for path in DyckPath.all_paths(n):
-                agg: dict = {}
-                parking._add_cars(agg, path, {0: 1})
+                agg = filter_route.counts_aggregate(path)
                 assert parking.llt_sum(path) == monomial_route(agg), path
 
     def test_schur_positive(self):
@@ -223,6 +253,15 @@ class TestDeltaSideCombinatorial:
                 full = parking.delta_side_combinatorial(n, k)
                 assert pruned == sf.subs_coeffs(full, t_image=ZERO), (n, k)
                 assert pruned == d.delta_prime_t0(sf.e(k - 1), n), (n, k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_q_zero_variant(self, n):
+        for k in range(1, n + 1):
+            full = parking.delta_side_combinatorial(n, k)
+            assert parking.delta_side_combinatorial(n, k, q_zero=True) == \
+                sf.subs_coeffs(full, q_image=ZERO), k
+            assert parking.delta_side_combinatorial(n, k, t_zero=True, q_zero=True) == \
+                sf.subs_coeffs(full, q_image=ZERO, t_image=ZERO), k
 
     def test_matches_monomial_route(self, monkeypatch):
         # the F-aggregate the side straightens, expanded into monomials instead
