@@ -11,34 +11,9 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from deltaq import verify as ver
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    suites: tuple[str, ...]
-    nmax: int | None
-    out_dir: Path | None
-
-    @staticmethod
-    def from_args(argv=None) -> "RunConfig":
-        parser = argparse.ArgumentParser(description=__doc__)
-        parser.add_argument(
-            "--suites", nargs="*", default=None, choices=sorted(ver.SUITES),
-            help="suites to run (default: every suite except the combined 'all')",
-        )
-        parser.add_argument("--nmax", type=int, default=None,
-                            help="cap the default sweep size of every identity")
-        parser.add_argument("--out-dir", type=Path, default=None,
-                            help="write one JSONL report per suite into this directory")
-        args = parser.parse_args(argv)
-        suites = tuple(args.suites) if args.suites else tuple(
-            name for name in ver.SUITES if name != "all"
-        )
-        return RunConfig(suites=suites, nmax=args.nmax, out_dir=args.out_dir)
 
 
 def _scoreline(counts: dict[str, int]) -> str:
@@ -46,18 +21,25 @@ def _scoreline(counts: dict[str, int]) -> str:
 
 
 def main(argv=None) -> int:
-    config = RunConfig.from_args(argv)
-    if config.out_dir:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--suites", nargs="*", default=None, choices=sorted(ver.SUITES),
+        help="suites to run (default: every suite except the combined 'all')",
+    )
+    parser.add_argument("--nmax", type=int, default=None,
+                        help="cap the default sweep size of every identity")
+    parser.add_argument("--out-dir", type=Path, default=None,
+                        help="write one JSONL report per suite into this directory")
+    args = parser.parse_args(argv)
+    suites = args.suites or [name for name in ver.SUITES if name != "all"]
+    if args.out_dir:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
     everything = []
-    for suite in config.suites:
-        out_path = (
-            str(config.out_dir / f"{suite}.jsonl") if config.out_dir else None
-        )
+    for suite in suites:
         started = time.perf_counter()
-        reports = ver.run_suite(
-            ver.SuiteConfig(suite=suite, nmax=config.nmax, out_path=out_path)
-        )
+        reports = ver.run_suite(suite, nmax=args.nmax)
+        if args.out_dir:
+            ver.write_jsonl(reports, str(args.out_dir / f"{suite}.jsonl"))
         elapsed = time.perf_counter() - started
         everything += reports
         print(f"{suite:<12} {len(reports):>5} cases  "

@@ -15,36 +15,23 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from deltaq import delta_ops
 
 
-@dataclass(frozen=True)
-class SpanConfig:
-    nmin: int
-    nmax: int
-    nu_size_max: int | None
-
-    @staticmethod
-    def from_args(argv=None) -> "SpanConfig":
-        parser = argparse.ArgumentParser(description=__doc__)
-        parser.add_argument("--nmin", type=int, default=2)
-        parser.add_argument("--nmax", type=int, default=5)
-        parser.add_argument("--nu-size-max", type=int, default=None,
-                            help="largest |nu| to feed (default: n)")
-        args = parser.parse_args(argv)
-        if not (1 <= args.nmin <= args.nmax):
-            parser.error("need 1 <= nmin <= nmax")
-        return SpanConfig(nmin=args.nmin, nmax=args.nmax, nu_size_max=args.nu_size_max)
-
-
 def main(argv=None) -> int:
-    config = SpanConfig.from_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--nmin", type=int, default=2)
+    parser.add_argument("--nmax", type=int, default=5)
+    parser.add_argument("--nu-size-max", type=int, default=None,
+                        help="largest |nu| to feed (default: n)")
+    args = parser.parse_args(argv)
+    if not (1 <= args.nmin <= args.nmax):
+        parser.error("need 1 <= nmin <= nmax")
     print(f"{'n':>3} {'rank':>5} {'p(n)':>5} {'images':>7} {'full?':>6} {'time':>8}")
-    for n in range(config.nmin, config.nmax + 1):
+    for n in range(args.nmin, args.nmax + 1):
         started = time.perf_counter()
-        report = delta_ops.span_dimension_report(n, config.nu_size_max)
+        report = delta_ops.span_dimension_report(n, args.nu_size_max)
         elapsed = time.perf_counter() - started
         print(
             f"{report.n:>3} {report.rank:>5} {report.dim:>5} {report.nu_count:>7} "

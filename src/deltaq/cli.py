@@ -7,8 +7,10 @@ Subcommands:
 * ``deltaq pf``       -- enumerate parking functions, optionally with statistics CSV
 * ``deltaq deltaside``-- print the combinatorial operator side for given n, k
 
-``expand``, ``pf`` and ``deltaside`` report invalid input (a ``ValueError``) as
-``error: <message>`` on stderr and exit with status 2.
+Every subcommand reports invalid input (a ``ValueError``, such as a malformed
+``--params``) as ``error: <message>`` on stderr and exits with status 2.
+``verify`` turns each case's own exception into an ``error`` report instead and
+exits with status 1 when any case mismatches or errors.
 """
 
 from __future__ import annotations
@@ -65,14 +67,10 @@ def _parse_mu(text: str) -> Partition:
 
 
 def _cmd_verify(args) -> int:
-    config = ver.SuiteConfig(
-        suite=args.suite,
-        identity_id=args.id,
-        params=_split_params(args.params) if args.params else None,
-        nmax=args.nmax,
-        out_path=args.out,
-    )
-    reports = ver.run_suite(config)
+    params = _split_params(args.params) if args.params else None
+    reports = ver.run_suite(args.suite, args.id, params, args.nmax)
+    if args.out:
+        ver.write_jsonl(reports, args.out)
     for report in reports:
         line = f"{report.identity_id} {report.params} {report.status} ({report.elapsed_ms:.1f} ms)"
         if report.witness:
@@ -178,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--suite", default=None, choices=sorted(ver.SUITES),
+    p_verify.add_argument("--suite", default="all", choices=sorted(ver.SUITES),
                           help="identity family to sweep (default: all)")
     p_verify.add_argument("--id", default=None, choices=sorted(ver.REGISTRY),
                           help="single identity id")
@@ -216,13 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        if args.suite is None and args.id is None:
-            args.suite = "all"
-        return args.func(args)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input to expand, pf or deltaside
+    except ValueError as exc:  # invalid input; verify reports case failures itself
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

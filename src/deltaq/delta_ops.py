@@ -267,17 +267,14 @@ def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
 
 # -- shifted Cauchy kernels --------------------------------------------------------
 
-def shifted_cauchy(n: int, i: int, variant: str = "direct") -> SymFunc:
+def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of h_n[X(1-q^i)]/(1-q^i).
 
-    variant "direct":  sum_mu q^(n(mu))  (q^(i-l+1);q)_(l-1) P_mu[X;q]
-    variant "inverse": sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1)   P_mu[X;1/q]
+    inverse_q False: sum_mu q^(n(mu))  (q^(i-l+1);q)_(l-1) P_mu[X;q]
+    inverse_q True:  sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1)   P_mu[X;1/q]
     """
-    if variant == "direct":
-        return _length_sum(n, lambda ell: qpoch_at(i - ell + 1, ell - 1), inverse_q=False)
-    if variant == "inverse":
-        return _length_sum(n, lambda ell: qpoch_at(i + 1, ell - 1))
-    raise ValueError(f"unknown variant {variant!r}")
+    return _length_sum(
+        n, lambda ell: qpoch_at(i + 1 if inverse_q else i - ell + 1, ell - 1), inverse_q=inverse_q)
 
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:

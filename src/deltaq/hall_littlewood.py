@@ -1,4 +1,4 @@
-"""Hall-Littlewood P and Q, transformed Hall-Littlewood H, and modified Macdonald bases.
+"""Hall-Littlewood P and Q and the modified Macdonald bases.
 
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux.  P expands through the unitriangular inverse of the Kostka-Foulkes
@@ -36,12 +36,6 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> Coef:
     for tab in ssyt(lam, mu):
         total += q ** charge(reading_word(tab))
     return total
-
-
-def kf_table(n: int) -> dict[tuple[Partition, Partition], Coef]:
-    """All Kostka-Foulkes polynomials in degree n (zeros included)."""
-    parts = partitions_of(n)
-    return {(lam, mu): kostka_foulkes(lam, mu) for lam in parts for mu in parts}
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +85,6 @@ def hl_Q(mu) -> SymFunc:
     """Q_mu = b_mu(q) P_mu."""
     mu = Partition(mu)
     return hl_P(mu).scale(b_factor(mu))
-
-
-@lru_cache(maxsize=None)
-def transformed_H(rho) -> SymFunc:
-    """Transformed Hall-Littlewood H_rho = Q_rho[X/(1-q)]."""
-    return symfunc.plethysm(hl_Q(Partition(rho)), qfield.ONE / (qfield.ONE - q))
 
 
 @lru_cache(maxsize=None)

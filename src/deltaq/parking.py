@@ -13,23 +13,20 @@ lexicographic order and with none filtered.
 
 The generating-function side builds no ``ParkingFunction``.  ``car_counts``
 counts the parking functions on one path by descent set of the inverse
-reading word and dinv, with a dynamic program over the cars 1..n, and caches
-the count on the area sequence, so every k and both families read one count
-per path.  From those counts:
+reading word and dinv, with a dynamic program over the cars 1..n, and
+``rise_factor`` expands prod_{i in Rise} (1 + z t^(-a_i)); both are cached on
+the area sequence, so every k and both families read them once per path.
+``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient of
 
-* per path, the rise factor  prod_{i in Rise} (1 + z t^(-a_i))  and the
-  cars sum  sum_{PF} q^(dinv) F_(ides(word))  with F a fundamental
-  quasisymmetric function (``llt_sum``);
-* ``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient and
-  aggregates everything into a Schur expansion over Q(q,t); ``t_zero`` keeps
-  its t-degree-0 part and ``q_zero`` its q-degree-0 part (dinv = 0).
+    sum_paths t^(area) prod_{i in Rise} (1 + z t^(-a_i)) sum_{PF} q^(dinv) F_(ides(word))
 
-Both count parking functions in a plain int F-aggregate
-{ides: {(q_exp, t_exp): count}} and pass it once to
-``symfunc.from_fundamentals``, the one route from F-expansions to Schur
-functions.  The older monomial route (``fundamental_monomials``,
-``_monomials_to_symfunc``) stays as the reference the tests check that route
-against; nothing in the package calls it.
+with F a fundamental quasisymmetric function; ``t_zero`` keeps its
+t-degree-0 part and ``q_zero`` its q-degree-0 part (dinv = 0).  It counts
+parking functions in a plain int F-aggregate {ides: {(q_exp, t_exp): count}}
+and passes it once to ``symfunc.from_fundamentals``, the one route from
+F-expansions to Schur functions.  The older monomial route
+(``fundamental_monomials``, ``_monomials_to_symfunc``) stays as the reference
+the tests check that route against; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -80,27 +77,29 @@ class DyckPath:
         a = self.areas
         return tuple(i for i in range(1, len(a)) if a[i] == a[i - 1] + 1)
 
-    def rise_factor(self) -> dict[int, dict[int, int]]:
-        """Coefficients of prod_{i in Rise} (1 + z t^(-a_i)) as {z_deg: {t_exp: count}}.
-
-        The t exponents stored here are the (nonpositive) -a_i sums; they are
-        offset by t^(area) later.
-        """
-        out: dict[int, dict[int, int]] = {0: {0: 1}}
-        for i in self.rises():
-            nxt: dict[int, dict[int, int]] = {}
-            for zdeg, tdict in out.items():
-                for texp, c in tdict.items():
-                    nxt.setdefault(zdeg, {}).setdefault(texp, 0)
-                    nxt[zdeg][texp] += c
-                    nxt.setdefault(zdeg + 1, {}).setdefault(texp - self.areas[i], 0)
-                    nxt[zdeg + 1][texp - self.areas[i]] += c
-            out = nxt
-        return out
-
     @staticmethod
     def all_paths(n: int) -> tuple["DyckPath", ...]:
         return tuple(DyckPath(a) for a in _area_sequences(n))
+
+
+@lru_cache(maxsize=None)
+def rise_factor(areas: tuple[int, ...]) -> dict[int, dict[int, int]]:
+    """Coefficients of prod_{i in Rise} (1 + z t^(-a_i)) as {z_deg: {t_exp: count}}.
+
+    The t exponents stored here are the (nonpositive) -a_i sums; they are
+    offset by t^(area) later.  Cached on the area sequence: the factor does
+    not depend on k.
+    """
+    out: dict[int, dict[int, int]] = {0: {0: 1}}
+    for i in DyckPath(areas).rises():
+        nxt: dict[int, dict[int, int]] = {}
+        for zdeg, tdict in out.items():
+            for texp, c in tdict.items():
+                for z, te in ((zdeg, texp), (zdeg + 1, texp - areas[i])):
+                    slot = nxt.setdefault(z, {})
+                    slot[te] = slot.get(te, 0) + c
+        out = nxt
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -321,21 +320,7 @@ def _rearrangement_count(lam: Partition, nvars: int) -> int:
     return factorial(nvars) // denom
 
 
-# -- LLT-type sums ---------------------------------------------------------------
-
-def _add_cars(agg: dict, path: DyckPath, tpoly: dict[int, int], q_zero: bool) -> None:
-    """Add sum_{PF on path} q^(dinv) F_(ides) * sum_e tpoly[e] t^e into an F-aggregate.
-
-    The aggregate is keyed by the ides bitmask of ``car_counts``.
-    """
-    n = path.n
-    low = (1 << n) - 1
-    for key, count in car_counts(path.areas, q_zero).items():
-        slot = agg.setdefault(key & low, {})
-        qe = key >> n
-        for te, ct in tpoly.items():
-            slot[(qe, te)] = slot.get((qe, te), 0) + count * ct
-
+# -- the combinatorial operator side ----------------------------------------------
 
 def _from_masks(agg: dict[int, dict], n: int) -> SymFunc:
     """``from_fundamentals`` of an aggregate keyed by ides bitmask instead of composition."""
@@ -344,13 +329,6 @@ def _from_masks(agg: dict[int, dict], n: int) -> SymFunc:
         cuts = [v for v in range(1, n) if mask >> v & 1]
         by_comp[tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))] = coeffs
     return sf.from_fundamentals(by_comp)
-
-
-def llt_sum(path: DyckPath) -> SymFunc:
-    """sum over parking functions on the path of q^(dinv) * F_(ides(word)), in the Schur basis."""
-    agg: dict[int, dict] = {}
-    _add_cars(agg, path, {0: 1}, False)
-    return _from_masks(agg, path.n)
 
 
 def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool = False) -> SymFunc:
@@ -366,19 +344,26 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool 
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     zdeg = n - k
-    agg: dict[int, dict] = {}
-    for path in DyckPath.all_paths(n):
-        zfac = path.rise_factor().get(zdeg)
+    low = (1 << n) - 1
+    agg: dict[int, dict] = {}  # {ides bitmask: {(q_exp, t_exp): count}}
+    for areas in _area_sequences(n):
+        zfac = rise_factor(areas).get(zdeg)
         if not zfac:
             continue
+        area = sum(areas)
         tpoly: dict[int, int] = {}
         for texp, c in zfac.items():
-            te = path.area + texp
+            te = area + texp
             if te < 0:
-                raise AssertionError(f"negative t power on {path}")
+                raise AssertionError(f"negative t power on path {areas}")
             if t_zero and te != 0:
                 continue
             tpoly[te] = tpoly.get(te, 0) + c
-        if tpoly:
-            _add_cars(agg, path, tpoly, q_zero)
+        if not tpoly:
+            continue
+        for key, count in car_counts(areas, q_zero).items():
+            slot = agg.setdefault(key & low, {})
+            qe = key >> n
+            for te, ct in tpoly.items():
+                slot[(qe, te)] = slot.get((qe, te), 0) + count * ct
     return _from_masks(agg, n)

@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, cell statistics, dominance, generation."""
+"""Integer partitions: conjugation, cell statistics, generation."""
 
 from __future__ import annotations
 
@@ -82,20 +82,6 @@ def parse_partition(text: str) -> Partition:
     if not inner:
         return Partition()
     return Partition(int(piece) for piece in inner.split(","))
-
-
-def dominates(lam, mu) -> bool:
-    """Dominance order: every prefix sum of lam is >= that of mu.  Sizes must match."""
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
-        raise ValueError(f"dominance needs equal sizes, got {lam} and {mu}")
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
 
 
 def _gen(n: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -68,23 +68,6 @@ def qbinom(a: int, b: int) -> Coef:
     return qpoch(a) / (qpoch(b) * qpoch(a - b))
 
 
-def qbinom_hook(n: int, shape) -> Coef:
-    """Cell product prod_{x in shape} (1 - q^(n - content(x))) / (1 - q^(hook(x))).
-
-    ``shape`` is any weakly decreasing tuple of positive parts.
-    """
-    from .partition import Partition
-
-    lam = Partition(shape)
-    out = ONE
-    for cell in lam.cell_stats():
-        den = ONE - q**cell.hook
-        if not den:
-            raise ZeroDivisionError(f"zero hook factor for n={n}, shape={lam}")
-        out *= (ONE - q ** (n - cell.content)) / den
-    return out
-
-
 def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
     powers_q: dict[int, Coef] = {}
     powers_t: dict[int, Coef] = {}

@@ -3,7 +3,9 @@
 Internally everything is stored in the Schur basis as a sparse map
 {Partition: Coef}, one homogeneous degree per function.  The classical bases
 m, e, h, p, s convert in and out through two cached matrix families: power
-sums via Murnaghan-Nakayama characters, monomials via Kostka numbers.
+sums via Murnaghan-Nakayama characters; monomials, complete and elementary
+functions via Kostka numbers (h_lam = sum_mu K_(mu,lam) s_mu, e_lam its
+conjugate).
 
 A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
 ``plethysm(f, A)`` is f[X A] and ``evaluate(f, A)`` is the scalar f[A].
@@ -21,7 +23,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from . import qfield
 from .partition import Partition, parse_partition, partitions_of
@@ -138,13 +139,6 @@ class SymFunc:
         c = qfield.coef(c)
         return SymFunc({lam: c * v for lam, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, SymFunc):
-            return multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return render(self)
 
@@ -165,10 +159,6 @@ def _as_partition(x) -> Partition:
 
 # -- basis conversion machinery ------------------------------------------------
 
-def _merge(a: Partition, b: Partition) -> Partition:
-    return Partition(sorted(a + b, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _power_to_schur(rho: Partition) -> dict[Partition, Coef]:
     """p_rho = sum_lam chi^lam(rho) s_lam."""
@@ -188,36 +178,6 @@ def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
         chi = character(lam, rho)
         if chi:
             out[rho] = qfield.coef(Fraction(chi, zee(rho)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _h_single_to_power(n: int) -> dict[Partition, Coef]:
-    return {rho: qfield.coef(Fraction(1, zee(rho))) for rho in partitions_of(n)}
-
-
-def _convolve_powers(parts, single: Callable[[int], dict]) -> dict[Partition, Coef]:
-    out = {Partition(): qfield.ONE}
-    for part in parts:
-        nxt: dict[Partition, Coef] = {}
-        for rho, c in out.items():
-            for sigma, d in single(part).items():
-                key = _merge(rho, sigma)
-                nxt[key] = nxt.get(key, qfield.ZERO) + c * d
-        out = nxt
-    return out
-
-
-@lru_cache(maxsize=None)
-def _h_lambda_to_schur(lam: Partition) -> dict[Partition, Coef]:
-    out: dict[Partition, Coef] = {}
-    for rho, c in _convolve_powers(Partition(lam), _h_single_to_power).items():
-        for mu, chi in _power_to_schur(rho).items():
-            val = out.get(mu, qfield.ZERO) + c * chi
-            if val:
-                out[mu] = val
-            else:
-                out.pop(mu, None)
     return out
 
 
@@ -253,10 +213,14 @@ def _basis_elem_to_schur(basis: str, lam: Partition) -> dict[Partition, Coef]:
         return {lam: qfield.ONE}
     if basis == "p":
         return _power_to_schur(lam)
-    if basis == "h":
-        return _h_lambda_to_schur(lam)
-    if basis == "e":
-        return {mu.conjugate(): c for mu, c in _h_lambda_to_schur(lam).items()}
+    if basis in ("h", "e"):
+        # h_lam = sum_mu K_(mu,lam) s_mu, and e_lam = omega(h_lam)
+        out = {}
+        for mu in partitions_of(lam.size):
+            kn = kostka_number(mu, lam)
+            if kn:
+                out[mu if basis == "h" else mu.conjugate()] = qfield.coef(kn)
+        return out
     if basis == "m":
         return {mu: qfield.coef(c) for mu, c in _inverse_kostka(lam.size)[lam].items()}
     raise ValueError(f"unknown basis {basis!r}")
@@ -363,20 +327,6 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
     return coeffs
 
 
-def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product via the power-sum basis."""
-    if f.is_zero() or g.is_zero():
-        return SymFunc()
-    fp = basis_convert(f, "p")
-    gp = basis_convert(g, "p")
-    prod: dict[Partition, Coef] = {}
-    for rho, c in fp.items():
-        for sigma, d in gp.items():
-            key = _merge(rho, sigma)
-            prod[key] = prod.get(key, qfield.ZERO) + c * d
-    return _from_power(prod)
-
-
 def omega(f: SymFunc) -> SymFunc:
     """Standard involution: s_lam -> s_(lam') ."""
     return SymFunc({lam.conjugate(): c for lam, c in f.terms.items()})
@@ -387,18 +337,6 @@ def subs_coeffs(f: SymFunc, q_image=None, t_image=None) -> SymFunc:
     return SymFunc(
         {lam: qfield.subs(c, q_image=q_image, t_image=t_image) for lam, c in f.terms.items()}
     )
-
-
-def hall_inner(f: SymFunc, g: SymFunc) -> Coef:
-    """Hall inner product; Schur functions are orthonormal."""
-    if f.is_zero() or g.is_zero() or f.degree() != g.degree():
-        return qfield.ZERO
-    total = qfield.ZERO
-    for lam, c in f.terms.items():
-        d = g.terms.get(lam)
-        if d is not None:
-            total += c * d
-    return total
 
 
 def is_hook_only(f: SymFunc) -> bool:

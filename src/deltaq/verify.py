@@ -9,8 +9,9 @@ when the hypothesis fails, turns any exception into an ``error`` report, and
 renders both sides through the ``symfunc`` grammar (scalar identities are
 wrapped as degree-0 expansions ``s[]*(coef)`` for that reason).
 
-``run_suite`` drives whole families with their default parameter sweeps;
-the CLI wraps it.
+``run_suite`` checks one identity or a whole suite, each with its default
+parameter sweep or one given case; ``write_jsonl`` writes the reports as JSON
+lines.  The CLI and ``scripts/run_all_suites.py`` wrap both.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "eq12",
             "direct length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
-            lambda p: (do.shifted_cauchy(p["n"], p["i"], "direct"),
+            lambda p: (do.shifted_cauchy(p["n"], p["i"], inverse_q=False),
                        do.shifted_cauchy_target(p["n"], p["i"])),
             lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
             _upto(1, 7, _kernel_indices),
@@ -316,7 +317,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "eq16",
             "inverse length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
-            lambda p: (do.shifted_cauchy(p["n"], p["i"], "inverse"),
+            lambda p: (do.shifted_cauchy(p["n"], p["i"], inverse_q=True),
                        do.shifted_cauchy_target(p["n"], p["i"])),
             lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
             _upto(1, 7, _kernel_indices),
@@ -444,17 +445,6 @@ SUITES["all"] = tuple(i for name in
                       for i in SUITES[name])
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """What to verify: a whole suite or one identity, with optional overrides."""
-
-    suite: str | None = "all"
-    identity_id: str | None = None
-    params: dict | None = None
-    nmax: int | None = None
-    out_path: str | None = None
-
-
 def run_one(identity_id: str, params: dict) -> IdentityReport:
     entry = REGISTRY.get(identity_id)
     if entry is None:
@@ -462,24 +452,23 @@ def run_one(identity_id: str, params: dict) -> IdentityReport:
     return entry.check(params)
 
 
-def run_suite(config: SuiteConfig) -> list[IdentityReport]:
-    if config.identity_id is not None:
-        ids: Iterable[str] = (config.identity_id,)
-    else:
-        suite = config.suite or "all"
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite {suite!r}")
+def run_suite(suite: str = "all", identity_id: str | None = None,
+              params: dict | None = None, nmax: int | None = None) -> list[IdentityReport]:
+    """Check one identity, or every identity of a suite, in registry order.
+
+    With ``params`` every identity runs that one case; otherwise each runs its
+    default sweep, capped by ``nmax``.
+    """
+    if identity_id is not None:
+        ids: Iterable[str] = (identity_id,)
+    elif suite in SUITES:
         ids = SUITES[suite]
+    else:
+        raise KeyError(f"unknown suite {suite!r}")
     reports: list[IdentityReport] = []
-    for identity_id in ids:
-        entry = REGISTRY[identity_id]
-        if config.params is not None:
-            reports.append(run_one(identity_id, config.params))
-        else:
-            for params in entry.default_cases(config.nmax):
-                reports.append(run_one(identity_id, params))
-    if config.out_path:
-        write_jsonl(reports, config.out_path)
+    for name in ids:
+        cases = [params] if params is not None else REGISTRY[name].default_cases(nmax)
+        reports.extend(run_one(name, case) for case in cases)
     return reports
 
 

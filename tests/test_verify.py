@@ -105,7 +105,7 @@ class TestOutcomes:
         assert "rank 7 <= n = 7 at (q,t) = (2, 0) mod 2^61-1" in out
 
     def test_span_below_four_is_skipped(self, capsys):
-        reports = ver.run_suite(ver.SuiteConfig(suite="span", nmax=3))
+        reports = ver.run_suite("span", nmax=3)
         assert [r.params["n"] for r in reports] == [1, 2, 3]
         assert all(r.status == "skipped" for r in reports)
         assert all(r.witness == "hypothesis n >= 4 fails" for r in reports)
@@ -119,7 +119,7 @@ class TestOutcomes:
             raise exc
 
         monkeypatch.setattr(ver.do, "cor32", boom)
-        reports = ver.run_suite(ver.SuiteConfig(suite="qbinom", nmax=2))
+        reports = ver.run_suite("qbinom", nmax=2)
         errors = [r for r in reports if r.status == "error"]
         assert errors and all(r.identity_id == "cor32" for r in errors)
         assert errors[0].witness == f"{type(exc).__name__}: {exc}"
@@ -162,17 +162,16 @@ class TestRegistryProperties:
 
 class TestSuiteRunner:
     def test_single_identity_with_params(self):
-        config = ver.SuiteConfig(identity_id="prop31", params={"k": 0, "m": 2, "ell": 2})
-        reports = ver.run_suite(config)
+        reports = ver.run_suite(identity_id="prop31", params={"k": 0, "m": 2, "ell": 2})
         assert len(reports) == 1
         assert reports[0].status == "equal"
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
-            ver.run_suite(ver.SuiteConfig(suite="nonsense"))
+            ver.run_suite("nonsense")
 
     def test_qbinom_suite_small(self):
-        reports = ver.run_suite(ver.SuiteConfig(suite="qbinom", nmax=4))
+        reports = ver.run_suite("qbinom", nmax=4)
         counts = ver.summarize(reports)
         assert counts["mismatch"] == 0
         assert counts["equal"] > 0
@@ -180,10 +179,8 @@ class TestSuiteRunner:
 
     def test_jsonl_round_trip(self, tmp_path):
         out = tmp_path / "reports.jsonl"
-        reports = ver.run_suite(
-            ver.SuiteConfig(identity_id="prop31", params={"k": 0, "m": 2, "ell": 2},
-                            out_path=str(out))
-        )
+        reports = ver.run_suite(identity_id="prop31", params={"k": 0, "m": 2, "ell": 2})
+        ver.write_jsonl(reports, str(out))
         lines = out.read_text().splitlines()
         assert len(lines) == len(reports) == 1
         payload = json.loads(lines[0])
@@ -272,9 +269,13 @@ class TestCli:
          "--what lhs_nu needs nu as a list such as [2,1], got 2"),
         (["expand", "--what", "lhs_hook", "--params", "k=[1],m=3,n=4"],
          "--what lhs_hook needs k as an int, got [1]"),
+        (["verify", "--id", "prop31", "--params", "k="], "malformed parameter 'k='"),
+        (["verify", "--suite", "span", "--params", "n=x"],
+         "invalid literal for int() with base 10: 'x'"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
-            "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int"])
+            "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
+            "verify-empty-value", "verify-value-not-an-int"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
