@@ -9,6 +9,9 @@ Subcommands:
 
 Every subcommand reports invalid input (a ``ValueError``, such as a malformed
 ``--params``) as ``error: <message>`` on stderr and exits with status 2.
+``verify --params`` must give every key of each selected identity's first
+default case; otherwise it names each identity that does not fit and exits
+with status 2 before running any case.
 ``verify`` turns each case's own exception into an ``error`` report instead and
 exits with status 1 when any case mismatches or errors.
 """
@@ -66,8 +69,26 @@ def _parse_mu(text: str) -> Partition:
     return parse_partition(text)
 
 
+def _unfit(ids, params: dict) -> list[str]:
+    """'<id> needs <keys> in --params' for each identity that params does not fit.
+
+    The keys an identity needs are those of its first default case.
+    """
+    out = []
+    for name in ids:
+        case = next(ver.REGISTRY[name].default_cases(None))
+        missing = [key for key in case if key not in params]
+        if missing:
+            out.append(f"{name} needs {', '.join(missing)} in --params")
+    return out
+
+
 def _cmd_verify(args) -> int:
     params = _split_params(args.params) if args.params else None
+    if params is not None:
+        unfit = _unfit((args.id,) if args.id else ver.SUITES[args.suite], params)
+        if unfit:
+            raise ValueError("; ".join(unfit))
     reports = ver.run_suite(args.suite, args.id, params, args.nmax)
     if args.out:
         ver.write_jsonl(reports, args.out)

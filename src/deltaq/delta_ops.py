@@ -15,7 +15,12 @@ The central objects:
   Hall-Littlewood sums.
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_coeff``,
   ``remmel_sum``) plus the scalar q-binomial identities (``prop31`` .. ``prop33b``)
-  that link them.
+  that link them.  Their coefficients are products and sums in ZZ[q]
+  (``qfield.RING``), each side entering Q(q,t) once through ``qfield.from_poly``.
+  The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
+  pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
+  the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
+  (1 - q^s) of remmel_coeff(s) into the Pochhammer window next to it.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
   ``h_n[X(1-q^i)]/(1-q^i)``.
 * ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
@@ -29,14 +34,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import Coef, ONE, ZERO, q, qbinom, qpoch, qpoch_at
+from .qfield import (Coef, ONE, RING, ZERO, from_poly, q, qbinom, qbinom_poly, qpoch,
+                     qpoch_at, qpoch_poly)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -138,12 +143,9 @@ def length_graded_P(n: int, length: int) -> SymFunc:
 def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
     """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
     k, m = params.k, params.m
-    return (
-        q ** (m + comb(k + 1, 2))
-        * qbinom(m - 1, k)
-        * qbinom(m + ell - (k + 2), m)
-        * qpoch(ell)
-    )
+    return from_poly(
+        qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m) * qpoch_poly(1, ell),
+        m + comb(k + 1, 2))
 
 
 def _length_sum(n: int, coeff: Callable[[int], Coef], inverse_q: bool = True) -> SymFunc:
@@ -166,12 +168,9 @@ def lhs_hook_closed(params: HookParams) -> SymFunc:
 def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
     """Coefficient of length_graded_P(n, j) in rhs_hook."""
     k, m = params.k, params.m
-    return (
-        q ** (m + comb(k + 2, 2) - (k + 2) * j + 1)
-        * qbinom(j - 2, k)
-        * qbinom(m - 1, j - 2)
-        * qpoch(j)
-    )
+    return from_poly(
+        qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
+        m + comb(k + 2, 2) - (k + 2) * j + 1)
 
 
 def rhs_hook(params: HookParams) -> SymFunc:
@@ -185,21 +184,34 @@ def rhs_hook(params: HookParams) -> SymFunc:
     return total
 
 
-@lru_cache(maxsize=None)
+def _alternating_term(k: int, i: int):
+    """(-1)^i q^C(i,2) [k+2, i]_q in RING, the z^i term of (z;q)_(k+2).
+
+    Zero unless 0 <= i <= k+2.
+    """
+    term = qbinom_poly(k + 2, i).mul_monom((comb(i, 2), 0))
+    return -term if i % 2 else term
+
+
+def _remmel_ring(params: HookParams):
+    """remmel_coeff(s) = c q^e r_s (1 - q^s) over RING: returns (c, e, {s: r_s}).
+
+    c = [m-1, k]_q and e = C(k+1, 2) - (k+1) m are shared by every s, and
+    r_s = (-1)^i q^C(i,2) [k+2, i]_q with i = m+1-s.  Only the s with a nonzero
+    r_s, 1 <= s <= m+1 and i <= k+2, are listed: at most k+3 of them.
+    """
+    k, m = params.k, params.m
+    terms = {s: _alternating_term(k, m + 1 - s) for s in range(max(1, m - k - 1), m + 2)}
+    return qbinom_poly(m - 1, k), comb(k + 1, 2) - (k + 1) * m, terms
+
+
 def remmel_coeff(s: int, params: HookParams) -> Coef:
     """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image."""
-    k, m = params.k, params.m
-    if not (1 <= s <= m + 1):
+    c, e, terms = _remmel_ring(params)
+    if s not in terms:
         return ZERO
-    sign = -ONE if (m + 1 - s) % 2 else ONE
-    expo = comb(m + 1 - s, 2) - (k + 1) * m + comb(k + 1, 2)
-    return (
-        sign
-        * q**expo
-        * qbinom(m - 1, k)
-        * qbinom(k + 2, m + 1 - s)
-        * (ONE - q**s)
-    )
+    poly = c * terms[s]
+    return from_poly(poly - poly.mul_monom((s, 0)), e)
 
 
 def hook_kernel(n: int, u) -> SymFunc:
@@ -223,30 +235,39 @@ def remmel_sum(params: HookParams) -> SymFunc:
 
 def prop31(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
     """Alternating-sum evaluation (valid for k+2 <= ell <= m+1); returns (lhs, rhs)."""
-    lhs = ZERO
+    lhs = RING.zero
     for i in range(0, min(k + 2, m + 1 - ell) + 1):
-        sign = -ONE if i % 2 else ONE
-        lhs = lhs + sign * q ** comb(i, 2) * qbinom(k + 2, i) * qbinom(m + 1 - i, ell)
-    rhs = q ** ((k + 2) * (m + 1 - ell)) * qbinom(m - k - 1, ell - 2 - k)
-    return lhs, rhs
+        lhs += _alternating_term(k, i) * qbinom_poly(m + 1 - i, ell)
+    rhs = qbinom_poly(m - k - 1, ell - 2 - k)
+    return from_poly(lhs), from_poly(rhs, (k + 2) * (m + 1 - ell))
 
 
 def cor32(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
     """Companion alternating-sum evaluation; returns (lhs, rhs)."""
-    lhs = ZERO
+    lhs = RING.zero
     for i in range(0, min(k + 2, m) + 1):
-        sign = -ONE if i % 2 else ONE
-        lhs = lhs + sign * q ** comb(i, 2) * qbinom(k + 2, i) * qbinom(m + ell - i, ell)
-    rhs = q ** ((k + 2) * m) * qbinom(m + ell - (k + 2), ell - (k + 2))
-    return lhs, rhs
+        lhs += _alternating_term(k, i) * qbinom_poly(m + ell - i, ell)
+    rhs = qbinom_poly(m + ell - (k + 2), ell - (k + 2))
+    return from_poly(lhs), from_poly(rhs, (k + 2) * m)
 
 
 def _kernel_moment(params: HookParams, shift: int, length: int) -> Coef:
-    """sum_s remmel_coeff(s) * (q^(s+shift); q)_length over the kernel indices s."""
-    total = ZERO
-    for s in range(1, params.m + 2):
-        total = total + remmel_coeff(s, params) * qpoch_at(s + shift, length)
-    return total
+    """sum_s remmel_coeff(s) * (q^(s+shift); q)_length over the kernel indices s.
+
+    Only the windows of prop33a (shift = -length) and prop33b (shift = 1)
+    occur.  In both, the factor 1 - q^s of remmel_coeff(s) sits next to the
+    window and extends it to (q^(s + min(shift, 0)); q)_(length+1), which is
+    zero once it reaches q^0.  The sum runs over RING and enters Q(q,t) once.
+    """
+    if shift not in (1, -length):
+        raise ValueError(f"no kernel moment window with shift {shift}, length {length}")
+    c, e, terms = _remmel_ring(params)
+    total = RING.zero
+    for s, r in terms.items():
+        start = s + min(shift, 0)
+        if start >= 1:
+            total += r * qpoch_poly(start, length + 1)
+    return from_poly(c * total, e)
 
 
 def prop33a(params: HookParams, j: int) -> tuple[Coef, Coef]:
@@ -288,8 +309,8 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     left:  sum_mu q^(-n(mu)) [l(mu)-1 choose k-1]_q (q;q)_(l(mu)) P_mu[X;1/q]
     right: q^(-k(k-1)) (q;q)_k sum_{l(mu)=k} q^(n(mu)) P_mu[X;q]
     """
-    left = _length_sum(n, lambda ell: qbinom(ell - 1, k - 1) * qpoch(ell))
-    right = length_graded_P(n, k).scale(q ** (-k * (k - 1)) * qpoch(k))
+    left = _length_sum(n, lambda ell: from_poly(qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell)))
+    right = length_graded_P(n, k).scale(from_poly(qpoch_poly(1, k), -k * (k - 1)))
     return left, right
 
 
@@ -350,7 +371,7 @@ def rhs_nu(nu, n: int) -> SymFunc:
         inner = charge_content(nu, k)
         if inner == ZERO:
             continue
-        coeff = qpoch(k) * inner * q ** (-k * (k + 1)) * qpoch(k + 1)
+        coeff = inner * from_poly(qpoch_poly(1, k) * qpoch_poly(1, k + 1), -k * (k + 1))
         total = total + length_graded_P(n, k + 1).scale(coeff)
     return total.scale(q ** nu.size)
 
@@ -417,18 +438,17 @@ def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
     (Sylvester's identity); ``exquo`` raises if one is not.
     """
     basis = partitions_of(n)
-    ring = qfield.FIELD.ring
 
     def image(nu):
         terms = delta_full(sf.s(nu), n, prime=False).terms
         coeffs = [terms.get(lam, ZERO) for lam in basis]
-        den = ring.one
+        den = RING.one
         for c in coeffs:
             den = den.lcm(c.denom)
         return [c.numer * den.exquo(c.denom) for c in coeffs]
 
     def reduce(vec, rows):
-        prev = ring.one
+        prev = RING.one
         for col, row in rows:
             piv, lead = row[col], vec[col]
             vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]

@@ -5,6 +5,12 @@ ZZ[q,t] with lex monomial order (q > t).  sympy keeps every element in the
 canonical form this package relies on: numerator and denominator coprime,
 integer coefficients with no common content, denominator leading coefficient
 positive.  Equality of coefficients is therefore plain ``==``.
+
+The q-only scalars are built in the polynomial ring ``RING`` = ZZ[q,t], where
+``+`` and ``*`` run no gcd: ``qbinom_poly`` by the q-Pascal rule and
+``qpoch_poly`` as a product of factors 1 - q^e, both cached.  A value enters
+Q(q,t) once, as poly * q^e through ``from_poly``, whose only cancellation is
+of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions.
 """
 
 from __future__ import annotations
@@ -41,14 +47,50 @@ def coef(value) -> Coef:
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(q,t)")
 
 
+#: ZZ[q,t], the numerators and denominators of Q(q,t)
+RING = FIELD.ring
+_Q_POLY = RING.gens[0]
+
+
+def from_poly(poly, e: int = 0) -> Coef:
+    """poly * q^e as an element of Q(q,t), for poly in RING and any integer e.
+
+    The canonical form is reached without a gcd: the denominator is the least
+    power of q that makes the numerator a polynomial.
+    """
+    if not poly:
+        return ZERO
+    d = max(0, -e - min(eq_ for eq_, _ in poly.itermonoms()))
+    if e + d:
+        poly = poly.mul_monom((e + d, 0))
+    return FIELD.raw_new(poly, _Q_POLY**d)
+
+
 @lru_cache(maxsize=None)
+def qpoch_poly(s: int, m: int):
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)) in RING, for s >= 1 and m >= 0.
+
+    Cached: every caller shares the returned polynomial, so none may mutate it.
+    """
+    if s < 1 or m < 0:
+        raise ValueError(f"need s >= 1 and m >= 0, got s={s}, m={m}")
+    if m == 0:
+        return RING.one
+    rest = qpoch_poly(s, m - 1)
+    return rest - rest.mul_monom((s + m - 1, 0))
+
+
 def qpoch_at(s: int, m: int) -> Coef:
     """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)).  m < 0 is rejected."""
     if m < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    if m == 0:
-        return ONE
-    return qpoch_at(s, m - 1) * (ONE - q ** (s + m - 1))
+    if s >= 1:
+        return from_poly(qpoch_poly(s, m))
+    if s + m > 0:  # the factor 1 - q^0
+        return ZERO
+    # every exponent is negative: 1 - q^-a = -q^-a (1 - q^a)
+    poly = qpoch_poly(1 - s - m, m)
+    return from_poly(-poly if m % 2 else poly, m * (2 * s + m - 1) // 2)
 
 
 def qpoch(m: int) -> Coef:
@@ -57,15 +99,22 @@ def qpoch(m: int) -> Coef:
 
 
 @lru_cache(maxsize=None)
-def qbinom(a: int, b: int) -> Coef:
-    """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a.
+def qbinom_poly(a: int, b: int):
+    """Gaussian binomial [a, b]_q in RING; zero outside 0 <= b <= a.
 
-    Always a polynomial in q (the field normalization cancels the
-    Pochhammer denominator exactly).
+    Built by the q-Pascal rule [a, b] = [a-1, b-1] + q^b [a-1, b] and cached
+    like ``qpoch_poly``: no caller may mutate the returned polynomial.
     """
     if b < 0 or b > a:
-        return ZERO
-    return qpoch(a) / (qpoch(b) * qpoch(a - b))
+        return RING.zero
+    if b == 0 or b == a:
+        return RING.one
+    return qbinom_poly(a - 1, b - 1) + qbinom_poly(a - 1, b).mul_monom((b, 0))
+
+
+def qbinom(a: int, b: int) -> Coef:
+    """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a."""
+    return from_poly(qbinom_poly(a, b))
 
 
 def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:

@@ -445,9 +445,8 @@ def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) ->
     gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
     until each Schur coefficient is built once; exponents are nonnegative.
     """
-    ring = qfield.FIELD.ring
     return SymFunc({
-        lam: qfield.FIELD(ring.from_dict({k: c for k, c in coeffs.items() if c}))
+        lam: qfield.from_poly(qfield.RING.from_dict({k: c for k, c in coeffs.items() if c}))
         for lam, coeffs in straighten_aggregate(agg).items()
     })
 

@@ -63,7 +63,7 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> str:
 
 
 def _scalar_sym(c) -> SymFunc:
-    return sf.one().scale(qfield.coef(c))
+    return SymFunc({Partition(): c})
 
 
 def _compare_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:

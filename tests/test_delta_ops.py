@@ -6,6 +6,7 @@ budgets are in test_acceptance.py.
 
 import pytest
 
+import field_route
 from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
@@ -145,6 +146,35 @@ class TestScalarIdentities:
                 for ell in range(1, params.m + 3):
                     lhs, rhs = d.prop33b(params, ell)
                     assert lhs == rhs, (params, ell)
+
+
+class TestRingRoute:
+    """The ring-built moments and coefficients against the field route."""
+
+    def test_kernel_moment_matches_field_sum(self):
+        # the moments do not depend on n, so the hooks of n = 9 cover every n <= 9
+        n = 9
+        for params in all_hooks(n):
+            for window in range(1, n + 1):
+                for shift, length in ((1 - window, window - 1), (1, window - 1)):
+                    assert d._kernel_moment(params, shift, length) == (
+                        field_route.kernel_moment(params, shift, length)), (params, shift, length)
+
+    def test_kernel_moment_rejects_other_windows(self):
+        with pytest.raises(ValueError):
+            d._kernel_moment(HookParams(k=0, m=1, n=2), 2, 1)
+
+    def test_remmel_coeff_matches_field_formula(self):
+        for params in all_hooks(7):
+            k, m = params.k, params.m
+            for s in range(0, m + 3):
+                want = ZERO
+                if 1 <= s <= m + 1:
+                    i = m + 1 - s
+                    want = ((-1) ** i * q ** (i * (i - 1) // 2 - (k + 1) * m + k * (k + 1) // 2)
+                            * field_route.qbinom(m - 1, k) * field_route.qbinom(k + 2, i)
+                            * (ONE - q**s))
+                assert d.remmel_coeff(s, params) == want, (params, s)
 
 
 class TestShiftedCauchy:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import field_route
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
 from deltaq.qfield import (
@@ -163,6 +164,31 @@ class TestQBinom:
     @settings(max_examples=60, deadline=None)
     def test_pascal(self, a, b):
         assert qbinom(a, b) == qbinom(a - 1, b - 1) + q**b * qbinom(a - 1, b)
+
+
+class TestRingRoute:
+    """The ring-built scalars against the field route of ``field_route``."""
+
+    def test_qbinom_matches_pochhammer_quotient(self):
+        for a in range(0, 15):
+            for b in range(-1, a + 2):
+                assert qbinom(a, b) == field_route.qbinom(a, b), (a, b)
+
+    def test_qpoch_at_matches_field_product(self):
+        for s in range(-6, 7):
+            for m in range(0, 7):
+                assert qpoch_at(s, m) == field_route.qpoch_at(s, m), (s, m)
+
+    def test_from_poly_is_canonical(self):
+        # the numerator and denominator sympy's own cancellation produces
+        for poly in (qfield.RING.zero, qfield.RING.one, 3 * qfield.RING.gens[0] ** 2 - 6):
+            for e in range(-4, 5):
+                got, want = qfield.from_poly(poly, e), qfield.FIELD(poly) * q**e
+                assert (got.numer, got.denom) == (want.numer, want.denom), (poly, e)
+
+    def test_qpoch_poly_needs_positive_start(self):
+        with pytest.raises(ValueError):
+            qfield.qpoch_poly(0, 2)
 
 
 def qbinom_hook(n: int, shape):

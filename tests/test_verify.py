@@ -225,6 +225,12 @@ class TestCli:
         assert rc == 1
         assert "mismatch" in out
 
+    def test_verify_params_fit_one_identity(self, capsys):
+        # ghry23 of the kernels suite takes k, but --id eq12 selects only eq12
+        rc = cli.main(["verify", "--suite", "kernels", "--id", "eq12", "--params", "n=4,i=2"])
+        assert rc == 0
+        assert "total 1: 1 equal" in capsys.readouterr().out
+
     def test_verify_writes_jsonl(self, capsys, tmp_path):
         out_file = tmp_path / "run.jsonl"
         rc = cli.main([
@@ -272,10 +278,15 @@ class TestCli:
         (["verify", "--id", "prop31", "--params", "k="], "malformed parameter 'k='"),
         (["verify", "--suite", "span", "--params", "n=x"],
          "invalid literal for int() with base 10: 'x'"),
+        (["verify", "--suite", "kernels", "--params", "n=4,i=2"], "ghry23 needs k in --params"),
+        (["verify", "--suite", "nu", "--params", "n=4"],
+         "thm41 needs nu in --params; thm43 needs nu, j in --params; "
+         "thm44 needs nu in --params"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
-            "verify-empty-value", "verify-value-not-an-int"])
+            "verify-empty-value", "verify-value-not-an-int", "verify-params-unfit",
+            "verify-params-unfit-several"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
