@@ -216,8 +216,14 @@ def remmel_coeff(s: int, params: HookParams) -> Coef:
 
 def hook_kernel(n: int, u) -> SymFunc:
     """h_n[X(1-u)]/(1-u) = sum_r (-u)^r s_(n-r,1^r); support is exactly the hooks."""
-    u = qfield.coef(u)
-    return sf.hn_times_one_minus_u(n, u).scale(ONE / (ONE - u))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    minus_u = -qfield.coef(u)
+    terms, power = {}, ONE
+    for r in range(n):
+        terms[Partition((n - r,) + (1,) * r)] = power
+        power = power * minus_u
+    return SymFunc(terms)
 
 
 def remmel_sum(params: HookParams) -> SymFunc:

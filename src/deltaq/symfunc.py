@@ -9,6 +9,11 @@ conjugate).
 
 A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
 ``plethysm(f, A)`` is f[X A] and ``evaluate(f, A)`` is the scalar f[A].
+Both run in ZZ[q,t] over one common denominator: f's Schur coefficients go
+over the lcm of their denominators, the power-sum expansion uses the integer
+characters, each p_rho is scaled by a cached numerator of (n!/z_rho) p_rho[A],
+and the characters map back.  Each output Schur coefficient (or, for
+``evaluate``, the one scalar) is cancelled once.
 
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
@@ -264,20 +269,6 @@ def m(lam) -> SymFunc:
     return sym("m", {_as_partition(lam): 1})
 
 
-def _from_power(power_terms: dict[Partition, Coef]) -> SymFunc:
-    out: dict[Partition, Coef] = {}
-    for rho, c in power_terms.items():
-        if not c:
-            continue
-        for lam, chi in _power_to_schur(rho).items():
-            val = out.get(lam, qfield.ZERO) + c * chi
-            if val:
-                out[lam] = val
-            else:
-                out.pop(lam, None)
-    return SymFunc(out)
-
-
 def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
     """Expansion of f in the target basis, as {Partition: Coef} with zeros dropped."""
     if basis not in BASES:
@@ -345,47 +336,92 @@ def is_hook_only(f: SymFunc) -> bool:
 
 # -- plethysm by an alphabet -----------------------------------------------------
 
-def _power_images(f: SymFunc, alphabet) -> dict[Partition, Coef]:
-    """{rho: c_rho p_rho[A]} over the power-sum expansion sum_rho c_rho p_rho of f.
+@lru_cache(maxsize=None)
+def _power_table(n: int, alphabet: Coef) -> tuple[tuple, object]:
+    """The p_rho[A] of every rho |- n over one denominator: (images, den) in RING.
 
-    The alphabet A is one element of Q(q,t), so p_k[A] = A(q^k, t^k): the
-    exponents of A's numerator and denominator scale by k.  Each distinct
-    part k is computed once.
+    images[i] / den = p_rho[A] / z_rho for rho = partitions_of(n)[i].  For
+    A = N/D, p_k[A] = N(q^k,t^k)/D(q^k,t^k), and the part k occurs at most n//k
+    times in rho, so den = n! prod_k D(q^k,t^k)^(n//k) clears every
+    denominator and images[i] = (n!/z_rho) prod_k N_k^m_k D_k^(n//k - m_k).
+    Cached: no caller may mutate the polynomials.
     """
-    a = qfield.coef(alphabet)
-    images: dict[int, Coef] = {}
-    out = {}
-    for rho, c in basis_convert(f, "p").items():
-        for k in rho:
-            if k not in images:
-                images[k] = qfield.FIELD.new(a.numer.inflate((k, k)), a.denom.inflate((k, k)))
-            c = c * images[k]
-        out[rho] = c
-    return out
+    num, den = alphabet.numer, alphabet.denom
+    nums = {k: num.inflate((k, k)) for k in range(1, n + 1)}
+    dens = {k: den.inflate((k, k)) for k in range(1, n + 1)} if den != 1 else {}
+    images = []
+    for rho in partitions_of(n):
+        mult = rho.multiplicities()
+        image = qfield.RING(factorial(n) // zee(rho))
+        for k in range(1, n + 1):
+            m_k = mult.get(k, 0)
+            # zero exponents are skipped, not raised to: sympy rejects 0**0
+            if m_k:
+                image *= nums[k] ** m_k
+            if dens and n // k > m_k:
+                image *= dens[k] ** (n // k - m_k)
+        images.append(image)
+    common = qfield.RING(factorial(n))
+    for k, d_k in dens.items():
+        common *= d_k ** (n // k)
+    return tuple(images), common
+
+
+def _image_numerators(f: SymFunc, alphabet) -> tuple[list, object]:
+    """([c_rho for rho |- n], den) in RING with f[XA] = sum_rho c_rho / den * p_rho.
+
+    f's Schur coefficients go over the lcm of their denominators, the power-sum
+    expansion uses the integer characters (s_lam = sum_rho chi^lam(rho)/z_rho
+    p_rho), and the cached table supplies (n!/z_rho) p_rho[A]; no gcd runs
+    except for the lcm of distinct denominators of f.
+    """
+    n = f.degree()
+    lcm = None
+    for c in f.terms.values():
+        lcm = c.denom if lcm is None or c.denom == lcm else lcm.lcm(c.denom)
+    rhos = partitions_of(n)
+    sums = [qfield.RING.zero] * len(rhos)
+    for lam, c in f.terms.items():
+        num = c.numer if c.denom == lcm else c.numer * lcm.exquo(c.denom)
+        for i, rho in enumerate(rhos):
+            chi = character(lam, rho)
+            if chi:
+                sums[i] += num.mul_ground(chi)
+    images, den = _power_table(n, qfield.coef(alphabet))
+    return [c * image if c else c for c, image in zip(sums, images)], lcm * den
 
 
 def plethysm(f: SymFunc, alphabet) -> SymFunc:
-    """f[X A] for an alphabet A in Q(q,t): p_k -> p_k[A] p_k; A = 1 - q gives f[X(1-q)]."""
-    return _from_power(_power_images(f, alphabet))
+    """f[X A] for an alphabet A in Q(q,t): p_k -> p_k[A] p_k; A = 1 - q gives f[X(1-q)].
+
+    Each Schur coefficient sum_rho chi^lam(rho) c_rho is summed in RING and
+    cancelled against the common denominator once.
+    """
+    if not f:
+        return SymFunc()
+    nums, den = _image_numerators(f, alphabet)
+    rhos = partitions_of(f.degree())
+    out = {}
+    for lam in rhos:
+        total = qfield.RING.zero
+        for rho, c in zip(rhos, nums):
+            chi = character(lam, rho)
+            if chi and c:
+                total += c.mul_ground(chi)
+        if total:
+            out[lam] = qfield.FIELD.new(total, den)
+    return SymFunc(out)
 
 
 def evaluate(f: SymFunc, alphabet) -> Coef:
-    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = qbinom(N, 1) is 1 + ... + q^(N-1)."""
-    return sum(_power_images(f, alphabet).values(), qfield.ZERO)
+    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = qbinom(N, 1) is 1 + ... + q^(N-1).
 
-
-def hn_times_one_minus_u(n: int, u: Coef) -> SymFunc:
-    """(1-u) * sum_{r=0}^{n-1} (-u)^r s_(n-r, 1^r), the hook expansion of h_n[X(1-u)]."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = qfield.coef(u)
-    terms = {}
-    sign_pow = qfield.ONE
-    for r in range(n):
-        hook = Partition((n - r,) + (1,) * r)
-        terms[hook] = (qfield.ONE - u) * sign_pow
-        sign_pow = sign_pow * (-u)
-    return SymFunc(terms)
+    The power-sum terms are summed in RING and cancelled once.
+    """
+    if not f:
+        return qfield.ZERO
+    nums, den = _image_numerators(f, alphabet)
+    return qfield.FIELD.new(sum(nums, qfield.RING.zero), den)
 
 
 # -- fundamental quasisymmetric expansions ---------------------------------------

@@ -113,7 +113,7 @@ class TestHookExpansions:
             for u in (q, q**2, q**3):
                 kernel = d.hook_kernel(n, u)
                 assert sf.is_hook_only(kernel)
-                assert kernel.scale(ONE - u) == sf.hn_times_one_minus_u(n, u)
+                assert kernel == field_route.plethysm(sf.h(n), ONE - u).scale(ONE / (ONE - u))
 
 
 class TestScalarIdentities:

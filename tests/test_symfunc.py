@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
-from deltaq import qfield, symfunc as sf
+import field_route
+from deltaq import delta_ops as d, qfield, symfunc as sf, verify as ver
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, coef, q, qbinom, t
 from deltaq.symfunc import SymFunc
@@ -187,7 +189,7 @@ class TestTransforms:
         # the closed hook formula agrees with the power-sum scaling route
         for n in range(1, 7):
             for u in (q, q**2, t):
-                assert sf.plethysm(sf.h(n), ONE - u) == sf.hn_times_one_minus_u(n, u)
+                assert sf.plethysm(sf.h(n), ONE - u) == d.hook_kernel(n, u).scale(ONE - u)
 
     def test_evaluate_geometric(self):
         assert sf.evaluate(sf.s(2), qbinom(2, 1)) == ONE + q + q**2
@@ -243,10 +245,80 @@ class TestTransforms:
         assert sf.evaluate(sf.h(2), 3) == coef(6)
         assert sf.evaluate(sf.e(3), 2) == ZERO
 
+    @pytest.mark.parametrize("alphabet", [0, qbinom(1, 1) - ONE], ids=["int-zero", "qbinom-1-1-minus-1"])
+    def test_zero_alphabet(self, alphabet):
+        # p_k[0] = 0: every positive degree vanishes, degree 0 is kept as is
+        for lam in ((1,), (1, 1), (2, 1), (2, 2)):
+            assert sf.evaluate(sf.s(lam), alphabet) == ZERO
+            assert sf.plethysm(sf.s(lam), alphabet) == sf.zero()
+        assert sf.evaluate(sf.one().scale(q / (ONE - t)), alphabet) == q / (ONE - t)
+        assert sf.plethysm(sf.one().scale(q / (ONE - t)), alphabet) == sf.one().scale(q / (ONE - t))
+        assert sf.evaluate(sf.zero(), alphabet) == ZERO
+        assert sf.plethysm(sf.zero(), alphabet) == sf.zero()
+
+    def test_delta_prime_at_length_one(self):
+        # the length-1 eigenvalue s_nu[qbinom(1, 1) - 1] is an evaluation at
+        # the zero alphabet; thm44 reaches it first at nu = (1, 1), n = 2, where
+        # B_mu - 1 has at most one letter, so s_11 vanishes at every mu
+        assert d.delta_prime_t0(sf.s((1, 1)), 2) == sf.zero()
+        # Delta'_(e_1) e_2 = nabla e_2 = s_2 + (q + t) s_11
+        assert d.delta_prime_t0(sf.s(1), 2) == sf.s(2) + sf.s((1, 1)).scale(q)
+        assert ver.run_one("thm44", {"nu": [1, 1], "n": 2}).status == "equal"
+
     def test_subs_coeffs(self):
         f = sf.s(2).scale(q * t + q)
         assert sf.subs_coeffs(f, None, ZERO) == sf.s(2).scale(q)
         assert sf.subs_coeffs(f, t, None) == sf.s(2).scale(t**2 + t)
+
+
+_FIELD_ROUTE_ALPHABETS = {
+    "1-q": ONE - q,
+    "1-q^3": ONE - q**3,
+    "1_over_1-q": ONE / (ONE - q),
+    "q+t": q + t,
+    "(1-q)_over_(1-t)": (ONE - q) / (ONE - t),
+    "qbinom(4,1)-1": qbinom(4, 1) - ONE,
+}
+
+# Schur coefficients in Q(q,t) whose denominators differ, share factors or agree
+_FIELD_ROUTE_FUNCTIONS = (
+    sf.s((2, 1)).scale(ONE / (ONE - q)) + sf.s(3).scale(t / (ONE - t))
+    + sf.s((1, 1, 1)).scale((q + t) / (ONE - q * t)),
+    sf.s(4).scale(ONE / (ONE - q) ** 2) + sf.s((3, 1)).scale(ONE / ((ONE - q) * (ONE - t)))
+    + sf.s((2, 2)).scale(q) + sf.s((1, 1, 1, 1)).scale(-ONE / (ONE - q) ** 2),
+    sf.s((2, 2, 1)).scale((q**2 - t) / (ONE + q)) + sf.s((3, 2)).scale(coef(Fraction(3, 2)) * t),
+)
+
+
+class TestFieldRoute:
+    """plethysm and evaluate against the field route of ``field_route``."""
+
+    @pytest.mark.parametrize("alphabet", list(_FIELD_ROUTE_ALPHABETS.values()),
+                             ids=list(_FIELD_ROUTE_ALPHABETS))
+    def test_schur_functions(self, alphabet):
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                f = sf.s(lam)
+                assert sf.plethysm(f, alphabet) == field_route.plethysm(f, alphabet), lam
+                assert sf.evaluate(f, alphabet) == field_route.evaluate(f, alphabet), lam
+
+    @pytest.mark.parametrize("alphabet", list(_FIELD_ROUTE_ALPHABETS.values()),
+                             ids=list(_FIELD_ROUTE_ALPHABETS))
+    def test_rational_coefficients(self, alphabet):
+        for f in _FIELD_ROUTE_FUNCTIONS:
+            assert sf.plethysm(f, alphabet) == field_route.plethysm(f, alphabet)
+            assert sf.evaluate(f, alphabet) == field_route.evaluate(f, alphabet)
+
+    def test_one_cancel_per_coefficient(self, monkeypatch):
+        f, a, b = _FIELD_ROUTE_FUNCTIONS[1], ONE / (ONE - q), (ONE - q) / (ONE - t)
+        calls = []
+        cancel = PolyElement.cancel
+        monkeypatch.setattr(PolyElement, "cancel", lambda self, g: calls.append(1) or cancel(self, g))
+        image = sf.plethysm(f, a)
+        assert len(calls) == len(image.terms) == 5
+        calls.clear()
+        sf.evaluate(f, b)
+        assert len(calls) == 1
 
 
 class TestRenderParse:
@@ -276,4 +348,4 @@ class TestHookPredicates:
     def test_is_hook_only(self):
         assert sf.is_hook_only(sf.s((3, 1, 1)) + sf.s((4, 1)))
         assert not sf.is_hook_only(sf.s((2, 2)))
-        assert sf.is_hook_only(sf.hn_times_one_minus_u(5, q))
+        assert sf.is_hook_only(d.hook_kernel(5, q))
