@@ -3,8 +3,9 @@
 
 Lines are compared on the fields that describe an outcome (id, parameters,
 status, both renders and the witness); timings are ignored.  Prints the line
-count and the first differences, and exits 1 if any line differs or the
-files have different line counts, 0 otherwise.
+count and the first differences, and exits 1 if either report is empty, any
+line differs or the files have different line counts, 0 otherwise: two empty
+reports prove nothing.
 
 Example:
     deltaq verify --suite all --out before.jsonl   # on one tree
@@ -32,6 +33,10 @@ def main(argv=None) -> int:
     parser.add_argument("after")
     args = parser.parse_args(argv)
     before, after = _load(args.before), _load(args.after)
+    empty = [path for path, lines in ((args.before, before), (args.after, after)) if not lines]
+    if empty:
+        print(f"empty report: {', '.join(empty)}")
+        return 1
 
     differ = 0
     for lineno, (a, b) in enumerate(zip(before, after), start=1):

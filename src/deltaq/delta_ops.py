@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import hall_littlewood as hl
@@ -133,11 +134,14 @@ def lhs_nu(nu, n: int) -> SymFunc:
 # -- hook-indexed closed forms ---------------------------------------------------
 
 def length_graded_P(n: int, length: int) -> SymFunc:
-    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n."""
-    total = sf.zero()
+    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n, summed in RING."""
+    table = hl._p_table(n)
+    sums: dict[Partition, object] = {}
     for mu in partitions_of(n, length=length):
-        total = total + hl.hl_P(mu).scale(q ** mu.nstat())
-    return total
+        shift = (mu.nstat(), 0)
+        for lam, c in table[mu].items():
+            sums[lam] = sums.get(lam, RING.zero) + c.mul_monom(shift)
+    return SymFunc({lam: from_poly(c) for lam, c in sums.items() if c})
 
 
 def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
@@ -148,15 +152,22 @@ def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
         m + comb(k + 1, 2))
 
 
-def _length_sum(n: int, coeff: Callable[[int], Coef], inverse_q: bool = True) -> SymFunc:
-    """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q] over the partitions mu of n.
-
-    With inverse_q False: sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q].
-    """
-    sign = -1 if inverse_q else 1
+def _length_sum(n: int, coeff: Callable[[int], Coef]) -> SymFunc:
+    """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q] over the partitions mu of n (the 1/q table)."""
+    table = hl._p_table_invq(n)
     total = sf.zero()
     for mu, c in _per_length(n, coeff):
-        total = total + hl.hl_P(mu, inverse_q=inverse_q).scale(c * q ** (sign * mu.nstat()))
+        total = total + table[mu].scale(c * q ** -mu.nstat())
+    return total
+
+
+def _graded_sum(n: int, coeff: Callable[[int], Coef]) -> SymFunc:
+    """sum_l coeff(l) length_graded_P(n, l) over the lengths l = 1..n."""
+    total = sf.zero()
+    for ell in range(1, n + 1):
+        c = coeff(ell)
+        if c != ZERO:
+            total = total + length_graded_P(n, ell).scale(c)
     return total
 
 
@@ -175,13 +186,7 @@ def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
 
 def rhs_hook(params: HookParams) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of the same hook image."""
-    total = sf.zero()
-    for j in range(params.k + 2, params.m + 2):
-        c = rhs_hook_coeff(params, j)
-        if c == ZERO:
-            continue
-        total = total + length_graded_P(params.n, j).scale(c)
-    return total
+    return _graded_sum(params.n, lambda j: rhs_hook_coeff(params, j))
 
 
 def _alternating_term(k: int, i: int):
@@ -297,11 +302,12 @@ def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
 def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of h_n[X(1-q^i)]/(1-q^i).
 
-    inverse_q False: sum_mu q^(n(mu))  (q^(i-l+1);q)_(l-1) P_mu[X;q]
-    inverse_q True:  sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1)   P_mu[X;1/q]
+    inverse_q False (eq12): sum_l (q^(i-l+1);q)_(l-1) length_graded_P(n, l)
+    inverse_q True (eq16):  sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1) P_mu[X;1/q], l = l(mu)
     """
-    return _length_sum(
-        n, lambda ell: qpoch_at(i + 1 if inverse_q else i - ell + 1, ell - 1), inverse_q=inverse_q)
+    if inverse_q:
+        return _length_sum(n, lambda ell: qpoch_at(i + 1, ell - 1))
+    return _graded_sum(n, lambda ell: qpoch_at(i - ell + 1, ell - 1))
 
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:
@@ -335,19 +341,31 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     return total.scale(q ** nu.size)
 
 
+@lru_cache(maxsize=None)
+def _charge_poly(nu: Partition, k: int):
+    """(q;q)_k charge_content(nu, k) in RING.
+
+    It is sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q, because
+    (q;q)_k / b_rho(q) is the q-multinomial of the multiplicities of rho, a
+    product of q-binomials.  Cached: no caller may mutate the polynomial.
+    """
+    total = RING.zero
+    for rho in partitions_of(nu.size, length=k):
+        term, top = hl._kf_poly(nu, rho).mul_monom((rho.nstat(), 0)), 0
+        for m in rho.multiplicities().values():
+            top += m
+            term = term * qbinom_poly(top, m)
+        total += term
+    return total
+
+
 def charge_content(nu: Partition, k: int) -> Coef:
     """Charge-graded length-k content of s_nu.
 
     sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with b_rho the P-to-Q
-    normalization prod_i (q;q)_(m_i(rho)).
+    normalization prod_i (q;q)_(m_i(rho)): ``_charge_poly`` over (q;q)_k, one cancel.
     """
-    total = ZERO
-    for rho in partitions_of(nu.size, length=k):
-        c = hl.kostka_foulkes(nu, rho)
-        if c == ZERO:
-            continue
-        total = total + c * q ** rho.nstat() / hl.b_factor(rho)
-    return total
+    return qfield.FIELD.new(_charge_poly(nu, k), qpoch_poly(1, k))
 
 
 def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
@@ -370,15 +388,11 @@ def rhs_nu(nu, n: int) -> SymFunc:
 
     q^|nu| * sum_k (q;q)_k [charge-graded length-k content of s_nu]
            * q^(-k(k+1)) (q;q)_(k+1) sum_{l(mu)=k+1} q^(n(mu)) P_mu[X;q].
+    The first two factors are ``_charge_poly(nu, k)``.
     """
     nu = _as_partition(nu)
-    total = sf.zero()
-    for k in range(len(nu), nu.size + 1):
-        inner = charge_content(nu, k)
-        if inner == ZERO:
-            continue
-        coeff = inner * from_poly(qpoch_poly(1, k) * qpoch_poly(1, k + 1), -k * (k + 1))
-        total = total + length_graded_P(n, k + 1).scale(coeff)
+    total = _graded_sum(n, lambda ell: from_poly(
+        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), -ell * (ell - 1)))
     return total.scale(q ** nu.size)
 
 

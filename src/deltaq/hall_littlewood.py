@@ -1,19 +1,24 @@
 """Hall-Littlewood P and Q and the modified Macdonald bases.
 
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
-tableaux.  P expands through the unitriangular inverse of the Kostka-Foulkes
-matrix against the Schur basis.  The two-parameter modified Macdonald
+tableaux, counted as integers into ZZ[q] (``qfield.RING``).  P expands
+through the unitriangular inverse of the Kostka-Foulkes matrix against the
+Schur basis, by back substitution over ZZ[q]; every table entry enters
+Q(q,t) once, P_mu[X;q] through ``qfield.from_poly`` and P_mu[X;1/q] through
+``qfield.from_reversed``, which reverses coefficients instead of
+substituting 1/q.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
 standard fillings: ``filling_aggregates`` counts them as integer
 F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
 functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
 point mod p.  Their one-parameter specialization used
-throughout the Delta-operator pipeline is the cocharge variant built from
-Kostka-Foulkes at 1/q.
+throughout the Delta-operator pipeline has the cocharge coefficients
+q^n(mu) K_(lam,mu)(1/q), again by reversal.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +26,7 @@ from sympy.utilities.iterables import multiset_permutations
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, q, t, qpoch
+from .qfield import RING, Coef, from_poly, from_reversed, q, t, qpoch
 from .symfunc import SymFunc
 from .tableaux import charge, reading_word, ssyt
 
@@ -29,48 +34,39 @@ MACDONALD_FULL_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
-def kostka_foulkes(lam: Partition, mu: Partition) -> Coef:
+def _kf_poly(lam: Partition, mu: Partition):
+    """K_(lam,mu)(q) in RING: the charges of the SSYT of shape lam, content mu, counted as ints."""
+    counts = Counter(charge(reading_word(tab)) for tab in ssyt(lam, mu))
+    return RING.from_dict({(c, 0): k for c, k in counts.items()})
+
+
+def kostka_foulkes(lam, mu) -> Coef:
     """K_(lam,mu)(q) = sum of q^charge over SSYT of shape lam, content mu."""
-    lam, mu = Partition(lam), Partition(mu)
-    total = qfield.ZERO
-    for tab in ssyt(lam, mu):
-        total += q ** charge(reading_word(tab))
-    return total
+    return from_poly(_kf_poly(Partition(lam), Partition(mu)))
 
 
 @lru_cache(maxsize=None)
-def _p_table(n: int) -> dict[Partition, SymFunc]:
-    """Schur expansions of P_mu for mu |- n.
+def _p_table(n: int) -> dict[Partition, dict[Partition, object]]:
+    """Schur coefficients of P_mu for mu |- n, as {mu: {lam: poly in RING}}.
 
     s_nu = sum_rho K_(nu,rho)(q) P_rho with the Kostka-Foulkes matrix
-    unitriangular in lex-descending order, so back substitution inverts it.
+    unitriangular over Z[q], so P is its inverse, by back substitution in RING.
+    Cached: no caller may mutate the polynomials.
     """
-    order = partitions_of(n)
-    out: dict[Partition, SymFunc] = {}
-    for j in range(len(order) - 1, -1, -1):
-        mu = order[j]
-        f = symfunc.s(mu)
-        for k in range(j + 1, len(order)):
-            c = kostka_foulkes(mu, order[k])
-            if c:
-                f = f - out[order[k]].scale(c)
-        out[mu] = f
-    return out
+    return symfunc.unitriangular_inverse(n, _kf_poly)
 
 
 @lru_cache(maxsize=None)
 def _p_table_invq(n: int) -> dict[Partition, SymFunc]:
-    return {
-        mu: symfunc.subs_coeffs(f, q_image=qfield.ONE / q)
-        for mu, f in _p_table(n).items()
-    }
+    """P_mu[X;1/q] for mu |- n, each coefficient p(1/q) by reversing p."""
+    return {mu: SymFunc({lam: from_reversed(c, 0) for lam, c in row.items()})
+            for mu, row in _p_table(n).items()}
 
 
-def hl_P(mu, inverse_q: bool = False) -> SymFunc:
-    """Hall-Littlewood P_mu in the Schur basis; with inverse_q, P_mu at q -> 1/q."""
+def hl_P(mu) -> SymFunc:
+    """Hall-Littlewood P_mu in the Schur basis."""
     mu = Partition(mu)
-    table = _p_table_invq(mu.size) if inverse_q else _p_table(mu.size)
-    return table[mu]
+    return SymFunc({lam: from_poly(c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
 def b_factor(mu) -> Coef:
@@ -92,16 +88,11 @@ def modified_macdonald_t0(mu) -> SymFunc:
     """One-parameter modified Macdonald function used by the t=0 Delta pipeline.
 
     Schur coefficients are q^nstat(mu) * K_(lam,mu)(1/q), the cocharge
-    Kostka-Foulkes polynomials.
+    Kostka-Foulkes polynomials, each by reversing K_(lam,mu)(q).
     """
     mu = Partition(mu)
-    shift = q ** mu.nstat()
-    terms = {}
-    for lam in partitions_of(mu.size):
-        kf = kostka_foulkes(lam, mu)
-        if kf:
-            terms[lam] = shift * qfield.subs(kf, q_image=qfield.ONE / q)
-    return SymFunc(terms)
+    return SymFunc({lam: from_reversed(kf, mu.nstat())
+                    for lam in partitions_of(mu.size) if (kf := _kf_poly(lam, mu))})
 
 
 # -- specialized weights -------------------------------------------------------

@@ -10,7 +10,9 @@ The q-only scalars are built in the polynomial ring ``RING`` = ZZ[q,t], where
 ``+`` and ``*`` run no gcd: ``qbinom_poly`` by the q-Pascal rule and
 ``qpoch_poly`` as a product of factors 1 - q^e, both cached.  A value enters
 Q(q,t) once, as poly * q^e through ``from_poly``, whose only cancellation is
-of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions.
+of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions, and
+``from_reversed`` is the one for poly(1/q) * q^e: it reverses the coefficients
+instead of substituting 1/q.  ``swap_qt`` exchanges the two variables.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ ONE = FIELD.one
 
 
 class PoleError(ZeroDivisionError):
-    """Substitution made a denominator vanish identically."""
+    """A denominator vanishes identically, e.g. a division by zero in ``parse``."""
 
 
 def coef(value) -> Coef:
@@ -117,33 +119,23 @@ def qbinom(a: int, b: int) -> Coef:
     return from_poly(qbinom_poly(a, b))
 
 
-def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
-    powers_q: dict[int, Coef] = {}
-    powers_t: dict[int, Coef] = {}
-    total = ZERO
-    for (eq_, et_), c in poly.terms():
-        pq = powers_q.get(eq_)
-        if pq is None:
-            pq = powers_q[eq_] = ONE if eq_ == 0 else q_val**eq_
-        pt = powers_t.get(et_)
-        if pt is None:
-            pt = powers_t[et_] = ONE if et_ == 0 else t_val**et_
-        total += int(c) * pq * pt
-    return total
+def from_reversed(poly, e: int) -> Coef:
+    """poly(1/q) * q^e as an element of Q(q,t), for poly in RING.
 
-
-def subs(f: Coef, q_image=None, t_image=None) -> Coef:
-    """Substitute field elements (or ints) for q and/or t in f.
-
-    Raises PoleError when the denominator of f vanishes identically under
-    the substitution.
+    With d the q-degree of poly, poly(1/q) = q^(-d) rev(poly), where rev
+    reverses the q-coefficients; the value is from_poly(rev(poly), e - d).
     """
-    q_val = q if q_image is None else coef(q_image)
-    t_val = t if t_image is None else coef(t_image)
-    den = _eval_poly(f.denom, q_val, t_val)
-    if not den:
-        raise PoleError(f"substitution hits a pole of {render(f)}")
-    return _eval_poly(f.numer, q_val, t_val) / den
+    if not poly:
+        return ZERO
+    d = poly.degree()
+    return from_poly(RING.from_dict({(d - i, j): c for (i, j), c in poly.items()}), e - d)
+
+
+def swap_qt(f: Coef) -> Coef:
+    """f with q and t exchanged; FIELD.new restores the canonical form under lex q > t."""
+    def swapped(poly):
+        return RING.from_dict({(j, i): c for (i, j), c in poly.items()})
+    return FIELD.new(swapped(f.numer), swapped(f.denom))
 
 
 # -- rendering and parsing ---------------------------------------------------

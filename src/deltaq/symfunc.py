@@ -186,29 +186,35 @@ def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Schur expansions of the monomial basis: m_mu = sum_lam c[mu][lam] s_lam.
+def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
+    """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
 
-    The Kostka matrix is unitriangular for the lex-descending order (which
-    refines dominance), so back substitution suffices.
+    ``entry(a, b)`` is 1 in its ring at b = a and zero unless b follows a in
+    ``partitions_of`` order, which refines dominance (Kostka matrices, integer
+    or Kostka-Foulkes).  Back substitution: row a = e_a - sum_b entry(a, b) row b.
     """
     order = partitions_of(n)
-    out: dict[Partition, dict[Partition, int]] = {}
+    out: dict[Partition, dict[Partition, object]] = {}
     for j in range(len(order) - 1, -1, -1):
-        mu = order[j]
-        expansion = {mu: 1}
-        for k in range(j + 1, len(order)):
-            kn = kostka_number(mu, order[k])
-            if kn:
-                for lam, c in out[order[k]].items():
-                    val = expansion.get(lam, 0) - kn * c
+        a = order[j]
+        row = {a: entry(a, a)}
+        for b in order[j + 1:]:
+            c = entry(a, b)
+            if c:
+                for lam, v in out[b].items():
+                    val = row.get(lam, 0) - c * v
                     if val:
-                        expansion[lam] = val
+                        row[lam] = val
                     else:
-                        expansion.pop(lam, None)
-        out[mu] = expansion
+                        row.pop(lam, None)
+        out[a] = row
     return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
+    """The monomial basis in Schur functions: m_mu = sum_lam c[mu][lam] s_lam."""
+    return unitriangular_inverse(n, kostka_number)
 
 
 @lru_cache(maxsize=None)
@@ -301,33 +307,18 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
         return out
     if basis == "e":
         return basis_convert(omega(f), "h")
-    # basis == "h": unitriangular solve against the Kostka matrix
-    order = partitions_of(f.degree())
-    coeffs: dict[Partition, Coef] = {}
-    for i in range(len(order) - 1, -1, -1):
-        lam = order[i]
-        val = f.terms.get(lam, qfield.ZERO)
-        for j in range(i + 1, len(order)):
-            c_j = coeffs.get(order[j])
-            if c_j is not None:
-                kn = kostka_number(lam, order[j])
-                if kn:
-                    val -= kn * c_j
+    # basis == "h": f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
+    out = {}
+    for mu, row in _inverse_kostka(f.degree()).items():
+        val = sum((c * f.terms[lam] for lam, c in row.items() if lam in f.terms), qfield.ZERO)
         if val:
-            coeffs[lam] = val
-    return coeffs
+            out[mu] = val
+    return out
 
 
 def omega(f: SymFunc) -> SymFunc:
     """Standard involution: s_lam -> s_(lam') ."""
     return SymFunc({lam.conjugate(): c for lam, c in f.terms.items()})
-
-
-def subs_coeffs(f: SymFunc, q_image=None, t_image=None) -> SymFunc:
-    """Apply a q/t substitution to every coefficient."""
-    return SymFunc(
-        {lam: qfield.subs(c, q_image=q_image, t_image=t_image) for lam, c in f.terms.items()}
-    )
 
 
 def is_hook_only(f: SymFunc) -> bool:

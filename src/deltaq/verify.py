@@ -27,7 +27,7 @@ from . import parking as pk
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import ZERO, q, t
+from .qfield import ZERO, q
 from .symfunc import SymFunc
 
 STATUSES = ("equal", "mismatch", "skipped", "error")
@@ -196,6 +196,11 @@ def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]
     return (f"rank {report.rank} from {report.nu_count} images",
             f"required > {n}; ambient dimension p({n}) = {report.dim}; "
             f"rank at {do.point_label(report.point)}")
+
+
+def _q_to_t(f: SymFunc) -> SymFunc:
+    """f with q renamed t in every coefficient; f's coefficients involve q alone."""
+    return SymFunc({lam: qfield.swap_qt(c) for lam, c in f.terms.items()})
 
 
 def _e_km1(k: int) -> SymFunc:
@@ -402,7 +407,7 @@ REGISTRY: dict[str, Identity] = {
             "deltaconj_q0",
             "rise-product parking sum at q=0 equals the renamed t=0 operator image",
             lambda p: (pk.delta_side_combinatorial(p["n"], p["k"], q_zero=True),
-                       sf.subs_coeffs(do.delta_prime_t0(_e_km1(p["k"]), p["n"]), t, None)),
+                       _q_to_t(do.delta_prime_t0(_e_km1(p["k"]), p["n"]))),
             lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
             _upto(1, 5, _all_k),
         ),
@@ -457,8 +462,10 @@ def run_suite(suite: str = "all", identity_id: str | None = None,
     """Check one identity, or every identity of a suite, in registry order.
 
     With ``params`` every identity runs that one case; otherwise each runs its
-    default sweep, capped by ``nmax``.
+    default sweep, capped by ``nmax``; an ``nmax`` below 1 is a ValueError.
     """
+    if nmax is not None and nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
     if identity_id is not None:
         ids: Iterable[str] = (identity_id,)
     elif suite in SUITES:

@@ -2,6 +2,8 @@
 
 from deltaq import hall_littlewood as hl
 from deltaq.partition import Partition, partitions_of
+from deltaq.qfield import ONE, ZERO, Coef, PoleError, coef, q, render, t
+from deltaq.symfunc import SymFunc
 
 
 def dominates(lam, mu) -> bool:
@@ -22,3 +24,52 @@ def kf_table(n: int) -> dict:
     """All Kostka-Foulkes polynomials in degree n (zeros included), keyed (lam, mu)."""
     parts = partitions_of(n)
     return {(lam, mu): hl.kostka_foulkes(lam, mu) for lam in parts for mu in parts}
+
+
+# -- substitution: an evaluator independent of the package's reversal and swap --
+
+def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
+    powers_q: dict[int, Coef] = {}
+    powers_t: dict[int, Coef] = {}
+    total = ZERO
+    for (eq_, et_), c in poly.terms():
+        pq = powers_q.get(eq_)
+        if pq is None:
+            pq = powers_q[eq_] = ONE if eq_ == 0 else q_val**eq_
+        pt = powers_t.get(et_)
+        if pt is None:
+            pt = powers_t[et_] = ONE if et_ == 0 else t_val**et_
+        total += int(c) * pq * pt
+    return total
+
+
+def subs(f: Coef, q_image=None, t_image=None) -> Coef:
+    """Substitute field elements (or ints) for q and/or t in f, simultaneously.
+
+    Raises PoleError when the denominator of f vanishes identically under
+    the substitution.
+    """
+    q_val = q if q_image is None else coef(q_image)
+    t_val = t if t_image is None else coef(t_image)
+    den = _eval_poly(f.denom, q_val, t_val)
+    if not den:
+        raise PoleError(f"substitution hits a pole of {render(f)}")
+    return _eval_poly(f.numer, q_val, t_val) / den
+
+
+def subs_coeffs(f: SymFunc, q_image=None, t_image=None) -> SymFunc:
+    """Apply a q/t substitution to every coefficient."""
+    return SymFunc(
+        {lam: subs(c, q_image=q_image, t_image=t_image) for lam, c in f.terms.items()}
+    )
+
+
+def charge_content(nu: Partition, k: int) -> Coef:
+    """sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), one field + and / per rho."""
+    total = ZERO
+    for rho in partitions_of(nu.size, length=k):
+        c = hl.kostka_foulkes(nu, rho)
+        if c == ZERO:
+            continue
+        total = total + c * q ** rho.nstat() / hl.b_factor(rho)
+    return total

@@ -7,10 +7,12 @@ budgets are in test_acceptance.py.
 import pytest
 
 import field_route
+import references
+from references import subs, subs_coeffs
 from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, subs, t
+from deltaq.qfield import ONE, ZERO, q, t
 
 
 def all_hooks(n: int):
@@ -66,7 +68,7 @@ class TestOperators:
         for n in range(1, 5):
             for nu in small_nus(n):
                 full = d.delta_full(sf.s(nu), n, prime=True)
-                assert sf.subs_coeffs(full, t_image=ZERO) == d.delta_prime_t0(
+                assert subs_coeffs(full, t_image=ZERO) == d.delta_prime_t0(
                     sf.s(nu), n
                 )
 
@@ -220,6 +222,13 @@ class TestGeneralNu:
                 for j in range(1, 7):
                     direct, graded = d.schur_principal_eval(nu, j)
                     assert direct == graded, (nu, j)
+
+    def test_charge_content_matches_field_sum(self):
+        # one cancel over (q;q)_k against one field + and / per rho, |nu| <= 6
+        for size in range(1, 7):
+            for nu in partitions_of(size):
+                for k in range(0, size + 2):
+                    assert d.charge_content(nu, k) == references.charge_content(nu, k), (nu, k)
 
     def test_rhs_nu(self):
         for n in range(2, 5):

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from references import dominates, kf_table
+from references import dominates, kf_table, subs, subs_coeffs
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, subs, t
+from deltaq.qfield import ONE, ZERO, q, t
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import kostka_number
 
@@ -112,18 +112,19 @@ class TestHallLittlewoodP:
     def test_q0_is_schur(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                assert sf.subs_coeffs(hl.hl_P(mu), q_image=ZERO) == sf.s(mu)
+                assert subs_coeffs(hl.hl_P(mu), q_image=ZERO) == sf.s(mu)
 
     def test_q1_is_monomial(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                assert sf.subs_coeffs(hl.hl_P(mu), q_image=ONE) == sf.m(mu)
+                assert subs_coeffs(hl.hl_P(mu), q_image=ONE) == sf.m(mu)
 
     def test_inverse_q_variant(self):
-        for mu in partitions_of(4):
-            assert hl.hl_P(mu, inverse_q=True) == sf.subs_coeffs(
-                hl.hl_P(mu), q_image=ONE / q
-            )
+        # the reversed table against substituting 1/q, for every mu with |mu| <= 7
+        for n in range(1, 8):
+            table = hl._p_table_invq(n)
+            for mu in partitions_of(n):
+                assert table[mu] == subs_coeffs(hl.hl_P(mu), q_image=ONE / q), mu
 
     def test_q_normalization(self):
         assert hl.b_factor(Partition((1, 1, 1))) == qfield.qpoch(3)
@@ -180,7 +181,7 @@ class TestModifiedMacdonald:
     def test_conjugation_swaps_parameters(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                swapped = sf.subs_coeffs(
+                swapped = subs_coeffs(
                     hl.modified_macdonald_full(mu.conjugate()), q_image=t, t_image=q
                 )
                 assert hl.modified_macdonald_full(mu) == swapped
@@ -220,7 +221,7 @@ class TestOneParameterSpecializations:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 full = hl.modified_macdonald_full(mu)
-                assert sf.subs_coeffs(full, t_image=ZERO) == hl.modified_macdonald_t0(
+                assert subs_coeffs(full, t_image=ZERO) == hl.modified_macdonald_t0(
                     mu.conjugate()
                 )
 
@@ -228,8 +229,8 @@ class TestOneParameterSpecializations:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 full = hl.modified_macdonald_full(mu)
-                collapsed = sf.subs_coeffs(
-                    sf.subs_coeffs(full, q_image=ZERO), t_image=q
+                collapsed = subs_coeffs(
+                    subs_coeffs(full, q_image=ZERO), t_image=q
                 )
                 assert collapsed == hl.modified_macdonald_t0(mu)
 
@@ -237,10 +238,19 @@ class TestOneParameterSpecializations:
         # cocharge twist: the one-parameter function is q^nstat * H at 1/q
         for n in range(1, 7):
             for mu in partitions_of(n):
-                twisted = sf.subs_coeffs(
+                twisted = subs_coeffs(
                     transformed_H(mu), q_image=ONE / q
                 ).scale(q ** mu.nstat())
                 assert hl.modified_macdonald_t0(mu) == twisted
+
+    def test_t0_reversal_matches_substitution(self):
+        # q^n(mu) K_(lam,mu)(1/q) by reversal against substituting 1/q, |mu| <= 7
+        for n in range(1, 8):
+            for mu in partitions_of(n):
+                want = SymFunc({
+                    lam: q ** mu.nstat() * subs(hl.kostka_foulkes(lam, mu), q_image=ONE / q)
+                    for lam in partitions_of(n)})
+                assert hl.modified_macdonald_t0(mu) == want, mu
 
     def test_t0_top_coefficient(self):
         for n in range(1, 7):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import filter_route
+from references import subs, subs_coeffs
 from deltaq import delta_ops as d, parking, qfield, symfunc as sf
 from deltaq.parking import (
     AsymmetricAggregateError,
@@ -12,7 +13,7 @@ from deltaq.parking import (
     fundamental_monomials,
 )
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, subs, t
+from deltaq.qfield import ONE, ZERO, q, t
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42}
 
@@ -256,7 +257,7 @@ class TestDeltaSideCombinatorial:
             for k in range(1, n + 1):
                 pruned = parking.delta_side_combinatorial(n, k, t_zero=True)
                 full = parking.delta_side_combinatorial(n, k)
-                assert pruned == sf.subs_coeffs(full, t_image=ZERO), (n, k)
+                assert pruned == subs_coeffs(full, t_image=ZERO), (n, k)
                 assert pruned == d.delta_prime_t0(sf.e(k - 1), n), (n, k)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -264,9 +265,9 @@ class TestDeltaSideCombinatorial:
         for k in range(1, n + 1):
             full = parking.delta_side_combinatorial(n, k)
             assert parking.delta_side_combinatorial(n, k, q_zero=True) == \
-                sf.subs_coeffs(full, q_image=ZERO), k
+                subs_coeffs(full, q_image=ZERO), k
             assert parking.delta_side_combinatorial(n, k, t_zero=True, q_zero=True) == \
-                sf.subs_coeffs(full, q_image=ZERO, t_image=ZERO), k
+                subs_coeffs(full, q_image=ZERO, t_image=ZERO), k
 
     def test_matches_monomial_route(self, monkeypatch):
         # the F-aggregate the side straightens, expanded into monomials instead

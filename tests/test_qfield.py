@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import field_route
+from references import subs
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
 from deltaq.qfield import (
@@ -19,7 +20,6 @@ from deltaq.qfield import (
     qpoch,
     qpoch_at,
     render,
-    subs,
     t,
 )
 
@@ -185,6 +185,32 @@ class TestRingRoute:
             for e in range(-4, 5):
                 got, want = qfield.from_poly(poly, e), qfield.FIELD(poly) * q**e
                 assert (got.numer, got.denom) == (want.numer, want.denom), (poly, e)
+
+    @given(st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6),
+           st.integers(-8, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_from_reversed_matches_substitution(self, coeffs, e):
+        poly = qfield.RING.from_dict({(i, 0): c for i, c in coeffs.items() if c})
+        want = subs(qfield.from_poly(poly), q_image=ONE / q) * q**e
+        got = qfield.from_reversed(poly, e)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+
+    @given(_coef_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_swap_qt_matches_substitution(self, f):
+        got, want = qfield.swap_qt(f), subs(f, q_image=t, t_image=q)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+
+    def test_swap_qt_renames_q_to_t(self):
+        # a polynomial, a quotient, and denominators whose leading coefficient
+        # turns negative once q becomes t (lex order puts q first)
+        cases = (q**2 + q, (ONE - q**2) / (ONE - q**3), ONE / (ONE - q),
+                 (q + 2) / (ONE - 3 * q**2), ONE / (q - t), (q - 1) / (t - q**2))
+        for f in cases:
+            got, want = qfield.swap_qt(f), subs(f, q_image=t, t_image=q)
+            assert (got.numer, got.denom) == (want.numer, want.denom), render(f)
+        assert render(qfield.swap_qt(ONE / (ONE - q))) == "(-1)/(t - 1)"
+        assert render(qfield.swap_qt(ONE / (q - t))) == "(-1)/(q - t)"
 
     def test_qpoch_poly_needs_positive_start(self):
         with pytest.raises(ValueError):

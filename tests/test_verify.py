@@ -6,10 +6,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import subs_coeffs
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
 from deltaq.partition import partitions_of
-from deltaq.qfield import ONE, ZERO, PoleError
+from deltaq.qfield import ONE, ZERO, PoleError, q, t
 
 
 class TestRegistry:
@@ -169,6 +170,23 @@ class TestSuiteRunner:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             ver.run_suite("nonsense")
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_nmax_below_one_is_rejected(self, capsys, nmax):
+        # 0 once ran the full default sweep and -1 checked no case at all
+        with pytest.raises(ValueError, match="nmax must be at least 1"):
+            ver.run_suite("qbinom", nmax=nmax)
+        rc = cli.main(["verify", "--suite", "qbinom", "--nmax", str(nmax)])
+        assert rc == 2
+        assert "nmax must be at least 1" in capsys.readouterr().err
+
+    def test_q_to_t_renames_coefficients(self):
+        # deltaconj_q0 compares against the t=0 image with q renamed t
+        f = sf.s((2, 1)).scale(q**2 + q) + sf.s(3).scale(ONE / (ONE - q)) + sf.s((1, 1, 1)).scale(
+            (q + 2) / (ONE - 3 * q**2))
+        assert ver._q_to_t(f) == subs_coeffs(f, q_image=t)
+        image = delta_ops.delta_prime_t0(sf.e(2), 4)
+        assert ver._q_to_t(image) == subs_coeffs(image, q_image=t)
 
     def test_qbinom_suite_small(self):
         reports = ver.run_suite("qbinom", nmax=4)
