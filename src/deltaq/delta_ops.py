@@ -15,8 +15,10 @@ The central objects:
   Hall-Littlewood sums.
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_coeff``,
   ``remmel_sum``) plus the scalar q-binomial identities (``prop31`` .. ``prop33b``)
-  that link them.  Their coefficients are products and sums in ZZ[q]
-  (``qfield.RING``), each side entering Q(q,t) once through ``qfield.from_poly``.
+  that link them.  Their coefficients are products and sums of dense ZZ[q]
+  polynomials (``qfield.QPoly``), each side entering Q(q,t) once through
+  ``qfield.from_poly``; so are the charge contents behind ``rhs_nu`` and the
+  graded side of ``schur_principal_eval``.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -41,7 +43,7 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, ONE, RING, ZERO, from_poly, q, qbinom, qbinom_poly, qpoch,
+from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, q, qbinom, qbinom_poly, qpoch,
                      qpoch_at, qpoch_poly)
 from .symfunc import SymFunc, _as_partition
 
@@ -134,13 +136,13 @@ def lhs_nu(nu, n: int) -> SymFunc:
 # -- hook-indexed closed forms ---------------------------------------------------
 
 def length_graded_P(n: int, length: int) -> SymFunc:
-    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n, summed in RING."""
+    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n, summed in ZZ[q]."""
     table = hl._p_table(n)
-    sums: dict[Partition, object] = {}
+    sums: dict[Partition, QPoly] = {}
     for mu in partitions_of(n, length=length):
-        shift = (mu.nstat(), 0)
+        shift = mu.nstat()
         for lam, c in table[mu].items():
-            sums[lam] = sums.get(lam, RING.zero) + c.mul_monom(shift)
+            sums[lam] = sums.get(lam, 0) + c.shift(shift)
     return SymFunc({lam: from_poly(c) for lam, c in sums.items() if c})
 
 
@@ -189,17 +191,17 @@ def rhs_hook(params: HookParams) -> SymFunc:
     return _graded_sum(params.n, lambda j: rhs_hook_coeff(params, j))
 
 
-def _alternating_term(k: int, i: int):
-    """(-1)^i q^C(i,2) [k+2, i]_q in RING, the z^i term of (z;q)_(k+2).
+def _alternating_term(k: int, i: int) -> QPoly:
+    """(-1)^i q^C(i,2) [k+2, i]_q, the z^i term of (z;q)_(k+2).
 
     Zero unless 0 <= i <= k+2.
     """
-    term = qbinom_poly(k + 2, i).mul_monom((comb(i, 2), 0))
+    term = qbinom_poly(k + 2, i).shift(comb(i, 2))
     return -term if i % 2 else term
 
 
 def _remmel_ring(params: HookParams):
-    """remmel_coeff(s) = c q^e r_s (1 - q^s) over RING: returns (c, e, {s: r_s}).
+    """remmel_coeff(s) = c q^e r_s (1 - q^s) over ZZ[q]: returns (c, e, {s: r_s}).
 
     c = [m-1, k]_q and e = C(k+1, 2) - (k+1) m are shared by every s, and
     r_s = (-1)^i q^C(i,2) [k+2, i]_q with i = m+1-s.  Only the s with a nonzero
@@ -216,7 +218,7 @@ def remmel_coeff(s: int, params: HookParams) -> Coef:
     if s not in terms:
         return ZERO
     poly = c * terms[s]
-    return from_poly(poly - poly.mul_monom((s, 0)), e)
+    return from_poly(poly - poly.shift(s), e)
 
 
 def hook_kernel(n: int, u) -> SymFunc:
@@ -246,18 +248,16 @@ def remmel_sum(params: HookParams) -> SymFunc:
 
 def prop31(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
     """Alternating-sum evaluation (valid for k+2 <= ell <= m+1); returns (lhs, rhs)."""
-    lhs = RING.zero
-    for i in range(0, min(k + 2, m + 1 - ell) + 1):
-        lhs += _alternating_term(k, i) * qbinom_poly(m + 1 - i, ell)
+    lhs = sum((_alternating_term(k, i) * qbinom_poly(m + 1 - i, ell)
+               for i in range(0, min(k + 2, m + 1 - ell) + 1)), QPoly())
     rhs = qbinom_poly(m - k - 1, ell - 2 - k)
     return from_poly(lhs), from_poly(rhs, (k + 2) * (m + 1 - ell))
 
 
 def cor32(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
     """Companion alternating-sum evaluation; returns (lhs, rhs)."""
-    lhs = RING.zero
-    for i in range(0, min(k + 2, m) + 1):
-        lhs += _alternating_term(k, i) * qbinom_poly(m + ell - i, ell)
+    lhs = sum((_alternating_term(k, i) * qbinom_poly(m + ell - i, ell)
+               for i in range(0, min(k + 2, m) + 1)), QPoly())
     rhs = qbinom_poly(m + ell - (k + 2), ell - (k + 2))
     return from_poly(lhs), from_poly(rhs, (k + 2) * m)
 
@@ -268,12 +268,12 @@ def _kernel_moment(params: HookParams, shift: int, length: int) -> Coef:
     Only the windows of prop33a (shift = -length) and prop33b (shift = 1)
     occur.  In both, the factor 1 - q^s of remmel_coeff(s) sits next to the
     window and extends it to (q^(s + min(shift, 0)); q)_(length+1), which is
-    zero once it reaches q^0.  The sum runs over RING and enters Q(q,t) once.
+    zero once it reaches q^0.  The sum runs over ZZ[q] and enters Q(q,t) once.
     """
     if shift not in (1, -length):
         raise ValueError(f"no kernel moment window with shift {shift}, length {length}")
     c, e, terms = _remmel_ring(params)
-    total = RING.zero
+    total = QPoly()
     for s, r in terms.items():
         start = s + min(shift, 0)
         if start >= 1:
@@ -342,16 +342,18 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _charge_poly(nu: Partition, k: int):
-    """(q;q)_k charge_content(nu, k) in RING.
+def _charge_poly(nu: Partition, k: int) -> QPoly:
+    """(q;q)_k times the charge-graded length-k content of s_nu.
 
-    It is sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q, because
+    The content is sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with
+    b_rho the P-to-Q normalization prod_i (q;q)_(m_i(rho)).  Since
     (q;q)_k / b_rho(q) is the q-multinomial of the multiplicities of rho, a
-    product of q-binomials.  Cached: no caller may mutate the polynomial.
+    product of q-binomials, the product lies in ZZ[q]:
+    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q.
     """
-    total = RING.zero
+    total = QPoly()
     for rho in partitions_of(nu.size, length=k):
-        term, top = hl._kf_poly(nu, rho).mul_monom((rho.nstat(), 0)), 0
+        term, top = hl._kf_poly(nu, rho).shift(rho.nstat()), 0
         for m in rho.multiplicities().values():
             top += m
             term = term * qbinom_poly(top, m)
@@ -359,28 +361,20 @@ def _charge_poly(nu: Partition, k: int):
     return total
 
 
-def charge_content(nu: Partition, k: int) -> Coef:
-    """Charge-graded length-k content of s_nu.
-
-    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with b_rho the P-to-Q
-    normalization prod_i (q;q)_(m_i(rho)): ``_charge_poly`` over (q;q)_k, one cancel.
-    """
-    return qfield.FIELD.new(_charge_poly(nu, k), qpoch_poly(1, k))
-
-
 def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
     """Principal evaluation s_nu[1 + q + ... + q^(j-2)] two ways; returns (direct, graded).
 
     direct: evaluate p_k -> (1 - q^(k(j-1)))/(1 - q^k) on the power-sum expansion.
     graded: sum over lengths k of the charge-graded length-k content of s_nu,
-            each paired with the Pochhammer (q^(j-k);q)_k.
+            each paired with the Pochhammer (q^(j-k);q)_k.  As
+            (q^(j-k);q)_k / (q;q)_k = [j-1, k]_q for j >= 1, this is
+            sum_k ``_charge_poly(nu, k)`` [j-1, k]_q, summed in ZZ[q].
     """
     nu = _as_partition(nu)
     direct = sf.evaluate(sf.s(nu), qbinom(j - 1, 1))
-    graded = ZERO
-    for k in range(len(nu), nu.size + 1):
-        graded = graded + charge_content(nu, k) * qpoch_at(j - k, k)
-    return direct, graded
+    graded = sum((_charge_poly(nu, k) * qbinom_poly(j - 1, k)
+                  for k in range(len(nu), nu.size + 1)), QPoly())
+    return direct, from_poly(graded)
 
 
 def rhs_nu(nu, n: int) -> SymFunc:

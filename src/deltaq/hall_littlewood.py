@@ -1,9 +1,10 @@
 """Hall-Littlewood P and Q and the modified Macdonald bases.
 
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
-tableaux, counted as integers into ZZ[q] (``qfield.RING``).  P expands
-through the unitriangular inverse of the Kostka-Foulkes matrix against the
-Schur basis, by back substitution over ZZ[q]; every table entry enters
+tableaux, counted as integers into a dense ZZ[q] polynomial (``qfield.QPoly``).
+P expands through the unitriangular inverse of the Kostka-Foulkes matrix
+against the Schur basis, by back substitution over the same ZZ[q], whose
+products are Kronecker substitutions; every table entry enters
 Q(q,t) once, P_mu[X;q] through ``qfield.from_poly`` and P_mu[X;1/q] through
 ``qfield.from_reversed``, which reverses coefficients instead of
 substituting 1/q.  The two-parameter modified Macdonald
@@ -26,7 +27,7 @@ from sympy.utilities.iterables import multiset_permutations
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import RING, Coef, from_poly, from_reversed, q, t, qpoch
+from .qfield import Coef, QPoly, from_poly, from_reversed, q, t, qpoch
 from .symfunc import SymFunc
 from .tableaux import charge, reading_word, ssyt
 
@@ -34,10 +35,9 @@ MACDONALD_FULL_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
-def _kf_poly(lam: Partition, mu: Partition):
-    """K_(lam,mu)(q) in RING: the charges of the SSYT of shape lam, content mu, counted as ints."""
-    counts = Counter(charge(reading_word(tab)) for tab in ssyt(lam, mu))
-    return RING.from_dict({(c, 0): k for c, k in counts.items()})
+def _kf_poly(lam: Partition, mu: Partition) -> QPoly:
+    """K_(lam,mu)(q): the charges of the SSYT of shape lam, content mu, counted as ints."""
+    return QPoly.from_terms(Counter(charge(reading_word(tab)) for tab in ssyt(lam, mu)))
 
 
 def kostka_foulkes(lam, mu) -> Coef:
@@ -46,12 +46,11 @@ def kostka_foulkes(lam, mu) -> Coef:
 
 
 @lru_cache(maxsize=None)
-def _p_table(n: int) -> dict[Partition, dict[Partition, object]]:
-    """Schur coefficients of P_mu for mu |- n, as {mu: {lam: poly in RING}}.
+def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
+    """Schur coefficients of P_mu for mu |- n, as {mu: {lam: polynomial in ZZ[q]}}.
 
     s_nu = sum_rho K_(nu,rho)(q) P_rho with the Kostka-Foulkes matrix
-    unitriangular over Z[q], so P is its inverse, by back substitution in RING.
-    Cached: no caller may mutate the polynomials.
+    unitriangular over Z[q], so P is its inverse, by back substitution in ZZ[q].
     """
     return symfunc.unitriangular_inverse(n, _kf_poly)
 

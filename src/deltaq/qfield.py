@@ -6,20 +6,29 @@ canonical form this package relies on: numerator and denominator coprime,
 integer coefficients with no common content, denominator leading coefficient
 positive.  Equality of coefficients is therefore plain ``==``.
 
-The q-only scalars are built in the polynomial ring ``RING`` = ZZ[q,t], where
-``+`` and ``*`` run no gcd: ``qbinom_poly`` by the q-Pascal rule and
-``qpoch_poly`` as a product of factors 1 - q^e, both cached.  A value enters
+The q-only scalars and the t=0 tables are built in ``QPoly``, a dense ZZ[q]:
+a list of integer coefficients whose ``+`` and ``-`` run elementwise and
+whose ``*`` is one product of two Python ints, each polynomial packed into an
+int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", arXiv:0712.4046).  ``qpoch_poly`` is a
+product of factors 1 - q^e and ``qbinom_poly`` the product formula with exact
+division by each 1 - q^j, both cached and neither recursive.  A value enters
 Q(q,t) once, as poly * q^e through ``from_poly``, whose only cancellation is
 of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions, and
 ``from_reversed`` is the one for poly(1/q) * q^e: it reverses the coefficients
-instead of substituting 1/q.  ``swap_qt`` exchanges the two variables.
+instead of substituting 1/q.  The sparse ring ``RING`` = ZZ[q,t] is kept for
+what needs both variables: the numerators and denominators of Q(q,t), and
+``swap_qt``, which exchanges them.
 """
 
 from __future__ import annotations
 
 import ast
+import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
+from operator import add, mul, neg, sub
 
 from sympy.polys.domains import ZZ
 from sympy.polys.fields import field as _make_field
@@ -54,32 +63,213 @@ RING = FIELD.ring
 _Q_POLY = RING.gens[0]
 
 
-def from_poly(poly, e: int = 0) -> Coef:
-    """poly * q^e as an element of Q(q,t), for poly in RING and any integer e.
+# -- dense ZZ[q] ----------------------------------------------------------------
+
+#: Products whose shorter factor has at most this many coefficients are summed
+#: term by term; longer ones go through one Kronecker-substituted int product.
+_SCHOOLBOOK = 2
+
+#: struct codes of the signed integer digits that the Kronecker product packs
+#: in one call, by byte width; other widths pack digit by digit.
+_DIGIT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _strip(c: list) -> list:
+    """c without its trailing zeros."""
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return c if end == len(c) else c[:end]
+
+
+def _termwise(op, a: list, b: list) -> list:
+    """op(a_i, b_i) for every i, the shorter of a and b padded with zeros."""
+    n = min(len(a), len(b))
+    out = list(map(op, a, b))
+    out += a[n:]
+    out += map(op, repeat(0), b[n:])
+    return _strip(out)
+
+
+def _kronecker(a: list, b: list) -> list:
+    """The coefficients of a * b, read off one product of two ints (Kronecker substitution).
+
+    Each factor is evaluated at X = 2^(8w) as a sum of signed digits, where w
+    bytes hold ||a||_inf ||b||_inf min(len a, len b) with a sign bit, so no
+    product coefficient c satisfies |c| >= X/2.  With H the int whose every
+    w-byte digit is X/2, adding H makes every digit c + X/2 nonnegative and
+    below X, and xor-ing H then flips each digit's top bit, which leaves the
+    two's complement of c: the digits unpack as signed ints.  Packing runs the
+    same two steps backwards.
+    """
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    width = next((size for size in _DIGIT_CODES if size >= width), width)
+    code = _DIGIT_CODES.get(width)
+    top = bytes(width - 1) + b"\x80"
+
+    def pack(x: list) -> int:
+        half = int.from_bytes(top * len(x), "little")
+        if code:
+            raw = struct.pack(f"<{len(x)}{code}", *x)
+        else:
+            raw = b"".join(v.to_bytes(width, "little", signed=True) for v in x)
+        return (int.from_bytes(raw, "little") ^ half) - half
+
+    n = len(a) + len(b) - 1
+    half = int.from_bytes(top * n, "little")
+    raw = ((pack(a) * pack(b) + half) ^ half).to_bytes(n * width, "little")
+    if code:
+        return list(struct.unpack(f"<{n}{code}", raw))
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, n * width, width)]
+
+
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > _SCHOOLBOOK:
+        return _kronecker(a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = map(add, out[i:i + len(b)], map(mul, b, repeat(x)))
+    return out
+
+
+def _coeffs(x):
+    """The coefficient list of a QPoly or an int; NotImplemented for anything else."""
+    if isinstance(x, QPoly):
+        return x.c
+    if isinstance(x, int):
+        return [x] if x else []
+    return NotImplemented
+
+
+def _wrap(c: list) -> QPoly:
+    """A QPoly holding c, which must have no trailing zero."""
+    poly = object.__new__(QPoly)
+    poly.c = c
+    return poly
+
+
+def _operator(op, reflected: bool = False):
+    """The QPoly method self op other (other op self if reflected), other a QPoly or an int."""
+    def method(self, other):
+        b = _coeffs(other)
+        if b is NotImplemented:
+            return b
+        return _wrap(op(b, self.c) if reflected else op(self.c, b))
+    return method
+
+
+class QPoly:
+    """An element of ZZ[q], dense: ``c[i]`` is the coefficient of q^i.
+
+    ``c`` has no trailing zero, so the zero polynomial is ``[]``.  ``+``, ``-``
+    and ``*`` take a QPoly or an int on either side; ``*`` is one Kronecker
+    product (``_kronecker``) unless a factor has at most ``_SCHOOLBOOK``
+    coefficients.  Values are immutable by contract: no operation changes
+    ``c`` in place and no caller may, because polynomials are shared, not
+    least by the caches of ``qpoch_poly`` and ``qbinom_poly``.  ``c`` is a
+    list rather than a tuple because every operation frees short
+    intermediates, and freed tuples of up to 20 items stay in CPython's
+    per-size free lists: about 1 MiB more peak memory on a sweep of
+    q-binomial identities.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=()):
+        self.c = _strip(list(coeffs))
+
+    @classmethod
+    def from_terms(cls, terms: dict[int, int]) -> QPoly:
+        """sum c q^e over the items e: c of terms, every e >= 0."""
+        c = [0] * (max(terms, default=-1) + 1)
+        for e, v in terms.items():
+            c[e] += v
+        return cls(c)
+
+    def shift(self, e: int) -> QPoly:
+        """q^e times self, for e >= 0."""
+        return _wrap([0] * e + self.c) if self.c else self
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __eq__(self, other) -> bool:
+        return self.c == _coeffs(other)
+
+    def __neg__(self) -> QPoly:
+        return _wrap(list(map(neg, self.c)))
+
+    __add__ = __radd__ = _operator(partial(_termwise, add))
+    __sub__ = _operator(partial(_termwise, sub))
+    __rsub__ = _operator(partial(_termwise, sub), reflected=True)
+    __mul__ = __rmul__ = _operator(_mul)
+
+    def __repr__(self) -> str:
+        return f"QPoly({self.c})"
+
+
+def _times_one_minus(c: list, e: int) -> list:
+    """c * (1 - q^e), for e >= 1, in one pass (``poly - poly.shift(e)`` takes three)."""
+    out = list(c) + [0] * e
+    out[e:] = map(sub, out[e:], c)
+    return out
+
+
+def _over_one_minus(c: list, j: int) -> list:
+    """c / (1 - q^j), for j >= 1 and c divisible by 1 - q^j.
+
+    The quotient r satisfies r_i = c_i + r_(i-j): a running sum along each
+    residue class of exponents mod j.  Its top j coefficients vanish.
+    """
+    out = list(c)
+    for s in range(j):
+        out[s::j] = accumulate(c[s::j])
+    return out[:len(c) - j]
+
+
+def from_poly(poly: QPoly, e: int = 0) -> Coef:
+    """poly * q^e as an element of Q(q,t), for any integer e.
 
     The canonical form is reached without a gcd: the denominator is the least
     power of q that makes the numerator a polynomial.
     """
+    c = poly.c
+    if not c:
+        return ZERO
+    low = next(i for i, v in enumerate(c) if v)
+    d = max(0, -e - low)
+    # RING.dtype builds the element without converting each coefficient again
+    numer = RING.dtype({(i + e + d, 0): ZZ.dtype(v) for i, v in enumerate(c) if v})
+    return FIELD.raw_new(numer, _Q_POLY**d)
+
+
+def from_reversed(poly: QPoly, e: int) -> Coef:
+    """poly(1/q) * q^e as an element of Q(q,t).
+
+    With d the q-degree of poly, poly(1/q) = q^(-d) rev(poly), where rev
+    reverses the coefficients; the value is from_poly(rev(poly), e - d).
+    """
     if not poly:
         return ZERO
-    d = max(0, -e - min(eq_ for eq_, _ in poly.itermonoms()))
-    if e + d:
-        poly = poly.mul_monom((e + d, 0))
-    return FIELD.raw_new(poly, _Q_POLY**d)
+    return from_poly(QPoly(poly.c[::-1]), e - len(poly.c) + 1)
 
 
 @lru_cache(maxsize=None)
-def qpoch_poly(s: int, m: int):
-    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)) in RING, for s >= 1 and m >= 0.
-
-    Cached: every caller shares the returned polynomial, so none may mutate it.
-    """
+def qpoch_poly(s: int, m: int) -> QPoly:
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), for s >= 1 and m >= 0."""
     if s < 1 or m < 0:
         raise ValueError(f"need s >= 1 and m >= 0, got s={s}, m={m}")
-    if m == 0:
-        return RING.one
-    rest = qpoch_poly(s, m - 1)
-    return rest - rest.mul_monom((s + m - 1, 0))
+    c = [1]
+    for e in range(s, s + m):
+        c = _times_one_minus(c, e)
+    return _wrap(c)
 
 
 def qpoch_at(s: int, m: int) -> Coef:
@@ -101,34 +291,25 @@ def qpoch(m: int) -> Coef:
 
 
 @lru_cache(maxsize=None)
-def qbinom_poly(a: int, b: int):
-    """Gaussian binomial [a, b]_q in RING; zero outside 0 <= b <= a.
+def qbinom_poly(a: int, b: int) -> QPoly:
+    """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a.
 
-    Built by the q-Pascal rule [a, b] = [a-1, b-1] + q^b [a-1, b] and cached
-    like ``qpoch_poly``: no caller may mutate the returned polynomial.
+    By the product formula [a, b] = prod_{j=1}^{b} (1 - q^(a-b+j)) / (1 - q^j),
+    one factor of each at a time, so every partial product is the polynomial
+    [a-b+j, j]_q; b is first replaced by the smaller of b and a - b.
     """
     if b < 0 or b > a:
-        return RING.zero
-    if b == 0 or b == a:
-        return RING.one
-    return qbinom_poly(a - 1, b - 1) + qbinom_poly(a - 1, b).mul_monom((b, 0))
+        return QPoly()
+    b = min(b, a - b)
+    c = [1]
+    for j in range(1, b + 1):
+        c = _over_one_minus(_times_one_minus(c, a - b + j), j)
+    return _wrap(c)
 
 
 def qbinom(a: int, b: int) -> Coef:
     """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a."""
     return from_poly(qbinom_poly(a, b))
-
-
-def from_reversed(poly, e: int) -> Coef:
-    """poly(1/q) * q^e as an element of Q(q,t), for poly in RING.
-
-    With d the q-degree of poly, poly(1/q) = q^(-d) rev(poly), where rev
-    reverses the q-coefficients; the value is from_poly(rev(poly), e - d).
-    """
-    if not poly:
-        return ZERO
-    d = poly.degree()
-    return from_poly(RING.from_dict({(d - i, j): c for (i, j), c in poly.items()}), e - d)
 
 
 def swap_qt(f: Coef) -> Coef:

@@ -473,7 +473,7 @@ def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) ->
     until each Schur coefficient is built once; exponents are nonnegative.
     """
     return SymFunc({
-        lam: qfield.from_poly(qfield.RING.from_dict({k: c for k, c in coeffs.items() if c}))
+        lam: qfield.FIELD.raw_new(qfield.RING.from_dict(coeffs))
         for lam, coeffs in straighten_aggregate(agg).items()
     })
 

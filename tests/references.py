@@ -1,8 +1,9 @@
 """Reference helpers shared by several test files; the package itself needs none of them."""
 
-from deltaq import hall_littlewood as hl
+from deltaq import delta_ops, hall_littlewood as hl
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, Coef, PoleError, coef, q, render, t
+from deltaq.qfield import (ONE, RING, ZERO, Coef, PoleError, QPoly, coef, from_poly, q, qpoch,
+                           render, t)
 from deltaq.symfunc import SymFunc
 
 
@@ -24,6 +25,11 @@ def kf_table(n: int) -> dict:
     """All Kostka-Foulkes polynomials in degree n (zeros included), keyed (lam, mu)."""
     parts = partitions_of(n)
     return {(lam, mu): hl.kostka_foulkes(lam, mu) for lam in parts for mu in parts}
+
+
+def to_ring(poly: QPoly):
+    """A dense ZZ[q] polynomial as the same element of the sparse ``qfield.RING``."""
+    return RING.from_dict({(i, 0): c for i, c in enumerate(poly.c) if c})
 
 
 # -- substitution: an evaluator independent of the package's reversal and swap --
@@ -65,7 +71,16 @@ def subs_coeffs(f: SymFunc, q_image=None, t_image=None) -> SymFunc:
 
 
 def charge_content(nu: Partition, k: int) -> Coef:
-    """sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), one field + and / per rho."""
+    """Charge-graded length-k content of s_nu: delta_ops._charge_poly over (q;q)_k, one cancel.
+
+    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with b_rho the P-to-Q
+    normalization prod_i (q;q)_(m_i(rho)).
+    """
+    return from_poly(delta_ops._charge_poly(nu, k)) / qpoch(k)
+
+
+def charge_content_field_sum(nu: Partition, k: int) -> Coef:
+    """The same content, one field + and / per rho."""
     total = ZERO
     for rho in partitions_of(nu.size, length=k):
         c = hl.kostka_foulkes(nu, rho)

@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from references import dominates, kf_table, subs, subs_coeffs
+from references import dominates, kf_table, subs, subs_coeffs, to_ring
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import ONE, ZERO, q, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import kostka_number
+from deltaq.tableaux import charge, kostka_number, reading_word, ssyt
 
 
 def transformed_H(mu) -> SymFunc:
@@ -107,6 +107,18 @@ class TestKostkaFoulkes:
             q**2 + q**3
         )
 
+    def test_dense_table_matches_ring_counts(self):
+        # _kf_poly against q^charge summed in qfield.RING and against kf_table, |mu| <= 7
+        q_ring = qfield.RING.gens[0]
+        for n in range(1, 8):
+            table = kf_table(n)
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    counted = sum((q_ring ** charge(reading_word(tab)) for tab in ssyt(lam, mu)),
+                                  qfield.RING.zero)
+                    dense = to_ring(hl._kf_poly(lam, mu))
+                    assert dense == counted == table[(lam, mu)].numer, (lam, mu)
+
 
 class TestHallLittlewoodP:
     def test_q0_is_schur(self):
@@ -118,6 +130,16 @@ class TestHallLittlewoodP:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 assert subs_coeffs(hl.hl_P(mu), q_image=ONE) == sf.m(mu)
+
+    def test_p_table_matches_ring_back_substitution(self):
+        # every entry of the dense table against the same back substitution over
+        # qfield.RING from the Kostka-Foulkes numerators of kf_table, |mu| <= 7
+        for n in range(1, 8):
+            table = kf_table(n)
+            want = sf.unitriangular_inverse(n, lambda a, b: table[(a, b)].numer)
+            got = {mu: {lam: to_ring(c) for lam, c in row.items()}
+                   for mu, row in hl._p_table(n).items()}
+            assert got == want, n
 
     def test_inverse_q_variant(self):
         # the reversed table against substituting 1/q, for every mu with |mu| <= 7

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import field_route
-from references import subs
+from references import subs, to_ring
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
 from deltaq.qfield import (
     ONE,
     ZERO,
     PoleError,
+    QPoly,
     coef,
     parse,
     q,
@@ -181,17 +182,17 @@ class TestRingRoute:
 
     def test_from_poly_is_canonical(self):
         # the numerator and denominator sympy's own cancellation produces
-        for poly in (qfield.RING.zero, qfield.RING.one, 3 * qfield.RING.gens[0] ** 2 - 6):
+        for poly in (QPoly(), QPoly([1]), QPoly([-6, 0, 3]), QPoly([0, 0, 2, -1])):
             for e in range(-4, 5):
-                got, want = qfield.from_poly(poly, e), qfield.FIELD(poly) * q**e
+                got, want = qfield.from_poly(poly, e), qfield.FIELD(to_ring(poly)) * q**e
                 assert (got.numer, got.denom) == (want.numer, want.denom), (poly, e)
 
     @given(st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6),
            st.integers(-8, 8))
     @settings(max_examples=60, deadline=None)
     def test_from_reversed_matches_substitution(self, coeffs, e):
-        poly = qfield.RING.from_dict({(i, 0): c for i, c in coeffs.items() if c})
-        want = subs(qfield.from_poly(poly), q_image=ONE / q) * q**e
+        poly = QPoly.from_terms(coeffs)
+        want = subs(qfield.FIELD(to_ring(poly)), q_image=ONE / q) * q**e
         got = qfield.from_reversed(poly, e)
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
@@ -215,6 +216,79 @@ class TestRingRoute:
     def test_qpoch_poly_needs_positive_start(self):
         with pytest.raises(ValueError):
             qfield.qpoch_poly(0, 2)
+
+    def test_long_products_need_no_recursion(self):
+        # [a, b]_q (q;q)_c = (q^(a-c+1);q)_c, c = min(b, a-b), a far past the recursion limit
+        for a, b in ((2000, 3), (1201, 5), (3000, 2998)):
+            product = qfield.qbinom_poly(a, b) * qfield.qpoch_poly(1, min(b, a - b))
+            assert product == qfield.qpoch_poly(max(b, a - b) + 1, min(b, a - b)), (a, b)
+
+
+# coefficients from one bit to above 2^64, so every digit width of the product occurs
+_coefficients = st.integers(0, 80).flatmap(lambda bits: st.integers(-2**bits, 2**bits))
+_qpolys = st.one_of(
+    st.lists(_coefficients, max_size=40).map(QPoly),
+    st.builds(lambda e, c: QPoly.from_terms({e: c}), st.integers(0, 30), _coefficients),
+)
+
+
+class TestQPoly:
+    """The dense ZZ[q] type against sympy's sparse ``qfield.RING``."""
+
+    def test_normal_form(self):
+        assert QPoly([1, 2, 0, 0]).c == [1, 2]
+        assert QPoly([0, 0]).c == [] and not QPoly([0, 0])
+        assert QPoly.from_terms({3: 2, 0: -1}) == QPoly([-1, 0, 0, 2])
+        assert QPoly([5]) == 5 and QPoly() == 0
+
+    @given(_qpolys, _qpolys)
+    @settings(max_examples=300, deadline=None)
+    def test_product(self, a, b):
+        assert to_ring(a * b) == to_ring(a) * to_ring(b)
+
+    @given(_qpolys, _coefficients)
+    @settings(max_examples=60, deadline=None)
+    def test_int_product(self, a, k):
+        assert to_ring(a * k) == to_ring(k * a) == to_ring(a) * k
+
+    def test_products_across_the_schoolbook_cutoff(self):
+        big = 2**70 + 3
+        for la in range(1, 6):
+            for lb in range(1, 12):
+                a = QPoly([(-1) ** i * (i + 2) for i in range(la)])
+                b = QPoly([big - 7 * j for j in range(lb)])
+                assert to_ring(a * b) == to_ring(a) * to_ring(b), (la, lb)
+
+    @given(_qpolys, _qpolys)
+    @settings(max_examples=150, deadline=None)
+    def test_sum_and_difference(self, a, b):
+        ra, rb = to_ring(a), to_ring(b)
+        assert to_ring(a + b) == ra + rb
+        assert to_ring(a - b) == ra - rb
+        assert to_ring(a - a) == qfield.RING.zero and not a - a
+        assert to_ring(-a) == -ra
+        assert (a == b) == (ra == rb)
+
+    @given(_qpolys, _coefficients)
+    @settings(max_examples=60, deadline=None)
+    def test_int_sum_and_difference(self, a, k):
+        assert to_ring(k - a) == k - to_ring(a)
+        assert to_ring(a - k) == to_ring(a) - k
+        assert to_ring(k + a) == to_ring(a + k) == to_ring(a) + k
+
+    @given(_qpolys, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_shift(self, a, e):
+        assert to_ring(a.shift(e)) == to_ring(a).mul_monom((e, 0))
+
+    @given(_qpolys, st.integers(-40, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_entries_into_the_field(self, a, e):
+        ra = qfield.FIELD(to_ring(a))
+        got, want = qfield.from_poly(a, e), ra * q**e
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+        got, want = qfield.from_reversed(a, e), subs(ra, q_image=ONE / q) * q**e
+        assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
 def qbinom_hook(n: int, shape):

@@ -243,6 +243,14 @@ class TestCli:
         assert rc == 1
         assert "mismatch" in out
 
+    @pytest.mark.parametrize("identity, params",
+                             [("prop31", "k=0,m=1500,ell=3"), ("cor32", "k=1,m=1200,ell=4")])
+    def test_verify_deep_q_binomials(self, capsys, identity, params):
+        # q-binomials with a thousand or more factors build without deep recursion
+        rc = cli.main(["verify", "--id", identity, "--params", params])
+        assert rc == 0
+        assert "total 1: 1 equal, 0 mismatch, 0 skipped" in capsys.readouterr().out
+
     def test_verify_params_fit_one_identity(self, capsys):
         # ghry23 of the kernels suite takes k, but --id eq12 selects only eq12
         rc = cli.main(["verify", "--suite", "kernels", "--id", "eq12", "--params", "n=4,i=2"])
