@@ -10,8 +10,8 @@ Subcommands:
 Every subcommand reports invalid input (a ``ValueError``, such as a malformed
 ``--params``) as ``error: <message>`` on stderr and exits with status 2.
 ``verify --params`` must give every key of each selected identity's first
-default case; otherwise it names each identity that does not fit and exits
-with status 2 before running any case.
+default case, each an int or a list as there; otherwise it names each
+identity that does not fit and exits with status 2 before running any case.
 ``verify`` turns each case's own exception into an ``error`` report instead and
 exits with status 1 when any case mismatches or errors.
 """
@@ -69,10 +69,17 @@ def _parse_mu(text: str) -> Partition:
     return parse_partition(text)
 
 
-def _unfit(ids, params: dict) -> list[str]:
-    """'<id> needs <keys> in --params' for each identity that params does not fit.
+def _misshapen(key: str, value, want_list: bool) -> str | None:
+    """'<key> as <shape>, got <value>' if a --params value is not a list (want_list) or an int."""
+    if isinstance(value, list) != want_list:
+        return f"{key} as {'a list such as [2,1]' if want_list else 'an int'}, got {value}"
+    return None
 
-    The keys an identity needs are those of its first default case.
+
+def _unfit(ids, params: dict) -> list[str]:
+    """'<id> needs <keys> in --params' or '<id> needs <key> as <shape>' per unfit identity.
+
+    An identity needs the keys of its first default case, each of the same shape.
     """
     out = []
     for name in ids:
@@ -80,6 +87,8 @@ def _unfit(ids, params: dict) -> list[str]:
         missing = [key for key in case if key not in params]
         if missing:
             out.append(f"{name} needs {', '.join(missing)} in --params")
+        out += [f"{name} needs {shape}" for key, value in case.items() if key in params
+                and (shape := _misshapen(key, params[key], isinstance(value, list)))]
     return out
 
 
@@ -114,11 +123,8 @@ def _required(params: dict, what: str, *names: str) -> list:
     if missing:
         raise ValueError(f"--what {what} needs {', '.join(missing)} in --params")
     for name in names:
-        value = params[name]
-        if name == "nu" and not isinstance(value, list):
-            raise ValueError(f"--what {what} needs nu as a list such as [2,1], got {value}")
-        if name != "nu" and not isinstance(value, int):
-            raise ValueError(f"--what {what} needs {name} as an int, got {value}")
+        if shape := _misshapen(name, params[name], name == "nu"):
+            raise ValueError(f"--what {what} needs {shape}")
     return [params[name] for name in names]
 
 

@@ -8,8 +8,9 @@ The central objects:
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
   Hall-Littlewood / Macdonald expansions of ``e_n``.  The eigenvalue on H~_mu
   is ``symfunc.evaluate`` of f at the alphabet B_mu (minus 1 when primed), one
-  element of Q(q,t); at t=0 it depends only on l(mu) and is computed once per
-  length.
+  element of Q(q,t).  At t=0 it depends only on l(mu), and every t=0 side is one
+  ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
+  H~_mu over their weights, or of q^(n(mu)) P_mu in ZZ[q], read at q or 1/q.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.
@@ -34,7 +35,7 @@ The central objects:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -43,8 +44,8 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, q, qbinom, qbinom_poly, qpoch,
-                     qpoch_at, qpoch_poly)
+from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, from_reversed, q, qbinom,
+                     qbinom_poly, qpoch, qpoch_at, qpoch_poly)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -75,18 +76,45 @@ class HookParams:
 
 # -- Delta operators ------------------------------------------------------------
 
-def _per_length(n: int, coeff: Callable[[int], Coef]) -> Iterator[tuple[Partition, Coef]]:
-    """(mu, coeff(l(mu))) over the partitions mu of n, in order.
+@lru_cache(maxsize=None)
+def _graded_P(n: int, convert: Callable[[QPoly, int], Coef]) -> dict[int, SymFunc]:
+    """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, summed in ZZ[q].
 
-    coeff is called once per length; lengths with a zero coefficient are skipped.
+    ``convert`` takes each summed Schur coefficient into Q(q,t) once:
+    ``from_poly`` gives these sums, and ``from_reversed`` the same polynomials
+    read at 1/q, which are sum_{l(mu)=l} q^(-n(mu)) P_mu[X;1/q].
     """
-    by_length: dict[int, Coef] = {}
+    table = hl._p_table(n)
+    sums: dict[int, dict[Partition, QPoly]] = {}
     for mu in partitions_of(n):
-        ell = len(mu)
-        if ell not in by_length:
-            by_length[ell] = coeff(ell)
-        if by_length[ell] != ZERO:
-            yield mu, by_length[ell]
+        row, shift = sums.setdefault(len(mu), {}), mu.nstat()
+        for lam, c in table[mu].items():
+            row[lam] = row.get(lam, 0) + c.shift(shift)
+    return {ell: SymFunc({lam: convert(c, 0) for lam, c in row.items()})
+            for ell, row in sums.items()}
+
+
+@lru_cache(maxsize=None)
+def _t0_operator_table(n: int) -> dict[int, SymFunc]:
+    """{l: sum_{l(mu)=l} (q;q)_l / w_t0(mu) H~_mu(X;q,0)} over the partitions mu of n.
+
+    With E(mu) the exponent of q in w_t0(mu), (q;q)_l / w_t0(mu) is
+    (-1)^(n-l) q^(-E(mu)) [l; m(mu)]_q, and H~_mu has the Schur coefficients
+    q^(n(mu)) K_(lam,mu)(1/q).  As q-multinomials are palindromic, the s_lam
+    coefficient is (-1)^(n-l) q^(C(l,2)-n+l) C(1/q), C = _charge_poly(lam, l).
+    """
+    return {ell: SymFunc({lam: from_reversed(-c if (n - ell) % 2 else c, comb(ell, 2) - n + ell)
+                          for lam in partitions_of(n) if (c := _charge_poly(lam, ell))})
+            for ell in range(1, n + 1)}
+
+
+def _table_sum(table: dict[int, SymFunc], coeff: Callable[[int], Coef]) -> SymFunc:
+    """sum_l coeff(l) table[l], with coeff called once per length and zero terms skipped."""
+    total = sf.zero()
+    for ell, part in table.items():
+        if (c := coeff(ell)) != ZERO:
+            total = total + part.scale(c)
+    return total
 
 
 def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
@@ -95,15 +123,12 @@ def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
     e_n = sum_mu (1-q) Pi'_mu B_mu / w_mu H~_mu over the t=0 modified
     Macdonald functions, and the operator scales H~_mu by f[B_mu - 1].  At
     t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
-    l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So f[q + ... + q^(l-1)] (q;q)_l
-    is computed once per length l, and each H~_mu is scaled by it over w_mu.
+    l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So the image is
+    sum_l f[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = sf.zero()
-    for mu, c in _per_length(n, lambda ell: sf.evaluate(f, qbinom(ell, 1) - ONE) * qpoch(ell)):
-        total = total + hl.modified_macdonald_t0(mu).scale(c / hl.w_t0(mu))
-    return total
+    return _table_sum(_t0_operator_table(n), lambda ell: sf.evaluate(f, qbinom(ell, 1) - ONE))
 
 
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
@@ -135,17 +160,6 @@ def lhs_nu(nu, n: int) -> SymFunc:
 
 # -- hook-indexed closed forms ---------------------------------------------------
 
-def length_graded_P(n: int, length: int) -> SymFunc:
-    """sum_{l(mu)=length} q^(n(mu)) P_mu[X;q] over the partitions mu of n, summed in ZZ[q]."""
-    table = hl._p_table(n)
-    sums: dict[Partition, QPoly] = {}
-    for mu in partitions_of(n, length=length):
-        shift = mu.nstat()
-        for lam, c in table[mu].items():
-            sums[lam] = sums.get(lam, 0) + c.shift(shift)
-    return SymFunc({lam: from_poly(c) for lam, c in sums.items() if c})
-
-
 def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
     """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
     k, m = params.k, params.m
@@ -154,32 +168,13 @@ def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
         m + comb(k + 1, 2))
 
 
-def _length_sum(n: int, coeff: Callable[[int], Coef]) -> SymFunc:
-    """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q] over the partitions mu of n (the 1/q table)."""
-    table = hl._p_table_invq(n)
-    total = sf.zero()
-    for mu, c in _per_length(n, coeff):
-        total = total + table[mu].scale(c * q ** -mu.nstat())
-    return total
-
-
-def _graded_sum(n: int, coeff: Callable[[int], Coef]) -> SymFunc:
-    """sum_l coeff(l) length_graded_P(n, l) over the lengths l = 1..n."""
-    total = sf.zero()
-    for ell in range(1, n + 1):
-        c = coeff(ell)
-        if c != ZERO:
-            total = total + length_graded_P(n, ell).scale(c)
-    return total
-
-
 def lhs_hook_closed(params: HookParams) -> SymFunc:
     """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
-    return _length_sum(params.n, lambda ell: lhs_hook_coeff(params, ell))
+    return _table_sum(_graded_P(params.n, from_reversed), lambda ell: lhs_hook_coeff(params, ell))
 
 
 def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
-    """Coefficient of length_graded_P(n, j) in rhs_hook."""
+    """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook."""
     k, m = params.k, params.m
     return from_poly(
         qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
@@ -188,7 +183,7 @@ def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
 
 def rhs_hook(params: HookParams) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of the same hook image."""
-    return _graded_sum(params.n, lambda j: rhs_hook_coeff(params, j))
+    return _table_sum(_graded_P(params.n, from_poly), lambda j: rhs_hook_coeff(params, j))
 
 
 def _alternating_term(k: int, i: int) -> QPoly:
@@ -302,12 +297,12 @@ def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
 def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of h_n[X(1-q^i)]/(1-q^i).
 
-    inverse_q False (eq12): sum_l (q^(i-l+1);q)_(l-1) length_graded_P(n, l)
-    inverse_q True (eq16):  sum_mu q^(-n(mu)) (q^(i+1);q)_(l-1) P_mu[X;1/q], l = l(mu)
+    inverse_q False (eq12): sum_mu (q^(i-l+1);q)_(l-1) q^(n(mu)) P_mu[X;q], l = l(mu)
+    inverse_q True (eq16):  sum_mu (q^(i+1);q)_(l-1) q^(-n(mu)) P_mu[X;1/q], l = l(mu)
     """
     if inverse_q:
-        return _length_sum(n, lambda ell: qpoch_at(i + 1, ell - 1))
-    return _graded_sum(n, lambda ell: qpoch_at(i - ell + 1, ell - 1))
+        return _table_sum(_graded_P(n, from_reversed), lambda ell: qpoch_at(i + 1, ell - 1))
+    return _table_sum(_graded_P(n, from_poly), lambda ell: qpoch_at(i - ell + 1, ell - 1))
 
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:
@@ -321,9 +316,10 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     left:  sum_mu q^(-n(mu)) [l(mu)-1 choose k-1]_q (q;q)_(l(mu)) P_mu[X;1/q]
     right: q^(-k(k-1)) (q;q)_k sum_{l(mu)=k} q^(n(mu)) P_mu[X;q]
     """
-    left = _length_sum(n, lambda ell: from_poly(qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell)))
-    right = length_graded_P(n, k).scale(from_poly(qpoch_poly(1, k), -k * (k - 1)))
-    return left, right
+    left = _table_sum(_graded_P(n, from_reversed),
+                      lambda ell: from_poly(qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell)))
+    right = _graded_P(n, from_poly).get(k, sf.zero())
+    return left, right.scale(from_poly(qpoch_poly(1, k), -k * (k - 1)))
 
 
 # -- general-nu expansions ----------------------------------------------------------
@@ -334,10 +330,8 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
     nu = _as_partition(nu)
-    snu = sf.s(nu)
-    total = _length_sum(
-        n, lambda ell: sf.evaluate(snu, qbinom(ell - 1, 1)) * qpoch(ell)
-    )
+    total = _table_sum(_graded_P(n, from_reversed),
+                       lambda ell: sf.evaluate(sf.s(nu), qbinom(ell - 1, 1)) * qpoch(ell))
     return total.scale(q ** nu.size)
 
 
@@ -385,7 +379,7 @@ def rhs_nu(nu, n: int) -> SymFunc:
     The first two factors are ``_charge_poly(nu, k)``.
     """
     nu = _as_partition(nu)
-    total = _graded_sum(n, lambda ell: from_poly(
+    total = _table_sum(_graded_P(n, from_poly), lambda ell: from_poly(
         _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), -ell * (ell - 1)))
     return total.scale(q ** nu.size)
 

@@ -12,9 +12,9 @@ functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
 standard fillings: ``filling_aggregates`` counts them as integer
 F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
 functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
-point mod p.  Their one-parameter specialization used
-throughout the Delta-operator pipeline has the cocharge coefficients
-q^n(mu) K_(lam,mu)(1/q), again by reversal.
+point mod p.  Their one-parameter specialization H~_mu(X;q,0), which ``deltaq
+expand --what Htilde0`` prints and ``delta_ops`` sums by length straight from
+the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def hl_Q(mu) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def modified_macdonald_t0(mu) -> SymFunc:
-    """One-parameter modified Macdonald function used by the t=0 Delta pipeline.
+    """One-parameter modified Macdonald function H~_mu(X;q,0).
 
     Schur coefficients are q^nstat(mu) * K_(lam,mu)(1/q), the cocharge
     Kostka-Foulkes polynomials, each by reversing K_(lam,mu)(q).

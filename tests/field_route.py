@@ -3,14 +3,17 @@
 Every value here is built by Q(q,t) arithmetic, one gcd-normalized ``*`` or
 ``+`` at a time: a Pochhammer symbol as the product of its factors, a
 q-binomial as a quotient of Pochhammer symbols, a kernel moment as the
-literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window, and
+literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window,
 f[XA] or f[A] as the power-sum expansion of f with each p_rho scaled by
-p_rho[A] and mapped back to Schur functions term by term.
+p_rho[A] and mapped back to Schur functions term by term, and the t=0
+Hall-Littlewood sides one partition mu at a time: each H~_mu(X;q,0) over its
+weight w_t0(mu), each P_mu[X;1/q] times q^(-n(mu)).
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
-values in ZZ[q,t] and convert once; the tests require both routes to agree.
+values in ZZ[q,t] and convert once, or sum them by length first; the tests
+require both routes to agree.
 """
 
-from deltaq import qfield, symfunc as sf
+from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams, remmel_coeff
 from deltaq.partition import partitions_of
 from deltaq.qfield import FIELD, ONE, ZERO, q
@@ -82,3 +85,32 @@ def plethysm(f, alphabet):
 def evaluate(f, alphabet):
     """f[A], one field addition per power-sum term."""
     return sum(power_images(f, alphabet).values(), ZERO)
+
+
+def operator_table(n: int, ell: int):
+    """sum_{l(mu)=ell} (q;q)_ell / w_t0(mu) H~_mu(X;q,0), one partition mu of n at a time."""
+    total = sf.zero()
+    for mu in partitions_of(n, length=ell):
+        total = total + hl.modified_macdonald_t0(mu).scale(qpoch_at(1, ell) / hl.w_t0(mu))
+    return total
+
+
+def delta_prime_t0(f, n: int):
+    """sum_mu c_l / w_t0(mu) H~_mu(X;q,0), one mu at a time, l = l(mu).
+
+    c_l = f[q + ... + q^(l-1)] (q;q)_l is the primed eigenvalue times (1-q) Pi'_mu B_mu.
+    """
+    c = {ell: evaluate(f, qbinom(ell, 1) - ONE) * qpoch_at(1, ell) for ell in range(1, n + 1)}
+    total = sf.zero()
+    for mu in partitions_of(n):
+        total = total + hl.modified_macdonald_t0(mu).scale(c[len(mu)] / hl.w_t0(mu))
+    return total
+
+
+def length_sum_invq(n: int, coeff):
+    """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q], one ``_p_table_invq`` entry at a time."""
+    table = hl._p_table_invq(n)
+    total = sf.zero()
+    for mu in partitions_of(n):
+        total = total + table[mu].scale(coeff(len(mu)) * q ** -mu.nstat())
+    return total

@@ -179,6 +179,47 @@ class TestRingRoute:
                 assert d.remmel_coeff(s, params) == want, (params, s)
 
 
+class TestLengthTables:
+    """The length-graded t=0 tables and the sums over them against the per-mu field route."""
+
+    def test_operator_table_matches_per_mu_sum(self):
+        for n in range(1, 9):
+            table = d._t0_operator_table(n)
+            assert sorted(table) == list(range(1, n + 1))
+            for ell, part in table.items():
+                assert part == field_route.operator_table(n, ell), (n, ell)
+
+    def test_delta_prime_t0_matches_per_mu_route(self):
+        for n in range(1, 8):
+            for size in range(1, n + 1):
+                for nu in partitions_of(size):
+                    f = sf.s(nu)
+                    assert d.delta_prime_t0(f, n) == field_route.delta_prime_t0(f, n), (nu, n)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                f = sf.e(k - 1)
+                assert d.delta_prime_t0(f, n) == field_route.delta_prime_t0(f, n), (n, k)
+
+    def test_inverse_q_sides_match_per_mu_route(self):
+        for n in range(1, 8):
+            for params in all_hooks(n):
+                want = field_route.length_sum_invq(n, lambda ell: d.lhs_hook_coeff(params, ell))
+                assert d.lhs_hook_closed(params) == want, params
+            for i in range(1, 5):
+                want = field_route.length_sum_invq(
+                    n, lambda ell: field_route.qpoch_at(i + 1, ell - 1))
+                assert d.shifted_cauchy(n, i, inverse_q=True) == want, (n, i)
+            for k in range(1, n + 1):
+                want = field_route.length_sum_invq(n, lambda ell: (
+                    field_route.qbinom(ell - 1, k - 1) * field_route.qpoch_at(1, ell)))
+                assert d.ghry_sides(n, k)[0] == want, (n, k)
+            for size in range(1, n + 1):
+                for nu in partitions_of(size):
+                    want = field_route.length_sum_invq(n, lambda ell: field_route.evaluate(
+                        sf.s(nu), field_route.qbinom(ell - 1, 1)) * field_route.qpoch_at(1, ell))
+                    assert d.lhs_expansion_thm41(nu, n) == want.scale(q**size), (nu, n)
+
+
 class TestShiftedCauchy:
     def test_variants_hit_target(self):
         for n in range(1, 5):

@@ -4,7 +4,8 @@ Parses ``src/deltaq/*.py`` and looks for a ``Name`` or ``Attribute`` load of
 each public top-level function or class in ``src/``, ``scripts/`` or
 ``bench/``.  Loads inside the name's own definition (a recursive call) do not
 count.  A name used only by tests belongs in the tests, as an oracle beside
-the code it checks.
+the code it checks.  Likewise every name a ``src/deltaq`` module imports must
+be loaded in that module: an import left behind by a refactor is dead code.
 """
 
 import ast
@@ -18,6 +19,11 @@ ALLOWED = {
     "parse_symfunc": "the documented inverse of render; tests check the round trip",
     "fundamental_monomials": "the monomial reference route, pinned by bench/spans.py "
                              "until the next benchmark change",
+}
+
+UNUSED_IMPORTS_ALLOWED = {
+    ("parking", "permutations"): "bench/spans.py patches parking.permutations to count "
+                                 "permutations, until the next benchmark change",
 }
 
 
@@ -64,3 +70,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert set(ALLOWED) <= set(definitions), "allowlist names a deleted definition"
     unused = sorted(set(definitions) - used - set(ALLOWED))
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def test_every_import_is_loaded_in_its_module():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # a bare name, not an attribute: module.name does not use an imported name
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.add((path.stem, name))
+    assert unused == set(UNUSED_IMPORTS_ALLOWED), f"imports never loaded: {sorted(unused)}"

@@ -308,11 +308,18 @@ class TestCli:
         (["verify", "--suite", "nu", "--params", "n=4"],
          "thm41 needs nu in --params; thm43 needs nu, j in --params; "
          "thm44 needs nu in --params"),
+        (["verify", "--id", "thm44", "--params", "nu=3,n=4"],
+         "thm44 needs nu as a list such as [2,1], got 3"),
+        (["verify", "--id", "prop31", "--params", "k=[1],m=3,ell=3"],
+         "prop31 needs k as an int, got [1]"),
+        (["verify", "--id", "wmu_consistency", "--params", "mu=2"],
+         "wmu_consistency needs mu as a list such as [2,1], got 2"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
             "verify-empty-value", "verify-value-not-an-int", "verify-params-unfit",
-            "verify-params-unfit-several"])
+            "verify-params-unfit-several", "verify-nu-not-a-list", "verify-k-not-an-int",
+            "verify-mu-not-a-list"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
