@@ -9,9 +9,10 @@ Subcommands:
 
 Every subcommand reports invalid input (a ``ValueError``, such as a malformed
 ``--params``) as ``error: <message>`` on stderr and exits with status 2.
-``verify --params`` must give every key of each selected identity's first
-default case, each an int or a list as there; otherwise it names each
-identity that does not fit and exits with status 2 before running any case.
+``verify --params`` must give exactly the keys of each selected identity's
+first default case, each an int or a list as there, and ``expand --params``
+exactly the keys its ``--what`` needs; otherwise the command names what does
+not fit and exits with status 2 before computing anything.
 ``verify`` turns each case's own exception into an ``error`` report instead and
 exits with status 1 when any case mismatches or errors.
 """
@@ -69,27 +70,34 @@ def _parse_mu(text: str) -> Partition:
     return parse_partition(text)
 
 
-def _misshapen(key: str, value, want_list: bool) -> str | None:
-    """'<key> as <shape>, got <value>' if a --params value is not a list (want_list) or an int."""
-    if isinstance(value, list) != want_list:
-        return f"{key} as {'a list such as [2,1]' if want_list else 'an int'}, got {value}"
-    return None
+def _misfits(case: dict, params: dict) -> list[str]:
+    """How ``params`` fails to fit ``case``, a dict of the keys one run takes and their shapes.
+
+    The missing keys, or else the keys ``case`` lacks, then every value that
+    is not a list where ``case`` has one, or not an int where it has an int.
+    """
+    missing = [key for key in case if key not in params]
+    unknown = [key for key in params if key not in case]
+    out = []
+    if missing or unknown:
+        out.append(f"needs {', '.join(missing)} in --params" if missing
+                   else f"takes no {', '.join(unknown)} in --params")
+    for key, value in case.items():
+        want_list = isinstance(value, list)
+        if key in params and isinstance(params[key], list) != want_list:
+            shape = "a list such as [2,1]" if want_list else "an int"
+            out.append(f"needs {key} as {shape}, got {params[key]}")
+    return out
 
 
 def _unfit(ids, params: dict) -> list[str]:
-    """'<id> needs <keys> in --params' or '<id> needs <key> as <shape>' per unfit identity.
+    """'<id> needs <keys> in --params', '<id> takes no <keys> in --params' or
+    '<id> needs <key> as <shape>' per problem of each identity.
 
-    An identity needs the keys of its first default case, each of the same shape.
+    An identity takes exactly the keys of its first default case, each of the same shape.
     """
-    out = []
-    for name in ids:
-        case = next(ver.REGISTRY[name].default_cases(None))
-        missing = [key for key in case if key not in params]
-        if missing:
-            out.append(f"{name} needs {', '.join(missing)} in --params")
-        out += [f"{name} needs {shape}" for key, value in case.items() if key in params
-                and (shape := _misshapen(key, params[key], isinstance(value, list)))]
-    return out
+    return [f"{name} {problem}" for name in ids
+            for problem in _misfits(next(ver.REGISTRY[name].default_cases(None)), params)]
 
 
 def _cmd_verify(args) -> int:
@@ -117,14 +125,11 @@ def _cmd_verify(args) -> int:
 def _required(params: dict, what: str, *names: str) -> list:
     """The values of the named parameters: ``nu`` a list of ints, every other one an int.
 
-    A missing parameter or one of the wrong shape is invalid input.
+    A missing or unknown parameter, or one of the wrong shape, is invalid input.
     """
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise ValueError(f"--what {what} needs {', '.join(missing)} in --params")
-    for name in names:
-        if shape := _misshapen(name, params[name], name == "nu"):
-            raise ValueError(f"--what {what} needs {shape}")
+    problems = _misfits({name: [] if name == "nu" else 0 for name in names}, params)
+    if problems:
+        raise ValueError("; ".join(f"--what {what} {problem}" for problem in problems))
     return [params[name] for name in names]
 
 
@@ -134,6 +139,7 @@ def _expand_target(args) -> sf.SymFunc:
     if what in ("P", "Q", "Htilde0", "Htilde"):
         if not args.mu:
             raise ValueError(f"--what {what} needs --mu")
+        _required(params, what)
         mu = _parse_mu(args.mu)
         if what == "P":
             return hl.hl_P(mu)

@@ -19,11 +19,13 @@ of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions, and
 instead of substituting 1/q.  The sparse ring ``RING`` = ZZ[q,t] is kept for
 what needs both variables: the numerators and denominators of Q(q,t), and
 ``swap_qt``, which exchanges them.
+
+``render`` writes an element as canonical text, the package's one output
+format for coefficients; the package reads no coefficient text back.
 """
 
 from __future__ import annotations
 
-import ast
 import struct
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -41,10 +43,6 @@ Coef = type(q)
 
 ZERO = FIELD.zero
 ONE = FIELD.one
-
-
-class PoleError(ZeroDivisionError):
-    """A denominator vanishes identically, e.g. a division by zero in ``parse``."""
 
 
 def coef(value) -> Coef:
@@ -319,7 +317,7 @@ def swap_qt(f: Coef) -> Coef:
     return FIELD.new(swapped(f.numer), swapped(f.denom))
 
 
-# -- rendering and parsing ---------------------------------------------------
+# -- rendering -----------------------------------------------------------------
 
 def _monomial_str(eq_: int, et_: int, c: int) -> str:
     factors = []
@@ -363,57 +361,3 @@ def render(f: Coef) -> str:
     if not _is_bare_term(f.denom):
         den = f"({den})"
     return f"{num}/{den}"
-
-
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _eval_node(node) -> Coef:
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return FIELD(node.value)
-        raise ValueError(f"non-integer literal {node.value!r}")
-    if isinstance(node, ast.Name):
-        if node.id == "q":
-            return q
-        if node.id == "t":
-            return t
-        raise ValueError(f"unknown symbol {node.id!r}")
-    if isinstance(node, ast.UnaryOp):
-        val = _eval_node(node.operand)
-        if isinstance(node.op, ast.USub):
-            return -val
-        if isinstance(node.op, ast.UAdd):
-            return val
-        raise ValueError("unsupported unary operator")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _eval_node(node.left)
-        right = _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if not right:
-                raise PoleError("division by zero in coefficient expression")
-            return left / right
-        # Pow: exponent must reduce to an integer constant
-        terms = right.numer.terms()
-        if right.denom == FIELD.ring.one and (not terms or terms[0][0] == (0, 0)):
-            exp = int(terms[0][1]) if terms else 0
-            return left**exp
-        raise ValueError("exponent must be an integer")
-    raise ValueError(f"unsupported syntax in coefficient expression: {ast.dump(node)}")
-
-
-def parse(text: str) -> Coef:
-    """Parse the grammar emitted by render(): +, -, *, /, ^ over q, t, integers."""
-    try:
-        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse coefficient {text!r}") from exc
-    return _eval_node(tree)

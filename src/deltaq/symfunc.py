@@ -1,11 +1,11 @@
 """Symmetric functions over Q(q,t).
 
-Internally everything is stored in the Schur basis as a sparse map
-{Partition: Coef}, one homogeneous degree per function.  The classical bases
-m, e, h, p, s convert in and out through two cached matrix families: power
-sums via Murnaghan-Nakayama characters; monomials, complete and elementary
-functions via Kostka numbers (h_lam = sum_mu K_(mu,lam) s_mu, e_lam its
-conjugate).
+Everything is stored in the Schur basis as a sparse map {Partition: Coef},
+one homogeneous degree per function, and ``render`` writes that expansion as
+text, the package's one output format.  ``sym`` builds a function from an
+expansion in the Schur, complete, elementary or monomial basis through Kostka
+numbers (h_lam = sum_mu K_(mu,lam) s_mu, e_lam its conjugate, m by the
+inverse Kostka matrix).
 
 A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
 ``plethysm(f, A)`` is f[X A] and ``evaluate(f, A)`` is the scalar f[A].
@@ -24,18 +24,16 @@ rank at a point mod p shares its integer half, ``straighten_aggregate``.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import qfield
-from .partition import Partition, parse_partition, partitions_of
+from .partition import Partition, partitions_of
 from .tableaux import kostka_number
 
 Coef = qfield.Coef
 
-BASES = ("m", "e", "h", "p", "s")
+BASES = ("m", "e", "h", "s")
 
 
 # -- symmetric group characters ----------------------------------------------
@@ -115,9 +113,6 @@ class SymFunc:
     def coeff(self, lam) -> Coef:
         return self.terms.get(Partition(lam), qfield.ZERO)
 
-    def support(self) -> list[Partition]:
-        return sorted(self.terms, reverse=True)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -162,29 +157,7 @@ def _as_partition(x) -> Partition:
     return Partition(x)
 
 
-# -- basis conversion machinery ------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _power_to_schur(rho: Partition) -> dict[Partition, Coef]:
-    """p_rho = sum_lam chi^lam(rho) s_lam."""
-    out = {}
-    for lam in partitions_of(Partition(rho).size):
-        chi = character(lam, rho)
-        if chi:
-            out[lam] = qfield.coef(chi)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
-    """s_lam = sum_rho chi^lam(rho)/z_rho p_rho."""
-    out = {}
-    for rho in partitions_of(Partition(lam).size):
-        chi = character(lam, rho)
-        if chi:
-            out[rho] = qfield.coef(Fraction(chi, zee(rho)))
-    return out
-
+# -- other bases into the Schur basis -----------------------------------------
 
 def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
     """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
@@ -222,8 +195,6 @@ def _basis_elem_to_schur(basis: str, lam: Partition) -> dict[Partition, Coef]:
     lam = Partition(lam)
     if basis == "s":
         return {lam: qfield.ONE}
-    if basis == "p":
-        return _power_to_schur(lam)
     if basis in ("h", "e"):
         # h_lam = sum_mu K_(mu,lam) s_mu, and e_lam = omega(h_lam)
         out = {}
@@ -238,7 +209,7 @@ def _basis_elem_to_schur(basis: str, lam: Partition) -> dict[Partition, Coef]:
 
 
 def sym(basis: str, terms) -> SymFunc:
-    """Build a SymFunc from an expansion in any of the bases m, e, h, p, s."""
+    """Build a SymFunc from an expansion in any of the bases m, e, h, s."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     out: dict[Partition, Coef] = {}
@@ -265,55 +236,6 @@ def e(lam) -> SymFunc:
 
 def h(lam) -> SymFunc:
     return sym("h", {_as_partition(lam): 1})
-
-
-def p(lam) -> SymFunc:
-    return sym("p", {_as_partition(lam): 1})
-
-
-def m(lam) -> SymFunc:
-    return sym("m", {_as_partition(lam): 1})
-
-
-def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
-    """Expansion of f in the target basis, as {Partition: Coef} with zeros dropped."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    if basis == "s":
-        return dict(f.terms)
-    if f.is_zero():
-        return {}
-    if basis == "p":
-        out: dict[Partition, Coef] = {}
-        for lam, c in f.terms.items():
-            for rho, w in _schur_to_power(lam).items():
-                val = out.get(rho, qfield.ZERO) + c * w
-                if val:
-                    out[rho] = val
-                else:
-                    out.pop(rho, None)
-        return out
-    if basis == "m":
-        out = {}
-        for lam, c in f.terms.items():
-            for mu in partitions_of(lam.size):
-                kn = kostka_number(lam, mu)
-                if kn:
-                    val = out.get(mu, qfield.ZERO) + c * kn
-                    if val:
-                        out[mu] = val
-                    else:
-                        out.pop(mu, None)
-        return out
-    if basis == "e":
-        return basis_convert(omega(f), "h")
-    # basis == "h": f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
-    out = {}
-    for mu, row in _inverse_kostka(f.degree()).items():
-        val = sum((c * f.terms[lam] for lam, c in row.items() if lam in f.terms), qfield.ZERO)
-        if val:
-            out[mu] = val
-    return out
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -478,49 +400,11 @@ def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) ->
     })
 
 
-# -- rendering and parsing -----------------------------------------------------
+# -- rendering -------------------------------------------------------------------
 
-def render(f: SymFunc, basis: str = "s") -> str:
+def render(f: SymFunc) -> str:
     """Canonical string such as 's[3,1]*(q + 1) + s[2,2]*(-q^2)'."""
-    expansion = basis_convert(f, basis)
-    if not expansion:
+    if not f.terms:
         return "0"
-    pieces = [
-        f"{basis}{lam.render()}*({qfield.render(expansion[lam])})"
-        for lam in sorted(expansion, reverse=True)
-    ]
-    return " + ".join(pieces)
-
-
-_TERM_RE = re.compile(r"([mehps])\s*(\[[^\]]*\])\s*\*\s*\((.*)\)", re.S)
-
-
-def parse_symfunc(text: str) -> SymFunc:
-    """Parse the grammar emitted by render(); mixed bases are allowed."""
-    text = text.strip()
-    if text == "0":
-        return SymFunc()
-    pieces = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    pieces.append("".join(current))
-    total = SymFunc()
-    for piece in pieces:
-        match = _TERM_RE.fullmatch(piece.strip())
-        if not match:
-            raise ValueError(f"cannot parse term {piece.strip()!r}")
-        basis, lam_text, coef_text = match.groups()
-        total = total + sym(
-            basis, {parse_partition(lam_text): qfield.parse(coef_text)}
-        )
-    return total
+    return " + ".join(f"s{lam.render()}*({qfield.render(f.terms[lam])})"
+                      for lam in sorted(f.terms, reverse=True))

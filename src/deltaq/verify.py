@@ -71,7 +71,9 @@ def _compare_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:
 
 
 def _render_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> tuple[str, str]:
-    return sf.render(lhs), sf.render(rhs)
+    """Both renders; an equal rhs reuses the lhs text, since render is canonical."""
+    text = sf.render(lhs)
+    return text, text if lhs == rhs else sf.render(rhs)
 
 
 # -- the identity record and its runner --------------------------------------------
@@ -182,7 +184,7 @@ def _span_sides(p: dict) -> tuple[do.SpanReport, int]:
     The rank at the point is a lower bound on the rank over Q(q,t), so rank > n
     proves the identity; ``_compare_rank`` reports any smaller rank as an error.
     """
-    return do.span_rank_at_point(p["n"], p.get("nu_size_max")), p["n"]
+    return do.span_rank_at_point(p["n"]), p["n"]
 
 
 def _compare_rank(report: do.SpanReport, n: int, params: dict) -> str:

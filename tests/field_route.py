@@ -13,6 +13,7 @@ values in ZZ[q,t] and convert once, or sum them by length first; the tests
 require both routes to agree.
 """
 
+from references import basis_convert, from_power
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams, remmel_coeff
 from deltaq.partition import partitions_of
@@ -51,30 +52,13 @@ def power_images(f, alphabet):
     a = qfield.coef(alphabet)
     images = {}
     out = {}
-    for rho, c in sf.basis_convert(f, "p").items():
+    for rho, c in basis_convert(f, "p").items():
         for k in rho:
             if k not in images:
                 images[k] = FIELD.new(a.numer.inflate((k, k)), a.denom.inflate((k, k)))
             c = c * images[k]
         out[rho] = c
     return out
-
-
-def from_power(power_terms):
-    """sum_rho c_rho p_rho in the Schur basis, p_rho = sum_lam chi^lam(rho) s_lam."""
-    out = {}
-    for rho, c in power_terms.items():
-        if not c:
-            continue
-        for lam in partitions_of(rho.size):
-            chi = sf.character(lam, rho)
-            if chi:
-                val = out.get(lam, ZERO) + c * chi
-                if val:
-                    out[lam] = val
-                else:
-                    out.pop(lam, None)
-    return sf.SymFunc(out)
 
 
 def plethysm(f, alphabet):

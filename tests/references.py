@@ -1,10 +1,16 @@
 """Reference helpers shared by several test files; the package itself needs none of them."""
 
-from deltaq import delta_ops, hall_littlewood as hl
+from fractions import Fraction
+from functools import lru_cache
+
+from sympy import sympify
+
+from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import (ONE, RING, ZERO, Coef, PoleError, QPoly, coef, from_poly, q, qpoch,
+from deltaq.qfield import (FIELD, ONE, RING, ZERO, Coef, QPoly, coef, from_poly, q, qpoch,
                            render, t)
 from deltaq.symfunc import SymFunc
+from deltaq.tableaux import kostka_number
 
 
 def dominates(lam, mu) -> bool:
@@ -52,14 +58,14 @@ def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
 def subs(f: Coef, q_image=None, t_image=None) -> Coef:
     """Substitute field elements (or ints) for q and/or t in f, simultaneously.
 
-    Raises PoleError when the denominator of f vanishes identically under
-    the substitution.
+    Raises ZeroDivisionError when the denominator of f vanishes identically
+    under the substitution.
     """
     q_val = q if q_image is None else coef(q_image)
     t_val = t if t_image is None else coef(t_image)
     den = _eval_poly(f.denom, q_val, t_val)
     if not den:
-        raise PoleError(f"substitution hits a pole of {render(f)}")
+        raise ZeroDivisionError(f"substitution hits a pole of {render(f)}")
     return _eval_poly(f.numer, q_val, t_val) / den
 
 
@@ -88,3 +94,97 @@ def charge_content_field_sum(nu: Partition, k: int) -> Coef:
             continue
         total = total + c * q ** rho.nstat() / hl.b_factor(rho)
     return total
+
+
+# -- the power-sum and monomial bases: the package builds and writes Schur functions only --
+
+def from_power(terms) -> SymFunc:
+    """sum_rho c_rho p_rho in the Schur basis, p_rho = sum_lam chi^lam(rho) s_lam."""
+    out = {}
+    for rho, c in terms.items():
+        rho, c = sf._as_partition(rho), coef(c)
+        if not c:
+            continue
+        for lam in partitions_of(rho.size):
+            chi = sf.character(lam, rho)
+            if chi:
+                val = out.get(lam, ZERO) + c * chi
+                if val:
+                    out[lam] = val
+                else:
+                    out.pop(lam, None)
+    return SymFunc(out)
+
+
+def sym(basis: str, terms) -> SymFunc:
+    """``symfunc.sym`` with the power-sum basis "p" as well."""
+    return from_power(terms) if basis == "p" else sf.sym(basis, terms)
+
+
+def p(lam) -> SymFunc:
+    return from_power({lam: 1})
+
+
+def m(lam) -> SymFunc:
+    return sf.sym("m", {lam: 1})
+
+
+@lru_cache(maxsize=None)
+def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
+    """s_lam = sum_rho chi^lam(rho)/z_rho p_rho."""
+    out = {}
+    for rho in partitions_of(lam.size):
+        chi = sf.character(lam, rho)
+        if chi:
+            out[rho] = coef(Fraction(chi, sf.zee(rho)))
+    return out
+
+
+def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
+    """Expansion of f in one of the bases m, e, h, p, s, as {Partition: Coef} with zeros dropped."""
+    if basis not in "mehps":
+        raise ValueError(f"unknown basis {basis!r}")
+    if basis == "s":
+        return dict(f.terms)
+    if f.is_zero():
+        return {}
+    if basis == "e":
+        return basis_convert(sf.omega(f), "h")
+    out: dict[Partition, Coef] = {}
+    if basis == "h":
+        # f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
+        for mu, row in sf._inverse_kostka(f.degree()).items():
+            val = sum((c * f.terms[lam] for lam, c in row.items() if lam in f.terms), ZERO)
+            if val:
+                out[mu] = val
+        return out
+    for lam, c in f.terms.items():
+        if basis == "p":
+            images = _schur_to_power(lam)
+        else:  # m: s_lam = sum_mu K_(lam,mu) m_mu
+            images = {mu: kn for mu in partitions_of(lam.size) if (kn := kostka_number(lam, mu))}
+        for mu, w in images.items():
+            val = out.get(mu, ZERO) + c * w
+            if val:
+                out[mu] = val
+            else:
+                out.pop(mu, None)
+    return out
+
+
+def read_coef(text: str) -> Coef:
+    """A rendered coefficient read back by sympy's parser, independent of ``qfield.render``."""
+    return FIELD.from_expr(sympify(text.replace("^", "**")))
+
+
+def read_symfunc(text: str) -> SymFunc:
+    """A rendered Schur expansion 's[3,1]*(c) + s[2,2]*(d)' read back term by term."""
+    if text == "0":
+        return SymFunc()
+    out = {}
+    # no coefficient text contains "s[", so each " + s[" starts a term
+    for term in text.split(" + s["):
+        shape, _, rest = term.removeprefix("s[").partition("]*(")
+        lam = Partition(int(part) for part in shape.split(",") if part)
+        out[lam] = read_coef(rest.removesuffix(")"))
+    return SymFunc(out)

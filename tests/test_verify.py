@@ -10,7 +10,7 @@ from references import subs_coeffs
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
 from deltaq.partition import partitions_of
-from deltaq.qfield import ONE, ZERO, PoleError, q, t
+from deltaq.qfield import ONE, ZERO, q, t
 
 
 class TestRegistry:
@@ -114,7 +114,7 @@ class TestOutcomes:
         capsys.readouterr()
         assert rc == 0
 
-    @pytest.mark.parametrize("exc", [ValueError("bad"), PoleError("pole")])
+    @pytest.mark.parametrize("exc", [ValueError("bad"), ZeroDivisionError("pole")])
     def test_exceptions_do_not_abort_the_suite(self, monkeypatch, exc):
         def boom(k, m, ell):
             raise exc
@@ -314,12 +314,21 @@ class TestCli:
          "prop31 needs k as an int, got [1]"),
         (["verify", "--id", "wmu_consistency", "--params", "mu=2"],
          "wmu_consistency needs mu as a list such as [2,1], got 2"),
+        (["verify", "--id", "thm44", "--params", "nu=[2],n=4,nn=5"],
+         "thm44 takes no nn in --params"),
+        (["verify", "--id", "span_dim", "--params", "n=4,nu_size_max=2"],
+         "span_dim takes no nu_size_max in --params"),
+        (["expand", "--what", "rhs_nu", "--params", "nu=[2],n=4,kk=1"],
+         "--what rhs_nu takes no kk in --params"),
+        (["expand", "--what", "P", "--mu", "[2,1]", "--params", "k=1"],
+         "--what P takes no k in --params"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
             "verify-empty-value", "verify-value-not-an-int", "verify-params-unfit",
             "verify-params-unfit-several", "verify-nu-not-a-list", "verify-k-not-an-int",
-            "verify-mu-not-a-list"])
+            "verify-mu-not-a-list", "verify-unknown-key", "verify-span-nu-size-max",
+            "expand-unknown-key", "p-unknown-key"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
