@@ -10,7 +10,10 @@ The central objects:
   is ``symfunc.evaluate`` of f at the alphabet B_mu (minus 1 when primed), one
   element of Q(q,t).  At t=0 it depends only on l(mu), and every t=0 side is one
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
-  H~_mu over their weights, or of q^(n(mu)) P_mu in ZZ[q], read at q or 1/q.
+  H~_mu over their weights, or of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l
+  and every Schur coefficient of T_l is a pair (``QPoly``, e) standing for
+  poly * q^e; ``_table_sum`` adds the products in ZZ[q] and enters Q(q,t) once
+  per Schur coefficient.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.
@@ -44,8 +47,8 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, from_reversed, q, qbinom,
-                     qbinom_poly, qpoch, qpoch_at, qpoch_poly)
+from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, q, qbinom, qbinom_poly,
+                     qpoch_laurent, qpoch_poly, reverse, to_poly)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -77,25 +80,27 @@ class HookParams:
 # -- Delta operators ------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _graded_P(n: int, convert: Callable[[QPoly, int], Coef]) -> dict[int, SymFunc]:
+def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
     """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, summed in ZZ[q].
 
-    ``convert`` takes each summed Schur coefficient into Q(q,t) once:
-    ``from_poly`` gives these sums, and ``from_reversed`` the same polynomials
-    read at 1/q, which are sum_{l(mu)=l} q^(-n(mu)) P_mu[X;1/q].
+    Each s_lam coefficient is a pair (poly, e) standing for poly * q^e.  With
+    inverse_q, the same polynomials read at 1/q, each reversed
+    (``qfield.reverse``): sum_{l(mu)=l} q^(-n(mu)) P_mu[X;1/q].
     """
+    if inverse_q:
+        return {ell: {lam: reverse(c, 0) for lam, (c, _) in row.items()}
+                for ell, row in _graded_P(n, False).items()}
     table = hl._p_table(n)
     sums: dict[int, dict[Partition, QPoly]] = {}
     for mu in partitions_of(n):
         row, shift = sums.setdefault(len(mu), {}), mu.nstat()
         for lam, c in table[mu].items():
             row[lam] = row.get(lam, 0) + c.shift(shift)
-    return {ell: SymFunc({lam: convert(c, 0) for lam, c in row.items()})
-            for ell, row in sums.items()}
+    return {ell: {lam: (c, 0) for lam, c in row.items() if c} for ell, row in sums.items()}
 
 
 @lru_cache(maxsize=None)
-def _t0_operator_table(n: int) -> dict[int, SymFunc]:
+def _t0_operator_table(n: int) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
     """{l: sum_{l(mu)=l} (q;q)_l / w_t0(mu) H~_mu(X;q,0)} over the partitions mu of n.
 
     With E(mu) the exponent of q in w_t0(mu), (q;q)_l / w_t0(mu) is
@@ -103,18 +108,28 @@ def _t0_operator_table(n: int) -> dict[int, SymFunc]:
     q^(n(mu)) K_(lam,mu)(1/q).  As q-multinomials are palindromic, the s_lam
     coefficient is (-1)^(n-l) q^(C(l,2)-n+l) C(1/q), C = _charge_poly(lam, l).
     """
-    return {ell: SymFunc({lam: from_reversed(-c if (n - ell) % 2 else c, comb(ell, 2) - n + ell)
-                          for lam in partitions_of(n) if (c := _charge_poly(lam, ell))})
+    return {ell: {lam: reverse(-c if (n - ell) % 2 else c, comb(ell, 2) - n + ell)
+                  for lam in partitions_of(n) if (c := _charge_poly(lam, ell))}
             for ell in range(1, n + 1)}
 
 
-def _table_sum(table: dict[int, SymFunc], coeff: Callable[[int], Coef]) -> SymFunc:
-    """sum_l coeff(l) table[l], with coeff called once per length and zero terms skipped."""
-    total = sf.zero()
-    for ell, part in table.items():
-        if (c := coeff(ell)) != ZERO:
-            total = total + part.scale(c)
-    return total
+def _table_sum(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> SymFunc:
+    """sum_l coeff(l) T_l over ZZ[q], coeff(l) a pair (poly, e) called once per length.
+
+    The products coeff(l) T_l[lam] of each s_lam are shifted to their least
+    exponent and added, and the sum enters Q(q,t) once (``from_poly``).
+    """
+    terms: dict[Partition, list[tuple[QPoly, int]]] = {}
+    for ell, row in table.items():
+        c, ce = coeff(ell)
+        if c:
+            for lam, (poly, e) in row.items():
+                terms.setdefault(lam, []).append((c * poly, ce + e))
+    out = {}
+    for lam, products in terms.items():
+        low = min(e for _, e in products)
+        out[lam] = from_poly(sum((poly.shift(e - low) for poly, e in products), QPoly()), low)
+    return SymFunc(out)
 
 
 def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
@@ -125,10 +140,12 @@ def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
     t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
     l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So the image is
     sum_l f[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``.
+    The coefficients of f must be Laurent polynomials in q (``qfield.to_poly``).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _table_sum(_t0_operator_table(n), lambda ell: sf.evaluate(f, qbinom(ell, 1) - ONE))
+    return _table_sum(_t0_operator_table(n),
+                      lambda ell: to_poly(sf.evaluate(f, qbinom(ell, 1) - ONE)))
 
 
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
@@ -160,30 +177,38 @@ def lhs_nu(nu, n: int) -> SymFunc:
 
 # -- hook-indexed closed forms ---------------------------------------------------
 
+def _lhs_hook_ring(params: HookParams, ell: int) -> tuple[QPoly, int]:
+    """lhs_hook_coeff(params, ell) as (poly, e), poly * q^e."""
+    k, m = params.k, params.m
+    return (qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m) * qpoch_poly(1, ell),
+            m + comb(k + 1, 2))
+
+
 def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
     """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
-    k, m = params.k, params.m
-    return from_poly(
-        qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m) * qpoch_poly(1, ell),
-        m + comb(k + 1, 2))
+    return from_poly(*_lhs_hook_ring(params, ell))
 
 
 def lhs_hook_closed(params: HookParams) -> SymFunc:
     """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
-    return _table_sum(_graded_P(params.n, from_reversed), lambda ell: lhs_hook_coeff(params, ell))
+    return _table_sum(_graded_P(params.n, True), lambda ell: _lhs_hook_ring(params, ell))
+
+
+def _rhs_hook_ring(params: HookParams, j: int) -> tuple[QPoly, int]:
+    """rhs_hook_coeff(params, j) as (poly, e), poly * q^e."""
+    k, m = params.k, params.m
+    return (qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
+            m + comb(k + 2, 2) - (k + 2) * j + 1)
 
 
 def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
     """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook."""
-    k, m = params.k, params.m
-    return from_poly(
-        qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
-        m + comb(k + 2, 2) - (k + 2) * j + 1)
+    return from_poly(*_rhs_hook_ring(params, j))
 
 
 def rhs_hook(params: HookParams) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of the same hook image."""
-    return _table_sum(_graded_P(params.n, from_poly), lambda j: rhs_hook_coeff(params, j))
+    return _table_sum(_graded_P(params.n, False), lambda j: _rhs_hook_ring(params, j))
 
 
 def _alternating_term(k: int, i: int) -> QPoly:
@@ -301,8 +326,8 @@ def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     inverse_q True (eq16):  sum_mu (q^(i+1);q)_(l-1) q^(-n(mu)) P_mu[X;1/q], l = l(mu)
     """
     if inverse_q:
-        return _table_sum(_graded_P(n, from_reversed), lambda ell: qpoch_at(i + 1, ell - 1))
-    return _table_sum(_graded_P(n, from_poly), lambda ell: qpoch_at(i - ell + 1, ell - 1))
+        return _table_sum(_graded_P(n, True), lambda ell: qpoch_laurent(i + 1, ell - 1))
+    return _table_sum(_graded_P(n, False), lambda ell: qpoch_laurent(i - ell + 1, ell - 1))
 
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:
@@ -316,10 +341,10 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     left:  sum_mu q^(-n(mu)) [l(mu)-1 choose k-1]_q (q;q)_(l(mu)) P_mu[X;1/q]
     right: q^(-k(k-1)) (q;q)_k sum_{l(mu)=k} q^(n(mu)) P_mu[X;q]
     """
-    left = _table_sum(_graded_P(n, from_reversed),
-                      lambda ell: from_poly(qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell)))
-    right = _graded_P(n, from_poly).get(k, sf.zero())
-    return left, right.scale(from_poly(qpoch_poly(1, k), -k * (k - 1)))
+    left = _table_sum(_graded_P(n, True),
+                      lambda ell: (qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell), 0))
+    return left, _table_sum(_graded_P(n, False), lambda ell: (
+        qpoch_poly(1, k) if ell == k else QPoly(), -k * (k - 1)))
 
 
 # -- general-nu expansions ----------------------------------------------------------
@@ -330,9 +355,12 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
     nu = _as_partition(nu)
-    total = _table_sum(_graded_P(n, from_reversed),
-                       lambda ell: sf.evaluate(sf.s(nu), qbinom(ell - 1, 1)) * qpoch(ell))
-    return total.scale(q ** nu.size)
+
+    def coeff(ell):
+        c, e = to_poly(sf.evaluate(sf.s(nu), qbinom(ell - 1, 1)))
+        return c * qpoch_poly(1, ell), e + nu.size
+
+    return _table_sum(_graded_P(n, True), coeff)
 
 
 @lru_cache(maxsize=None)
@@ -379,9 +407,8 @@ def rhs_nu(nu, n: int) -> SymFunc:
     The first two factors are ``_charge_poly(nu, k)``.
     """
     nu = _as_partition(nu)
-    total = _table_sum(_graded_P(n, from_poly), lambda ell: from_poly(
-        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), -ell * (ell - 1)))
-    return total.scale(q ** nu.size)
+    return _table_sum(_graded_P(n, False), lambda ell: (
+        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), nu.size - ell * (ell - 1)))
 
 
 # -- span of plain-Delta images ------------------------------------------------------

@@ -5,8 +5,8 @@ tableaux, counted as integers into a dense ZZ[q] polynomial (``qfield.QPoly``).
 P expands through the unitriangular inverse of the Kostka-Foulkes matrix
 against the Schur basis, by back substitution over the same ZZ[q], whose
 products are Kronecker substitutions; every table entry enters
-Q(q,t) once, P_mu[X;q] through ``qfield.from_poly`` and P_mu[X;1/q] through
-``qfield.from_reversed``, which reverses coefficients instead of
+Q(q,t) once through ``qfield.from_poly``, P_mu[X;1/q] after
+``qfield.reverse``, which reverses coefficients instead of
 substituting 1/q.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
 standard fillings: ``filling_aggregates`` counts them as integer
@@ -27,7 +27,7 @@ from sympy.utilities.iterables import multiset_permutations
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, QPoly, from_poly, from_reversed, q, t, qpoch
+from .qfield import Coef, QPoly, from_poly, q, qpoch, reverse, t
 from .symfunc import SymFunc
 from .tableaux import charge, reading_word, ssyt
 
@@ -58,7 +58,7 @@ def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
 @lru_cache(maxsize=None)
 def _p_table_invq(n: int) -> dict[Partition, SymFunc]:
     """P_mu[X;1/q] for mu |- n, each coefficient p(1/q) by reversing p."""
-    return {mu: SymFunc({lam: from_reversed(c, 0) for lam, c in row.items()})
+    return {mu: SymFunc({lam: from_poly(*reverse(c, 0)) for lam, c in row.items()})
             for mu, row in _p_table(n).items()}
 
 
@@ -90,7 +90,7 @@ def modified_macdonald_t0(mu) -> SymFunc:
     Kostka-Foulkes polynomials, each by reversing K_(lam,mu)(q).
     """
     mu = Partition(mu)
-    return SymFunc({lam: from_reversed(kf, mu.nstat())
+    return SymFunc({lam: from_poly(*reverse(kf, mu.nstat()))
                     for lam in partitions_of(mu.size) if (kf := _kf_poly(lam, mu))})
 
 

@@ -12,13 +12,15 @@ whose ``*`` is one product of two Python ints, each polynomial packed into an
 int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", arXiv:0712.4046).  ``qpoch_poly`` is a
 product of factors 1 - q^e and ``qbinom_poly`` the product formula with exact
-division by each 1 - q^j, both cached and neither recursive.  A value enters
-Q(q,t) once, as poly * q^e through ``from_poly``, whose only cancellation is
-of a power of q.  ``qbinom`` and ``qpoch_at`` are those conversions, and
-``from_reversed`` is the one for poly(1/q) * q^e: it reverses the coefficients
-instead of substituting 1/q.  The sparse ring ``RING`` = ZZ[q,t] is kept for
-what needs both variables: the numerators and denominators of Q(q,t), and
-``swap_qt``, which exchanges them.
+division by each 1 - q^j, both cached and neither recursive.  A Laurent
+polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
+gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
+reversing the coefficients instead of substituting 1/q.  A value enters
+Q(q,t) once, through ``from_poly``, whose only cancellation is of a power of
+q; ``qbinom`` and ``qpoch_at`` are such conversions, and ``to_poly`` takes
+a Laurent polynomial in q back to its pair.  The sparse ring ``RING`` =
+ZZ[q,t] is kept for what needs both variables: the numerators and
+denominators of Q(q,t), and ``swap_qt``, which exchanges them.
 
 ``render`` writes an element as canonical text, the package's one output
 format for coefficients; the package reads no coefficient text back.
@@ -248,15 +250,21 @@ def from_poly(poly: QPoly, e: int = 0) -> Coef:
     return FIELD.raw_new(numer, _Q_POLY**d)
 
 
-def from_reversed(poly: QPoly, e: int) -> Coef:
-    """poly(1/q) * q^e as an element of Q(q,t).
+def to_poly(c: Coef) -> tuple[QPoly, int]:
+    """(poly, e) with from_poly(poly, e) == c, the inverse of ``from_poly``.
 
-    With d the q-degree of poly, poly(1/q) = q^(-d) rev(poly), where rev
-    reverses the coefficients; the value is from_poly(rev(poly), e - d).
+    Raises ValueError unless c is free of t and its denominator is a power of q.
     """
-    if not poly:
-        return ZERO
-    return from_poly(QPoly(poly.c[::-1]), e - len(poly.c) + 1)
+    den = c.denom.terms()
+    if len(den) != 1 or den[0][0][1] or den[0][1] != 1 or any(j for _, j in c.numer):
+        raise ValueError(f"not a Laurent polynomial in q: {render(c)}")
+    low = min((i for i, _ in c.numer), default=0)
+    return QPoly.from_terms({i - low: int(v) for (i, _), v in c.numer.items()}), low - den[0][0][0]
+
+
+def reverse(poly: QPoly, e: int) -> tuple[QPoly, int]:
+    """poly(1/q) * q^e as the pair (rev(poly), e - deg poly), rev reversing the coefficients."""
+    return QPoly(poly.c[::-1]), e - len(poly.c) + 1
 
 
 @lru_cache(maxsize=None)
@@ -270,17 +278,22 @@ def qpoch_poly(s: int, m: int) -> QPoly:
     return _wrap(c)
 
 
-def qpoch_at(s: int, m: int) -> Coef:
-    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)).  m < 0 is rejected."""
+def qpoch_laurent(s: int, m: int) -> tuple[QPoly, int]:
+    """(q^s; q)_m as (poly, e), standing for poly * q^e, for any s.  m < 0 is rejected."""
     if m < 0:
         raise ValueError("Pochhammer length must be nonnegative")
     if s >= 1:
-        return from_poly(qpoch_poly(s, m))
+        return qpoch_poly(s, m), 0
     if s + m > 0:  # the factor 1 - q^0
-        return ZERO
+        return QPoly(), 0
     # every exponent is negative: 1 - q^-a = -q^-a (1 - q^a)
     poly = qpoch_poly(1 - s - m, m)
-    return from_poly(-poly if m % 2 else poly, m * (2 * s + m - 1) // 2)
+    return (-poly if m % 2 else poly), m * (2 * s + m - 1) // 2
+
+
+def qpoch_at(s: int, m: int) -> Coef:
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)).  m < 0 is rejected."""
+    return from_poly(*qpoch_laurent(s, m))
 
 
 def qpoch(m: int) -> Coef:

@@ -107,12 +107,6 @@ class SymFunc:
     def degree(self) -> int | None:
         return next(iter(self.terms)).size if self.terms else None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, lam) -> Coef:
-        return self.terms.get(Partition(lam), qfield.ZERO)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -7,7 +7,8 @@ literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window,
 f[XA] or f[A] as the power-sum expansion of f with each p_rho scaled by
 p_rho[A] and mapped back to Schur functions term by term, and the t=0
 Hall-Littlewood sides one partition mu at a time: each H~_mu(X;q,0) over its
-weight w_t0(mu), each P_mu[X;1/q] times q^(-n(mu)).
+weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and each P_mu[X;1/q] times
+q^(-n(mu)).
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
 values in ZZ[q,t] and convert once, or sum them by length first; the tests
 require both routes to agree.
@@ -88,6 +89,14 @@ def delta_prime_t0(f, n: int):
     total = sf.zero()
     for mu in partitions_of(n):
         total = total + hl.modified_macdonald_t0(mu).scale(c[len(mu)] / hl.w_t0(mu))
+    return total
+
+
+def length_sum(n: int, coeff):
+    """sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q], one ``hl_P`` at a time."""
+    total = sf.zero()
+    for mu in partitions_of(n):
+        total = total + hl.hl_P(mu).scale(coeff(len(mu)) * q ** mu.nstat())
     return total
 
 

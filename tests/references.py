@@ -146,7 +146,7 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
         raise ValueError(f"unknown basis {basis!r}")
     if basis == "s":
         return dict(f.terms)
-    if f.is_zero():
+    if not f:
         return {}
     if basis == "e":
         return basis_convert(sf.omega(f), "h")

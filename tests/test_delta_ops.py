@@ -187,7 +187,8 @@ class TestLengthTables:
             table = d._t0_operator_table(n)
             assert sorted(table) == list(range(1, n + 1))
             for ell, part in table.items():
-                assert part == field_route.operator_table(n, ell), (n, ell)
+                got = {lam: qfield.from_poly(poly, e) for lam, (poly, e) in part.items()}
+                assert got == field_route.operator_table(n, ell).terms, (n, ell)
 
     def test_delta_prime_t0_matches_per_mu_route(self):
         for n in range(1, 8):
@@ -218,6 +219,27 @@ class TestLengthTables:
                     want = field_route.length_sum_invq(n, lambda ell: field_route.evaluate(
                         sf.s(nu), field_route.qbinom(ell - 1, 1)) * field_route.qpoch_at(1, ell))
                     assert d.lhs_expansion_thm41(nu, n) == want.scale(q**size), (nu, n)
+
+    def test_direct_q_sides_match_per_mu_route(self):
+        for n in range(1, 8):
+            for params in all_hooks(n):
+                want = field_route.length_sum(n, lambda j: d.rhs_hook_coeff(params, j))
+                assert d.rhs_hook(params) == want, params
+            for i in range(1, 5):
+                want = field_route.length_sum(
+                    n, lambda ell: field_route.qpoch_at(i - ell + 1, ell - 1))
+                assert d.shifted_cauchy(n, i, inverse_q=False) == want, (n, i)
+            for k in range(1, n + 1):
+                want = field_route.length_sum(n, lambda ell: (
+                    field_route.qpoch_at(1, k) * q ** (-k * (k - 1)) if ell == k else ZERO))
+                assert d.ghry_sides(n, k)[1] == want, (n, k)
+            for size in range(1, n + 1):
+                for nu in partitions_of(size):
+                    want = field_route.length_sum(n, lambda ell: (
+                        references.charge_content_field_sum(nu, ell - 1)
+                        * field_route.qpoch_at(1, ell - 1) * q ** (-ell * (ell - 1))
+                        * field_route.qpoch_at(1, ell)))
+                    assert d.rhs_nu(nu, n) == want.scale(q**size), (nu, n)
 
 
 class TestShiftedCauchy:

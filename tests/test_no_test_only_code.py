@@ -8,8 +8,8 @@ attribute of an alias of the ``deltaq`` module that defines or imports it.
 So ``p["n"]`` or ``params.m`` do not call ``symfunc.p`` or ``symfunc.m``.
 Loads inside the name's own definition (a recursive call) do not count.  A
 name used only by tests belongs in the tests, as an oracle beside the code it
-checks.  Likewise every name a ``src/deltaq`` module imports must be loaded in
-that module: an import left behind by a refactor is dead code.
+checks.  Likewise every name a ``src/deltaq`` or ``tests`` module imports must
+be loaded in that module: an import left behind by a refactor is dead code.
 """
 
 import ast
@@ -17,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "deltaq"
+TESTS = ROOT / "tests"
 CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "bench")
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
@@ -183,7 +184,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_import_is_loaded_in_its_module():
     unused = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text())
         # a bare name, not an attribute: module.name does not use an imported name
         loaded = {node.id for node in ast.walk(tree)

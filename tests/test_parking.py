@@ -13,7 +13,7 @@ from deltaq.parking import (
     fundamental_monomials,
 )
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, t
+from deltaq.qfield import ONE, ZERO, q
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42}
 

@@ -181,7 +181,7 @@ class TestRingRoute:
     def test_from_reversed_matches_substitution(self, coeffs, e):
         poly = QPoly.from_terms(coeffs)
         want = subs(qfield.FIELD(to_ring(poly)), q_image=ONE / q) * q**e
-        got = qfield.from_reversed(poly, e)
+        got = qfield.from_poly(*qfield.reverse(poly, e))
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
     @given(_coef_strategy)
@@ -275,8 +275,19 @@ class TestQPoly:
         ra = qfield.FIELD(to_ring(a))
         got, want = qfield.from_poly(a, e), ra * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
-        got, want = qfield.from_reversed(a, e), subs(ra, q_image=ONE / q) * q**e
+        got, want = qfield.from_poly(*qfield.reverse(a, e)), subs(ra, q_image=ONE / q) * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
+
+    @given(_qpolys, st.integers(-40, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_to_poly_inverts_from_poly(self, a, e):
+        value = qfield.from_poly(a, e)
+        assert qfield.from_poly(*qfield.to_poly(value)) == value
+
+    def test_to_poly_rejects_what_is_not_a_laurent_polynomial_in_q(self):
+        for c in (ONE / (ONE + q), t):
+            with pytest.raises(ValueError):
+                qfield.to_poly(c)
 
 
 def qbinom_hook(n: int, shape):
