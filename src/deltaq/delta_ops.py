@@ -6,23 +6,30 @@ subfield) and Schur-basis symmetric functions from :mod:`deltaq.symfunc`.
 The central objects:
 
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
-  Hall-Littlewood / Macdonald expansions of ``e_n``.  The eigenvalue on H~_mu
-  is ``symfunc.evaluate`` of f at the alphabet B_mu (minus 1 when primed), one
-  element of Q(q,t).  At t=0 it depends only on l(mu), and every t=0 side is one
+  Hall-Littlewood / Macdonald expansions of ``e_n``.  ``delta_full``'s
+  eigenvalue on H~_mu is ``symfunc.evaluate`` of f at the alphabet B_mu (minus
+  1 when primed), one element of Q(q,t).  At t=0 the eigenvalue depends only
+  on l(mu) and lies in ZZ[q, 1/q]: s_lam[q + ... + q^(l-1)] is q^|lam| times
+  ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
   H~_mu over their weights, or of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l
   and every Schur coefficient of T_l is a pair (``QPoly``, e) standing for
-  poly * q^e; ``_table_sum`` adds the products in ZZ[q] and enters Q(q,t) once
-  per Schur coefficient.
+  poly * q^e; ``_table_pairs`` adds the products in ZZ[q], and
+  ``_table_sum`` enters Q(q,t) once per Schur coefficient.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
-  Hall-Littlewood sums.
-* the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_coeff``,
-  ``remmel_sum``) plus the scalar q-binomial identities (``prop31`` .. ``prop33b``)
-  that link them.  Their coefficients are products and sums of dense ZZ[q]
-  polynomials (``qfield.QPoly``), each side entering Q(q,t) once through
+  Hall-Littlewood sums.  ``lhs_nu`` takes the t=0 image's pairs before their
+  conversion, conjugates the shapes (omega) and applies X -> X(1-q) in ZZ[q]
+  (``symfunc.plethysm_one_minus_q``).
+* the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_sum``)
+  plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
+  them.  Their coefficients are products and sums of dense ZZ[q] polynomials
+  (``qfield.QPoly``), each side entering Q(q,t) once through
   ``qfield.from_poly``; so are the charge contents behind ``rhs_nu`` and the
-  graded side of ``schur_principal_eval``.
+  graded side of ``schur_principal_eval``.  The kernel coefficients
+  remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``;
+  ``remmel_sum`` adds them times the hook kernels in ZZ[q], one conversion
+  per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -113,11 +120,17 @@ def _t0_operator_table(n: int) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
             for ell in range(1, n + 1)}
 
 
-def _table_sum(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> SymFunc:
-    """sum_l coeff(l) T_l over ZZ[q], coeff(l) a pair (poly, e) called once per length.
+def _add_pairs(pairs: list[tuple[QPoly, int]]) -> tuple[QPoly, int]:
+    """The sum of the poly * q^e, shifted to their least exponent e and added in ZZ[q]."""
+    low = min((e for _, e in pairs), default=0)
+    return sum((poly.shift(e - low) for poly, e in pairs), QPoly()), low
 
-    The products coeff(l) T_l[lam] of each s_lam are shifted to their least
-    exponent and added, and the sum enters Q(q,t) once (``from_poly``).
+
+def _table_pairs(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> dict:
+    """sum_l coeff(l) T_l over ZZ[q] as {lam: (poly, e)}, coeff(l) a pair called once per length.
+
+    The products coeff(l) T_l[lam] of each s_lam are added by ``_add_pairs``;
+    zero sums are left out.
     """
     terms: dict[Partition, list[tuple[QPoly, int]]] = {}
     for ell, row in table.items():
@@ -125,11 +138,36 @@ def _table_sum(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> SymFun
         if c:
             for lam, (poly, e) in row.items():
                 terms.setdefault(lam, []).append((c * poly, ce + e))
-    out = {}
-    for lam, products in terms.items():
-        low = min(e for _, e in products)
-        out[lam] = from_poly(sum((poly.shift(e - low) for poly, e in products), QPoly()), low)
-    return SymFunc(out)
+    return {lam: pair for lam, products in terms.items() if (pair := _add_pairs(products))[0]}
+
+
+def _from_pairs(pairs: dict) -> SymFunc:
+    """The Schur expansion whose s_lam coefficient is pairs[lam], one ``from_poly`` each."""
+    return SymFunc({lam: from_poly(*pair) for lam, pair in pairs.items()})
+
+
+def _table_sum(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> SymFunc:
+    """sum_l coeff(l) T_l, summed by ``_table_pairs``; each coefficient enters Q(q,t) once."""
+    return _from_pairs(_table_pairs(table, coeff))
+
+
+def _eigenvalue(f: SymFunc) -> Callable[[int], tuple[QPoly, int]]:
+    """l -> f[q + ... + q^(l-1)] as a pair (poly, e), from f's Schur coefficients in ZZ[q, 1/q].
+
+    s_lam[q + ... + q^(l-1)] = q^|lam| s_lam[1 + ... + q^(l-2)], the latter
+    ``symfunc.principal_poly(lam, l-1)``.  f's coefficients go through
+    ``qfield.to_poly``, which rejects any but Laurent polynomials in q.
+    """
+    coeffs = [(lam, *to_poly(c)) for lam, c in f.terms.items()]
+    return lambda ell: _add_pairs([(c * sf.principal_poly(lam, ell - 1), e + lam.size)
+                                   for lam, c, e in coeffs])
+
+
+def _delta_prime_t0_pairs(f: SymFunc, n: int) -> dict:
+    """``delta_prime_t0(f, n)`` as {lam: (poly, e)}, before the field conversion."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _table_pairs(_t0_operator_table(n), _eigenvalue(f))
 
 
 def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
@@ -139,13 +177,11 @@ def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
     Macdonald functions, and the operator scales H~_mu by f[B_mu - 1].  At
     t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
     l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So the image is
-    sum_l f[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``.
-    The coefficients of f must be Laurent polynomials in q (``qfield.to_poly``).
+    sum_l f[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``
+    and the eigenvalue from ``_eigenvalue``.  The coefficients of f must be
+    Laurent polynomials in q (``qfield.to_poly``).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _table_sum(_t0_operator_table(n),
-                      lambda ell: to_poly(sf.evaluate(f, qbinom(ell, 1) - ONE)))
+    return _from_pairs(_delta_prime_t0_pairs(f, n))
 
 
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
@@ -169,10 +205,13 @@ def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
 
 
 def lhs_nu(nu, n: int) -> SymFunc:
-    """omega of the primed-Delta image of e_n for s_nu at t=0, restricted to X(1-q)."""
-    nu = _as_partition(nu)
-    image = delta_prime_t0(sf.s(nu), n)
-    return sf.plethysm(sf.omega(image), ONE - q)
+    """omega of the primed-Delta image of e_n for s_nu at t=0, restricted to X(1-q).
+
+    The image's pairs go to the conjugate shapes (omega) and through
+    ``symfunc.plethysm_one_minus_q`` in ZZ[q]; each coefficient enters Q(q,t) once.
+    """
+    image = _delta_prime_t0_pairs(sf.s(_as_partition(nu)), n)
+    return _from_pairs(sf.plethysm_one_minus_q({lam.conjugate(): c for lam, c in image.items()}))
 
 
 # -- hook-indexed closed forms ---------------------------------------------------
@@ -232,36 +271,33 @@ def _remmel_ring(params: HookParams):
     return qbinom_poly(m - 1, k), comb(k + 1, 2) - (k + 1) * m, terms
 
 
-def remmel_coeff(s: int, params: HookParams) -> Coef:
-    """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image."""
-    c, e, terms = _remmel_ring(params)
-    if s not in terms:
-        return ZERO
-    poly = c * terms[s]
-    return from_poly(poly - poly.shift(s), e)
+def _hook(n: int, r: int) -> Partition:
+    """The hook s_(n-r,1^r)."""
+    return Partition((n - r,) + (1,) * r)
 
 
-def hook_kernel(n: int, u) -> SymFunc:
-    """h_n[X(1-u)]/(1-u) = sum_r (-u)^r s_(n-r,1^r); support is exactly the hooks."""
+def hook_kernel(n: int, i: int) -> SymFunc:
+    """h_n[X(1-u)]/(1-u) at u = q^i: sum_r (-1)^r q^(ir) s_(n-r,1^r), exactly the hooks."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    minus_u = -qfield.coef(u)
-    terms, power = {}, ONE
-    for r in range(n):
-        terms[Partition((n - r,) + (1,) * r)] = power
-        power = power * minus_u
-    return SymFunc(terms)
+    return SymFunc({_hook(n, r): from_poly(QPoly([(-1) ** r]), i * r) for r in range(n)})
 
 
 def remmel_sum(params: HookParams) -> SymFunc:
-    """Kernel expansion sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s)."""
-    total = sf.zero()
-    for s in range(1, params.m + 2):
-        c = remmel_coeff(s, params)
-        if c == ZERO:
-            continue
-        total = total + hook_kernel(params.n, q**s).scale(c)
-    return total
+    """Kernel expansion sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), summed in ZZ[q].
+
+    With (c, e, {s: r_s}) from ``_remmel_ring``, remmel_coeff(s) is
+    c q^e r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
+    (``hook_kernel``), so each hook's coefficient is
+    (-1)^r c q^e sum_s r_s (1 - q^s) q^(sr), entering Q(q,t) once.
+    """
+    c, e, terms = _remmel_ring(params)
+    kernels = [(s, r_s - r_s.shift(s)) for s, r_s in terms.items()]
+    out = {}
+    for r in range(params.n):
+        poly = c * sum((kernel.shift(s * r) for s, kernel in kernels), QPoly())
+        out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly, e)
+    return SymFunc(out)
 
 
 # -- scalar q-binomial identities -------------------------------------------------
@@ -332,7 +368,7 @@ def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
 
 def shifted_cauchy_target(n: int, i: int) -> SymFunc:
     """The kernel h_n[X(1-q^i)]/(1-q^i) both variants must reproduce."""
-    return hook_kernel(n, q**i)
+    return hook_kernel(n, i)
 
 
 def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
@@ -355,12 +391,8 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
     nu = _as_partition(nu)
-
-    def coeff(ell):
-        c, e = to_poly(sf.evaluate(sf.s(nu), qbinom(ell - 1, 1)))
-        return c * qpoch_poly(1, ell), e + nu.size
-
-    return _table_sum(_graded_P(n, True), coeff)
+    return _table_sum(_graded_P(n, True), lambda ell: (
+        sf.principal_poly(nu, ell - 1) * qpoch_poly(1, ell), nu.size))
 
 
 @lru_cache(maxsize=None)

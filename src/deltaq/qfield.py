@@ -10,9 +10,11 @@ The q-only scalars and the t=0 tables are built in ``QPoly``, a dense ZZ[q]:
 a list of integer coefficients whose ``+`` and ``-`` run elementwise and
 whose ``*`` is one product of two Python ints, each polynomial packed into an
 int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", arXiv:0712.4046).  ``qpoch_poly`` is a
+via multipoint Kronecker substitution", arXiv:0712.4046); ``_pack`` and
+``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.  ``qpoch_poly`` is a
 product of factors 1 - q^e and ``qbinom_poly`` the product formula with exact
-division by each 1 - q^j, both cached and neither recursive.  A Laurent
+division by each 1 - q^j (``_over_one_minus``, which raises ArithmeticError
+when the division is not exact), both cached and neither recursive.  A Laurent
 polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
 gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
 reversing the coefficients instead of substituting 1/q.  A value enters
@@ -91,38 +93,53 @@ def _termwise(op, a: list, b: list) -> list:
     return _strip(out)
 
 
-def _kronecker(a: list, b: list) -> list:
-    """The coefficients of a * b, read off one product of two ints (Kronecker substitution).
-
-    Each factor is evaluated at X = 2^(8w) as a sum of signed digits, where w
-    bytes hold ||a||_inf ||b||_inf min(len a, len b) with a sign bit, so no
-    product coefficient c satisfies |c| >= X/2.  With H the int whose every
-    w-byte digit is X/2, adding H makes every digit c + X/2 nonnegative and
-    below X, and xor-ing H then flips each digit's top bit, which leaves the
-    two's complement of c: the digits unpack as signed ints.  Packing runs the
-    same two steps backwards.
-    """
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+def _digit_width(bound: int) -> int:
+    """Bytes per signed digit for digits |c| <= bound: a width with a struct code if one fits."""
     width = (bound.bit_length() + 8) // 8
-    width = next((size for size in _DIGIT_CODES if size >= width), width)
+    return next((size for size in _DIGIT_CODES if size >= width), width)
+
+
+def _pack(x: list, width: int) -> int:
+    """sum_i x_i X^i at X = 2^(8 width), for signed digits |x_i| < X/2.
+
+    The digits are written as two's complement bytes; xor-ing H, the int whose
+    every digit is X/2, flips each digit's top bit, which leaves the digit
+    c + X/2, and subtracting H then leaves c.
+    """
     code = _DIGIT_CODES.get(width)
-    top = bytes(width - 1) + b"\x80"
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * len(x), "little")
+    if code:
+        raw = struct.pack(f"<{len(x)}{code}", *x)
+    else:
+        raw = b"".join(v.to_bytes(width, "little", signed=True) for v in x)
+    return (int.from_bytes(raw, "little") ^ half) - half
 
-    def pack(x: list) -> int:
-        half = int.from_bytes(top * len(x), "little")
-        if code:
-            raw = struct.pack(f"<{len(x)}{code}", *x)
-        else:
-            raw = b"".join(v.to_bytes(width, "little", signed=True) for v in x)
-        return (int.from_bytes(raw, "little") ^ half) - half
 
-    n = len(a) + len(b) - 1
-    half = int.from_bytes(top * n, "little")
-    raw = ((pack(a) * pack(b) + half) ^ half).to_bytes(n * width, "little")
+def _unpack(value: int, n: int, width: int) -> list:
+    """The n signed digits of value = sum_i c_i X^i, X = 2^(8 width), every |c_i| < X/2.
+
+    ``_pack`` backwards: adding H makes every digit c + X/2 nonnegative and
+    below X, and xor-ing H then leaves the two's complement of c.
+    """
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = ((value + half) ^ half).to_bytes(n * width, "little")
+    code = _DIGIT_CODES.get(width)
     if code:
         return list(struct.unpack(f"<{n}{code}", raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, n * width, width)]
+
+
+def _kronecker(a: list, b: list) -> list:
+    """The coefficients of a * b, read off one product of two ints (Kronecker substitution).
+
+    Each factor is evaluated at X = 2^(8w) (``_pack``), where w bytes hold
+    ||a||_inf ||b||_inf min(len a, len b) with a sign bit, so no product
+    coefficient c satisfies |c| >= X/2 and ``_unpack`` reads them all back.
+    """
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    width = _digit_width(bound)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 def _mul(a: list, b: list) -> list:
@@ -223,15 +240,19 @@ def _times_one_minus(c: list, e: int) -> list:
 
 
 def _over_one_minus(c: list, j: int) -> list:
-    """c / (1 - q^j), for j >= 1 and c divisible by 1 - q^j.
+    """c / (1 - q^j), for j >= 1; ArithmeticError unless 1 - q^j divides c.
 
     The quotient r satisfies r_i = c_i + r_(i-j): a running sum along each
-    residue class of exponents mod j.  Its top j coefficients vanish.
+    residue class of exponents mod j.  Its top j coefficients vanish exactly
+    when the division is exact.
     """
     out = list(c)
     for s in range(j):
         out[s::j] = accumulate(c[s::j])
-    return out[:len(c) - j]
+    cut = max(len(c) - j, 0)
+    if any(out[cut:]):
+        raise ArithmeticError(f"1 - q^{j} does not divide {QPoly(c)}")
+    return out[:cut]
 
 
 def from_poly(poly: QPoly, e: int = 0) -> Coef:

@@ -1,4 +1,4 @@
-"""Symmetric functions over Q(q,t).
+"""Symmetric functions over Q(q,t), and the t=0 routes in ZZ[q].
 
 Everything is stored in the Schur basis as a sparse map {Partition: Coef},
 one homogeneous degree per function, and ``render`` writes that expansion as
@@ -13,7 +13,15 @@ Both run in ZZ[q,t] over one common denominator: f's Schur coefficients go
 over the lcm of their denominators, the power-sum expansion uses the integer
 characters, each p_rho is scaled by a cached numerator of (n!/z_rho) p_rho[A],
 and the characters map back.  Each output Schur coefficient (or, for
-``evaluate``, the one scalar) is cancelled once.
+``evaluate``, the one scalar) is cancelled once.  They serve the sides that
+need an alphabet in Q(q,t) or a route of their own: ``hook_support``'s
+h_n[X(1-q^u)], thm43's direct principal evaluation and ``delta_full``.
+
+The t=0 operator sides stay in ZZ[q] instead, with Laurent coefficients as
+pairs (``QPoly``, e) standing for poly * q^e: ``principal_poly`` is
+s_lam[1 + q + ... + q^(n-1)] by the hook-content formula, and
+``plethysm_one_minus_q`` is f[X(1-q)] by the integer characters, each
+polynomial packed into one int (Kronecker substitution).
 
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
@@ -232,11 +240,6 @@ def h(lam) -> SymFunc:
     return sym("h", {_as_partition(lam): 1})
 
 
-def omega(f: SymFunc) -> SymFunc:
-    """Standard involution: s_lam -> s_(lam') ."""
-    return SymFunc({lam.conjugate(): c for lam, c in f.terms.items()})
-
-
 def is_hook_only(f: SymFunc) -> bool:
     return all(lam.is_hook() for lam in f.terms)
 
@@ -329,6 +332,87 @@ def evaluate(f: SymFunc, alphabet) -> Coef:
         return qfield.ZERO
     nums, den = _image_numerators(f, alphabet)
     return qfield.FIELD.new(sum(nums, qfield.RING.zero), den)
+
+
+# -- the t=0 routes in ZZ[q] --------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def principal_poly(lam: Partition, n: int) -> qfield.QPoly:
+    """s_lam[1 + q + ... + q^(n-1)] in ZZ[q], by the hook-content formula.
+
+    q^(n(lam)) prod_x (1 - q^(n + c(x))) / (1 - q^h(x)) over the cells x of lam,
+    with content c and hook length h (Stanley, EC2, Thm 7.21.2): every
+    numerator factor first, then one exact division by each 1 - q^h(x).
+    Zero when l(lam) > n, where a cell of content -n gives the factor 1 - q^0.
+    """
+    if len(lam) > n:
+        return qfield.QPoly()
+    cells = lam.cell_stats()
+    c = [1]
+    for x in cells:
+        c = qfield._times_one_minus(c, n + x.content)
+    for x in cells:
+        c = qfield._over_one_minus(c, x.hook)
+    return qfield.QPoly(c).shift(lam.nstat())
+
+
+@lru_cache(maxsize=None)
+def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
+    """(weights, characters, growth) of the plethysm by X(1 - q) in degree n.
+
+    weights[i] is (n!/z_rho) p_rho[1 - q] = (n!/z_rho) prod_j (1 - q^(rho_j))
+    and characters[lam][i] is chi^lam(rho), for rho = partitions_of(n)[i].
+    growth bounds how much the route of ``plethysm_one_minus_q`` can grow a
+    coefficient: p(n) C^2 W, C the largest |chi| and W the largest weight's
+    sum of |coefficients|, so times the number of terms and their largest
+    |coefficient| it bounds every coefficient before the division by n!.
+    """
+    rhos = partitions_of(n)
+    weights = []
+    for rho in rhos:
+        c = [factorial(n) // zee(rho)]
+        for part in rho:
+            c = qfield._times_one_minus(c, part)
+        weights.append(c)
+    characters = {lam: [character(lam, rho) for rho in rhos] for lam in rhos}
+    top = max(abs(chi) for row in characters.values() for chi in row)
+    growth = len(rhos) * top * top * max(sum(map(abs, c)) for c in weights)
+    return weights, characters, growth
+
+
+def plethysm_one_minus_q(
+    terms: dict[Partition, tuple[qfield.QPoly, int]],
+) -> dict[Partition, tuple[qfield.QPoly, int]]:
+    """f[X(1-q)] for f = sum_lam poly_lam q^(e_lam) s_lam, given and returned as {lam: (poly, e)}.
+
+    ``plethysm(f, 1 - q)`` in ZZ[q] by Kronecker substitution: every poly
+    goes to the least exponent and into one int at a digit width that holds
+    the largest coefficient the route can reach (``_one_minus_q_table``).
+    c_rho = sum_lam chi^lam(rho) poly_lam is scaled by (n!/z_rho) p_rho[1 - q],
+    and sum_rho chi^mu(rho) c_rho is unpacked and divided exactly by n! for
+    each s_mu.  Zero coefficients are left out.
+    """
+    if not terms:
+        return {}
+    n = next(iter(terms)).size
+    weights, characters, growth = _one_minus_q_table(n)
+    low = min(e for _, e in terms.values())
+    polys = [(characters[lam], poly.shift(e - low).c) for lam, (poly, e) in terms.items()]
+    top = max((abs(v) for _, c in polys for v in c), default=0)
+    width = qfield._digit_width(growth * len(polys) * top)
+    packed = [(row, qfield._pack(c, width)) for row, c in polys]
+    images = [(i, sum(row[i] * x for row, x in packed if row[i]) * qfield._pack(weight, width))
+              for i, weight in enumerate(weights)]
+    images = [(i, x) for i, x in images if x]
+    digits = max(len(c) for _, c in polys) + n
+    out, scale = {}, factorial(n)
+    for mu, row in characters.items():
+        total = sum(row[i] * x for i, x in images if row[i])
+        if c := qfield._strip(qfield._unpack(total, digits, width)):
+            if any(v % scale for v in c):
+                raise ArithmeticError(f"{scale} does not divide the s{mu.render()} coefficient")
+            out[mu] = (qfield.QPoly([v // scale for v in c]), low)
+    return out
 
 
 # -- fundamental quasisymmetric expansions ---------------------------------------

@@ -392,7 +392,7 @@ REGISTRY: dict[str, Identity] = {
             "hook_support",
             "h_n[X(1-q^u)] is supported on hooks with alternating coefficients",
             lambda p: (sf.plethysm(sf.h(p["n"]), 1 - q ** p["u"]),
-                       do.hook_kernel(p["n"], q ** p["u"]).scale(1 - q ** p["u"])),
+                       do.hook_kernel(p["n"], p["u"]).scale(1 - q ** p["u"])),
             lambda p: p["n"] >= 1 and p["u"] >= 1, "n >= 1, u >= 1",
             _upto(1, 8, lambda n: ({"n": n, "u": u} for u in (1, 2, 3))),
             extra=_hook_support,

@@ -3,22 +3,24 @@
 Every value here is built by Q(q,t) arithmetic, one gcd-normalized ``*`` or
 ``+`` at a time: a Pochhammer symbol as the product of its factors, a
 q-binomial as a quotient of Pochhammer symbols, a kernel moment as the
-literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window,
-f[XA] or f[A] as the power-sum expansion of f with each p_rho scaled by
-p_rho[A] and mapped back to Schur functions term by term, and the t=0
+literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window, the
+kernel expansion as the literal sum over s of ``remmel_coeff(s)`` times a
+hook kernel, f[XA] or f[A] as the power-sum expansion of f with each p_rho
+scaled by p_rho[A] and mapped back to Schur functions term by term, lhs_nu as
+``symfunc.plethysm`` of omega of the field image, and the t=0
 Hall-Littlewood sides one partition mu at a time: each H~_mu(X;q,0) over its
 weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and each P_mu[X;1/q] times
 q^(-n(mu)).
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
-values in ZZ[q,t] and convert once, or sum them by length first; the tests
-require both routes to agree.
+values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first; the
+tests require both routes to agree.
 """
 
-from references import basis_convert, from_power
-from deltaq import hall_littlewood as hl, qfield, symfunc as sf
-from deltaq.delta_ops import HookParams, remmel_coeff
+from references import basis_convert, from_power, omega
+from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
+from deltaq.delta_ops import HookParams
 from deltaq.partition import partitions_of
-from deltaq.qfield import FIELD, ONE, ZERO, q
+from deltaq.qfield import FIELD, ONE, ZERO, from_poly, q
 
 
 def qpoch_at(s: int, m: int):
@@ -34,6 +36,25 @@ def qbinom(a: int, b: int):
     if b < 0 or b > a:
         return ZERO
     return qpoch_at(1, a) / (qpoch_at(1, b) * qpoch_at(1, a - b))
+
+
+def remmel_coeff(s: int, params: HookParams):
+    """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image; zero off the kernel."""
+    c, e, terms = delta_ops._remmel_ring(params)
+    if s not in terms:
+        return ZERO
+    poly = c * terms[s]
+    return from_poly(poly - poly.shift(s), e)
+
+
+def remmel_sum(params: HookParams):
+    """sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), one field ``scale`` and ``+`` per s."""
+    total = sf.zero()
+    for s in range(1, params.m + 2):
+        c = remmel_coeff(s, params)
+        if c != ZERO:
+            total = total + delta_ops.hook_kernel(params.n, s).scale(c)
+    return total
 
 
 def kernel_moment(params: HookParams, shift: int, length: int):
@@ -70,6 +91,11 @@ def plethysm(f, alphabet):
 def evaluate(f, alphabet):
     """f[A], one field addition per power-sum term."""
     return sum(power_images(f, alphabet).values(), ZERO)
+
+
+def lhs_nu(nu, n: int):
+    """omega of the primed-Delta image of s_nu at t=0, then ``symfunc.plethysm`` by 1 - q."""
+    return sf.plethysm(omega(delta_ops.delta_prime_t0(sf.s(nu), n)), ONE - q)
 
 
 def operator_table(n: int, ell: int):

@@ -96,6 +96,11 @@ def charge_content_field_sum(nu: Partition, k: int) -> Coef:
     return total
 
 
+def omega(f: SymFunc) -> SymFunc:
+    """Standard involution: s_lam -> s_(lam')."""
+    return SymFunc({lam.conjugate(): c for lam, c in f.terms.items()})
+
+
 # -- the power-sum and monomial bases: the package builds and writes Schur functions only --
 
 def from_power(terms) -> SymFunc:
@@ -149,7 +154,7 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
     if not f:
         return {}
     if basis == "e":
-        return basis_convert(sf.omega(f), "h")
+        return basis_convert(omega(f), "h")
     out: dict[Partition, Coef] = {}
     if basis == "h":
         # f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f

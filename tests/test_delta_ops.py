@@ -106,15 +106,16 @@ class TestHookExpansions:
 
     def test_remmel_coeff_support(self):
         params = HookParams(k=1, m=3, n=5)
-        assert d.remmel_coeff(0, params) == ZERO
-        assert d.remmel_coeff(params.m + 2, params) == ZERO
-        assert d.remmel_coeff(params.m + 1, params) != ZERO
+        assert field_route.remmel_coeff(0, params) == ZERO
+        assert field_route.remmel_coeff(params.m + 2, params) == ZERO
+        assert field_route.remmel_coeff(params.m + 1, params) != ZERO
 
     def test_hook_kernel(self):
         for n in range(1, 6):
-            for u in (q, q**2, q**3):
-                kernel = d.hook_kernel(n, u)
+            for i in (1, 2, 3):
+                kernel = d.hook_kernel(n, i)
                 assert sf.is_hook_only(kernel)
+                u = q**i
                 assert kernel == field_route.plethysm(sf.h(n), ONE - u).scale(ONE / (ONE - u))
 
 
@@ -176,7 +177,23 @@ class TestRingRoute:
                     want = ((-1) ** i * q ** (i * (i - 1) // 2 - (k + 1) * m + k * (k + 1) // 2)
                             * field_route.qbinom(m - 1, k) * field_route.qbinom(k + 2, i)
                             * (ONE - q**s))
-                assert d.remmel_coeff(s, params) == want, (params, s)
+                assert field_route.remmel_coeff(s, params) == want, (params, s)
+
+    def test_remmel_sum_matches_field_sum(self):
+        for n in range(2, 9):
+            for params in all_hooks(n):
+                assert d.remmel_sum(params) == field_route.remmel_sum(params), params
+
+    def test_lhs_nu_matches_field_plethysm(self):
+        # every nu up to |nu| = n + 2, so images that vanish are covered too
+        zeros = 0
+        for n in range(1, 8):
+            for size in range(1, n + 3):
+                for nu in partitions_of(size):
+                    got = d.lhs_nu(nu, n)
+                    assert got == field_route.lhs_nu(nu, n), (nu, n)
+                    zeros += not got
+        assert zeros > 0
 
 
 class TestLengthTables:

@@ -289,6 +289,13 @@ class TestQPoly:
             with pytest.raises(ValueError):
                 qfield.to_poly(c)
 
+    @pytest.mark.parametrize("c, j", [([1, 0, 1], 1), ([1], 2), ([0, 1], 2), ([1, 0, -1, 1], 2)],
+                             ids=["1+q^2 over 1-q", "1 over 1-q^2", "q over 1-q^2",
+                                  "1-q^2+q^3 over 1-q^2"])
+    def test_inexact_division_by_one_minus_q_power_raises(self, c, j):
+        with pytest.raises(ArithmeticError):
+            qfield._over_one_minus(c, j)
+
 
 def qbinom_hook(n: int, shape):
     """Cell product prod_{x in shape} (1 - q^(n - content(x))) / (1 - q^(hook(x)))."""

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
 import field_route
-from references import basis_convert, from_power, m, p, read_symfunc, subs, subs_coeffs, sym
+from references import (basis_convert, from_power, m, omega, p, read_symfunc, subs, subs_coeffs,
+                        sym)
 from deltaq import delta_ops as d, symfunc as sf, verify as ver
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, coef, q, qbinom, t
+from deltaq.qfield import ONE, ZERO, QPoly, coef, from_poly, q, qbinom, swap_qt, t
 from deltaq.symfunc import SymFunc
 
 partitions_upto = lambda size: st.integers(1, size).flatmap(
@@ -168,17 +169,17 @@ class TestOmega:
     @given(partitions_upto(6))
     @settings(max_examples=40, deadline=None)
     def test_omega_on_schur_is_conjugate(self, lam):
-        assert sf.omega(sf.s(lam)) == sf.s(lam.conjugate())
+        assert omega(sf.s(lam)) == sf.s(lam.conjugate())
 
     def test_omega_swaps_h_e(self):
         for n in range(1, 7):
-            assert sf.omega(sf.h(n)) == sf.e(n)
-            assert sf.omega(sf.e(n)) == sf.h(n)
+            assert omega(sf.h(n)) == sf.e(n)
+            assert omega(sf.e(n)) == sf.h(n)
 
     @given(_symfunc_strategy)
     @settings(max_examples=30, deadline=None)
     def test_involution(self, f):
-        assert sf.omega(sf.omega(f)) == f
+        assert omega(omega(f)) == f
 
 
 class TestTransforms:
@@ -189,8 +190,11 @@ class TestTransforms:
     def test_hook_expansion_route(self):
         # the closed hook formula agrees with the power-sum scaling route
         for n in range(1, 7):
-            for u in (q, q**2, t):
-                assert sf.plethysm(sf.h(n), ONE - u) == d.hook_kernel(n, u).scale(ONE - u)
+            for i in (1, 2):
+                assert sf.plethysm(sf.h(n), ONE - q**i) == d.hook_kernel(n, i).scale(ONE - q**i)
+            # u = t: the kernel at u = q with q and t exchanged
+            at_t = SymFunc({lam: swap_qt(c) for lam, c in d.hook_kernel(n, 1).terms.items()})
+            assert sf.plethysm(sf.h(n), ONE - t) == at_t.scale(ONE - t)
 
     def test_evaluate_geometric(self):
         assert sf.evaluate(sf.s(2), qbinom(2, 1)) == ONE + q + q**2
@@ -310,6 +314,27 @@ class TestFieldRoute:
             assert sf.plethysm(f, alphabet) == field_route.plethysm(f, alphabet)
             assert sf.evaluate(f, alphabet) == field_route.evaluate(f, alphabet)
 
+    def test_principal_poly_matches_evaluate(self):
+        # the hook-content product against the power-sum evaluation, zeros included
+        for size in range(0, 11):
+            for nu in partitions_of(size):
+                for n in range(0, size + 2):
+                    want = sf.evaluate(sf.s(nu), qbinom(n, 1))
+                    assert from_poly(sf.principal_poly(nu, n)) == want, (nu, n)
+
+    def test_plethysm_one_minus_q_matches_plethysm(self):
+        # Laurent coefficients with negative, mixed and large exponents and entries
+        coeffs = [(QPoly([1]), 0), (QPoly([-3, 0, 2]), -4), (QPoly([2**40, -1]), 3),
+                  (QPoly([0, 5]), -1)]
+        for n in range(0, 7):
+            for offset in range(len(coeffs)):
+                terms = {lam: coeffs[(i + offset) % len(coeffs)]
+                         for i, lam in enumerate(partitions_of(n))}
+                f = SymFunc({lam: from_poly(*c) for lam, c in terms.items()})
+                got = {lam: from_poly(*c) for lam, c in sf.plethysm_one_minus_q(terms).items()}
+                assert got == sf.plethysm(f, ONE - q).terms, (n, offset)
+        assert sf.plethysm_one_minus_q({}) == {}
+
     def test_one_cancel_per_coefficient(self, monkeypatch):
         f, a, b = _FIELD_ROUTE_FUNCTIONS[1], ONE / (ONE - q), (ONE - q) / (ONE - t)
         calls = []
@@ -340,4 +365,4 @@ class TestHookPredicates:
     def test_is_hook_only(self):
         assert sf.is_hook_only(sf.s((3, 1, 1)) + sf.s((4, 1)))
         assert not sf.is_hook_only(sf.s((2, 2)))
-        assert sf.is_hook_only(d.hook_kernel(5, q))
+        assert sf.is_hook_only(d.hook_kernel(5, 1))
