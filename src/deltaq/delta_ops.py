@@ -24,12 +24,13 @@ The central objects:
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_sum``)
   plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
   them.  Their coefficients are products and sums of dense ZZ[q] polynomials
-  (``qfield.QPoly``), each side entering Q(q,t) once through
-  ``qfield.from_poly``; so are the charge contents behind ``rhs_nu`` and the
-  graded side of ``schur_principal_eval``.  The kernel coefficients
-  remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``;
-  ``remmel_sum`` adds them times the hook kernels in ZZ[q], one conversion
-  per hook.
+  (``qfield.QPoly``).  The scalar sides stay canonical pairs
+  (``qfield.laurent``), each sum over i or s one ``qfield.dot``; each
+  coefficient of an expansion, of a charge content behind ``rhs_nu`` and of
+  the graded side of ``schur_principal_eval`` enters Q(q,t) once through
+  ``qfield.from_poly``.  The kernel coefficients remmel_coeff(s) of
+  h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``; ``remmel_sum`` adds them
+  times the hook kernels in ZZ[q], one conversion per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -54,8 +55,8 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, ONE, RING, ZERO, QPoly, from_poly, q, qbinom, qbinom_poly,
-                     qpoch_laurent, qpoch_poly, reverse, to_poly)
+from .qfield import (Coef, ONE, RING, ZERO, Pair, QPoly, dot, from_poly, laurent, q, qbinom,
+                     qbinom_poly, qpoch_laurent, qpoch_poly, reverse, to_poly)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -87,7 +88,7 @@ class HookParams:
 # -- Delta operators ------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
+def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, Pair]]:
     """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, summed in ZZ[q].
 
     Each s_lam coefficient is a pair (poly, e) standing for poly * q^e.  With
@@ -107,7 +108,7 @@ def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, tuple[QPoly,
 
 
 @lru_cache(maxsize=None)
-def _t0_operator_table(n: int) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
+def _t0_operator_table(n: int) -> dict[int, dict[Partition, Pair]]:
     """{l: sum_{l(mu)=l} (q;q)_l / w_t0(mu) H~_mu(X;q,0)} over the partitions mu of n.
 
     With E(mu) the exponent of q in w_t0(mu), (q;q)_l / w_t0(mu) is
@@ -120,19 +121,19 @@ def _t0_operator_table(n: int) -> dict[int, dict[Partition, tuple[QPoly, int]]]:
             for ell in range(1, n + 1)}
 
 
-def _add_pairs(pairs: list[tuple[QPoly, int]]) -> tuple[QPoly, int]:
+def _add_pairs(pairs: list[Pair]) -> Pair:
     """The sum of the poly * q^e, shifted to their least exponent e and added in ZZ[q]."""
     low = min((e for _, e in pairs), default=0)
     return sum((poly.shift(e - low) for poly, e in pairs), QPoly()), low
 
 
-def _table_pairs(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> dict:
+def _table_pairs(table: dict, coeff: Callable[[int], Pair]) -> dict:
     """sum_l coeff(l) T_l over ZZ[q] as {lam: (poly, e)}, coeff(l) a pair called once per length.
 
     The products coeff(l) T_l[lam] of each s_lam are added by ``_add_pairs``;
     zero sums are left out.
     """
-    terms: dict[Partition, list[tuple[QPoly, int]]] = {}
+    terms: dict[Partition, list[Pair]] = {}
     for ell, row in table.items():
         c, ce = coeff(ell)
         if c:
@@ -146,12 +147,12 @@ def _from_pairs(pairs: dict) -> SymFunc:
     return SymFunc({lam: from_poly(*pair) for lam, pair in pairs.items()})
 
 
-def _table_sum(table: dict, coeff: Callable[[int], tuple[QPoly, int]]) -> SymFunc:
+def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
     """sum_l coeff(l) T_l, summed by ``_table_pairs``; each coefficient enters Q(q,t) once."""
     return _from_pairs(_table_pairs(table, coeff))
 
 
-def _eigenvalue(f: SymFunc) -> Callable[[int], tuple[QPoly, int]]:
+def _eigenvalue(f: SymFunc) -> Callable[[int], Pair]:
     """l -> f[q + ... + q^(l-1)] as a pair (poly, e), from f's Schur coefficients in ZZ[q, 1/q].
 
     s_lam[q + ... + q^(l-1)] = q^|lam| s_lam[1 + ... + q^(l-2)], the latter
@@ -216,55 +217,45 @@ def lhs_nu(nu, n: int) -> SymFunc:
 
 # -- hook-indexed closed forms ---------------------------------------------------
 
-def _lhs_hook_ring(params: HookParams, ell: int) -> tuple[QPoly, int]:
-    """lhs_hook_coeff(params, ell) as (poly, e), poly * q^e."""
+def lhs_hook_coeff(params: HookParams, ell: int) -> Pair:
+    """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed, as (poly, e)."""
     k, m = params.k, params.m
     return (qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m) * qpoch_poly(1, ell),
             m + comb(k + 1, 2))
 
 
-def lhs_hook_coeff(params: HookParams, ell: int) -> Coef:
-    """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
-    return from_poly(*_lhs_hook_ring(params, ell))
-
-
 def lhs_hook_closed(params: HookParams) -> SymFunc:
     """Closed Hall-Littlewood expansion of lhs_nu for hook nu = (m-k, 1^k)."""
-    return _table_sum(_graded_P(params.n, True), lambda ell: _lhs_hook_ring(params, ell))
+    return _table_sum(_graded_P(params.n, True), lambda ell: lhs_hook_coeff(params, ell))
 
 
-def _rhs_hook_ring(params: HookParams, j: int) -> tuple[QPoly, int]:
-    """rhs_hook_coeff(params, j) as (poly, e), poly * q^e."""
+def rhs_hook_coeff(params: HookParams, j: int) -> Pair:
+    """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook, as (poly, e)."""
     k, m = params.k, params.m
     return (qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
             m + comb(k + 2, 2) - (k + 2) * j + 1)
 
 
-def rhs_hook_coeff(params: HookParams, j: int) -> Coef:
-    """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook."""
-    return from_poly(*_rhs_hook_ring(params, j))
-
-
 def rhs_hook(params: HookParams) -> SymFunc:
     """Length-graded Hall-Littlewood expansion of the same hook image."""
-    return _table_sum(_graded_P(params.n, False), lambda j: _rhs_hook_ring(params, j))
+    return _table_sum(_graded_P(params.n, False), lambda j: rhs_hook_coeff(params, j))
 
 
-def _alternating_term(k: int, i: int) -> QPoly:
-    """(-1)^i q^C(i,2) [k+2, i]_q, the z^i term of (z;q)_(k+2).
+def _alternating_term(k: int, i: int) -> tuple[int, QPoly]:
+    """(C(i,2), (-1)^i [k+2, i]_q): q^C(i,2) times the latter is the z^i term of (z;q)_(k+2).
 
     Zero unless 0 <= i <= k+2.
     """
-    term = qbinom_poly(k + 2, i).shift(comb(i, 2))
-    return -term if i % 2 else term
+    term = qbinom_poly(k + 2, i)
+    return comb(i, 2), (-term if i % 2 else term)
 
 
 def _remmel_ring(params: HookParams):
-    """remmel_coeff(s) = c q^e r_s (1 - q^s) over ZZ[q]: returns (c, e, {s: r_s}).
+    """remmel_coeff(s) = c q^e q^h r (1 - q^s) over ZZ[q]: returns (c, e, {s: (h, r)}).
 
     c = [m-1, k]_q and e = C(k+1, 2) - (k+1) m are shared by every s, and
-    r_s = (-1)^i q^C(i,2) [k+2, i]_q with i = m+1-s.  Only the s with a nonzero
-    r_s, 1 <= s <= m+1 and i <= k+2, are listed: at most k+3 of them.
+    (h, r) = ``_alternating_term(k, i)`` with i = m+1-s.  Only the s with a
+    nonzero r, 1 <= s <= m+1 and i <= k+2, are listed: at most k+3 of them.
     """
     k, m = params.k, params.m
     terms = {s: _alternating_term(k, m + 1 - s) for s in range(max(1, m - k - 1), m + 2)}
@@ -286,71 +277,70 @@ def hook_kernel(n: int, i: int) -> SymFunc:
 def remmel_sum(params: HookParams) -> SymFunc:
     """Kernel expansion sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), summed in ZZ[q].
 
-    With (c, e, {s: r_s}) from ``_remmel_ring``, remmel_coeff(s) is
-    c q^e r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
+    With (c, e, {s: (h, r_s)}) from ``_remmel_ring``, remmel_coeff(s) is
+    c q^e q^h r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
     (``hook_kernel``), so each hook's coefficient is
-    (-1)^r c q^e sum_s r_s (1 - q^s) q^(sr), entering Q(q,t) once.
+    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), entering Q(q,t) once.
     """
     c, e, terms = _remmel_ring(params)
-    kernels = [(s, r_s - r_s.shift(s)) for s, r_s in terms.items()]
+    kernels = [(s, h, r_s - r_s.shift(s)) for s, (h, r_s) in terms.items()]
     out = {}
     for r in range(params.n):
-        poly = c * sum((kernel.shift(s * r) for s, kernel in kernels), QPoly())
+        poly = c * sum((kernel.shift(h + s * r) for s, h, kernel in kernels), QPoly())
         out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly, e)
     return SymFunc(out)
 
 
 # -- scalar q-binomial identities -------------------------------------------------
+# Every side is a canonical pair (``qfield.laurent``).
 
-def prop31(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
+def prop31(k: int, m: int, ell: int) -> tuple[Pair, Pair]:
     """Alternating-sum evaluation (valid for k+2 <= ell <= m+1); returns (lhs, rhs)."""
-    lhs = sum((_alternating_term(k, i) * qbinom_poly(m + 1 - i, ell)
-               for i in range(0, min(k + 2, m + 1 - ell) + 1)), QPoly())
+    lhs = dot((*_alternating_term(k, i), qbinom_poly(m + 1 - i, ell))
+              for i in range(0, min(k + 2, m + 1 - ell) + 1))
     rhs = qbinom_poly(m - k - 1, ell - 2 - k)
-    return from_poly(lhs), from_poly(rhs, (k + 2) * (m + 1 - ell))
+    return laurent(lhs), laurent(rhs, (k + 2) * (m + 1 - ell))
 
 
-def cor32(k: int, m: int, ell: int) -> tuple[Coef, Coef]:
+def cor32(k: int, m: int, ell: int) -> tuple[Pair, Pair]:
     """Companion alternating-sum evaluation; returns (lhs, rhs)."""
-    lhs = sum((_alternating_term(k, i) * qbinom_poly(m + ell - i, ell)
-               for i in range(0, min(k + 2, m) + 1)), QPoly())
+    lhs = dot((*_alternating_term(k, i), qbinom_poly(m + ell - i, ell))
+              for i in range(0, min(k + 2, m) + 1))
     rhs = qbinom_poly(m + ell - (k + 2), ell - (k + 2))
-    return from_poly(lhs), from_poly(rhs, (k + 2) * m)
+    return laurent(lhs), laurent(rhs, (k + 2) * m)
 
 
-def _kernel_moment(params: HookParams, shift: int, length: int) -> Coef:
+def _kernel_moment(params: HookParams, shift: int, length: int) -> Pair:
     """sum_s remmel_coeff(s) * (q^(s+shift); q)_length over the kernel indices s.
 
     Only the windows of prop33a (shift = -length) and prop33b (shift = 1)
     occur.  In both, the factor 1 - q^s of remmel_coeff(s) sits next to the
     window and extends it to (q^(s + min(shift, 0)); q)_(length+1), which is
-    zero once it reaches q^0.  The sum runs over ZZ[q] and enters Q(q,t) once.
+    zero once it reaches q^0.  The sum over s is one ``qfield.dot``.
     """
     if shift not in (1, -length):
         raise ValueError(f"no kernel moment window with shift {shift}, length {length}")
     c, e, terms = _remmel_ring(params)
-    total = QPoly()
-    for s, r in terms.items():
-        start = s + min(shift, 0)
-        if start >= 1:
-            total += r * qpoch_poly(start, length + 1)
-    return from_poly(c * total, e)
+    low = min(shift, 0)
+    total = dot((h, r, qpoch_poly(s + low, length + 1))
+                for s, (h, r) in terms.items() if s + low >= 1)
+    return laurent(c * total, e)
 
 
-def prop33a(params: HookParams, j: int) -> tuple[Coef, Coef]:
+def prop33a(params: HookParams, j: int) -> tuple[Pair, Pair]:
     """Pochhammer moment of the kernel coefficients against (q^(s-j+1);q)_(j-1).
 
     Returns (lhs, rhs); the rhs is the length-j coefficient of rhs_hook.
     """
-    return _kernel_moment(params, 1 - j, j - 1), rhs_hook_coeff(params, j)
+    return _kernel_moment(params, 1 - j, j - 1), laurent(*rhs_hook_coeff(params, j))
 
 
-def prop33b(params: HookParams, ell: int) -> tuple[Coef, Coef]:
+def prop33b(params: HookParams, ell: int) -> tuple[Pair, Pair]:
     """Pochhammer moment of the kernel coefficients against (q^(s+1);q)_(ell-1).
 
     Returns (lhs, rhs); the rhs is the length-ell coefficient of lhs_hook_closed.
     """
-    return _kernel_moment(params, 1, ell - 1), lhs_hook_coeff(params, ell)
+    return _kernel_moment(params, 1, ell - 1), laurent(*lhs_hook_coeff(params, ell))
 
 
 # -- shifted Cauchy kernels --------------------------------------------------------

@@ -17,15 +17,18 @@ division by each 1 - q^j (``_over_one_minus``, which raises ArithmeticError
 when the division is not exact), both cached and neither recursive.  A Laurent
 polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
 gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
-reversing the coefficients instead of substituting 1/q.  A value enters
-Q(q,t) once, through ``from_poly``, whose only cancellation is of a power of
-q; ``qbinom`` and ``qpoch_at`` are such conversions, and ``to_poly`` takes
-a Laurent polynomial in q back to its pair.  The sparse ring ``RING`` =
-ZZ[q,t] is kept for what needs both variables: the numerators and
-denominators of Q(q,t), and ``swap_qt``, which exchanges them.
+reversing the coefficients instead of substituting 1/q; ``==`` on the
+canonical pairs of ``laurent`` is equality, and ``dot`` sums products
+q^s a b in one Kronecker pass.  A value enters Q(q,t) once, through
+``from_poly``, whose only cancellation is of a power of q; ``qbinom`` and
+``qpoch_at`` are such conversions, and ``to_poly`` takes a Laurent
+polynomial in q back to its pair.  The sparse ring ``RING`` = ZZ[q,t] is
+kept for what needs both variables: the numerators and denominators of
+Q(q,t), and ``swap_qt``, which exchanges them.
 
 ``render`` writes an element as canonical text, the package's one output
-format for coefficients; the package reads no coefficient text back.
+format for coefficients, and ``render_laurent`` writes a pair as that same
+text directly; the package reads no coefficient text back.
 """
 
 from __future__ import annotations
@@ -130,15 +133,19 @@ def _unpack(value: int, n: int, width: int) -> list:
             for i in range(0, n * width, width)]
 
 
+def _bound(a: list, b: list) -> int:
+    """||a||_inf ||b||_inf min(len a, len b), a bound on every coefficient of a * b."""
+    return max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+
+
 def _kronecker(a: list, b: list) -> list:
     """The coefficients of a * b, read off one product of two ints (Kronecker substitution).
 
     Each factor is evaluated at X = 2^(8w) (``_pack``), where w bytes hold
-    ||a||_inf ||b||_inf min(len a, len b) with a sign bit, so no product
-    coefficient c satisfies |c| >= X/2 and ``_unpack`` reads them all back.
+    ``_bound(a, b)`` with a sign bit, so no product coefficient c satisfies
+    |c| >= X/2 and ``_unpack`` reads them all back.
     """
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-    width = _digit_width(bound)
+    width = _digit_width(_bound(a, b))
     return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
@@ -211,7 +218,9 @@ class QPoly:
         return cls(c)
 
     def shift(self, e: int) -> QPoly:
-        """q^e times self, for e >= 0."""
+        """q^e times self, for e >= 0; a negative e is a ValueError."""
+        if e < 0:
+            raise ValueError(f"cannot shift by q^{e} within ZZ[q]")
         return _wrap([0] * e + self.c) if self.c else self
 
     def __bool__(self) -> bool:
@@ -230,6 +239,28 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self.c})"
+
+
+def dot(terms) -> QPoly:
+    """sum q^s a b over the triples (s, a, b) of QPolys a, b and s >= 0, read off one int sum.
+
+    As in ``_kronecker``, but every factor is packed at the one width that
+    holds the sum of the ``_bound`` of every product, and each int product
+    is shifted by s digits before the sum is unpacked.
+    """
+    terms = [(s, a.c, b.c) for s, a, b in terms]
+    if any(s < 0 for s, _, _ in terms):
+        raise ValueError("cannot shift by a negative power of q within ZZ[q]")
+    terms = [(s, a, b) for s, a, b in terms if a and b]
+    if not terms:
+        return QPoly()
+    width = _digit_width(sum(_bound(a, b) for _, a, b in terms))
+    total = sum((_pack(a, width) * _pack(b, width)) << (8 * width * s) for s, a, b in terms)
+    return _wrap(_strip(_unpack(total, max(s + len(a) + len(b) - 1 for s, a, b in terms), width)))
+
+
+#: a Laurent polynomial poly * q^e in q as the pair (poly, e)
+Pair = tuple[QPoly, int]
 
 
 def _times_one_minus(c: list, e: int) -> list:
@@ -271,8 +302,16 @@ def from_poly(poly: QPoly, e: int = 0) -> Coef:
     return FIELD.raw_new(numer, _Q_POLY**d)
 
 
-def to_poly(c: Coef) -> tuple[QPoly, int]:
-    """(poly, e) with from_poly(poly, e) == c, the inverse of ``from_poly``.
+def laurent(poly: QPoly, e: int = 0) -> Pair:
+    """poly * q^e as its canonical pair: nonzero constant coefficient, or (QPoly(), 0) for zero."""
+    low = next((i for i, v in enumerate(poly.c) if v), None)
+    if low is None:
+        return poly, 0
+    return (_wrap(poly.c[low:]), e + low) if low else (poly, e)
+
+
+def to_poly(c: Coef) -> Pair:
+    """(poly, e) with from_poly(poly, e) == c, the inverse of ``from_poly``; a canonical pair.
 
     Raises ValueError unless c is free of t and its denominator is a power of q.
     """
@@ -283,7 +322,7 @@ def to_poly(c: Coef) -> tuple[QPoly, int]:
     return QPoly.from_terms({i - low: int(v) for (i, _), v in c.numer.items()}), low - den[0][0][0]
 
 
-def reverse(poly: QPoly, e: int) -> tuple[QPoly, int]:
+def reverse(poly: QPoly, e: int) -> Pair:
     """poly(1/q) * q^e as the pair (rev(poly), e - deg poly), rev reversing the coefficients."""
     return QPoly(poly.c[::-1]), e - len(poly.c) + 1
 
@@ -299,7 +338,7 @@ def qpoch_poly(s: int, m: int) -> QPoly:
     return _wrap(c)
 
 
-def qpoch_laurent(s: int, m: int) -> tuple[QPoly, int]:
+def qpoch_laurent(s: int, m: int) -> Pair:
     """(q^s; q)_m as (poly, e), standing for poly * q^e, for any s.  m < 0 is rejected."""
     if m < 0:
         raise ValueError("Pochhammer length must be nonnegative")
@@ -353,30 +392,20 @@ def swap_qt(f: Coef) -> Coef:
 
 # -- rendering -----------------------------------------------------------------
 
-def _monomial_str(eq_: int, et_: int, c: int) -> str:
-    factors = []
-    if abs(c) != 1 or (eq_ == 0 and et_ == 0):
-        factors.append(str(abs(c)))
-    if eq_:
-        factors.append("q" if eq_ == 1 else f"q^{eq_}")
-    if et_:
-        factors.append("t" if et_ == 1 else f"t^{et_}")
-    return "*".join(factors)
-
-
-def _poly_str(poly) -> str:
-    terms = poly.terms()
-    if not terms:
-        return "0"
+def _poly_str(terms) -> str:
+    """sum c q^i t^j over the items ((i, j), c) of terms, in their order; "0" for none."""
     pieces = []
-    for (eq_, et_), c in terms:
+    for (i, j), c in terms:
         c = int(c)
-        text = _monomial_str(eq_, et_, c)
-        if not pieces:
-            pieces.append(text if c > 0 else f"-{text}")
-        else:
-            pieces.append(f" + {text}" if c > 0 else f" - {text}")
-    return "".join(pieces)
+        power = ("q" if i == 1 else f"q^{i}") if i else ""
+        if j:
+            power = f"{power}*t" if power else "t"
+            power += f"^{j}" if j > 1 else ""
+        a = abs(c)
+        text = (power if a == 1 else f"{a}*{power}") if power else str(a)
+        pieces.append(f" - {text}" if c < 0 else f" + {text}")
+    text = "".join(pieces) or " + 0"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 def _is_bare_term(poly) -> bool:
@@ -386,12 +415,24 @@ def _is_bare_term(poly) -> bool:
 
 def render(f: Coef) -> str:
     """Canonical string form, e.g. '(q^3 - q^2 + 1)/(q - 1)'."""
-    num = _poly_str(f.numer)
+    num = _poly_str(f.numer.terms())
     if f.denom == FIELD.ring.one:
         return num
     if not _is_bare_term(f.numer):
         num = f"({num})"
-    den = _poly_str(f.denom)
+    den = _poly_str(f.denom.terms())
     if not _is_bare_term(f.denom):
         den = f"({den})"
     return f"{num}/{den}"
+
+
+def render_laurent(poly: QPoly, e: int = 0) -> str:
+    """``render(from_poly(poly, e))``, written from the canonical pair: q^-e is the denominator."""
+    poly, e = laurent(poly, e)
+    c = poly.c
+    terms = [((i + max(e, 0), 0), c[i]) for i in range(len(c) - 1, -1, -1) if c[i]]
+    num = _poly_str(terms)
+    if e >= 0:
+        return num
+    bare = len(terms) == 1 and c[0] > 0  # one positive term
+    return f"{num if bare else f'({num})'}/{_poly_str([((-e, 0), 1)])}"

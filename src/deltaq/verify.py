@@ -6,8 +6,9 @@ plain parameter dict, the hypothesis under which the identity is claimed (a
 predicate plus its text), optional extra predicates, and a default parameter
 sweep.  :meth:`Identity.check` is the single runner: it skips a case only
 when the hypothesis fails, turns any exception into an ``error`` report, and
-renders both sides through the ``symfunc`` grammar (scalar identities are
-wrapped as degree-0 expansions ``s[]*(coef)`` for that reason).
+renders both sides in the ``symfunc`` grammar.  A scalar side stays a
+canonical Laurent pair (``QPoly``, e) up to its report text, the degree-0
+expansion ``s[]*(coef)`` written by ``qfield.render_laurent``.
 
 ``run_suite`` checks one identity or a whole suite, each with its default
 parameter sweep or one given case; ``write_jsonl`` writes the reports as JSON
@@ -62,18 +63,32 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> str:
     return ""
 
 
-def _scalar_sym(c) -> SymFunc:
-    return SymFunc({Partition(): c})
+def _scalar_pair(side):
+    """A scalar side, a pair or a Laurent polynomial in Q(q,t), as a canonical pair."""
+    if isinstance(side, qfield.Coef):
+        return qfield.to_poly(side)
+    if isinstance(side, tuple) and len(side) == 2 and isinstance(side[0], qfield.QPoly):
+        return qfield.laurent(*side)
+    return side
 
 
-def _compare_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> str:
-    return "" if lhs == rhs else _sym_witness(lhs, rhs)
+def _compare_sides(lhs, rhs, params: dict) -> str:
+    if lhs == rhs:
+        return ""
+    if isinstance(lhs, SymFunc):
+        return _sym_witness(lhs, rhs)
+    return (f"first differing component s[]: lhs ({qfield.render_laurent(*lhs)}) "
+            f"vs rhs ({qfield.render_laurent(*rhs)})")
 
 
-def _render_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> tuple[str, str]:
-    """Both renders; an equal rhs reuses the lhs text, since render is canonical."""
-    text = sf.render(lhs)
-    return text, text if lhs == rhs else sf.render(rhs)
+def _render_sides(lhs, rhs, params: dict) -> tuple[str, str]:
+    """Both renders, a scalar pair as s[]*(coef) or 0; an equal rhs reuses the lhs text."""
+    def render(side) -> str:
+        if isinstance(side, SymFunc):
+            return sf.render(side)
+        return f"s[]*({qfield.render_laurent(*side)})" if side[0] else "0"
+    text = render(lhs)
+    return text, text if lhs == rhs else render(rhs)
 
 
 # -- the identity record and its runner --------------------------------------------
@@ -82,11 +97,12 @@ def _render_sym(lhs: SymFunc, rhs: SymFunc, params: dict) -> tuple[str, str]:
 class Identity:
     """One checkable identity.
 
-    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two field elements
-    (wrapped as degree-0 expansions), or any pair that ``compare`` and
-    ``render`` understand.  ``compare`` and ``extra`` return "" when their
-    predicate holds and a witness otherwise; ``extra`` is the predicate beyond
-    equality (hook support, a third route).
+    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars (pairs
+    (QPoly, e) or Laurent polynomials in Q(q,t), which ``check`` turns into
+    canonical pairs), or any pair that ``compare`` and ``render`` understand.
+    ``compare`` and ``extra`` return "" when their predicate holds and a
+    witness otherwise; ``extra`` is the predicate beyond equality (hook
+    support, a third route).
     """
 
     identity_id: str
@@ -96,8 +112,8 @@ class Identity:
     hypothesis_text: str
     default_cases: Callable[[int | None], Iterator[dict]]
     extra: Callable[[Any, Any, dict], str] | None = None
-    compare: Callable[[Any, Any, dict], str] = _compare_sym
-    render: Callable[[Any, Any, dict], tuple[str, str]] = _render_sym
+    compare: Callable[[Any, Any, dict], str] = _compare_sides
+    render: Callable[[Any, Any, dict], tuple[str, str]] = _render_sides
 
     def check(self, params: dict) -> IdentityReport:
         started = time.perf_counter()
@@ -106,9 +122,7 @@ class Identity:
             if not self.hypothesis(params):
                 status, witness = "skipped", f"hypothesis {self.hypothesis_text} fails"
             else:
-                lhs, rhs = self.sides(params)
-                if isinstance(lhs, qfield.Coef):
-                    lhs, rhs = _scalar_sym(lhs), _scalar_sym(rhs)
+                lhs, rhs = map(_scalar_pair, self.sides(params))
                 failed = [self.compare(lhs, rhs, params)]
                 if self.extra is not None:
                     failed.append(self.extra(lhs, rhs, params))

@@ -2,15 +2,16 @@
 
 Every value here is built by Q(q,t) arithmetic, one gcd-normalized ``*`` or
 ``+`` at a time: a Pochhammer symbol as the product of its factors, a
-q-binomial as a quotient of Pochhammer symbols, a kernel moment as the
-literal sum over s of ``remmel_coeff(s)`` times a Pochhammer window, the
-kernel expansion as the literal sum over s of ``remmel_coeff(s)`` times a
-hook kernel, f[XA] or f[A] as the power-sum expansion of f with each p_rho
-scaled by p_rho[A] and mapped back to Schur functions term by term, lhs_nu as
-``symfunc.plethysm`` of omega of the field image, and the t=0
-Hall-Littlewood sides one partition mu at a time: each H~_mu(X;q,0) over its
-weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and each P_mu[X;1/q] times
-q^(-n(mu)).
+q-binomial as a quotient of Pochhammer symbols, the alternating sums of
+prop31 and cor32 term by term and the hook coefficients as the products of
+their factors, a kernel moment as the literal sum over s of
+``remmel_coeff(s)`` times a Pochhammer window, the kernel expansion as the
+literal sum over s of ``remmel_coeff(s)`` times a hook kernel, f[XA] or f[A]
+as the power-sum expansion of f with each p_rho scaled by p_rho[A] and mapped
+back to Schur functions term by term, lhs_nu as ``symfunc.plethysm`` of omega
+of the field image, and the t=0 Hall-Littlewood sides one partition mu at a
+time: each H~_mu(X;q,0) over its weight w_t0(mu), each P_mu[X;q] times
+q^(n(mu)) and each P_mu[X;1/q] times q^(-n(mu)).
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
 values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first; the
 tests require both routes to agree.
@@ -38,13 +39,48 @@ def qbinom(a: int, b: int):
     return qpoch_at(1, a) / (qpoch_at(1, b) * qpoch_at(1, a - b))
 
 
+def alternating_sum(k: int, a: int, ell: int, top: int):
+    """sum_{i=0}^{top} (-1)^i q^C(i,2) [k+2, i]_q [a-i, ell]_q, one field term at a time."""
+    total = ZERO
+    for i in range(top + 1):
+        total += (-1) ** i * q ** (i * (i - 1) // 2) * qbinom(k + 2, i) * qbinom(a - i, ell)
+    return total
+
+
+def prop31(k: int, m: int, ell: int):
+    """Both sides of Prop 3.1 in Q(q,t)."""
+    return (alternating_sum(k, m + 1, ell, min(k + 2, m + 1 - ell)),
+            q ** ((k + 2) * (m + 1 - ell)) * qbinom(m - k - 1, ell - 2 - k))
+
+
+def cor32(k: int, m: int, ell: int):
+    """Both sides of Cor 3.2 in Q(q,t)."""
+    return (alternating_sum(k, m + ell, ell, min(k + 2, m)),
+            q ** ((k + 2) * m) * qbinom(m + ell - (k + 2), ell - (k + 2)))
+
+
+def lhs_hook_coeff(params: HookParams, ell: int):
+    """lhs_hook_closed's length-ell coefficient q^(m+C(k+1,2)) [m-1,k] [m+ell-k-2,m] (q;q)_ell."""
+    k, m = params.k, params.m
+    return (q ** (m + k * (k + 1) // 2) * qbinom(m - 1, k) * qbinom(m + ell - (k + 2), m)
+            * qpoch_at(1, ell))
+
+
+def rhs_hook_coeff(params: HookParams, j: int):
+    """rhs_hook's length-j coefficient q^(m+C(k+2,2)-(k+2)j+1) [j-2,k] [m-1,j-2] (q;q)_j."""
+    k, m = params.k, params.m
+    return (q ** (m + (k + 2) * (k + 1) // 2 - (k + 2) * j + 1) * qbinom(j - 2, k)
+            * qbinom(m - 1, j - 2) * qpoch_at(1, j))
+
+
 def remmel_coeff(s: int, params: HookParams):
     """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image; zero off the kernel."""
     c, e, terms = delta_ops._remmel_ring(params)
     if s not in terms:
         return ZERO
-    poly = c * terms[s]
-    return from_poly(poly - poly.shift(s), e)
+    h, r = terms[s]
+    poly = c * r
+    return from_poly(poly - poly.shift(s), e + h)
 
 
 def remmel_sum(params: HookParams):

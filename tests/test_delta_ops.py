@@ -12,7 +12,7 @@ from references import subs, subs_coeffs
 from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, t
+from deltaq.qfield import ONE, ZERO, QPoly, q, t
 
 
 def all_hooks(n: int):
@@ -135,10 +135,31 @@ class TestScalarIdentities:
                     assert lhs == rhs, (k, m, ell)
 
     def test_cor32_needs_ell_at_least_k_plus_2(self):
-        # frozen counterexample just outside the hypothesis
+        # frozen counterexample just outside the hypothesis: -q^2 against 0
         lhs, rhs = d.cor32(1, 1, 1)
-        assert lhs == -(q**2)
-        assert rhs == ZERO
+        assert lhs == (QPoly([-1]), 2)
+        assert rhs == (QPoly(), 0)
+        assert field_route.cor32(1, 1, 1) == (-(q**2), ZERO)
+
+    def test_sides_are_canonical_pairs_of_the_field_values(self):
+        # inside and outside each hypothesis, so unequal and zero sides occur too
+        sides = [(d.prop31(k, m, ell), field_route.prop31(k, m, ell))
+                 for m in range(1, 6) for k in range(0, m + 1) for ell in range(0, m + 3)]
+        sides += [(d.cor32(k, m, ell), field_route.cor32(k, m, ell))
+                  for m in range(1, 5) for k in range(0, 5) for ell in range(0, 8)]
+        for params in (p for n in range(2, 6) for p in all_hooks(n)):
+            for j in range(1, params.n + 2):
+                sides.append((d.prop33a(params, j), (
+                    field_route.kernel_moment(params, 1 - j, j - 1),
+                    field_route.rhs_hook_coeff(params, j))))
+                sides.append((d.prop33b(params, j), (
+                    field_route.kernel_moment(params, 1, j - 1),
+                    field_route.lhs_hook_coeff(params, j))))
+        for pairs, values in sides:
+            for pair, value in zip(pairs, values):
+                assert qfield.laurent(*pair) == pair
+                assert qfield.from_poly(*pair) == value
+        assert sum(not pair[0] for pairs, _ in sides for pair in pairs) > 0
 
     def test_prop33_moments(self):
         for n in range(2, 5):
@@ -160,7 +181,9 @@ class TestRingRoute:
         for params in all_hooks(n):
             for window in range(1, n + 1):
                 for shift, length in ((1 - window, window - 1), (1, window - 1)):
-                    assert d._kernel_moment(params, shift, length) == (
+                    got = d._kernel_moment(params, shift, length)
+                    assert qfield.laurent(*got) == got, (params, shift, length)
+                    assert qfield.from_poly(*got) == (
                         field_route.kernel_moment(params, shift, length)), (params, shift, length)
 
     def test_kernel_moment_rejects_other_windows(self):
@@ -221,7 +244,8 @@ class TestLengthTables:
     def test_inverse_q_sides_match_per_mu_route(self):
         for n in range(1, 8):
             for params in all_hooks(n):
-                want = field_route.length_sum_invq(n, lambda ell: d.lhs_hook_coeff(params, ell))
+                want = field_route.length_sum_invq(
+                    n, lambda ell: field_route.lhs_hook_coeff(params, ell))
                 assert d.lhs_hook_closed(params) == want, params
             for i in range(1, 5):
                 want = field_route.length_sum_invq(
@@ -240,7 +264,7 @@ class TestLengthTables:
     def test_direct_q_sides_match_per_mu_route(self):
         for n in range(1, 8):
             for params in all_hooks(n):
-                want = field_route.length_sum(n, lambda j: d.rhs_hook_coeff(params, j))
+                want = field_route.length_sum(n, lambda j: field_route.rhs_hook_coeff(params, j))
                 assert d.rhs_hook(params) == want, params
             for i in range(1, 5):
                 want = field_route.length_sum(

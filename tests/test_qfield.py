@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import field_route
 from references import read_coef, subs, to_ring
@@ -269,6 +269,12 @@ class TestQPoly:
     def test_shift(self, a, e):
         assert to_ring(a.shift(e)) == to_ring(a).mul_monom((e, 0))
 
+    def test_negative_shift_is_rejected(self):
+        # q^-1 * poly is not in ZZ[q], even when the constant coefficient is zero
+        for poly in (QPoly([1, 2]), QPoly([0, 1]), QPoly()):
+            with pytest.raises(ValueError):
+                poly.shift(-1)
+
     @given(_qpolys, st.integers(-40, 40))
     @settings(max_examples=100, deadline=None)
     def test_entries_into_the_field(self, a, e):
@@ -283,6 +289,65 @@ class TestQPoly:
     def test_to_poly_inverts_from_poly(self, a, e):
         value = qfield.from_poly(a, e)
         assert qfield.from_poly(*qfield.to_poly(value)) == value
+
+    @given(_qpolys, st.integers(-40, 40), st.integers(0, 6), st.booleans(), _qpolys,
+           st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_laurent_pairs_are_equal_exactly_when_the_field_values_are(self, a, e, k, same, b, f):
+        if same:  # the same Laurent polynomial written with k more low zeros
+            b, f = a.shift(k), e - k
+        pair = qfield.laurent(a, e)
+        assert qfield.laurent(*pair) == pair
+        assert qfield.from_poly(*pair) == qfield.from_poly(a, e)
+        assert (pair == qfield.laurent(b, f)) == (qfield.from_poly(a, e) == qfield.from_poly(b, f))
+
+    def test_laurent_of_zero(self):
+        assert qfield.laurent(QPoly(), -3) == qfield.laurent(QPoly([0, 0]), 5) == (QPoly(), 0)
+
+    @given(st.one_of(_qpolys, st.builds(lambda zeros, c: QPoly([0] * zeros + c), st.integers(0, 6),
+                                        st.lists(st.integers(-3, 3), max_size=6))),
+           st.integers(-40, 40))
+    @example(QPoly(), -3)
+    @example(QPoly([-1]), -1)
+    @example(QPoly([0, 0, -7]), -5)
+    @example(QPoly([0, 1, -1]), -4)
+    @settings(max_examples=300, deadline=None)
+    def test_render_laurent_matches_field_render(self, a, e):
+        assert qfield.render_laurent(a, e) == render(qfield.from_poly(a, e))
+
+    def test_frozen_laurent_renders(self):
+        assert qfield.render_laurent(QPoly([-1]), -1) == "(-1)/q"
+        assert qfield.render_laurent(QPoly([3]), -2) == "3/q^2"
+        assert qfield.render_laurent(QPoly([1, -1]), -3) == "(-q + 1)/q^3"
+        assert qfield.render_laurent(QPoly([0, 2, 0, -1]), 1) == "-q^4 + 2*q^2"
+        assert qfield.render_laurent(QPoly(), -2) == "0"
+
+    @given(st.lists(st.tuples(st.integers(0, 12), _qpolys, _qpolys), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_dot_matches_sum_of_shifted_products(self, terms):
+        want = sum(((a * b).shift(s) for s, a, b in terms), QPoly())
+        assert qfield.dot(terms) == want
+        assert qfield.dot(iter(terms)) == want
+        # the same terms with one factor negated cancel to zero
+        assert qfield.dot(terms + [(s, -a, b) for s, a, b in terms]) == QPoly()
+
+    def test_dot_edges(self):
+        one_plus_q = QPoly([1, 1])
+        assert qfield.dot([]) == QPoly()
+        assert qfield.dot([(3, QPoly(), one_plus_q)]) == QPoly()
+        # the top coefficients cancel: (1 + q)^2 - q^2
+        assert qfield.dot([(0, one_plus_q, one_plus_q), (2, QPoly([-1]), QPoly([1]))]) == (
+            QPoly([1, 2]))
+        # digits wider than 8 bytes, packed one at a time
+        big = QPoly([2**70, -(2**70) + 1, 5])
+        terms = [(0, big, big), (4, big, one_plus_q), (1, -big, big)]
+        assert qfield._digit_width(2**140 * 9) not in qfield._DIGIT_CODES
+        assert qfield.dot(terms) == big * big + (big * one_plus_q).shift(4) - (big * big).shift(1)
+
+    def test_dot_rejects_negative_shifts(self):
+        for factor in (QPoly([1]), QPoly()):
+            with pytest.raises(ValueError):
+                qfield.dot([(0, QPoly([1]), QPoly([1])), (-1, factor, QPoly([1]))])
 
     def test_to_poly_rejects_what_is_not_a_laurent_polynomial_in_q(self):
         for c in (ONE / (ONE + q), t):

@@ -6,11 +6,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import field_route
 from references import subs_coeffs
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
-from deltaq.partition import partitions_of
-from deltaq.qfield import ONE, ZERO, q, t
+from deltaq.partition import Partition, partitions_of
+from deltaq.qfield import ONE, ZERO, QPoly, q, t
 
 
 class TestRegistry:
@@ -72,6 +73,49 @@ class TestRunOne:
             params = next(iter(entry.default_cases(None)))
             report = ver.run_one(identity_id, params)
             assert report.status == "equal", (identity_id, params, report.witness)
+
+
+def _field_sides(identity_id: str, p: dict):
+    """Both sides of a scalar identity in Q(q,t), from the field route."""
+    if identity_id in ("prop31", "cor32"):
+        return getattr(field_route, identity_id)(p["k"], p["m"], p["ell"])
+    params = delta_ops.HookParams(k=p["k"], m=p["m"], n=p["n"])
+    if identity_id == "prop33a":
+        return (field_route.kernel_moment(params, 1 - p["j"], p["j"] - 1),
+                field_route.rhs_hook_coeff(params, p["j"]))
+    return (field_route.kernel_moment(params, 1, p["ell"] - 1),
+            field_route.lhs_hook_coeff(params, p["ell"]))
+
+
+class TestScalarRoute:
+    """Scalar sides are compared and rendered as Laurent pairs, never through Q(q,t)."""
+
+    def test_default_cases_render_as_the_field_route(self):
+        # every default case up to n = 6; the hook families sweep one n at a time
+        cases = [(i, p) for i in ("prop31", "cor32") for p in ver.REGISTRY[i].default_cases(6)]
+        cases += [(i, p) for i in ("prop33a", "prop33b", "eq17")
+                  for n in range(2, 7) for p in ver.REGISTRY[i].default_cases(n)]
+        for identity_id, p in cases:
+            report = ver.run_one(identity_id, p)
+            lhs, rhs = _field_sides(identity_id, p)
+            assert report.status == "equal", (identity_id, p, report.witness)
+            assert report.lhs_render == sf.render(sf.SymFunc({Partition(): lhs})), (identity_id, p)
+            assert report.rhs_render == sf.render(sf.SymFunc({Partition(): rhs})), (identity_id, p)
+        assert {"prop31", "cor32", "prop33a", "prop33b", "eq17"} == {i for i, _ in cases}
+
+    def test_mismatch_witness_names_the_degree_zero_component(self, monkeypatch):
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
+            (QPoly([0, 0, 3]), -4), (QPoly(), 7)))
+        report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
+        assert report.status == "mismatch"
+        assert report.witness == "first differing component s[]: lhs (3/q^2) vs rhs (0)"
+        assert (report.lhs_render, report.rhs_render) == ("s[]*(3/q^2)", "0")
+
+    def test_field_sides_must_be_laurent_polynomials_in_q(self, monkeypatch):
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (ONE / (ONE - q), ZERO))
+        report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
+        assert report.status == "error"
+        assert report.witness.startswith("ValueError: not a Laurent polynomial in q")
 
 
 class TestOutcomes:
