@@ -1,15 +1,17 @@
 """Delta operators on symmetric functions and the identity families built on them.
 
-Everything here works with exact coefficients in the field Q(q,t) (or its q-only
-subfield) and Schur-basis symmetric functions from :mod:`deltaq.symfunc`.
+Expansions are Schur-basis symmetric functions from :mod:`deltaq.symfunc`
+with exact coefficients in Q(q,t); the t=0 sides are summed in ZZ[q] first,
+and the scalar sides stay Laurent pairs in q.
 
 The central objects:
 
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
   Hall-Littlewood / Macdonald expansions of ``e_n``.  ``delta_full``'s
   eigenvalue on H~_mu is ``symfunc.evaluate`` of f at the alphabet B_mu (minus
-  1 when primed), one element of Q(q,t).  At t=0 the eigenvalue depends only
-  on l(mu) and lies in ZZ[q, 1/q]: s_lam[q + ... + q^(l-1)] is q^|lam| times
+  1 when primed), one element of Q(q,t).  ``delta_prime_t0`` is the operator
+  for a Schur function s_nu, given by nu: at t=0 the eigenvalue depends only
+  on l(mu) and lies in ZZ[q, 1/q], s_nu[q + ... + q^(l-1)] being q^|nu| times
   ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
   H~_mu over their weights, or of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l
@@ -25,12 +27,12 @@ The central objects:
   plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
   them.  Their coefficients are products and sums of dense ZZ[q] polynomials
   (``qfield.QPoly``).  The scalar sides stay canonical pairs
-  (``qfield.laurent``), each sum over i or s one ``qfield.dot``; each
-  coefficient of an expansion, of a charge content behind ``rhs_nu`` and of
-  the graded side of ``schur_principal_eval`` enters Q(q,t) once through
-  ``qfield.from_poly``.  The kernel coefficients remmel_coeff(s) of
-  h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``; ``remmel_sum`` adds them
-  times the hook kernels in ZZ[q], one conversion per hook.
+  (``qfield.laurent``), each sum over i or s one ``qfield.dot``, and so are
+  both sides of ``schur_principal_eval``; each coefficient of an expansion
+  enters Q(q,t) once through ``qfield.from_poly``.  The kernel coefficients
+  remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``;
+  ``remmel_sum`` adds them times the hook kernels in ZZ[q], one conversion
+  per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -55,8 +57,8 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, ONE, RING, ZERO, Pair, QPoly, dot, from_poly, laurent, q, qbinom,
-                     qbinom_poly, qpoch_laurent, qpoch_poly, reverse, to_poly)
+from .qfield import (ONE, RING, ZERO, Pair, QPoly, dot, from_poly, laurent, q, qbinom_poly,
+                     qpoch_laurent, qpoch_poly, reverse)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -152,37 +154,26 @@ def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
     return _from_pairs(_table_pairs(table, coeff))
 
 
-def _eigenvalue(f: SymFunc) -> Callable[[int], Pair]:
-    """l -> f[q + ... + q^(l-1)] as a pair (poly, e), from f's Schur coefficients in ZZ[q, 1/q].
-
-    s_lam[q + ... + q^(l-1)] = q^|lam| s_lam[1 + ... + q^(l-2)], the latter
-    ``symfunc.principal_poly(lam, l-1)``.  f's coefficients go through
-    ``qfield.to_poly``, which rejects any but Laurent polynomials in q.
-    """
-    coeffs = [(lam, *to_poly(c)) for lam, c in f.terms.items()]
-    return lambda ell: _add_pairs([(c * sf.principal_poly(lam, ell - 1), e + lam.size)
-                                   for lam, c, e in coeffs])
-
-
-def _delta_prime_t0_pairs(f: SymFunc, n: int) -> dict:
-    """``delta_prime_t0(f, n)`` as {lam: (poly, e)}, before the field conversion."""
+def _delta_prime_t0_pairs(nu, n: int) -> dict:
+    """``delta_prime_t0(nu, n)`` as {lam: (poly, e)}, before the field conversion."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _table_pairs(_t0_operator_table(n), _eigenvalue(f))
+    nu = _as_partition(nu)
+    return _table_pairs(_t0_operator_table(n),
+                        lambda ell: (sf.principal_poly(nu, ell - 1), nu.size))
 
 
-def delta_prime_t0(f: SymFunc, n: int) -> SymFunc:
-    """Image of e_n under the primed Delta operator for f, with t set to 0.
+def delta_prime_t0(nu, n: int) -> SymFunc:
+    """Image of e_n under the primed Delta operator for s_nu, with t set to 0.
 
     e_n = sum_mu (1-q) Pi'_mu B_mu / w_mu H~_mu over the t=0 modified
-    Macdonald functions, and the operator scales H~_mu by f[B_mu - 1].  At
+    Macdonald functions, and the operator scales H~_mu by s_nu[B_mu - 1].  At
     t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
     l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So the image is
-    sum_l f[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``
-    and the eigenvalue from ``_eigenvalue``.  The coefficients of f must be
-    Laurent polynomials in q (``qfield.to_poly``).
+    sum_l s_nu[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``
+    and the eigenvalue q^|nu| ``symfunc.principal_poly(nu, l-1)``.
     """
-    return _from_pairs(_delta_prime_t0_pairs(f, n))
+    return _from_pairs(_delta_prime_t0_pairs(nu, n))
 
 
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
@@ -211,7 +202,7 @@ def lhs_nu(nu, n: int) -> SymFunc:
     The image's pairs go to the conjugate shapes (omega) and through
     ``symfunc.plethysm_one_minus_q`` in ZZ[q]; each coefficient enters Q(q,t) once.
     """
-    image = _delta_prime_t0_pairs(sf.s(_as_partition(nu)), n)
+    image = _delta_prime_t0_pairs(nu, n)
     return _from_pairs(sf.plethysm_one_minus_q({lam.conjugate(): c for lam, c in image.items()}))
 
 
@@ -405,20 +396,19 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
     return total
 
 
-def schur_principal_eval(nu, j: int) -> tuple[Coef, Coef]:
+def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
     """Principal evaluation s_nu[1 + q + ... + q^(j-2)] two ways; returns (direct, graded).
 
-    direct: evaluate p_k -> (1 - q^(k(j-1)))/(1 - q^k) on the power-sum expansion.
+    direct: the hook-content product ``symfunc.principal_poly(nu, j-1)``.
     graded: sum over lengths k of the charge-graded length-k content of s_nu,
             each paired with the Pochhammer (q^(j-k);q)_k.  As
             (q^(j-k);q)_k / (q;q)_k = [j-1, k]_q for j >= 1, this is
             sum_k ``_charge_poly(nu, k)`` [j-1, k]_q, summed in ZZ[q].
     """
     nu = _as_partition(nu)
-    direct = sf.evaluate(sf.s(nu), qbinom(j - 1, 1))
     graded = sum((_charge_poly(nu, k) * qbinom_poly(j - 1, k)
                   for k in range(len(nu), nu.size + 1)), QPoly())
-    return direct, from_poly(graded)
+    return (sf.principal_poly(nu, j - 1), 0), (graded, 0)
 
 
 def rhs_nu(nu, n: int) -> SymFunc:

@@ -15,6 +15,10 @@ functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
 point mod p.  Their one-parameter specialization H~_mu(X;q,0), which ``deltaq
 expand --what Htilde0`` prints and ``delta_ops`` sums by length straight from
 the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
+Its weight w_t0, in closed form and as a cell product, and the P-to-Q
+normalization ``b_factor`` are built in ZZ[q]: the weights as Laurent pairs
+(``QPoly``, e), which ``verify`` compares as they are, and ``b_factor`` as a
+``QPoly`` that ``hl_Q`` converts once.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from functools import lru_cache
 
 from sympy.utilities.iterables import multiset_permutations
 
-from . import qfield, symfunc
+from . import symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, QPoly, from_poly, q, qpoch, reverse, t
+from .qfield import Coef, Pair, QPoly, from_poly, q, qpoch_poly, reverse, t
 from .symfunc import SymFunc
 from .tableaux import charge, reading_word, ssyt
 
@@ -68,18 +72,18 @@ def hl_P(mu) -> SymFunc:
     return SymFunc({lam: from_poly(c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
-def b_factor(mu) -> Coef:
-    """prod_i (q;q)_(m_i(mu)), the P-to-Q normalization."""
-    out = qfield.ONE
+def b_factor(mu) -> QPoly:
+    """prod_i (q;q)_(m_i(mu)), the P-to-Q normalization, in ZZ[q]."""
+    out = QPoly([1])
     for mult in Partition(mu).multiplicities().values():
-        out *= qpoch(mult)
+        out *= qpoch_poly(1, mult)
     return out
 
 
 def hl_Q(mu) -> SymFunc:
     """Q_mu = b_mu(q) P_mu."""
     mu = Partition(mu)
-    return hl_P(mu).scale(b_factor(mu))
+    return hl_P(mu).scale(from_poly(b_factor(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -96,27 +100,32 @@ def modified_macdonald_t0(mu) -> SymFunc:
 
 # -- specialized weights -------------------------------------------------------
 
-def w_t0(mu) -> Coef:
-    """The t=0 weight w_mu of the expansion of e_n over the modified basis."""
+def w_t0(mu) -> Pair:
+    """The t=0 weight w_mu of the expansion of e_n over the modified basis, as (poly, e).
+
+    (-1)^(n - l(mu)) q^(2 n(mu) + n - sum_i C(m_i + 1, 2)) b_mu(q), m_i the
+    multiplicities of mu.
+    """
     mu = Partition(mu)
     mult_exp = sum(m * (m + 1) // 2 for m in mu.multiplicities().values())
-    return (
-        (-1) ** (mu.size - len(mu))
-        * q ** (2 * mu.nstat() + mu.size - mult_exp)
-        * b_factor(mu)
-    )
+    b = b_factor(mu)
+    return (-b if (mu.size - len(mu)) % 2 else b), 2 * mu.nstat() + mu.size - mult_exp
 
 
-def w_t0_cell_product(mu) -> Coef:
-    """Cell-product form of the t=0 w-weight, for cross-checking the closed form."""
-    out = qfield.ONE
+def w_t0_cell_product(mu) -> Pair:
+    """Cell-product form of the t=0 w-weight, as (poly, e), for cross-checking the closed form.
+
+    The product over the cells of q^leg times 1 - q^(leg+1) in the last
+    column (arm 0) and -q^(leg+1) elsewhere.
+    """
+    poly, e = QPoly([1]), 0
     for cell in Partition(mu).cell_stats():
-        out *= q**cell.leg
+        e += cell.leg
         if cell.arm == 0:
-            out *= qfield.ONE - q ** (cell.leg + 1)
+            poly -= poly.shift(cell.leg + 1)
         else:
-            out *= -(q ** (cell.leg + 1))
-    return out
+            poly, e = -poly, e + cell.leg + 1
+    return poly, e
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
 gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
 reversing the coefficients instead of substituting 1/q; ``==`` on the
 canonical pairs of ``laurent`` is equality, and ``dot`` sums products
-q^s a b in one Kronecker pass.  A value enters Q(q,t) once, through
-``from_poly``, whose only cancellation is of a power of q; ``qbinom`` and
-``qpoch_at`` are such conversions, and ``to_poly`` takes a Laurent
-polynomial in q back to its pair.  The sparse ring ``RING`` = ZZ[q,t] is
-kept for what needs both variables: the numerators and denominators of
-Q(q,t), and ``swap_qt``, which exchanges them.
+q^s a b in one Kronecker pass.  Conversion is one-way: a value enters
+Q(q,t) once, through ``from_poly``, whose only cancellation is of a power
+of q, and no field element is turned back into a pair.  The sparse ring
+``RING`` = ZZ[q,t] is kept for what needs both variables: the numerators
+and denominators of Q(q,t), and ``swap_qt``, which exchanges them.
 
 ``render`` writes an element as canonical text, the package's one output
 format for coefficients, and ``render_laurent`` writes a pair as that same
@@ -34,7 +33,6 @@ text directly; the package reads no coefficient text back.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
@@ -53,13 +51,11 @@ ONE = FIELD.one
 
 
 def coef(value) -> Coef:
-    """Coerce an int, Fraction, or field element into Q(q,t)."""
+    """Coerce an int or a field element into Q(q,t)."""
     if isinstance(value, Coef):
         return value
     if isinstance(value, int):
         return FIELD(value)
-    if isinstance(value, Fraction):
-        return FIELD(value.numerator) / FIELD(value.denominator)
     raise TypeError(f"cannot coerce {type(value).__name__} into Q(q,t)")
 
 
@@ -310,18 +306,6 @@ def laurent(poly: QPoly, e: int = 0) -> Pair:
     return (_wrap(poly.c[low:]), e + low) if low else (poly, e)
 
 
-def to_poly(c: Coef) -> Pair:
-    """(poly, e) with from_poly(poly, e) == c, the inverse of ``from_poly``; a canonical pair.
-
-    Raises ValueError unless c is free of t and its denominator is a power of q.
-    """
-    den = c.denom.terms()
-    if len(den) != 1 or den[0][0][1] or den[0][1] != 1 or any(j for _, j in c.numer):
-        raise ValueError(f"not a Laurent polynomial in q: {render(c)}")
-    low = min((i for i, _ in c.numer), default=0)
-    return QPoly.from_terms({i - low: int(v) for (i, _), v in c.numer.items()}), low - den[0][0][0]
-
-
 def reverse(poly: QPoly, e: int) -> Pair:
     """poly(1/q) * q^e as the pair (rev(poly), e - deg poly), rev reversing the coefficients."""
     return QPoly(poly.c[::-1]), e - len(poly.c) + 1
@@ -351,16 +335,6 @@ def qpoch_laurent(s: int, m: int) -> Pair:
     return (-poly if m % 2 else poly), m * (2 * s + m - 1) // 2
 
 
-def qpoch_at(s: int, m: int) -> Coef:
-    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)).  m < 0 is rejected."""
-    return from_poly(*qpoch_laurent(s, m))
-
-
-def qpoch(m: int) -> Coef:
-    """(q; q)_m."""
-    return qpoch_at(1, m)
-
-
 @lru_cache(maxsize=None)
 def qbinom_poly(a: int, b: int) -> QPoly:
     """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a.
@@ -376,11 +350,6 @@ def qbinom_poly(a: int, b: int) -> QPoly:
     for j in range(1, b + 1):
         c = _over_one_minus(_times_one_minus(c, a - b + j), j)
     return _wrap(c)
-
-
-def qbinom(a: int, b: int) -> Coef:
-    """Gaussian binomial [a, b]_q; zero outside 0 <= b <= a."""
-    return from_poly(qbinom_poly(a, b))
 
 
 def swap_qt(f: Coef) -> Coef:

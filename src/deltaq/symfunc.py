@@ -13,15 +13,15 @@ Both run in ZZ[q,t] over one common denominator: f's Schur coefficients go
 over the lcm of their denominators, the power-sum expansion uses the integer
 characters, each p_rho is scaled by a cached numerator of (n!/z_rho) p_rho[A],
 and the characters map back.  Each output Schur coefficient (or, for
-``evaluate``, the one scalar) is cancelled once.  They serve the sides that
-need an alphabet in Q(q,t) or a route of their own: ``hook_support``'s
-h_n[X(1-q^u)], thm43's direct principal evaluation and ``delta_full``.
+``evaluate``, the one scalar) is cancelled once.  ``plethysm`` serves
+``hook_support``'s h_n[X(1-q^u)], and ``evaluate`` only ``delta_full``, whose
+alphabet B_mu involves t.
 
-The t=0 operator sides stay in ZZ[q] instead, with Laurent coefficients as
-pairs (``QPoly``, e) standing for poly * q^e: ``principal_poly`` is
-s_lam[1 + q + ... + q^(n-1)] by the hook-content formula, and
-``plethysm_one_minus_q`` is f[X(1-q)] by the integer characters, each
-polynomial packed into one int (Kronecker substitution).
+The t=0 operator sides and thm43 stay in ZZ[q] instead, with Laurent
+coefficients as pairs (``QPoly``, e) standing for poly * q^e:
+``principal_poly`` is s_lam[1 + q + ... + q^(n-1)] by the hook-content
+formula, and ``plethysm_one_minus_q`` is f[X(1-q)] by the integer
+characters, each polynomial packed into one int (Kronecker substitution).
 
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
@@ -149,10 +149,6 @@ def zero() -> SymFunc:
     return SymFunc()
 
 
-def one() -> SymFunc:
-    return SymFunc({Partition(): qfield.ONE})
-
-
 def _as_partition(x) -> Partition:
     if isinstance(x, int):
         return Partition(() if x == 0 else (x,))
@@ -230,10 +226,6 @@ def sym(basis: str, terms) -> SymFunc:
 
 def s(lam) -> SymFunc:
     return sym("s", {_as_partition(lam): 1})
-
-
-def e(lam) -> SymFunc:
-    return sym("e", {_as_partition(lam): 1})
 
 
 def h(lam) -> SymFunc:
@@ -324,7 +316,7 @@ def plethysm(f: SymFunc, alphabet) -> SymFunc:
 
 
 def evaluate(f: SymFunc, alphabet) -> Coef:
-    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = qbinom(N, 1) is 1 + ... + q^(N-1).
+    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = 1 + q + ... + q^(N-1) is N letters.
 
     The power-sum terms are summed in RING and cancelled once.
     """

@@ -6,9 +6,10 @@ plain parameter dict, the hypothesis under which the identity is claimed (a
 predicate plus its text), optional extra predicates, and a default parameter
 sweep.  :meth:`Identity.check` is the single runner: it skips a case only
 when the hypothesis fails, turns any exception into an ``error`` report, and
-renders both sides in the ``symfunc`` grammar.  A scalar side stays a
-canonical Laurent pair (``QPoly``, e) up to its report text, the degree-0
-expansion ``s[]*(coef)`` written by ``qfield.render_laurent``.
+renders both sides in the ``symfunc`` grammar.  A scalar side is given only
+as a Laurent pair (``QPoly``, e), never as an element of Q(q,t); it stays a
+canonical pair up to its report text, the degree-0 expansion ``s[]*(coef)``
+written by ``qfield.render_laurent``.
 
 ``run_suite`` checks one identity or a whole suite, each with its default
 parameter sweep or one given case; ``write_jsonl`` writes the reports as JSON
@@ -64,9 +65,7 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> str:
 
 
 def _scalar_pair(side):
-    """A scalar side, a pair or a Laurent polynomial in Q(q,t), as a canonical pair."""
-    if isinstance(side, qfield.Coef):
-        return qfield.to_poly(side)
+    """A scalar side (QPoly, e) as its canonical pair; any other side as it is."""
     if isinstance(side, tuple) and len(side) == 2 and isinstance(side[0], qfield.QPoly):
         return qfield.laurent(*side)
     return side
@@ -86,7 +85,8 @@ def _render_sides(lhs, rhs, params: dict) -> tuple[str, str]:
     def render(side) -> str:
         if isinstance(side, SymFunc):
             return sf.render(side)
-        return f"s[]*({qfield.render_laurent(*side)})" if side[0] else "0"
+        poly, e = side
+        return f"s[]*({qfield.render_laurent(poly, e)})" if poly else "0"
     text = render(lhs)
     return text, text if lhs == rhs else render(rhs)
 
@@ -97,9 +97,11 @@ def _render_sides(lhs, rhs, params: dict) -> tuple[str, str]:
 class Identity:
     """One checkable identity.
 
-    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars (pairs
-    (QPoly, e) or Laurent polynomials in Q(q,t), which ``check`` turns into
-    canonical pairs), or any pair that ``compare`` and ``render`` understand.
+    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars as pairs
+    (QPoly, e) standing for poly * q^e, which ``check`` puts in canonical
+    form, or any pair that ``compare`` and ``render`` understand.  The
+    default ``compare`` and ``render`` take every side that is not a SymFunc
+    for such a pair, so a scalar in Q(q,t) is an ``error``.
     ``compare`` and ``extra`` return "" when their predicate holds and a
     witness otherwise; ``extra`` is the predicate beyond equality (hook
     support, a third route).
@@ -217,10 +219,6 @@ def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]
 def _q_to_t(f: SymFunc) -> SymFunc:
     """f with q renamed t in every coefficient; f's coefficients involve q alone."""
     return SymFunc({lam: qfield.swap_qt(c) for lam, c in f.terms.items()})
-
-
-def _e_km1(k: int) -> SymFunc:
-    return sf.one() if k == 1 else sf.e(k - 1)
 
 
 # -- default sweeps ------------------------------------------------------------------
@@ -414,8 +412,9 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "deltaconj_t0",
             "rise-product parking sum at t=0 equals the primed operator image",
+            # the operator for e_(k-1) = s_(1^(k-1))
             lambda p: (pk.delta_side_combinatorial(p["n"], p["k"], t_zero=True),
-                       do.delta_prime_t0(_e_km1(p["k"]), p["n"])),
+                       do.delta_prime_t0((1,) * (p["k"] - 1), p["n"])),
             lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
             _upto(1, 6, _all_k),
         ),
@@ -423,7 +422,7 @@ REGISTRY: dict[str, Identity] = {
             "deltaconj_q0",
             "rise-product parking sum at q=0 equals the renamed t=0 operator image",
             lambda p: (pk.delta_side_combinatorial(p["n"], p["k"], q_zero=True),
-                       _q_to_t(do.delta_prime_t0(_e_km1(p["k"]), p["n"]))),
+                       _q_to_t(do.delta_prime_t0((1,) * (p["k"] - 1), p["n"]))),
             lambda p: 1 <= p["k"] <= p["n"], "1 <= k <= n",
             _upto(1, 5, _all_k),
         ),

@@ -9,9 +9,11 @@ their factors, a kernel moment as the literal sum over s of
 literal sum over s of ``remmel_coeff(s)`` times a hook kernel, f[XA] or f[A]
 as the power-sum expansion of f with each p_rho scaled by p_rho[A] and mapped
 back to Schur functions term by term, lhs_nu as ``symfunc.plethysm`` of omega
-of the field image, and the t=0 Hall-Littlewood sides one partition mu at a
-time: each H~_mu(X;q,0) over its weight w_t0(mu), each P_mu[X;q] times
-q^(n(mu)) and each P_mu[X;1/q] times q^(-n(mu)).
+of the field image, thm43's direct side as ``symfunc.evaluate`` at
+1 + q + ... + q^(j-2), the t=0 weight w_t0(mu) in closed form and as a cell
+product, and the t=0 Hall-Littlewood sides one partition mu at a time: each
+H~_mu(X;q,0) over its weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and
+each P_mu[X;1/q] times q^(-n(mu)).
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
 values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first; the
 tests require both routes to agree.
@@ -131,14 +133,41 @@ def evaluate(f, alphabet):
 
 def lhs_nu(nu, n: int):
     """omega of the primed-Delta image of s_nu at t=0, then ``symfunc.plethysm`` by 1 - q."""
-    return sf.plethysm(omega(delta_ops.delta_prime_t0(sf.s(nu), n)), ONE - q)
+    return sf.plethysm(omega(delta_ops.delta_prime_t0(nu, n)), ONE - q)
+
+
+def principal_eval(nu, j: int):
+    """s_nu[1 + q + ... + q^(j-2)] by ``symfunc.evaluate`` at the alphabet [j-1]_q."""
+    return sf.evaluate(sf.s(nu), qbinom(j - 1, 1))
+
+
+def w_t0(mu):
+    """(-1)^(n-l) q^(2 n(mu) + n - sum_i C(m_i+1, 2)) prod_i (q;q)_(m_i) in Q(q,t)."""
+    mults = mu.multiplicities().values()
+    out = (-1) ** (mu.size - len(mu)) * q ** (2 * mu.nstat() + mu.size
+                                             - sum(m * (m + 1) // 2 for m in mults))
+    for mult in mults:
+        out *= qpoch_at(1, mult)
+    return out
+
+
+def w_t0_cell_product(mu):
+    """prod over the cells of q^leg (1 - q^(leg+1)) at arm 0, q^leg (-q^(leg+1)) elsewhere."""
+    out = ONE
+    for cell in mu.cell_stats():
+        out *= q**cell.leg
+        if cell.arm == 0:
+            out *= ONE - q ** (cell.leg + 1)
+        else:
+            out *= -(q ** (cell.leg + 1))
+    return out
 
 
 def operator_table(n: int, ell: int):
     """sum_{l(mu)=ell} (q;q)_ell / w_t0(mu) H~_mu(X;q,0), one partition mu of n at a time."""
     total = sf.zero()
     for mu in partitions_of(n, length=ell):
-        total = total + hl.modified_macdonald_t0(mu).scale(qpoch_at(1, ell) / hl.w_t0(mu))
+        total = total + hl.modified_macdonald_t0(mu).scale(qpoch_at(1, ell) / w_t0(mu))
     return total
 
 
@@ -150,7 +179,7 @@ def delta_prime_t0(f, n: int):
     c = {ell: evaluate(f, qbinom(ell, 1) - ONE) * qpoch_at(1, ell) for ell in range(1, n + 1)}
     total = sf.zero()
     for mu in partitions_of(n):
-        total = total + hl.modified_macdonald_t0(mu).scale(c[len(mu)] / hl.w_t0(mu))
+        total = total + hl.modified_macdonald_t0(mu).scale(c[len(mu)] / w_t0(mu))
     return total
 
 

@@ -1,16 +1,42 @@
 """Reference helpers shared by several test files; the package itself needs none of them."""
 
-from fractions import Fraction
 from functools import lru_cache
 
 from sympy import sympify
 
 from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import (FIELD, ONE, RING, ZERO, Coef, QPoly, coef, from_poly, q, qpoch,
-                           render, t)
+from deltaq.qfield import (FIELD, ONE, RING, ZERO, Coef, QPoly, coef, from_poly, q, qbinom_poly,
+                           qpoch_laurent, render, t)
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import kostka_number
+
+
+# -- the package's q-series and Schur functions as field elements --
+
+def qpoch_at(s: int, m: int) -> Coef:
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), ``qfield.qpoch_laurent`` in Q(q,t)."""
+    return from_poly(*qpoch_laurent(s, m))
+
+
+def qpoch(m: int) -> Coef:
+    """(q; q)_m."""
+    return qpoch_at(1, m)
+
+
+def qbinom(a: int, b: int) -> Coef:
+    """Gaussian binomial [a, b]_q, ``qfield.qbinom_poly`` in Q(q,t); zero outside 0 <= b <= a."""
+    return from_poly(qbinom_poly(a, b))
+
+
+def one() -> SymFunc:
+    """The degree-0 Schur function s_() = 1."""
+    return SymFunc({Partition(): ONE})
+
+
+def e(lam) -> SymFunc:
+    """The elementary symmetric function e_lam in the Schur basis."""
+    return sf.sym("e", {sf._as_partition(lam): 1})
 
 
 def dominates(lam, mu) -> bool:
@@ -92,7 +118,7 @@ def charge_content_field_sum(nu: Partition, k: int) -> Coef:
         c = hl.kostka_foulkes(nu, rho)
         if c == ZERO:
             continue
-        total = total + c * q ** rho.nstat() / hl.b_factor(rho)
+        total = total + c * q ** rho.nstat() / from_poly(hl.b_factor(rho))
     return total
 
 
@@ -141,7 +167,7 @@ def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
     for rho in partitions_of(lam.size):
         chi = sf.character(lam, rho)
         if chi:
-            out[rho] = coef(Fraction(chi, sf.zee(rho)))
+            out[rho] = coef(chi) / sf.zee(rho)
     return out
 
 

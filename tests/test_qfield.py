@@ -6,21 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import field_route
-from references import read_coef, subs, to_ring
+from references import qbinom, qpoch, qpoch_at, read_coef, subs, to_ring
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
-from deltaq.qfield import (
-    ONE,
-    ZERO,
-    QPoly,
-    coef,
-    q,
-    qbinom,
-    qpoch,
-    qpoch_at,
-    render,
-    t,
-)
+from deltaq.qfield import ONE, ZERO, QPoly, coef, q, render, t
 
 # small random coefficients: polynomial numerators over a few safe denominators
 _coef_strategy = st.builds(
@@ -48,8 +37,10 @@ class TestFieldBasics:
 
     def test_coef_conversions(self):
         assert coef(3) == ONE + ONE + ONE
-        assert coef(Fraction(1, 2)) * 2 == ONE
         assert coef(q) is not None and coef(q) == q
+        # rationals are field quotients; coef takes ints and field elements only
+        with pytest.raises(TypeError):
+            coef(Fraction(1, 2))
 
     def test_qpow_negative(self):
         assert q**-2 * q**2 == ONE
@@ -58,7 +49,7 @@ class TestFieldBasics:
 class TestSubs:
     def test_numeric_substitution(self):
         f = (ONE - q**2) / (ONE - q)
-        assert subs(f, q_image=coef(Fraction(1, 2))) == coef(Fraction(3, 2))
+        assert subs(f, q_image=ONE / 2) == coef(3) / 2
 
     def test_partial_substitution_keeps_other_variable(self):
         f = q * t + t**2
@@ -284,12 +275,6 @@ class TestQPoly:
         got, want = qfield.from_poly(*qfield.reverse(a, e)), subs(ra, q_image=ONE / q) * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
-    @given(_qpolys, st.integers(-40, 40))
-    @settings(max_examples=100, deadline=None)
-    def test_to_poly_inverts_from_poly(self, a, e):
-        value = qfield.from_poly(a, e)
-        assert qfield.from_poly(*qfield.to_poly(value)) == value
-
     @given(_qpolys, st.integers(-40, 40), st.integers(0, 6), st.booleans(), _qpolys,
            st.integers(-40, 40))
     @settings(max_examples=200, deadline=None)
@@ -348,11 +333,6 @@ class TestQPoly:
         for factor in (QPoly([1]), QPoly()):
             with pytest.raises(ValueError):
                 qfield.dot([(0, QPoly([1]), QPoly([1])), (-1, factor, QPoly([1]))])
-
-    def test_to_poly_rejects_what_is_not_a_laurent_polynomial_in_q(self):
-        for c in (ONE / (ONE + q), t):
-            with pytest.raises(ValueError):
-                qfield.to_poly(c)
 
     @pytest.mark.parametrize("c, j", [([1, 0, 1], 1), ([1], 2), ([0, 1], 2), ([1, 0, -1, 1], 2)],
                              ids=["1+q^2 over 1-q", "1 over 1-q^2", "q over 1-q^2",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import field_route
+import references
 from references import subs_coeffs
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
@@ -62,7 +63,7 @@ class TestRunOne:
             ver.run_one("nonsense", {})
 
     def test_mismatch_is_detected(self, monkeypatch):
-        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (ONE, ZERO))
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: ((QPoly([1]), 0), (QPoly(), 0)))
         report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
         assert report.status == "mismatch"
         assert "first differing component" in report.witness
@@ -79,6 +80,15 @@ def _field_sides(identity_id: str, p: dict):
     """Both sides of a scalar identity in Q(q,t), from the field route."""
     if identity_id in ("prop31", "cor32"):
         return getattr(field_route, identity_id)(p["k"], p["m"], p["ell"])
+    if identity_id == "thm43":
+        nu, j = Partition(tuple(p["nu"])), p["j"]
+        # sum_k content_k (q^(j-k);q)_k, each content one field + and / per rho
+        graded = sum((references.charge_content_field_sum(nu, k) * field_route.qpoch_at(j - k, k)
+                      for k in range(1, nu.size + 1)), ZERO)
+        return field_route.principal_eval(nu, j), graded
+    if identity_id == "wmu_consistency":
+        mu = Partition(tuple(p["mu"]))
+        return field_route.w_t0(mu), field_route.w_t0_cell_product(mu)
     params = delta_ops.HookParams(k=p["k"], m=p["m"], n=p["n"])
     if identity_id == "prop33a":
         return (field_route.kernel_moment(params, 1 - p["j"], p["j"] - 1),
@@ -91,17 +101,23 @@ class TestScalarRoute:
     """Scalar sides are compared and rendered as Laurent pairs, never through Q(q,t)."""
 
     def test_default_cases_render_as_the_field_route(self):
-        # every default case up to n = 6; the hook families sweep one n at a time
+        # every default case up to n = 6; the hook families sweep one n at a time;
+        # thm43 (|nu| <= 6, j <= 8) and wmu_consistency (|mu| <= 6) whole
         cases = [(i, p) for i in ("prop31", "cor32") for p in ver.REGISTRY[i].default_cases(6)]
         cases += [(i, p) for i in ("prop33a", "prop33b", "eq17")
                   for n in range(2, 7) for p in ver.REGISTRY[i].default_cases(n)]
+        cases += [(i, p) for i in ("thm43", "wmu_consistency")
+                  for p in ver.REGISTRY[i].default_cases(None)]
         for identity_id, p in cases:
             report = ver.run_one(identity_id, p)
             lhs, rhs = _field_sides(identity_id, p)
             assert report.status == "equal", (identity_id, p, report.witness)
             assert report.lhs_render == sf.render(sf.SymFunc({Partition(): lhs})), (identity_id, p)
             assert report.rhs_render == sf.render(sf.SymFunc({Partition(): rhs})), (identity_id, p)
-        assert {"prop31", "cor32", "prop33a", "prop33b", "eq17"} == {i for i, _ in cases}
+        assert {i for i, _ in cases} == {
+            "prop31", "cor32", "prop33a", "prop33b", "eq17", "thm43", "wmu_consistency"}
+        assert sum(i == "thm43" for i, _ in cases) == 8 * sum(len(partitions_of(n))
+                                                             for n in range(1, 7))
 
     def test_mismatch_witness_names_the_degree_zero_component(self, monkeypatch):
         monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
@@ -112,10 +128,13 @@ class TestScalarRoute:
         assert (report.lhs_render, report.rhs_render) == ("s[]*(3/q^2)", "0")
 
     def test_field_sides_must_be_laurent_polynomials_in_q(self, monkeypatch):
-        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (ONE / (ONE - q), ZERO))
-        report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
-        assert report.status == "error"
-        assert report.witness.startswith("ValueError: not a Laurent polynomial in q")
+        # scalar sides are pairs only: one in Q(q,t) is an error, never equal or a
+        # mismatch, whether or not it is a Laurent polynomial and the sides agree
+        for sides in ((ONE, ONE), (ONE / (ONE - q), ZERO)):
+            monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: sides)
+            report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
+            assert report.status == "error", sides
+            assert report.witness.startswith("TypeError: "), sides
 
 
 class TestOutcomes:
@@ -229,7 +248,7 @@ class TestSuiteRunner:
         f = sf.s((2, 1)).scale(q**2 + q) + sf.s(3).scale(ONE / (ONE - q)) + sf.s((1, 1, 1)).scale(
             (q + 2) / (ONE - 3 * q**2))
         assert ver._q_to_t(f) == subs_coeffs(f, q_image=t)
-        image = delta_ops.delta_prime_t0(sf.e(2), 4)
+        image = delta_ops.delta_prime_t0((1, 1), 4)
         assert ver._q_to_t(image) == subs_coeffs(image, q_image=t)
 
     def test_qbinom_suite_small(self):
@@ -406,4 +425,4 @@ class TestCli:
         rc = cli.main(["deltaside", "--n", "3", "--k", "2", "--t0"])
         out = capsys.readouterr().out.strip()
         assert rc == 0
-        assert out == sf.render(delta_ops.delta_prime_t0(sf.e(1), 3))
+        assert out == sf.render(delta_ops.delta_prime_t0((1,), 3))
