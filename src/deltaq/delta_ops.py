@@ -8,8 +8,9 @@ The central objects:
 
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
   Hall-Littlewood / Macdonald expansions of ``e_n``.  ``delta_full``'s
-  eigenvalue on H~_mu is ``symfunc.evaluate`` of f at the alphabet B_mu (minus
-  1 when primed), one element of Q(q,t).  ``delta_prime_t0`` is the operator
+  eigenvalue on H~_mu is f[B_mu] (minus 1 when primed), built from the cells
+  of mu in ZZ[q,t] by the integer characters (``_cell_eigenvalue``), one
+  element of Q(q,t) per term of f.  ``delta_prime_t0`` is the operator
   for a Schur function s_nu, given by nu: at t=0 the eigenvalue depends only
   on l(mu) and lies in ZZ[q, 1/q], s_nu[q + ... + q^(l-1)] being q^|nu| times
   ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
@@ -38,7 +39,8 @@ The central objects:
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
   (1 - q^s) of remmel_coeff(s) into the Pochhammer window next to it.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
-  ``h_n[X(1-q^i)]/(1-q^i)``.
+  ``h_n[X(1-q^i)]/(1-q^i)``, which ``hook_kernel`` writes in hooks.
+  ``h_plethysm`` is h_n[X(1-q^u)] by ``symfunc.plethysm_one_minus_q`` read at q^u.
 * ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
   (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
   computed from integer filling counts without a field operation.
@@ -51,7 +53,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 from . import hall_littlewood as hl
 from . import qfield
@@ -176,19 +178,38 @@ def delta_prime_t0(nu, n: int) -> SymFunc:
     return _from_pairs(_delta_prime_t0_pairs(nu, n))
 
 
+def _cell_eigenvalue(f: SymFunc, mu: Partition, prime: bool) -> qfield.Coef:
+    """f[B_mu], B_mu = sum q^(col) t^(row) over the cells of mu, less the cell (0, 0) if prime.
+
+    The power sums p_k[B] = sum_cells q^(col k) t^(row k) are built in RING, and
+    each s_lam[B] = sum_rho chi^lam(rho) (n!/z_rho) p_rho[B] / n!, n = deg f, is a
+    polynomial by one exact division; f[B] takes one field scalar per term of f.
+    """
+    n = f.degree() or 0
+    cells = [cell for cell in mu.cells() if not (prime and cell == (0, 0))]
+    power = {k: RING.from_dict({(j * k, i * k): 1 for i, j in cells}) for k in range(1, n + 1)}
+    weights = {rho: prod((power[k] for k in rho), start=RING(factorial(n) // sf.zee(rho)))
+               for rho in partitions_of(n)}
+    total = ZERO
+    for lam, c in f.terms.items():
+        image = sum((w.mul_ground(sf.character(lam, rho)) for rho, w in weights.items()), RING.zero)
+        total += c * qfield.FIELD(image.exquo(RING(factorial(n))))
+    return total
+
+
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
     """Image of e_n under the (primed or plain) Delta operator for f over Q(q,t).
 
     Expands e_n over the two-parameter modified Macdonald functions; the
     eigenvalue of f is its evaluation at the cell alphabet
-    B_mu = sum q^(col) t^(row), minus 1 for the primed variant.
+    B_mu = sum q^(col) t^(row), minus 1 for the primed variant (``_cell_eigenvalue``).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     total = sf.zero()
     for mu in partitions_of(n):
         wts = hl.macdonald_weights(mu)
-        eig = sf.evaluate(f, wts.b - ONE if prime else wts.b)
+        eig = _cell_eigenvalue(f, mu, prime)
         if eig == ZERO:
             continue
         coeff = eig * (ONE - q) * (ONE - qfield.t) * wts.pi_prime * wts.b / wts.w
@@ -263,6 +284,20 @@ def hook_kernel(n: int, i: int) -> SymFunc:
     if n < 1:
         raise ValueError("n must be at least 1")
     return SymFunc({_hook(n, r): from_poly(QPoly([(-1) ** r]), i * r) for r in range(n)})
+
+
+def h_plethysm(n: int, u: int) -> SymFunc:
+    """h_n[X(1-q^u)]: ``symfunc.plethysm_one_minus_q`` of h_n = s_(n), read at q^u (hook_support).
+
+    p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u, so each pair (poly, e) of the
+    image moves its coefficient i to u*i and e to u*e; one ``from_poly`` per hook.
+    """
+    out = {}
+    for lam, (poly, e) in sf.plethysm_one_minus_q({Partition((n,)): (QPoly([1]), 0)}).items():
+        c = [0] * (u * (len(poly.c) - 1) + 1)
+        c[::u] = poly.c
+        out[lam] = from_poly(QPoly(c), u * e)
+    return SymFunc(out)
 
 
 def remmel_sum(params: HookParams) -> SymFunc:
@@ -345,11 +380,6 @@ def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     if inverse_q:
         return _table_sum(_graded_P(n, True), lambda ell: qpoch_laurent(i + 1, ell - 1))
     return _table_sum(_graded_P(n, False), lambda ell: qpoch_laurent(i - ell + 1, ell - 1))
-
-
-def shifted_cauchy_target(n: int, i: int) -> SymFunc:
-    """The kernel h_n[X(1-q^i)]/(1-q^i) both variants must reproduce."""
-    return hook_kernel(n, i)
 
 
 def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:

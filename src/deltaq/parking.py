@@ -304,7 +304,7 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
             val = val + qfield.coef(c) * q**qe * t**te
         if val != ZERO:
             terms[lam] = val
-    return sf.sym("m", terms)
+    return sf.sym(terms)
 
 
 def _rearrangement_count(lam: Partition, nvars: int) -> int:

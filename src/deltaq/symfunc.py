@@ -2,26 +2,19 @@
 
 Everything is stored in the Schur basis as a sparse map {Partition: Coef},
 one homogeneous degree per function, and ``render`` writes that expansion as
-text, the package's one output format.  ``sym`` builds a function from an
-expansion in the Schur, complete, elementary or monomial basis through Kostka
-numbers (h_lam = sum_mu K_(mu,lam) s_mu, e_lam its conjugate, m by the
-inverse Kostka matrix).
-
-A plethystic alphabet is one element A of Q(q,t), with p_k[A] = A(q^k, t^k):
-``plethysm(f, A)`` is f[X A] and ``evaluate(f, A)`` is the scalar f[A].
-Both run in ZZ[q,t] over one common denominator: f's Schur coefficients go
-over the lcm of their denominators, the power-sum expansion uses the integer
-characters, each p_rho is scaled by a cached numerator of (n!/z_rho) p_rho[A],
-and the characters map back.  Each output Schur coefficient (or, for
-``evaluate``, the one scalar) is cancelled once.  ``plethysm`` serves
-``hook_support``'s h_n[X(1-q^u)], and ``evaluate`` only ``delta_full``, whose
-alphabet B_mu involves t.
+text, the package's one output format.  ``s`` builds a Schur function, and
+``sym`` a function given in the monomial basis, through the inverse Kostka
+matrix (``parking``'s monomial route is its one caller).
 
 The t=0 operator sides and thm43 stay in ZZ[q] instead, with Laurent
 coefficients as pairs (``QPoly``, e) standing for poly * q^e:
 ``principal_poly`` is s_lam[1 + q + ... + q^(n-1)] by the hook-content
 formula, and ``plethysm_one_minus_q`` is f[X(1-q)] by the integer
 characters, each polynomial packed into one int (Kronecker substitution).
+That is the package's one plethysm; it takes no other alphabet.  Read at q^u
+(coefficient i moved to u*i), its output is f[X(1-q^u)], because
+p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u: ``delta_ops.h_plethysm`` reads it
+so for h_n.
 
 ``from_fundamentals`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
@@ -40,8 +33,6 @@ from .partition import Partition, partitions_of
 from .tableaux import kostka_number
 
 Coef = qfield.Coef
-
-BASES = ("m", "e", "h", "s")
 
 
 # -- symmetric group characters ----------------------------------------------
@@ -188,34 +179,15 @@ def _inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
     return unitriangular_inverse(n, kostka_number)
 
 
-@lru_cache(maxsize=None)
-def _basis_elem_to_schur(basis: str, lam: Partition) -> dict[Partition, Coef]:
-    lam = Partition(lam)
-    if basis == "s":
-        return {lam: qfield.ONE}
-    if basis in ("h", "e"):
-        # h_lam = sum_mu K_(mu,lam) s_mu, and e_lam = omega(h_lam)
-        out = {}
-        for mu in partitions_of(lam.size):
-            kn = kostka_number(mu, lam)
-            if kn:
-                out[mu if basis == "h" else mu.conjugate()] = qfield.coef(kn)
-        return out
-    if basis == "m":
-        return {mu: qfield.coef(c) for mu, c in _inverse_kostka(lam.size)[lam].items()}
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def sym(basis: str, terms) -> SymFunc:
-    """Build a SymFunc from an expansion in any of the bases m, e, h, s."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
+def sym(terms) -> SymFunc:
+    """Build a SymFunc from an expansion {lam: c} in the monomial basis."""
     out: dict[Partition, Coef] = {}
     for lam, c in dict(terms).items():
         c = qfield.coef(c)
         if not c:
             continue
-        for mu, base_c in _basis_elem_to_schur(basis, _as_partition(lam)).items():
+        lam = _as_partition(lam)
+        for mu, base_c in _inverse_kostka(lam.size)[lam].items():
             val = out.get(mu, qfield.ZERO) + c * base_c
             if val:
                 out[mu] = val
@@ -225,105 +197,11 @@ def sym(basis: str, terms) -> SymFunc:
 
 
 def s(lam) -> SymFunc:
-    return sym("s", {_as_partition(lam): 1})
-
-
-def h(lam) -> SymFunc:
-    return sym("h", {_as_partition(lam): 1})
+    return SymFunc({_as_partition(lam): 1})
 
 
 def is_hook_only(f: SymFunc) -> bool:
     return all(lam.is_hook() for lam in f.terms)
-
-
-# -- plethysm by an alphabet -----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _power_table(n: int, alphabet: Coef) -> tuple[tuple, object]:
-    """The p_rho[A] of every rho |- n over one denominator: (images, den) in RING.
-
-    images[i] / den = p_rho[A] / z_rho for rho = partitions_of(n)[i].  For
-    A = N/D, p_k[A] = N(q^k,t^k)/D(q^k,t^k), and the part k occurs at most n//k
-    times in rho, so den = n! prod_k D(q^k,t^k)^(n//k) clears every
-    denominator and images[i] = (n!/z_rho) prod_k N_k^m_k D_k^(n//k - m_k).
-    Cached: no caller may mutate the polynomials.
-    """
-    num, den = alphabet.numer, alphabet.denom
-    nums = {k: num.inflate((k, k)) for k in range(1, n + 1)}
-    dens = {k: den.inflate((k, k)) for k in range(1, n + 1)} if den != 1 else {}
-    images = []
-    for rho in partitions_of(n):
-        mult = rho.multiplicities()
-        image = qfield.RING(factorial(n) // zee(rho))
-        for k in range(1, n + 1):
-            m_k = mult.get(k, 0)
-            # zero exponents are skipped, not raised to: sympy rejects 0**0
-            if m_k:
-                image *= nums[k] ** m_k
-            if dens and n // k > m_k:
-                image *= dens[k] ** (n // k - m_k)
-        images.append(image)
-    common = qfield.RING(factorial(n))
-    for k, d_k in dens.items():
-        common *= d_k ** (n // k)
-    return tuple(images), common
-
-
-def _image_numerators(f: SymFunc, alphabet) -> tuple[list, object]:
-    """([c_rho for rho |- n], den) in RING with f[XA] = sum_rho c_rho / den * p_rho.
-
-    f's Schur coefficients go over the lcm of their denominators, the power-sum
-    expansion uses the integer characters (s_lam = sum_rho chi^lam(rho)/z_rho
-    p_rho), and the cached table supplies (n!/z_rho) p_rho[A]; no gcd runs
-    except for the lcm of distinct denominators of f.
-    """
-    n = f.degree()
-    lcm = None
-    for c in f.terms.values():
-        lcm = c.denom if lcm is None or c.denom == lcm else lcm.lcm(c.denom)
-    rhos = partitions_of(n)
-    sums = [qfield.RING.zero] * len(rhos)
-    for lam, c in f.terms.items():
-        num = c.numer if c.denom == lcm else c.numer * lcm.exquo(c.denom)
-        for i, rho in enumerate(rhos):
-            chi = character(lam, rho)
-            if chi:
-                sums[i] += num.mul_ground(chi)
-    images, den = _power_table(n, qfield.coef(alphabet))
-    return [c * image if c else c for c, image in zip(sums, images)], lcm * den
-
-
-def plethysm(f: SymFunc, alphabet) -> SymFunc:
-    """f[X A] for an alphabet A in Q(q,t): p_k -> p_k[A] p_k; A = 1 - q gives f[X(1-q)].
-
-    Each Schur coefficient sum_rho chi^lam(rho) c_rho is summed in RING and
-    cancelled against the common denominator once.
-    """
-    if not f:
-        return SymFunc()
-    nums, den = _image_numerators(f, alphabet)
-    rhos = partitions_of(f.degree())
-    out = {}
-    for lam in rhos:
-        total = qfield.RING.zero
-        for rho, c in zip(rhos, nums):
-            chi = character(lam, rho)
-            if chi and c:
-                total += c.mul_ground(chi)
-        if total:
-            out[lam] = qfield.FIELD.new(total, den)
-    return SymFunc(out)
-
-
-def evaluate(f: SymFunc, alphabet) -> Coef:
-    """f[A] for an alphabet A in Q(q,t): p_k -> p_k[A]; A = 1 + q + ... + q^(N-1) is N letters.
-
-    The power-sum terms are summed in RING and cancelled once.
-    """
-    if not f:
-        return qfield.ZERO
-    nums, den = _image_numerators(f, alphabet)
-    return qfield.FIELD.new(sum(nums, qfield.RING.zero), den)
 
 
 # -- the t=0 routes in ZZ[q] --------------------------------------------------------
@@ -377,7 +255,7 @@ def plethysm_one_minus_q(
 ) -> dict[Partition, tuple[qfield.QPoly, int]]:
     """f[X(1-q)] for f = sum_lam poly_lam q^(e_lam) s_lam, given and returned as {lam: (poly, e)}.
 
-    ``plethysm(f, 1 - q)`` in ZZ[q] by Kronecker substitution: every poly
+    In ZZ[q] by Kronecker substitution: every poly
     goes to the least exponent and into one int at a digit width that holds
     the largest coefficient the route can reach (``_one_minus_q_table``).
     c_rho = sum_lam chi^lam(rho) poly_lam is scaled by (n!/z_rho) p_rho[1 - q],

@@ -329,7 +329,7 @@ REGISTRY: dict[str, Identity] = {
             "eq12",
             "direct length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
             lambda p: (do.shifted_cauchy(p["n"], p["i"], inverse_q=False),
-                       do.shifted_cauchy_target(p["n"], p["i"])),
+                       do.hook_kernel(p["n"], p["i"])),
             lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
             _upto(1, 7, _kernel_indices),
         ),
@@ -337,7 +337,7 @@ REGISTRY: dict[str, Identity] = {
             "eq16",
             "inverse length-graded expansion of h_n[X(1-q^i)]/(1-q^i)",
             lambda p: (do.shifted_cauchy(p["n"], p["i"], inverse_q=True),
-                       do.shifted_cauchy_target(p["n"], p["i"])),
+                       do.hook_kernel(p["n"], p["i"])),
             lambda p: p["n"] >= 1 and p["i"] >= 1, "n >= 1, i >= 1",
             _upto(1, 7, _kernel_indices),
         ),
@@ -403,7 +403,7 @@ REGISTRY: dict[str, Identity] = {
         Identity(
             "hook_support",
             "h_n[X(1-q^u)] is supported on hooks with alternating coefficients",
-            lambda p: (sf.plethysm(sf.h(p["n"]), 1 - q ** p["u"]),
+            lambda p: (do.h_plethysm(p["n"], p["u"]),
                        do.hook_kernel(p["n"], p["u"]).scale(1 - q ** p["u"])),
             lambda p: p["n"] >= 1 and p["u"] >= 1, "n >= 1, u >= 1",
             _upto(1, 8, lambda n: ({"n": n, "u": u} for u in (1, 2, 3))),

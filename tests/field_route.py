@@ -8,8 +8,8 @@ their factors, a kernel moment as the literal sum over s of
 ``remmel_coeff(s)`` times a Pochhammer window, the kernel expansion as the
 literal sum over s of ``remmel_coeff(s)`` times a hook kernel, f[XA] or f[A]
 as the power-sum expansion of f with each p_rho scaled by p_rho[A] and mapped
-back to Schur functions term by term, lhs_nu as ``symfunc.plethysm`` of omega
-of the field image, thm43's direct side as ``symfunc.evaluate`` at
+back to Schur functions term by term, lhs_nu as that plethysm by 1 - q of
+omega of the field image, thm43's direct side as that evaluation at
 1 + q + ... + q^(j-2), the t=0 weight w_t0(mu) in closed form and as a cell
 product, and the t=0 Hall-Littlewood sides one partition mu at a time: each
 H~_mu(X;q,0) over its weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and
@@ -18,6 +18,8 @@ each P_mu[X;1/q] times q^(-n(mu)).
 values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first; the
 tests require both routes to agree.
 """
+
+from functools import lru_cache
 
 from references import basis_convert, from_power, omega
 from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
@@ -103,22 +105,23 @@ def kernel_moment(params: HookParams, shift: int, length: int):
     return total
 
 
-def power_images(f, alphabet):
-    """{rho: c_rho p_rho[A]} over the power-sum expansion sum_rho c_rho p_rho of f.
+@lru_cache(maxsize=None)
+def power_image(rho, alphabet):
+    """p_rho[A], the field product over the parts k of rho of p_k[A] = A(q^k, t^k).
 
-    p_k[A] = A(q^k, t^k): the exponents of A's numerator and denominator
-    scale by k.  Each distinct part k is computed once.
+    The exponents of A's numerator and denominator scale by k.  Cached, so a
+    sweep over many f at one alphabet builds each p_rho[A] once.
     """
-    a = qfield.coef(alphabet)
-    images = {}
-    out = {}
-    for rho, c in basis_convert(f, "p").items():
-        for k in rho:
-            if k not in images:
-                images[k] = FIELD.new(a.numer.inflate((k, k)), a.denom.inflate((k, k)))
-            c = c * images[k]
-        out[rho] = c
+    out = ONE
+    for k in rho:
+        out *= FIELD.new(alphabet.numer.inflate((k, k)), alphabet.denom.inflate((k, k)))
     return out
+
+
+def power_images(f, alphabet):
+    """{rho: c_rho p_rho[A]} over the power-sum expansion sum_rho c_rho p_rho of f."""
+    a = qfield.coef(alphabet)
+    return {rho: c * power_image(rho, a) for rho, c in basis_convert(f, "p").items()}
 
 
 def plethysm(f, alphabet):
@@ -132,13 +135,13 @@ def evaluate(f, alphabet):
 
 
 def lhs_nu(nu, n: int):
-    """omega of the primed-Delta image of s_nu at t=0, then ``symfunc.plethysm`` by 1 - q."""
-    return sf.plethysm(omega(delta_ops.delta_prime_t0(nu, n)), ONE - q)
+    """omega of the primed-Delta image of s_nu at t=0, then ``plethysm`` by 1 - q."""
+    return plethysm(omega(delta_ops.delta_prime_t0(nu, n)), ONE - q)
 
 
 def principal_eval(nu, j: int):
-    """s_nu[1 + q + ... + q^(j-2)] by ``symfunc.evaluate`` at the alphabet [j-1]_q."""
-    return sf.evaluate(sf.s(nu), qbinom(j - 1, 1))
+    """s_nu[1 + q + ... + q^(j-2)] by ``evaluate`` at the alphabet [j-1]_q."""
+    return evaluate(sf.s(nu), qbinom(j - 1, 1))
 
 
 def w_t0(mu):

@@ -34,9 +34,15 @@ def one() -> SymFunc:
     return SymFunc({Partition(): ONE})
 
 
+def h(lam) -> SymFunc:
+    """The complete symmetric function h_lam = sum_mu K_(mu,lam) s_mu, by Kostka numbers."""
+    lam = sf._as_partition(lam)
+    return SymFunc({mu: kn for mu in partitions_of(lam.size) if (kn := kostka_number(mu, lam))})
+
+
 def e(lam) -> SymFunc:
-    """The elementary symmetric function e_lam in the Schur basis."""
-    return sf.sym("e", {sf._as_partition(lam): 1})
+    """The elementary symmetric function e_lam = omega(h_lam)."""
+    return omega(h(lam))
 
 
 def dominates(lam, mu) -> bool:
@@ -127,7 +133,7 @@ def omega(f: SymFunc) -> SymFunc:
     return SymFunc({lam.conjugate(): c for lam, c in f.terms.items()})
 
 
-# -- the power-sum and monomial bases: the package builds and writes Schur functions only --
+# -- the other bases: the package builds Schur functions, and from monomials only --
 
 def from_power(terms) -> SymFunc:
     """sum_rho c_rho p_rho in the Schur basis, p_rho = sum_lam chi^lam(rho) s_lam."""
@@ -148,8 +154,16 @@ def from_power(terms) -> SymFunc:
 
 
 def sym(basis: str, terms) -> SymFunc:
-    """``symfunc.sym`` with the power-sum basis "p" as well."""
-    return from_power(terms) if basis == "p" else sf.sym(basis, terms)
+    """An expansion in the basis m, e, h or p.
+
+    m goes through ``symfunc.sym``, p through ``from_power``, h and e term by term.
+    """
+    if basis == "m":
+        return sf.sym(terms)
+    if basis == "p":
+        return from_power(terms)
+    elem = {"h": h, "e": e}[basis]
+    return sum((elem(lam).scale(c) for lam, c in dict(terms).items()), SymFunc())
 
 
 def p(lam) -> SymFunc:
@@ -157,7 +171,7 @@ def p(lam) -> SymFunc:
 
 
 def m(lam) -> SymFunc:
-    return sf.sym("m", {lam: 1})
+    return sf.sym({lam: 1})
 
 
 @lru_cache(maxsize=None)

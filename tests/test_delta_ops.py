@@ -70,6 +70,17 @@ class TestOperators:
                 full = d.delta_full(sf.s(nu), n, prime=True)
                 assert subs_coeffs(full, t_image=ZERO) == d.delta_prime_t0(nu, n)
 
+    def test_cell_eigenvalue_matches_evaluate(self):
+        # s_nu[B_mu] and s_nu[B_mu - 1] against the power-sum evaluation at the field alphabet
+        for size in range(1, 6):
+            for mu in partitions_of(size):
+                b = hl.macdonald_weights(mu).b
+                for nu_size in range(1, 6):
+                    for nu in partitions_of(nu_size):
+                        f = sf.s(nu)
+                        assert d._cell_eigenvalue(f, mu, False) == field_route.evaluate(f, b)
+                        assert d._cell_eigenvalue(f, mu, True) == field_route.evaluate(f, b - ONE)
+
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             d.delta_prime_t0((1,), 0)
@@ -102,12 +113,15 @@ class TestHookExpansions:
         assert field_route.remmel_coeff(params.m + 1, params) != ZERO
 
     def test_hook_kernel(self):
-        for n in range(1, 6):
+        # n <= 8 and i <= 3 is hook_support's default sweep
+        for n in range(1, 9):
             for i in (1, 2, 3):
                 kernel = d.hook_kernel(n, i)
                 assert sf.is_hook_only(kernel)
                 u = q**i
-                assert kernel == field_route.plethysm(sf.h(n), ONE - u).scale(ONE / (ONE - u))
+                image = field_route.plethysm(references.h(n), ONE - u)
+                assert kernel == image.scale(ONE / (ONE - u))
+                assert d.h_plethysm(n, i) == image, (n, i)
 
 
 class TestScalarIdentities:
@@ -278,15 +292,15 @@ class TestShiftedCauchy:
     def test_variants_hit_target(self):
         for n in range(1, 5):
             for i in range(1, 5):
-                target = d.shifted_cauchy_target(n, i)
+                target = d.hook_kernel(n, i)
                 assert d.shifted_cauchy(n, i, inverse_q=False) == target
                 assert d.shifted_cauchy(n, i, inverse_q=True) == target
 
     def test_target_is_scaled_h(self):
         for n in range(1, 5):
             for i in range(1, 4):
-                scaled = sf.plethysm(sf.h(n), ONE - q**i)
-                assert scaled == d.shifted_cauchy_target(n, i).scale(ONE - q**i)
+                scaled = field_route.plethysm(references.h(n), ONE - q**i)
+                assert scaled == d.hook_kernel(n, i).scale(ONE - q**i)
 
 
 class TestLengthAggregates:

@@ -368,5 +368,5 @@ class TestQBinomHook:
         # function, up to the q^(n(conjugate)) staircase factor
         lam = Partition(shape)
         conj = lam.conjugate()
-        direct = sf.evaluate(sf.s(conj), qbinom(n, 1))
+        direct = field_route.evaluate(sf.s(conj), qbinom(n, 1))
         assert q ** conj.nstat() * qbinom_hook(n, lam) == direct
