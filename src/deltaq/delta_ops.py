@@ -253,10 +253,12 @@ def rhs_hook(params: HookParams) -> SymFunc:
     return _table_sum(_graded_P(params.n, False), lambda j: rhs_hook_coeff(params, j))
 
 
+@lru_cache(maxsize=None)
 def _alternating_term(k: int, i: int) -> tuple[int, QPoly]:
     """(C(i,2), (-1)^i [k+2, i]_q): q^C(i,2) times the latter is the z^i term of (z;q)_(k+2).
 
-    Zero unless 0 <= i <= k+2.
+    Zero unless 0 <= i <= k+2.  Cached, so the negated q-binomials keep their
+    Kronecker ints (``qfield.dot``) across calls, as the cached ones do.
     """
     term = qbinom_poly(k + 2, i)
     return comb(i, 2), (-term if i % 2 else term)

@@ -137,11 +137,12 @@ class MacdonaldWeights:
     w: Coef | int
 
 
+@lru_cache(maxsize=None)
 def macdonald_weights(mu, at=(q, t)) -> MacdonaldWeights:
     """B_mu, Pi'_mu and w_mu by their cell formulas, with (q, t) set to ``at``.
 
     At the default ``at`` the weights lie in Q(q,t); at a pair of ints they are
-    the exact integer values of the same formulas.
+    the exact integer values of the same formulas.  Cached by (mu, at).
     """
     mu = Partition(mu)
     qv, tv = at

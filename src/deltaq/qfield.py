@@ -10,8 +10,10 @@ The q-only scalars and the t=0 tables are built in ``QPoly``, a dense ZZ[q]:
 a list of integer coefficients whose ``+`` and ``-`` run elementwise and
 whose ``*`` is one product of two Python ints, each polynomial packed into an
 int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", arXiv:0712.4046); ``_pack`` and
-``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.  ``qpoch_poly`` is a
+via multipoint Kronecker substitution", arXiv:0712.4046).  Values are
+immutable, so each keeps its int once packed at a digit width and a cached
+q-binomial is packed once; ``_pack`` and ``_unpack`` also serve
+``symfunc.plethysm_one_minus_q``.  ``qpoch_poly`` is a
 product of factors 1 - q^e and ``qbinom_poly`` the product formula with exact
 division by each 1 - q^j (``_over_one_minus``, which raises ArithmeticError
 when the division is not exact), both cached and neither recursive.  A Laurent
@@ -27,7 +29,7 @@ and denominators of Q(q,t), and ``swap_qt``, which exchanges them.
 
 ``render`` writes an element as canonical text, the package's one output
 format for coefficients, and ``render_laurent`` writes a pair as that same
-text directly; the package reads no coefficient text back.
+text in one pass; the package reads no coefficient text back.
 """
 
 from __future__ import annotations
@@ -129,29 +131,12 @@ def _unpack(value: int, n: int, width: int) -> list:
             for i in range(0, n * width, width)]
 
 
-def _bound(a: list, b: list) -> int:
-    """||a||_inf ||b||_inf min(len a, len b), a bound on every coefficient of a * b."""
-    return max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-
-
-def _kronecker(a: list, b: list) -> list:
-    """The coefficients of a * b, read off one product of two ints (Kronecker substitution).
-
-    Each factor is evaluated at X = 2^(8w) (``_pack``), where w bytes hold
-    ``_bound(a, b)`` with a sign bit, so no product coefficient c satisfies
-    |c| >= X/2 and ``_unpack`` reads them all back.
-    """
-    width = _digit_width(_bound(a, b))
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
-
-
 def _mul(a: list, b: list) -> list:
+    """a * b summed term by term; ``QPoly`` sends longer products to ``dot``."""
     if not a or not b:
         return []
     if len(a) > len(b):
         a, b = b, a
-    if len(a) > _SCHOOLBOOK:
-        return _kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -175,6 +160,22 @@ def _wrap(c: list) -> QPoly:
     return poly
 
 
+def _norm_of(p: QPoly) -> int:
+    """max |c_i| over the coefficients of p, p nonzero, computed once per value."""
+    if (norm := getattr(p, "_norm", None)) is None:
+        norm = p._norm = max(max(p.c), -min(p.c))
+    return norm
+
+
+def _packed(p: QPoly, width: int) -> int:
+    """``_pack(p.c, width)``, computed once per value and width."""
+    if (packs := getattr(p, "_packs", None)) is None:
+        packs = p._packs = {}
+    if (value := packs.get(width)) is None:
+        value = packs[width] = _pack(p.c, width)
+    return value
+
+
 def _operator(op, reflected: bool = False):
     """The QPoly method self op other (other op self if reflected), other a QPoly or an int."""
     def method(self, other):
@@ -189,18 +190,21 @@ class QPoly:
     """An element of ZZ[q], dense: ``c[i]`` is the coefficient of q^i.
 
     ``c`` has no trailing zero, so the zero polynomial is ``[]``.  ``+``, ``-``
-    and ``*`` take a QPoly or an int on either side; ``*`` is one Kronecker
-    product (``_kronecker``) unless a factor has at most ``_SCHOOLBOOK``
+    and ``*`` take a QPoly or an int on either side; ``*`` of two QPolys is one
+    Kronecker product (``dot``) unless a factor has at most ``_SCHOOLBOOK``
     coefficients.  Values are immutable by contract: no operation changes
     ``c`` in place and no caller may, because polynomials are shared, not
-    least by the caches of ``qpoch_poly`` and ``qbinom_poly``.  ``c`` is a
-    list rather than a tuple because every operation frees short
+    least by the caches of ``qpoch_poly`` and ``qbinom_poly``; so two memos
+    that a product fills, ``_norm`` (``_norm_of``) and ``_packs``, the
+    Kronecker int by digit width (``_packed``), stay valid, and a cached
+    factor is packed once per width.  New values start without them.  ``c``
+    is a list rather than a tuple because every operation frees short
     intermediates, and freed tuples of up to 20 items stay in CPython's
     per-size free lists: about 1 MiB more peak memory on a sweep of
     q-binomial identities.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_norm", "_packs")
 
     def __init__(self, coeffs=()):
         self.c = _strip(list(coeffs))
@@ -231,7 +235,14 @@ class QPoly:
     __add__ = __radd__ = _operator(partial(_termwise, add))
     __sub__ = _operator(partial(_termwise, sub))
     __rsub__ = _operator(partial(_termwise, sub), reflected=True)
-    __mul__ = __rmul__ = _operator(_mul)
+    _schoolbook = _operator(_mul)
+
+    def __mul__(self, other):
+        if isinstance(other, QPoly) and min(len(self.c), len(other.c)) > _SCHOOLBOOK:
+            return dot(((0, self, other),))
+        return self._schoolbook(other)
+
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"QPoly({self.c})"
@@ -240,19 +251,23 @@ class QPoly:
 def dot(terms) -> QPoly:
     """sum q^s a b over the triples (s, a, b) of QPolys a, b and s >= 0, read off one int sum.
 
-    As in ``_kronecker``, but every factor is packed at the one width that
-    holds the sum of the ``_bound`` of every product, and each int product
-    is shifted by s digits before the sum is unpacked.
+    Kronecker substitution: every factor is evaluated at X = 2^(8w) (``_packed``),
+    w bytes holding with a sign bit the bound sum ||a|| ||b|| min(len a, len b)
+    on every coefficient; each int product is shifted by s digits.
     """
-    terms = [(s, a.c, b.c) for s, a, b in terms]
-    if any(s < 0 for s, _, _ in terms):
-        raise ValueError("cannot shift by a negative power of q within ZZ[q]")
-    terms = [(s, a, b) for s, a, b in terms if a and b]
-    if not terms:
+    live, bound, digits = [], 0, 0
+    for s, a, b in terms:
+        if s < 0:
+            raise ValueError("cannot shift by a negative power of q within ZZ[q]")
+        if a.c and b.c:
+            live.append((s, a, b))
+            bound += _norm_of(a) * _norm_of(b) * min(len(a.c), len(b.c))
+            digits = max(digits, s + len(a.c) + len(b.c) - 1)
+    if not live:
         return QPoly()
-    width = _digit_width(sum(_bound(a, b) for _, a, b in terms))
-    total = sum((_pack(a, width) * _pack(b, width)) << (8 * width * s) for s, a, b in terms)
-    return _wrap(_strip(_unpack(total, max(s + len(a) + len(b) - 1 for s, a, b in terms), width)))
+    width = _digit_width(bound)
+    total = sum((_packed(a, width) * _packed(b, width)) << (8 * width * s) for s, a, b in live)
+    return _wrap(_strip(_unpack(total, digits, width)))
 
 
 #: a Laurent polynomial poly * q^e in q as the pair (poly, e)
@@ -398,10 +413,16 @@ def render(f: Coef) -> str:
 def render_laurent(poly: QPoly, e: int = 0) -> str:
     """``render(from_poly(poly, e))``, written from the canonical pair: q^-e is the denominator."""
     poly, e = laurent(poly, e)
-    c = poly.c
-    terms = [((i + max(e, 0), 0), c[i]) for i in range(len(c) - 1, -1, -1) if c[i]]
-    num = _poly_str(terms)
+    c, low = poly.c, max(e, 0)
+    pieces = []
+    for k in range(len(c) - 1 + low, low - 1, -1):
+        if v := c[k - low]:
+            a, power = (-v if v < 0 else v), (f"q^{k}" if k > 1 else "q" if k else "")
+            text = (power if a == 1 else f"{a}*{power}") if power else str(a)
+            pieces.append(f" - {text}" if v < 0 else f" + {text}")
+    text = "".join(pieces) or " + 0"
+    num = text[3:] if text[1] == "+" else f"-{text[3:]}"
     if e >= 0:
         return num
-    bare = len(terms) == 1 and c[0] > 0  # one positive term
-    return f"{num if bare else f'({num})'}/{_poly_str([((-e, 0), 1)])}"
+    den = f"q^{-e}" if e < -1 else "q"
+    return f"{num}/{den}" if len(c) == 1 and c[0] > 0 else f"({num})/{den}"  # one positive term

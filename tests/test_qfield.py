@@ -211,6 +211,20 @@ _qpolys = st.one_of(
 )
 
 
+def _schoolbook(a: QPoly, b: QPoly) -> list:
+    """The coefficients of a * b, summed term by term."""
+    out = [0] * max(len(a.c) + len(b.c) - 1, 0)
+    for i, x in enumerate(a.c):
+        for j, y in enumerate(b.c):
+            out[i + j] += x * y
+    return QPoly(out).c
+
+
+def _shifted_sum(terms) -> QPoly:
+    """sum q^s a b over the triples (s, a, b), every product summed term by term."""
+    return sum((QPoly(_schoolbook(a, b)).shift(s) for s, a, b in terms), QPoly())
+
+
 class TestQPoly:
     """The dense ZZ[q] type against sympy's sparse ``qfield.RING``."""
 
@@ -296,6 +310,13 @@ class TestQPoly:
     @example(QPoly([-1]), -1)
     @example(QPoly([0, 0, -7]), -5)
     @example(QPoly([0, 1, -1]), -4)
+    @example(QPoly([1, -1, 0, 1, -1]), 2)  # coefficients of +-1 print as bare powers
+    @example(QPoly([-1, 1]), -3)
+    @example(QPoly([2**70 + 1, 0, -(2**65) - 3, 1]), -1)  # coefficients above 2^64
+    @example(QPoly([-(2**64) - 7]), 0)
+    @example(QPoly([5]), -1)  # the bare /q
+    @example(QPoly([1]), -1)
+    @example(QPoly([0, 0, -2]), -6)  # a single negative term at a negative e
     @settings(max_examples=300, deadline=None)
     def test_render_laurent_matches_field_render(self, a, e):
         assert qfield.render_laurent(a, e) == render(qfield.from_poly(a, e))
@@ -328,6 +349,64 @@ class TestQPoly:
         terms = [(0, big, big), (4, big, one_plus_q), (1, -big, big)]
         assert qfield._digit_width(2**140 * 9) not in qfield._DIGIT_CODES
         assert qfield.dot(terms) == big * big + (big * one_plus_q).shift(4) - (big * big).shift(1)
+
+    @given(_qpolys, _qpolys, _qpolys)
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_products_match_schoolbook(self, a, b, c):
+        coefficients = [list(x.c) for x in (a, b, c)]
+        # every factor is reused against the others, so its memo is read at several widths
+        for x, y in ((a, b), (a, c), (b, c), (a, a), (c, a), (b, a)):
+            assert (x * y).c == _schoolbook(x, y), (x, y)
+        assert [x.c for x in (a, b, c)] == coefficients
+
+    def test_a_narrow_pack_is_not_reused_at_a_wider_width(self):
+        small, ones = QPoly([1, -1, 1, 1]), QPoly([1, 1, 1])
+        big = QPoly([2**70, 3, -(2**70)])
+        assert (small * ones).c == _schoolbook(small, ones)
+        assert set(small._packs) == {1}
+        # 2^70 * 3 needs 10-byte digits: small is packed again, not read at 1 byte
+        assert (small * big).c == _schoolbook(small, big)
+        assert set(small._packs) == {1, 10}
+        assert (small * ones).c == _schoolbook(small, ones)
+        assert small.c == [1, -1, 1, 1] and small._norm == 1
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 14), st.integers(0, 14)),
+                    min_size=1, max_size=6), _qpolys)
+    @settings(max_examples=100, deadline=None)
+    def test_dot_of_shared_cached_factors(self, rows, wide):
+        # the same cached factors occur in several terms and in calls at different widths
+        shared = qfield.qbinom_poly(9, 4)
+        terms = [(s, qfield.qbinom_poly(a, b), qfield.qpoch_poly(1 + b, a % 6)) for s, a, b in rows]
+        terms += [(s, shared, shared) for s, _, _ in rows]
+        want = _shifted_sum(terms)
+        assert qfield.dot(terms) == want
+        widened = terms + [(2, shared, wide), (0, wide, terms[0][2])]
+        assert qfield.dot(widened) == _shifted_sum(widened)
+        assert qfield.dot(terms) == want
+        assert qfield.dot(terms[:1]) == _shifted_sum(terms[:1])
+
+    def test_products_leave_cached_coefficients_alone(self):
+        cached = [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
+        coefficients = [list(p.c) for p in cached]
+        big = QPoly([2**70, -1, 5, 7])
+        for p in cached:
+            for other in (p, big, QPoly([1, 1, 1, 1])):
+                assert (p * other).c == _schoolbook(p, other)
+            qfield.dot([(1, p, big), (0, p, p), (3, big, p)])
+        assert [p.c for p in cached] == coefficients
+        assert cached == [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
+        assert qfield.qbinom_poly(11, 5)._packs  # the memo stays on the cached value
+
+    def test_derived_values_start_without_memos(self):
+        p = QPoly([3, -1, 4, 1, 5])
+        assert (p * p).c == _schoolbook(p, p)
+        assert p._norm == 5 and p._packs
+        r = QPoly([2**70, 0, 1])
+        for derived in (-p, p.shift(2), p.shift(0), p + r, r + p, p - r, p * 2, 3 * p, p * p,
+                        qfield.laurent(p.shift(3), 1)[0], qfield.reverse(p, 0)[0]):
+            assert not hasattr(derived, "_norm") and not hasattr(derived, "_packs"), derived
+            assert (derived * r).c == _schoolbook(derived, r)
+            assert (derived * p).c == _schoolbook(derived, p)
 
     def test_dot_rejects_negative_shifts(self):
         for factor in (QPoly([1]), QPoly()):
