@@ -15,15 +15,16 @@ The central objects:
   on l(mu) and lies in ZZ[q, 1/q], s_nu[q + ... + q^(l-1)] being q^|nu| times
   ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
-  H~_mu over their weights, or of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l
-  and every Schur coefficient of T_l is a pair (``QPoly``, e) standing for
-  poly * q^e; ``_table_pairs`` adds the products in ZZ[q], and
-  ``_table_sum`` enters Q(q,t) once per Schur coefficient.
+  H~_mu over their weights, of their images under omega and X -> X(1-q), or
+  of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l and every Schur
+  coefficient of T_l is a pair (``QPoly``, e) standing for poly * q^e;
+  ``_table_sum`` sums the products of each Schur coefficient by one
+  ``qfield.dot`` and enters Q(q,t) once.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
-  Hall-Littlewood sums.  ``lhs_nu`` takes the t=0 image's pairs before their
-  conversion, conjugates the shapes (omega) and applies X -> X(1-q) in ZZ[q]
-  (``symfunc.plethysm_one_minus_q``).
+  Hall-Littlewood sums.  ``lhs_nu`` is ``delta_prime_t0``'s eigenvalue sum
+  over ``_lhs_table``: each T_l with its shapes conjugated (omega) and
+  X -> X(1-q) applied in ZZ[q] (``symfunc.plethysm_one_minus_q``), once per n.
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_sum``)
   plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
   them.  Their coefficients are products and sums of dense ZZ[q] polynomials
@@ -32,8 +33,8 @@ The central objects:
   both sides of ``schur_principal_eval``; each coefficient of an expansion
   enters Q(q,t) once through ``qfield.from_poly``.  The kernel coefficients
   remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``;
-  ``remmel_sum`` adds them times the hook kernels in ZZ[q], one conversion
-  per hook.
+  ``remmel_sum`` adds them times the hook kernels by one ``qfield.dot`` and
+  one conversion per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -125,44 +126,43 @@ def _t0_operator_table(n: int) -> dict[int, dict[Partition, Pair]]:
             for ell in range(1, n + 1)}
 
 
-def _add_pairs(pairs: list[Pair]) -> Pair:
-    """The sum of the poly * q^e, shifted to their least exponent e and added in ZZ[q]."""
-    low = min((e for _, e in pairs), default=0)
-    return sum((poly.shift(e - low) for poly, e in pairs), QPoly()), low
+@lru_cache(maxsize=None)
+def _lhs_table(n: int) -> dict[int, dict[Partition, Pair]]:
+    """{l: omega(T_l)[X(1-q)]} for T_l = ``_t0_operator_table(n)[l]``, in ZZ[q].
 
-
-def _table_pairs(table: dict, coeff: Callable[[int], Pair]) -> dict:
-    """sum_l coeff(l) T_l over ZZ[q] as {lam: (poly, e)}, coeff(l) a pair called once per length.
-
-    The products coeff(l) T_l[lam] of each s_lam are added by ``_add_pairs``;
-    zero sums are left out.
+    omega conjugates the shapes and ``symfunc.plethysm_one_minus_q`` applies
+    X -> X(1-q); both are linear, so the image of sum_l c_l T_l is sum_l c_l
+    times row l (``lhs_nu``).
     """
-    terms: dict[Partition, list[Pair]] = {}
+    return {ell: sf.plethysm_one_minus_q({lam.conjugate(): c for lam, c in row.items()})
+            for ell, row in _t0_operator_table(n).items()}
+
+
+def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
+    """sum_l coeff(l) T_l, coeff(l) a pair called once per length; one ``qfield.dot`` per s_lam.
+
+    The products of s_lam are the triples (e_l + e, c_l, T_l[lam]) with
+    (c_l, e_l) = coeff(l) and (T_l[lam], e) the table's pair.  They are summed
+    from their least exponent by one ``dot``, and the sum enters Q(q,t) once;
+    ``SymFunc`` leaves out the zero sums.
+    """
+    terms: dict[Partition, list[tuple[int, QPoly, QPoly]]] = {}
     for ell, row in table.items():
         c, ce = coeff(ell)
         if c:
             for lam, (poly, e) in row.items():
-                terms.setdefault(lam, []).append((c * poly, ce + e))
-    return {lam: pair for lam, products in terms.items() if (pair := _add_pairs(products))[0]}
+                terms.setdefault(lam, []).append((ce + e, c, poly))
+    out = {}
+    for lam, products in terms.items():
+        low = min(s for s, _, _ in products)
+        out[lam] = from_poly(dot((s - low, c, poly) for s, c, poly in products), low)
+    return SymFunc(out)
 
 
-def _from_pairs(pairs: dict) -> SymFunc:
-    """The Schur expansion whose s_lam coefficient is pairs[lam], one ``from_poly`` each."""
-    return SymFunc({lam: from_poly(*pair) for lam, pair in pairs.items()})
-
-
-def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
-    """sum_l coeff(l) T_l, summed by ``_table_pairs``; each coefficient enters Q(q,t) once."""
-    return _from_pairs(_table_pairs(table, coeff))
-
-
-def _delta_prime_t0_pairs(nu, n: int) -> dict:
-    """``delta_prime_t0(nu, n)`` as {lam: (poly, e)}, before the field conversion."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def _eigenvalue(nu) -> Callable[[int], Pair]:
+    """l -> s_nu[q + ... + q^(l-1)] = q^|nu| ``symfunc.principal_poly(nu, l-1)``, as a pair."""
     nu = _as_partition(nu)
-    return _table_pairs(_t0_operator_table(n),
-                        lambda ell: (sf.principal_poly(nu, ell - 1), nu.size))
+    return lambda ell: (sf.principal_poly(nu, ell - 1), nu.size)
 
 
 def delta_prime_t0(nu, n: int) -> SymFunc:
@@ -173,9 +173,11 @@ def delta_prime_t0(nu, n: int) -> SymFunc:
     t=0, B_mu = 1 + q + ... + q^(l-1) and Pi'_mu = (q;q)_(l-1) depend only on
     l = l(mu), and (1-q) Pi'_mu B_mu = (q;q)_l.  So the image is
     sum_l s_nu[q + ... + q^(l-1)] T_l, with T_l = ``_t0_operator_table(n)[l]``
-    and the eigenvalue q^|nu| ``symfunc.principal_poly(nu, l-1)``.
+    and the eigenvalue from ``_eigenvalue``.
     """
-    return _from_pairs(_delta_prime_t0_pairs(nu, n))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _table_sum(_t0_operator_table(n), _eigenvalue(nu))
 
 
 def _cell_eigenvalue(f: SymFunc, mu: Partition, prime: bool) -> qfield.Coef:
@@ -220,11 +222,12 @@ def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
 def lhs_nu(nu, n: int) -> SymFunc:
     """omega of the primed-Delta image of e_n for s_nu at t=0, restricted to X(1-q).
 
-    The image's pairs go to the conjugate shapes (omega) and through
-    ``symfunc.plethysm_one_minus_q`` in ZZ[q]; each coefficient enters Q(q,t) once.
+    The image is sum_l s_nu[q + ... + q^(l-1)] T_l (``delta_prime_t0``), so
+    this is the same eigenvalue sum over ``_lhs_table(n)``.
     """
-    image = _delta_prime_t0_pairs(nu, n)
-    return _from_pairs(sf.plethysm_one_minus_q({lam.conjugate(): c for lam, c in image.items()}))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _table_sum(_lhs_table(n), _eigenvalue(nu))
 
 
 # -- hook-indexed closed forms ---------------------------------------------------
@@ -308,13 +311,14 @@ def remmel_sum(params: HookParams) -> SymFunc:
     With (c, e, {s: (h, r_s)}) from ``_remmel_ring``, remmel_coeff(s) is
     c q^e q^h r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
     (``hook_kernel``), so each hook's coefficient is
-    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), entering Q(q,t) once.
+    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), one ``qfield.dot`` entering
+    Q(q,t) once.
     """
     c, e, terms = _remmel_ring(params)
     kernels = [(s, h, r_s - r_s.shift(s)) for s, (h, r_s) in terms.items()]
     out = {}
     for r in range(params.n):
-        poly = c * sum((kernel.shift(h + s * r) for s, h, kernel in kernels), QPoly())
+        poly = dot((h + s * r, c, kernel) for s, h, kernel in kernels)
         out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly, e)
     return SymFunc(out)
 
@@ -435,11 +439,11 @@ def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
     graded: sum over lengths k of the charge-graded length-k content of s_nu,
             each paired with the Pochhammer (q^(j-k);q)_k.  As
             (q^(j-k);q)_k / (q;q)_k = [j-1, k]_q for j >= 1, this is
-            sum_k ``_charge_poly(nu, k)`` [j-1, k]_q, summed in ZZ[q].
+            sum_k ``_charge_poly(nu, k)`` [j-1, k]_q, one ``qfield.dot``.
     """
     nu = _as_partition(nu)
-    graded = sum((_charge_poly(nu, k) * qbinom_poly(j - 1, k)
-                  for k in range(len(nu), nu.size + 1)), QPoly())
+    graded = dot((0, _charge_poly(nu, k), qbinom_poly(j - 1, k))
+                 for k in range(len(nu), nu.size + 1))
     return (sf.principal_poly(nu, j - 1), 0), (graded, 0)
 
 

@@ -122,12 +122,6 @@ class SymFunc:
                 out.pop(lam, None)
         return SymFunc(out)
 
-    def __neg__(self) -> "SymFunc":
-        return SymFunc({lam: -c for lam, c in self.terms.items()})
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
     def scale(self, c) -> "SymFunc":
         c = qfield.coef(c)
         return SymFunc({lam: c * v for lam, v in self.terms.items()})

@@ -5,6 +5,7 @@ budgets are in test_acceptance.py.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import field_route
 import references
@@ -234,6 +235,49 @@ class TestLengthTables:
             for ell, part in table.items():
                 got = {lam: qfield.from_poly(poly, e) for lam, (poly, e) in part.items()}
                 assert got == field_route.operator_table(n, ell).terms, (n, ell)
+
+    def test_lhs_table_matches_field_plethysm(self):
+        for n in range(1, 8):
+            table = d._lhs_table(n)
+            assert sorted(table) == list(range(1, n + 1))
+            for ell, part in table.items():
+                got = {lam: qfield.from_poly(poly, e) for lam, (poly, e) in part.items()}
+                want = field_route.plethysm(
+                    references.omega(field_route.operator_table(n, ell)), ONE - q)
+                assert got == want.terms, (n, ell)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_sum_matches_field_sum(self, data):
+        # lengths 1 and 2 have nonzero c_l, length 3 may have c_l = 0 and length 4 has;
+        # the products of s_(3) at lengths 1 and 2 cancel exactly
+        polys = st.lists(st.integers(-3, 3), max_size=4).map(QPoly)
+        exps = st.integers(-4, 4)
+        pair = st.tuples(polys, exps)
+        (c1, e1), (c2, e2) = data.draw(st.lists(st.tuples(polys.filter(bool), exps),
+                                                min_size=2, max_size=2))
+        coeffs = {1: (c1, e1), 2: (c2, e2), 3: data.draw(pair), 4: (QPoly(), data.draw(exps))}
+        cancel, *shapes = partitions_of(3)
+        table = {ell: data.draw(st.dictionaries(st.sampled_from(shapes), pair))
+                 for ell in coeffs}
+        a, x = data.draw(st.tuples(polys.filter(bool), exps))
+        table[1][cancel] = (c2 * a, x)
+        table[2][cancel] = (-(c1 * a), x + e1 - e2)
+        calls = []
+
+        def coeff(ell):
+            calls.append(ell)
+            return coeffs[ell]
+
+        got = d._table_sum(table, coeff)
+        want = {}
+        for ell, row in table.items():
+            for lam, (poly, e) in row.items():
+                want[lam] = (want.get(lam, ZERO)
+                             + qfield.from_poly(*coeffs[ell]) * qfield.from_poly(poly, e))
+        assert got.terms == {lam: c for lam, c in want.items() if c}
+        assert cancel not in got.terms
+        assert sorted(calls) == sorted(table)
 
     def test_delta_prime_t0_matches_per_mu_route(self):
         for n in range(1, 8):

@@ -49,7 +49,7 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFunc]:
         for nu, p_nu in out.items():
             c = inner_q(f, p_nu) / inner_q(p_nu, p_nu)
             if c:
-                f = f - p_nu.scale(c)
+                f = f + p_nu.scale(-c)
         out[mu] = f
     return out
 
