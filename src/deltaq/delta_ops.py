@@ -1,16 +1,18 @@
 """Delta operators on symmetric functions and the identity families built on them.
 
 Expansions are Schur-basis symmetric functions from :mod:`deltaq.symfunc`
-with exact coefficients in Q(q,t); the t=0 sides are summed in ZZ[q] first,
-and the scalar sides stay Laurent pairs in q.
+whose coefficients are integer Laurent polynomials in q,t (``qfield.Coef``);
+the t=0 sides are summed in ZZ[q] first, the two-parameter images in
+ZZ[q,t], and the scalar sides stay Laurent pairs in q.
 
 The central objects:
 
 * ``delta_prime_t0`` / ``delta_full`` -- eigenoperator sums over the modified
   Hall-Littlewood / Macdonald expansions of ``e_n``.  ``delta_full``'s
   eigenvalue on H~_mu is f[B_mu] (minus 1 when primed), built from the cells
-  of mu in ZZ[q,t] by the integer characters (``_cell_eigenvalue``), one
-  element of Q(q,t) per term of f.  ``delta_prime_t0`` is the operator
+  of mu in ZZ[q,t] by the integer characters (``_cell_eigenvalue``), and
+  each Schur coefficient is divided once by one common denominator.
+  ``delta_prime_t0`` is the operator
   for a Schur function s_nu, given by nu: at t=0 the eigenvalue depends only
   on l(mu) and lies in ZZ[q, 1/q], s_nu[q + ... + q^(l-1)] being q^|nu| times
   ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
@@ -19,7 +21,7 @@ The central objects:
   of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l and every Schur
   coefficient of T_l is a pair (``QPoly``, e) standing for poly * q^e;
   ``_table_sum`` sums the products of each Schur coefficient by one
-  ``qfield.dot`` and enters Q(q,t) once.
+  ``qfield.dot`` and builds one ``qfield.Coef``.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.  ``lhs_nu`` is ``delta_prime_t0``'s eigenvalue sum
@@ -31,10 +33,10 @@ The central objects:
   (``qfield.QPoly``).  The scalar sides stay canonical pairs
   (``qfield.laurent``), each sum over i or s one ``qfield.dot``, and so are
   both sides of ``schur_principal_eval``; each coefficient of an expansion
-  enters Q(q,t) once through ``qfield.from_poly``.  The kernel coefficients
-  remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from ``_remmel_ring``;
-  ``remmel_sum`` adds them times the hook kernels by one ``qfield.dot`` and
-  one conversion per hook.
+  becomes one ``qfield.Coef`` through ``qfield.from_pair``.  The kernel
+  coefficients remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from
+  ``_remmel_ring``; ``remmel_sum`` adds them times the hook kernels by one
+  ``qfield.dot`` and one conversion per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
   pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
@@ -46,7 +48,7 @@ The central objects:
   (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
   computed from integer filling counts without a field operation.
   ``span_dimension_report`` is the exact reference, by fraction-free
-  elimination over ZZ[q,t].
+  elimination over ZZ[q,t] (``qfield.RING``, sympy's, as for ``delta_full``).
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (ONE, RING, ZERO, Pair, QPoly, dot, from_poly, laurent, q, qbinom_poly,
-                     qpoch_laurent, qpoch_poly, reverse)
+from .qfield import (Coef, Pair, QPoly, dot, from_pair, laurent, qbinom_poly, qpoch_laurent,
+                     qpoch_poly, reverse)
 from .symfunc import SymFunc, _as_partition
 
 
@@ -143,7 +145,7 @@ def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
 
     The products of s_lam are the triples (e_l + e, c_l, T_l[lam]) with
     (c_l, e_l) = coeff(l) and (T_l[lam], e) the table's pair.  They are summed
-    from their least exponent by one ``dot``, and the sum enters Q(q,t) once;
+    from their least exponent by one ``dot`` into one ``Coef``;
     ``SymFunc`` leaves out the zero sums.
     """
     terms: dict[Partition, list[tuple[int, QPoly, QPoly]]] = {}
@@ -155,7 +157,7 @@ def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
     out = {}
     for lam, products in terms.items():
         low = min(s for s, _, _ in products)
-        out[lam] = from_poly(dot((s - low, c, poly) for s, c, poly in products), low)
+        out[lam] = from_pair(dot((s - low, c, poly) for s, c, poly in products), low)
     return SymFunc(out)
 
 
@@ -180,43 +182,72 @@ def delta_prime_t0(nu, n: int) -> SymFunc:
     return _table_sum(_t0_operator_table(n), _eigenvalue(nu))
 
 
-def _cell_eigenvalue(f: SymFunc, mu: Partition, prime: bool) -> qfield.Coef:
-    """f[B_mu], B_mu = sum q^(col) t^(row) over the cells of mu, less the cell (0, 0) if prime.
+def _ring_numerators(coeffs: list[Coef]) -> tuple[list, tuple[int, int]]:
+    """([q^a t^b c in ``qfield.RING`` for c in coeffs], (a, b)), (a, b) least to clear 1/q, 1/t."""
+    a = max([0] + [-i for c in coeffs for (i, _), _ in c.terms])
+    b = max([0] + [-j for c in coeffs for (_, j), _ in c.terms])
+    ring = qfield.RING
+    return [ring.from_dict({(i + a, j + b): v for (i, j), v in c.terms}) for c in coeffs], (a, b)
+
+
+def _cell_eigenvalue(numers: dict, mu: Partition, prime: bool):
+    """f[B_mu] in ZZ[q,t] for f = sum numers[lam] s_lam, B_mu = sum q^(col) t^(row) over the
+    cells of mu, less the cell (0, 0) if prime.
 
     The power sums p_k[B] = sum_cells q^(col k) t^(row k) are built in RING, and
     each s_lam[B] = sum_rho chi^lam(rho) (n!/z_rho) p_rho[B] / n!, n = deg f, is a
-    polynomial by one exact division; f[B] takes one field scalar per term of f.
+    polynomial by one exact division.
     """
-    n = f.degree() or 0
+    ring, n = qfield.RING, next(iter(numers)).size if numers else 0
     cells = [cell for cell in mu.cells() if not (prime and cell == (0, 0))]
-    power = {k: RING.from_dict({(j * k, i * k): 1 for i, j in cells}) for k in range(1, n + 1)}
-    weights = {rho: prod((power[k] for k in rho), start=RING(factorial(n) // sf.zee(rho)))
+    power = {k: ring.from_dict({(j * k, i * k): 1 for i, j in cells}) for k in range(1, n + 1)}
+    weights = {rho: prod((power[k] for k in rho), start=ring(factorial(n) // sf.zee(rho)))
                for rho in partitions_of(n)}
-    total = ZERO
-    for lam, c in f.terms.items():
-        image = sum((w.mul_ground(sf.character(lam, rho)) for rho, w in weights.items()), RING.zero)
-        total += c * qfield.FIELD(image.exquo(RING(factorial(n))))
+    total = ring.zero
+    for lam, c in numers.items():
+        image = sum((w.mul_ground(sf.character(lam, rho)) for rho, w in weights.items()), ring.zero)
+        total += c * image.exquo(ring(factorial(n)))
     return total
 
 
 def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
-    """Image of e_n under the (primed or plain) Delta operator for f over Q(q,t).
+    """Image of e_n under the (primed or plain) Delta operator for f, in ZZ[q,t].
 
     Expands e_n over the two-parameter modified Macdonald functions; the
     eigenvalue of f is its evaluation at the cell alphabet
     B_mu = sum q^(col) t^(row), minus 1 for the primed variant (``_cell_eigenvalue``).
+    Each scalar f[B_mu] (1-q)(1-t) Pi'_mu B_mu / w_mu, f's coefficients times
+    q^a t^b, is one reduced fraction; the H~_mu are summed in plain dicts over
+    the lcm D of its denominators, and each Schur coefficient is divided by D
+    once (an ArithmeticError if D does not divide it) into one ``Coef``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = sf.zero()
+    ring = qfield.RING
+    gen_q, gen_t = ring.gens
+    numers, (a, b) = _ring_numerators(list(f.terms.values()))
+    numers = dict(zip(f.terms, numers))
+    scalars, den = {}, ring.one
     for mu in partitions_of(n):
-        wts = hl.macdonald_weights(mu)
-        eig = _cell_eigenvalue(f, mu, prime)
-        if eig == ZERO:
-            continue
-        coeff = eig * (ONE - q) * (ONE - qfield.t) * wts.pi_prime * wts.b / wts.w
-        total = total + hl.modified_macdonald_full(mu).scale(coeff)
-    return total
+        eig = _cell_eigenvalue(numers, mu, prime)
+        if eig:
+            wts = hl.macdonald_weights(mu)
+            scalar = qfield.FIELD.new(eig * (1 - gen_q) * (1 - gen_t) * wts.pi_prime * wts.b, wts.w)
+            scalars[mu], den = scalar, den.lcm(scalar.denom)
+    total: dict[Partition, object] = {}
+    for mu, scalar in scalars.items():
+        scale = scalar.numer * den.exquo(scalar.denom)
+        image = hl.modified_macdonald_full(mu).terms
+        for lam, c in zip(image, _ring_numerators(list(image.values()))[0]):
+            total[lam] = total.get(lam, ring.zero) + scale * c
+    out = {}
+    for lam, numer in total.items():
+        quotient, rest = numer.div(den)
+        if rest:
+            raise ArithmeticError(f"the s{lam.render()} coefficient has a denominator "
+                                  "that is not a monomial")
+        out[lam] = Coef({(i - a, j - b): int(v) for (i, j), v in quotient.items()})
+    return SymFunc(out)
 
 
 def lhs_nu(nu, n: int) -> SymFunc:
@@ -284,24 +315,28 @@ def _hook(n: int, r: int) -> Partition:
     return Partition((n - r,) + (1,) * r)
 
 
-def hook_kernel(n: int, i: int) -> SymFunc:
-    """h_n[X(1-u)]/(1-u) at u = q^i: sum_r (-1)^r q^(ir) s_(n-r,1^r), exactly the hooks."""
+def hook_kernel(n: int, i: int, factor: QPoly | None = None) -> SymFunc:
+    """h_n[X(1-u)]/(1-u) at u = q^i: sum_r (-1)^r q^(ir) s_(n-r,1^r), exactly the hooks.
+
+    Each coefficient times ``factor`` in ZZ[q] if given: 1 - q^i gives h_n[X(1-q^i)].
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return SymFunc({_hook(n, r): from_poly(QPoly([(-1) ** r]), i * r) for r in range(n)})
+    sign = QPoly([1]) if factor is None else factor
+    return SymFunc({_hook(n, r): from_pair(-sign if r % 2 else sign, i * r) for r in range(n)})
 
 
 def h_plethysm(n: int, u: int) -> SymFunc:
     """h_n[X(1-q^u)]: ``symfunc.plethysm_one_minus_q`` of h_n = s_(n), read at q^u (hook_support).
 
     p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u, so each pair (poly, e) of the
-    image moves its coefficient i to u*i and e to u*e; one ``from_poly`` per hook.
+    image moves its coefficient i to u*i and e to u*e; one ``from_pair`` per hook.
     """
     out = {}
     for lam, (poly, e) in sf.plethysm_one_minus_q({Partition((n,)): (QPoly([1]), 0)}).items():
         c = [0] * (u * (len(poly.c) - 1) + 1)
         c[::u] = poly.c
-        out[lam] = from_poly(QPoly(c), u * e)
+        out[lam] = from_pair(QPoly(c), u * e)
     return SymFunc(out)
 
 
@@ -311,15 +346,15 @@ def remmel_sum(params: HookParams) -> SymFunc:
     With (c, e, {s: (h, r_s)}) from ``_remmel_ring``, remmel_coeff(s) is
     c q^e q^h r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
     (``hook_kernel``), so each hook's coefficient is
-    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), one ``qfield.dot`` entering
-    Q(q,t) once.
+    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), one ``qfield.dot`` and one
+    ``Coef``.
     """
     c, e, terms = _remmel_ring(params)
     kernels = [(s, h, r_s - r_s.shift(s)) for s, (h, r_s) in terms.items()]
     out = {}
     for r in range(params.n):
         poly = dot((h + s * r, c, kernel) for s, h, kernel in kernels)
-        out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly, e)
+        out[_hook(params.n, r)] = from_pair(-poly if r % 2 else poly, e)
     return SymFunc(out)
 
 
@@ -514,7 +549,8 @@ def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
     """Rank the plain-Delta images of e_n by fraction-free elimination over ZZ[q,t].
 
     The exact reference for ``span_rank_at_point``.  Each image is cleared of
-    denominators by the lcm of its coefficient denominators, then reduced
+    denominators by the least monomial q^a t^b that makes every coefficient a
+    polynomial, then reduced
     against the stored rows in order by Bareiss's step
     v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th stored
     row and p_k its pivot entry in column c_k.  Every such division is exact
@@ -524,14 +560,10 @@ def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
 
     def image(nu):
         terms = delta_full(sf.s(nu), n, prime=False).terms
-        coeffs = [terms.get(lam, ZERO) for lam in basis]
-        den = RING.one
-        for c in coeffs:
-            den = den.lcm(c.denom)
-        return [c.numer * den.exquo(c.denom) for c in coeffs]
+        return _ring_numerators([terms.get(lam, qfield.ZERO) for lam in basis])[0]
 
     def reduce(vec, rows):
-        prev = RING.one
+        prev = qfield.RING.one
         for col, row in rows:
             piv, lead = row[col], vec[col]
             vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]

@@ -4,21 +4,21 @@ Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux, counted as integers into a dense ZZ[q] polynomial (``qfield.QPoly``).
 P expands through the unitriangular inverse of the Kostka-Foulkes matrix
 against the Schur basis, by back substitution over the same ZZ[q], whose
-products are Kronecker substitutions; every table entry enters
-Q(q,t) once through ``qfield.from_poly``, P_mu[X;1/q] after
+products are Kronecker substitutions; every table entry becomes one
+``qfield.Coef`` through ``qfield.from_pair``, P_mu[X;1/q] after
 ``qfield.reverse``, which reverses coefficients instead of
 substituting 1/q.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
 standard fillings: ``filling_aggregates`` counts them as integer
 F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
-functions over Q(q,t) and ``delta_ops.span_rank_at_point`` evaluates at a
-point mod p.  Their one-parameter specialization H~_mu(X;q,0), which ``deltaq
+functions with integer coefficients in q,t and ``delta_ops.span_rank_at_point``
+evaluates at a point mod p.  Their one-parameter specialization H~_mu(X;q,0), which ``deltaq
 expand --what Htilde0`` prints and ``delta_ops`` sums by length straight from
 the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
 Its weight w_t0, in closed form and as a cell product, and the P-to-Q
 normalization ``b_factor`` are built in ZZ[q]: the weights as Laurent pairs
 (``QPoly``, e), which ``verify`` compares as they are, and ``b_factor`` as a
-``QPoly`` that ``hl_Q`` converts once.
+``QPoly`` that ``hl_Q`` multiplies into each coefficient of P_mu.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+# bench/spans.py counts the fillings through hall_littlewood.multiset_permutations;
+# the words 1..n have distinct letters, so itertools yields sympy's multiset order
+from itertools import permutations as multiset_permutations
 
-from sympy.utilities.iterables import multiset_permutations
-
-from . import symfunc
+from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, Pair, QPoly, from_poly, q, qpoch_poly, reverse, t
+from .qfield import Coef, Pair, QPoly, from_pair, qpoch_poly, reverse
 from .symfunc import SymFunc
 from .tableaux import charge, reading_word, ssyt
 
@@ -46,7 +47,7 @@ def _kf_poly(lam: Partition, mu: Partition) -> QPoly:
 
 def kostka_foulkes(lam, mu) -> Coef:
     """K_(lam,mu)(q) = sum of q^charge over SSYT of shape lam, content mu."""
-    return from_poly(_kf_poly(Partition(lam), Partition(mu)))
+    return from_pair(_kf_poly(Partition(lam), Partition(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -62,14 +63,14 @@ def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
 @lru_cache(maxsize=None)
 def _p_table_invq(n: int) -> dict[Partition, SymFunc]:
     """P_mu[X;1/q] for mu |- n, each coefficient p(1/q) by reversing p."""
-    return {mu: SymFunc({lam: from_poly(*reverse(c, 0)) for lam, c in row.items()})
+    return {mu: SymFunc({lam: from_pair(*reverse(c, 0)) for lam, c in row.items()})
             for mu, row in _p_table(n).items()}
 
 
 def hl_P(mu) -> SymFunc:
     """Hall-Littlewood P_mu in the Schur basis."""
     mu = Partition(mu)
-    return SymFunc({lam: from_poly(c) for lam, c in _p_table(mu.size)[mu].items()})
+    return SymFunc({lam: from_pair(c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
 def b_factor(mu) -> QPoly:
@@ -81,9 +82,10 @@ def b_factor(mu) -> QPoly:
 
 
 def hl_Q(mu) -> SymFunc:
-    """Q_mu = b_mu(q) P_mu."""
+    """Q_mu = b_mu(q) P_mu, each coefficient one ``QPoly`` product."""
     mu = Partition(mu)
-    return hl_P(mu).scale(from_poly(b_factor(mu)))
+    b = b_factor(mu)
+    return SymFunc({lam: from_pair(b * c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +96,7 @@ def modified_macdonald_t0(mu) -> SymFunc:
     Kostka-Foulkes polynomials, each by reversing K_(lam,mu)(q).
     """
     mu = Partition(mu)
-    return SymFunc({lam: from_poly(*reverse(kf, mu.nstat()))
+    return SymFunc({lam: from_pair(*reverse(kf, mu.nstat()))
                     for lam in partitions_of(mu.size) if (kf := _kf_poly(lam, mu))})
 
 
@@ -130,22 +132,23 @@ def w_t0_cell_product(mu) -> Pair:
 
 @dataclass(frozen=True)
 class MacdonaldWeights:
-    """Two-parameter weights of the expansion of e_n over the modified basis."""
+    """Two-parameter weights of the e_n expansion: polynomials of ``qfield.RING``, or ints."""
 
-    b: Coef | int
-    pi_prime: Coef | int
-    w: Coef | int
+    b: object
+    pi_prime: object
+    w: object
 
 
 @lru_cache(maxsize=None)
-def macdonald_weights(mu, at=(q, t)) -> MacdonaldWeights:
+def macdonald_weights(mu, at=None) -> MacdonaldWeights:
     """B_mu, Pi'_mu and w_mu by their cell formulas, with (q, t) set to ``at``.
 
-    At the default ``at`` the weights lie in Q(q,t); at a pair of ints they are
-    the exact integer values of the same formulas.  Cached by (mu, at).
+    Without ``at`` the weights are polynomials in ``qfield.RING`` = ZZ[q,t];
+    at a pair of ints they are the exact integer values of the same formulas.
+    Cached by (mu, at).
     """
     mu = Partition(mu)
-    qv, tv = at
+    qv, tv = qfield.RING.gens if at is None else at
     one = qv**0
     b, pi_prime, w = one - one, one, one
     for i, j in mu.cells():
@@ -227,11 +230,11 @@ def filling_aggregates(shapes) -> dict[Partition, dict[tuple[int, ...], dict]]:
 
 @lru_cache(maxsize=None)
 def modified_macdonald_full(mu) -> SymFunc:
-    """Two-parameter modified Macdonald function over Q(q,t), by the filling formula.
+    """Two-parameter modified Macdonald function, by the filling formula.
 
     Straightens the integer F-aggregate of ``filling_aggregates`` into Schur
-    functions.  Refuses sizes above MACDONALD_FULL_LIMIT, where building the
-    coefficients in Q(q,t) is too slow to be useful.
+    functions.  Refuses sizes above MACDONALD_FULL_LIMIT, where the n! fillings
+    are too slow to enumerate to be useful.
     """
     mu = Partition(mu)
     if mu.size > MACDONALD_FULL_LIMIT:

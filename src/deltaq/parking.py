@@ -24,9 +24,9 @@ with F a fundamental quasisymmetric function; ``t_zero`` keeps its
 t-degree-0 part and ``q_zero`` its q-degree-0 part (dinv = 0).  It counts
 parking functions in a plain int F-aggregate {ides: {(q_exp, t_exp): count}}
 and passes it once to ``symfunc.from_fundamentals``, the one route from
-F-expansions to Schur functions.  The older monomial route
-(``fundamental_monomials``, ``_monomials_to_symfunc``) stays as the reference
-the tests check that route against; nothing in the package calls it.
+F-expansions to Schur functions.  The older monomial route's last step,
+``_monomials_to_symfunc``, stays as the reference the tests check that route
+against; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ from functools import lru_cache
 # bench/spans.py counts the permutations tried through parking.permutations
 from itertools import combinations, permutations  # noqa: F401
 
-from . import qfield
 from . import symfunc as sf
 from .partition import Partition
-from .qfield import Coef, ZERO, q, t
 from .symfunc import SymFunc
 
 
@@ -244,35 +242,6 @@ def car_counts(areas: tuple[int, ...], q_zero: bool = False) -> dict[int, int]:
 
 # -- monomial reference route (tests only) ------------------------------------------
 
-@lru_cache(maxsize=None)
-def fundamental_monomials(alpha: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of the fundamental quasisymmetric polynomial F_alpha.
-
-    Sums x_{i_1}...x_{i_d} over weakly increasing index sequences in nvars
-    variables that strictly increase across the descent positions of alpha.
-    Keys are exponent vectors of length nvars.
-    """
-    d = sum(alpha)
-    strict_after = set()
-    acc = 0
-    for part in alpha[:-1]:
-        acc += part
-        strict_after.add(acc)  # 1-based position after which the index must grow
-    out: dict[tuple[int, ...], int] = {}
-
-    def walk(pos: int, minvar: int, expvec: tuple[int, ...]):
-        if pos == d:
-            out[expvec] = out.get(expvec, 0) + 1
-            return
-        for v in range(minvar, nvars):
-            new = expvec[:v] + (expvec[v] + 1,) + expvec[v + 1:]
-            nxt = v + 1 if (pos + 1) in strict_after else v
-            walk(pos + 1, nxt, new)
-
-    walk(0, 0, (0,) * nvars)
-    return out
-
-
 class AsymmetricAggregateError(ValueError):
     """Raised when a monomial aggregate expected to be symmetric is not."""
 
@@ -294,17 +263,11 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
             raise AsymmetricAggregateError(f"asymmetric at exponent vector {expvec}")
         present[key] = present.get(key, 0) + 1
     nvars = len(next(iter(mono))) if mono else degree
-    terms: dict[Partition, Coef] = {}
-    for lam, coeffs in by_partition.items():
+    for lam in by_partition:
         # symmetry check: every distinct rearrangement must be present
         if _rearrangement_count(lam, nvars) != present[lam]:
             raise AsymmetricAggregateError(f"missing rearrangements of {lam}")
-        val = ZERO
-        for (qe, te), c in coeffs.items():
-            val = val + qfield.coef(c) * q**qe * t**te
-        if val != ZERO:
-            terms[lam] = val
-    return sf.sym(terms)
+    return sf.sym(by_partition)
 
 
 def _rearrangement_count(lam: Partition, nvars: int) -> int:
@@ -336,7 +299,7 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool 
 
     Aggregates  sum_paths [z^(n-k)] t^(area) prod_{rises}(1 + z t^(-a_i))
                 * sum_{PF} q^(dinv) F_(ides(word))
-    over Q(q,t).  With t_zero, only the t-degree-0 part is kept (every
+    as integer counts.  With t_zero, only the t-degree-0 part is kept (every
     surviving path must cover all its positive-area rows by chosen rises).
     With q_zero, only the q-degree-0 part is kept (parking functions with
     dinv = 0).  Both together keep the constant term.

@@ -1,10 +1,9 @@
-"""Exact arithmetic in Q(q,t), plus q-Pochhammer and q-binomial primitives.
+"""Integer Laurent polynomials in q and t, and the dense ZZ[q] they are built from.
 
-Coefficients throughout the package are elements of the fraction field of
-ZZ[q,t] with lex monomial order (q > t).  sympy keeps every element in the
-canonical form this package relies on: numerator and denominator coprime,
-integer coefficients with no common content, denominator leading coefficient
-positive.  Equality of coefficients is therefore plain ``==``.
+Every coefficient the package reports is a ``Coef``: an integer Laurent
+polynomial in q and t in a canonical form, so equality is plain ``==``.  It
+has no arithmetic and is built once per Schur coefficient, from a pair
+(``from_pair``) or from integer counts {(i, j): c} (``Coef(counts)``).
 
 The q-only scalars and the t=0 tables are built in ``QPoly``, a dense ZZ[q]:
 a list of integer coefficients whose ``+`` and ``-`` run elementwise and
@@ -21,15 +20,16 @@ polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
 gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
 reversing the coefficients instead of substituting 1/q; ``==`` on the
 canonical pairs of ``laurent`` is equality, and ``dot`` sums products
-q^s a b in one Kronecker pass.  Conversion is one-way: a value enters
-Q(q,t) once, through ``from_poly``, whose only cancellation is of a power
-of q, and no field element is turned back into a pair.  The sparse ring
-``RING`` = ZZ[q,t] is kept for what needs both variables: the numerators
-and denominators of Q(q,t), and ``swap_qt``, which exchanges them.
+q^s a b in one Kronecker pass.
 
-``render`` writes an element as canonical text, the package's one output
-format for coefficients, and ``render_laurent`` writes a pair as that same
-text in one pass; the package reads no coefficient text back.
+``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
+the package's one output format for coefficients, and ``render_laurent``
+writes a pair as that same text in one pass; nothing reads it back.
+
+Only the two-parameter route of ``delta_ops`` uses sympy: ``FIELD`` = Q(q,t),
+``RING`` = ZZ[q,t] and their generators ``q``, ``t`` are built on first
+access by the module ``__getattr__`` (PEP 562), so importing deltaq does not
+import sympy.
 """
 
 from __future__ import annotations
@@ -39,31 +39,20 @@ from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
 
-from sympy.polys.domains import ZZ
-from sympy.polys.fields import field as _make_field
-from sympy.polys.orderings import lex
-
-FIELD, q, t = _make_field("q,t", ZZ, lex)
-
-#: element type of Q(q,t); used in annotations
-Coef = type(q)
-
-ZERO = FIELD.zero
-ONE = FIELD.one
+#: FIELD, RING, q and t once built; kept here, not in the module namespace
+_SYMBOLIC: dict = {}
 
 
-def coef(value) -> Coef:
-    """Coerce an int or a field element into Q(q,t)."""
-    if isinstance(value, Coef):
-        return value
-    if isinstance(value, int):
-        return FIELD(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} into Q(q,t)")
+def __getattr__(name: str):
+    """``FIELD`` = Q(q,t) (lex order, q > t), ``RING`` = ZZ[q,t], and ``q``, ``t``, built once."""
+    if name not in ("FIELD", "RING", "q", "t"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if not _SYMBOLIC:
+        from sympy import ZZ, field, lex
 
-
-#: ZZ[q,t], the numerators and denominators of Q(q,t)
-RING = FIELD.ring
-_Q_POLY = RING.gens[0]
+        fld, gen_q, gen_t = field("q,t", ZZ, lex)
+        _SYMBOLIC.update(FIELD=fld, RING=fld.ring, q=gen_q, t=gen_t)
+    return _SYMBOLIC[name]
 
 
 # -- dense ZZ[q] ----------------------------------------------------------------
@@ -297,22 +286,6 @@ def _over_one_minus(c: list, j: int) -> list:
     return out[:cut]
 
 
-def from_poly(poly: QPoly, e: int = 0) -> Coef:
-    """poly * q^e as an element of Q(q,t), for any integer e.
-
-    The canonical form is reached without a gcd: the denominator is the least
-    power of q that makes the numerator a polynomial.
-    """
-    c = poly.c
-    if not c:
-        return ZERO
-    low = next(i for i, v in enumerate(c) if v)
-    d = max(0, -e - low)
-    # RING.dtype builds the element without converting each coefficient again
-    numer = RING.dtype({(i + e + d, 0): ZZ.dtype(v) for i, v in enumerate(c) if v})
-    return FIELD.raw_new(numer, _Q_POLY**d)
-
-
 def laurent(poly: QPoly, e: int = 0) -> Pair:
     """poly * q^e as its canonical pair: nonzero constant coefficient, or (QPoly(), 0) for zero."""
     low = next((i for i, v in enumerate(poly.c) if v), None)
@@ -367,11 +340,49 @@ def qbinom_poly(a: int, b: int) -> QPoly:
     return _wrap(c)
 
 
-def swap_qt(f: Coef) -> Coef:
-    """f with q and t exchanged; FIELD.new restores the canonical form under lex q > t."""
-    def swapped(poly):
-        return RING.from_dict({(j, i): c for (i, j), c in poly.items()})
-    return FIELD.new(swapped(f.numer), swapped(f.denom))
+# -- Laurent polynomials in q and t ----------------------------------------------
+
+class Coef:
+    """An integer Laurent polynomial in q and t, the coefficient type of the package.
+
+    ``terms`` holds ((i, j), c) for each term c q^i t^j, sorted by (i, j)
+    from the top with no zero c: one form per value, so ``==`` and ``hash``
+    are those of ``terms``.  ``Coef(counts)`` builds it from a map
+    {(i, j): c}; values are immutable and have no arithmetic.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, counts=None):
+        self.terms = tuple(sorted(((key, c) for key, c in (counts or {}).items() if c),
+                                  reverse=True))
+
+    def swapped(self) -> Coef:
+        """self with the exponents of q and t exchanged."""
+        return Coef({(j, i): c for (i, j), c in self.terms})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Coef) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"Coef({render(self)})"
+
+
+def from_pair(poly: QPoly, e: int = 0) -> Coef:
+    """poly * q^e as a ``Coef``, for any integer e: its terms are the coefficients from the top."""
+    c, out = poly.c, object.__new__(Coef)
+    out.terms = tuple(((e + i, 0), c[i]) for i in range(len(c) - 1, -1, -1) if c[i])
+    return out
+
+
+ZERO = Coef()
+ONE = from_pair(QPoly([1]))
 
 
 # -- rendering -----------------------------------------------------------------
@@ -380,7 +391,6 @@ def _poly_str(terms) -> str:
     """sum c q^i t^j over the items ((i, j), c) of terms, in their order; "0" for none."""
     pieces = []
     for (i, j), c in terms:
-        c = int(c)
         power = ("q" if i == 1 else f"q^{i}") if i else ""
         if j:
             power = f"{power}*t" if power else "t"
@@ -392,26 +402,26 @@ def _poly_str(terms) -> str:
     return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
-def _is_bare_term(poly) -> bool:
-    terms = poly.terms()
-    return len(terms) == 1 and int(terms[0][1]) > 0
-
-
 def render(f: Coef) -> str:
-    """Canonical string form, e.g. '(q^3 - q^2 + 1)/(q - 1)'."""
-    num = _poly_str(f.numer.terms())
-    if f.denom == FIELD.ring.one:
-        return num
-    if not _is_bare_term(f.numer):
+    """Canonical string form of f as an element of Q(q,t), e.g. '(q^3 - 2*t)/(q*t^2)'.
+
+    The numerator is f times the least monomial q^a t^b that leaves no
+    negative exponent, and q^a t^b is the denominator, unless it is 1.  The
+    numerator is bracketed unless it is one term with a positive coefficient.
+    """
+    terms = f.terms
+    a = max(0, -min((i for (i, _), _ in terms), default=0))
+    b = max(0, -min((j for (_, j), _ in terms), default=0))
+    if not (a or b):
+        return _poly_str(terms)
+    num = _poly_str(((i + a, j + b), c) for (i, j), c in terms)
+    if len(terms) > 1 or terms[0][1] < 0:
         num = f"({num})"
-    den = _poly_str(f.denom.terms())
-    if not _is_bare_term(f.denom):
-        den = f"({den})"
-    return f"{num}/{den}"
+    return f"{num}/{_poly_str((((a, b), 1),))}"
 
 
 def render_laurent(poly: QPoly, e: int = 0) -> str:
-    """``render(from_poly(poly, e))``, written from the canonical pair: q^-e is the denominator."""
+    """``render(from_pair(poly, e))``, written from the canonical pair: q^-e is the denominator."""
     poly, e = laurent(poly, e)
     c, low = poly.c, max(e, 0)
     pieces = []

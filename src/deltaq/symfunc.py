@@ -1,10 +1,12 @@
-"""Symmetric functions over Q(q,t), and the t=0 routes in ZZ[q].
+"""Symmetric functions with Laurent coefficients in q,t, and the t=0 routes in ZZ[q].
 
 Everything is stored in the Schur basis as a sparse map {Partition: Coef},
-one homogeneous degree per function, and ``render`` writes that expansion as
-text, the package's one output format.  ``s`` builds a Schur function, and
-``sym`` a function given in the monomial basis, through the inverse Kostka
-matrix (``parking``'s monomial route is its one caller).
+one homogeneous degree per function, each coefficient a ``qfield.Coef``
+built once, and ``render`` writes that expansion as text, the package's one
+output format.  A ``SymFunc`` has no arithmetic: each route sums its
+coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function,
+and ``sym`` a function given in the monomial basis by integer counts, through
+the inverse Kostka matrix (``parking``'s monomial route is its one caller).
 
 The t=0 operator sides and thm43 stay in ZZ[q] instead, with Laurent
 coefficients as pairs (``QPoly``, e) standing for poly * q^e:
@@ -84,7 +86,11 @@ def zee(rho: Partition) -> int:
 # -- the SymFunc container ----------------------------------------------------
 
 class SymFunc:
-    """Homogeneous symmetric function, Schur-basis sparse map."""
+    """Homogeneous symmetric function, Schur-basis sparse map {Partition: coefficient}.
+
+    The package's coefficients are ``qfield.Coef`` values; zero coefficients
+    are left out.
+    """
 
     __slots__ = ("terms",)
 
@@ -93,7 +99,6 @@ class SymFunc:
         degree = None
         for lam, c in (terms or {}).items():
             lam = Partition(lam)
-            c = qfield.coef(c)
             if not c:
                 continue
             if degree is None:
@@ -112,26 +117,8 @@ class SymFunc:
     def __eq__(self, other) -> bool:
         return isinstance(other, SymFunc) and self.terms == other.terms
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            val = out.get(lam, qfield.ZERO) + c
-            if val:
-                out[lam] = val
-            else:
-                out.pop(lam, None)
-        return SymFunc(out)
-
-    def scale(self, c) -> "SymFunc":
-        c = qfield.coef(c)
-        return SymFunc({lam: c * v for lam, v in self.terms.items()})
-
     def __repr__(self) -> str:
         return render(self)
-
-
-def zero() -> SymFunc:
-    return SymFunc()
 
 
 def _as_partition(x) -> Partition:
@@ -174,24 +161,23 @@ def _inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
 
 
 def sym(terms) -> SymFunc:
-    """Build a SymFunc from an expansion {lam: c} in the monomial basis."""
-    out: dict[Partition, Coef] = {}
-    for lam, c in dict(terms).items():
-        c = qfield.coef(c)
-        if not c:
-            continue
+    """A SymFunc from its monomial expansion {lam: {(a, b): c}}, m_lam times sum c q^a t^b.
+
+    The integer counts of each s_mu are summed by the inverse Kostka matrix
+    and become one ``Coef``, as in ``from_fundamentals``.
+    """
+    out: dict[Partition, dict[tuple[int, int], int]] = {}
+    for lam, counts in dict(terms).items():
         lam = _as_partition(lam)
         for mu, base_c in _inverse_kostka(lam.size)[lam].items():
-            val = out.get(mu, qfield.ZERO) + c * base_c
-            if val:
-                out[mu] = val
-            else:
-                out.pop(mu, None)
-    return SymFunc(out)
+            slot = out.setdefault(mu, {})
+            for key, c in counts.items():
+                slot[key] = slot.get(key, 0) + c * base_c
+    return SymFunc({mu: qfield.Coef(counts) for mu, counts in out.items()})
 
 
 def s(lam) -> SymFunc:
-    return SymFunc({_as_partition(lam): 1})
+    return SymFunc({_as_partition(lam): qfield.ONE})
 
 
 def is_hook_only(f: SymFunc) -> bool:
@@ -334,12 +320,9 @@ def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) ->
     Valid when the sum is symmetric: then replacing each fundamental
     quasisymmetric function F_alpha by the straightened Schur function s_alpha
     gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
-    until each Schur coefficient is built once; exponents are nonnegative.
+    until each Schur coefficient is built once, as one ``Coef``.
     """
-    return SymFunc({
-        lam: qfield.FIELD.raw_new(qfield.RING.from_dict(coeffs))
-        for lam, coeffs in straighten_aggregate(agg).items()
-    })
+    return SymFunc({lam: qfield.Coef(coeffs) for lam, coeffs in straighten_aggregate(agg).items()})
 
 
 # -- rendering -------------------------------------------------------------------

@@ -7,7 +7,7 @@ predicate plus its text), optional extra predicates, and a default parameter
 sweep.  :meth:`Identity.check` is the single runner: it skips a case only
 when the hypothesis fails, turns any exception into an ``error`` report, and
 renders both sides in the ``symfunc`` grammar.  A scalar side is given only
-as a Laurent pair (``QPoly``, e), never as an element of Q(q,t); it stays a
+as a Laurent pair (``QPoly``, e), never as a ``qfield.Coef``; it stays a
 canonical pair up to its report text, the degree-0 expansion ``s[]*(coef)``
 written by ``qfield.render_laurent``.
 
@@ -29,7 +29,7 @@ from . import parking as pk
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import ZERO, q
+from .qfield import ZERO, qpoch_poly
 from .symfunc import SymFunc
 
 STATUSES = ("equal", "mismatch", "skipped", "error")
@@ -101,7 +101,7 @@ class Identity:
     (QPoly, e) standing for poly * q^e, which ``check`` puts in canonical
     form, or any pair that ``compare`` and ``render`` understand.  The
     default ``compare`` and ``render`` take every side that is not a SymFunc
-    for such a pair, so a scalar in Q(q,t) is an ``error``.
+    for such a pair, so a scalar of any other type is an ``error``.
     ``compare`` and ``extra`` return "" when their predicate holds and a
     witness otherwise; ``extra`` is the predicate beyond equality (hook
     support, a third route).
@@ -218,7 +218,7 @@ def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]
 
 def _q_to_t(f: SymFunc) -> SymFunc:
     """f with q renamed t in every coefficient; f's coefficients involve q alone."""
-    return SymFunc({lam: qfield.swap_qt(c) for lam, c in f.terms.items()})
+    return SymFunc({lam: c.swapped() for lam, c in f.terms.items()})
 
 
 # -- default sweeps ------------------------------------------------------------------
@@ -404,7 +404,7 @@ REGISTRY: dict[str, Identity] = {
             "hook_support",
             "h_n[X(1-q^u)] is supported on hooks with alternating coefficients",
             lambda p: (do.h_plethysm(p["n"], p["u"]),
-                       do.hook_kernel(p["n"], p["u"]).scale(1 - q ** p["u"])),
+                       do.hook_kernel(p["n"], p["u"], qpoch_poly(p["u"], 1))),
             lambda p: p["n"] >= 1 and p["u"] >= 1, "n >= 1, u >= 1",
             _upto(1, 8, lambda n: ({"n": n, "u": u} for u in (1, 2, 3))),
             extra=_hook_support,

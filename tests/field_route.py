@@ -21,11 +21,11 @@ tests require both routes to agree.
 
 from functools import lru_cache
 
-from references import basis_convert, from_power, omega
-from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
+from references import ONE, ZERO, basis_convert, coef, from_poly, from_power, lincomb, omega
+from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import partitions_of
-from deltaq.qfield import FIELD, ONE, ZERO, from_poly, q
+from deltaq.qfield import FIELD, q
 
 
 def qpoch_at(s: int, m: int):
@@ -88,13 +88,9 @@ def remmel_coeff(s: int, params: HookParams):
 
 
 def remmel_sum(params: HookParams):
-    """sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), one field ``scale`` and ``+`` per s."""
-    total = sf.zero()
-    for s in range(1, params.m + 2):
-        c = remmel_coeff(s, params)
-        if c != ZERO:
-            total = total + delta_ops.hook_kernel(params.n, s).scale(c)
-    return total
+    """sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), one field ``*`` and ``+`` per term."""
+    return lincomb(*((c, delta_ops.hook_kernel(params.n, s)) for s in range(1, params.m + 2)
+                     if (c := remmel_coeff(s, params)) != ZERO))
 
 
 def kernel_moment(params: HookParams, shift: int, length: int):
@@ -120,7 +116,7 @@ def power_image(rho, alphabet):
 
 def power_images(f, alphabet):
     """{rho: c_rho p_rho[A]} over the power-sum expansion sum_rho c_rho p_rho of f."""
-    a = qfield.coef(alphabet)
+    a = coef(alphabet)
     return {rho: c * power_image(rho, a) for rho, c in basis_convert(f, "p").items()}
 
 
@@ -168,10 +164,8 @@ def w_t0_cell_product(mu):
 
 def operator_table(n: int, ell: int):
     """sum_{l(mu)=ell} (q;q)_ell / w_t0(mu) H~_mu(X;q,0), one partition mu of n at a time."""
-    total = sf.zero()
-    for mu in partitions_of(n, length=ell):
-        total = total + hl.modified_macdonald_t0(mu).scale(qpoch_at(1, ell) / w_t0(mu))
-    return total
+    return lincomb(*((qpoch_at(1, ell) / w_t0(mu), hl.modified_macdonald_t0(mu))
+                     for mu in partitions_of(n, length=ell)))
 
 
 def delta_prime_t0(f, n: int):
@@ -180,24 +174,16 @@ def delta_prime_t0(f, n: int):
     c_l = f[q + ... + q^(l-1)] (q;q)_l is the primed eigenvalue times (1-q) Pi'_mu B_mu.
     """
     c = {ell: evaluate(f, qbinom(ell, 1) - ONE) * qpoch_at(1, ell) for ell in range(1, n + 1)}
-    total = sf.zero()
-    for mu in partitions_of(n):
-        total = total + hl.modified_macdonald_t0(mu).scale(c[len(mu)] / w_t0(mu))
-    return total
+    return lincomb(*((c[len(mu)] / w_t0(mu), hl.modified_macdonald_t0(mu))
+                     for mu in partitions_of(n)))
 
 
 def length_sum(n: int, coeff):
     """sum_mu coeff(l(mu)) q^(n(mu)) P_mu[X;q], one ``hl_P`` at a time."""
-    total = sf.zero()
-    for mu in partitions_of(n):
-        total = total + hl.hl_P(mu).scale(coeff(len(mu)) * q ** mu.nstat())
-    return total
+    return lincomb(*((coeff(len(mu)) * q ** mu.nstat(), hl.hl_P(mu)) for mu in partitions_of(n)))
 
 
 def length_sum_invq(n: int, coeff):
     """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q], one ``_p_table_invq`` entry at a time."""
     table = hl._p_table_invq(n)
-    total = sf.zero()
-    for mu in partitions_of(n):
-        total = total + table[mu].scale(coeff(len(mu)) * q ** -mu.nstat())
-    return total
+    return lincomb(*((coeff(len(mu)) * q ** -mu.nstat(), table[mu]) for mu in partitions_of(n)))

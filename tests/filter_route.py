@@ -7,7 +7,8 @@ the parking functions as block shuffles and counts them with a dynamic
 program instead; the tests require both routes to agree.  The rise factor
 is summed over the chosen sets of rises, not read from ``parking.rise_factor``.
 ``counts_aggregate`` reads the package's count back as an F-aggregate for the
-tests that straighten it or expand it through monomials.
+tests that straighten it or expand it through monomials, each F_alpha by
+``fundamental_monomials``.
 """
 
 from functools import lru_cache
@@ -69,3 +70,32 @@ def counts_aggregate(path: DyckPath) -> dict[tuple[int, ...], dict[tuple[int, in
         ides = tuple(b - a for a, b in zip(cuts, cuts[1:]))
         agg.setdefault(ides, {})[(key >> n, 0)] = count
     return agg
+
+
+@lru_cache(maxsize=None)
+def fundamental_monomials(alpha: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
+    """Monomial expansion of the fundamental quasisymmetric polynomial F_alpha.
+
+    Sums x_{i_1}...x_{i_d} over weakly increasing index sequences in nvars
+    variables that strictly increase across the descent positions of alpha.
+    Keys are exponent vectors of length nvars.
+    """
+    d = sum(alpha)
+    strict_after = set()
+    acc = 0
+    for part in alpha[:-1]:
+        acc += part
+        strict_after.add(acc)  # 1-based position after which the index must grow
+    out: dict[tuple[int, ...], int] = {}
+
+    def walk(pos: int, minvar: int, expvec: tuple[int, ...]):
+        if pos == d:
+            out[expvec] = out.get(expvec, 0) + 1
+            return
+        for v in range(minvar, nvars):
+            new = expvec[:v] + (expvec[v] + 1,) + expvec[v + 1:]
+            nxt = v + 1 if (pos + 1) in strict_after else v
+            walk(pos + 1, nxt, new)
+
+    walk(0, 0, (0,) * nvars)
+    return out

@@ -1,30 +1,130 @@
-"""Reference helpers shared by several test files; the package itself needs none of them."""
+"""Reference helpers shared by several test files; the package itself needs none of them.
+
+The package reports integer Laurent polynomials in q,t (``qfield.Coef``) and
+has no field arithmetic.  The tests' reference routes compute in Q(q,t)
+(``qfield.FIELD``, sympy): ``to_field`` and ``field`` carry the package's
+values there, ``from_field`` brings a Laurent polynomial back, ``lincomb``
+is the one sum of ``SymFunc`` values, and ``render_field`` is the canonical
+text of a field element, the oracle of ``qfield.render``.
+"""
 
 from functools import lru_cache
 
 from sympy import sympify
+from sympy.polys.domains import ZZ
 
-from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
+from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import (FIELD, ONE, RING, ZERO, Coef, QPoly, coef, from_poly, q, qbinom_poly,
-                           qpoch_laurent, render, t)
+from deltaq.qfield import FIELD, RING, QPoly, q, qbinom_poly, qpoch_laurent, t
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import kostka_number
+
+#: element type of Q(q,t), and its zero and one
+Field = type(q)
+ZERO = FIELD.zero
+ONE = FIELD.one
+_Q_POLY = RING.gens[0]
+
+
+# -- Q(q,t) and the package's Laurent polynomials --
+
+def coef(value) -> Field:
+    """Coerce an int, a ``qfield.Coef`` or a field element into Q(q,t)."""
+    if isinstance(value, Field):
+        return value
+    if isinstance(value, int):
+        return FIELD(value)
+    if isinstance(value, qfield.Coef):
+        return to_field(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} into Q(q,t)")
+
+
+def to_field(c: qfield.Coef) -> Field:
+    """A ``Coef`` as the element of Q(q,t) it stands for, numerator over a monomial."""
+    a = max([0] + [-i for (i, _), _ in c.terms])
+    b = max([0] + [-j for (_, j), _ in c.terms])
+    numer = RING.from_dict({(i + a, j + b): v for (i, j), v in c.terms})
+    return FIELD.new(numer, RING.from_dict({(a, b): 1}))
+
+
+def from_field(f: Field) -> qfield.Coef:
+    """A field element whose denominator is a monomial, as a ``Coef``; ValueError otherwise."""
+    den = f.denom.terms()
+    if len(den) != 1 or den[0][1] != 1:
+        raise ValueError(f"not a Laurent polynomial: {render_field(f)}")
+    (a, b), _ = den[0]
+    return qfield.Coef({(i - a, j - b): int(c) for (i, j), c in f.numer.terms()})
+
+
+def field(f: SymFunc) -> SymFunc:
+    """f with every coefficient in Q(q,t) (``coef``)."""
+    return SymFunc({lam: coef(c) for lam, c in f.terms.items()})
+
+
+def lincomb(*terms) -> SymFunc:
+    """sum c f over the pairs (c, f), c an int, ``Coef`` or field element: a SymFunc over Q(q,t)."""
+    out = {}
+    for c, f in terms:
+        c = coef(c)
+        for lam, v in f.terms.items():
+            out[lam] = out.get(lam, ZERO) + c * coef(v)
+    return SymFunc(out)
+
+
+def from_poly(poly: QPoly, e: int = 0) -> Field:
+    """poly * q^e as an element of Q(q,t), for any integer e.
+
+    The canonical form is reached without a gcd: the denominator is the least
+    power of q that makes the numerator a polynomial.
+    """
+    c = poly.c
+    if not c:
+        return ZERO
+    low = next(i for i, v in enumerate(c) if v)
+    d = max(0, -e - low)
+    # RING.dtype builds the element without converting each coefficient again
+    numer = RING.dtype({(i + e + d, 0): ZZ.dtype(v) for i, v in enumerate(c) if v})
+    return FIELD.raw_new(numer, _Q_POLY**d)
+
+
+def swap_qt(f: Field) -> Field:
+    """f with q and t exchanged; FIELD.new restores the canonical form under lex q > t."""
+    def swapped(poly):
+        return RING.from_dict({(j, i): c for (i, j), c in poly.items()})
+    return FIELD.new(swapped(f.numer), swapped(f.denom))
+
+
+def _is_bare_term(poly) -> bool:
+    terms = poly.terms()
+    return len(terms) == 1 and int(terms[0][1]) > 0
+
+
+def render_field(f: Field) -> str:
+    """Canonical string form of a field element, e.g. '(q^3 - q^2 + 1)/(q - 1)'."""
+    num = qfield._poly_str((key, int(c)) for key, c in f.numer.terms())
+    if f.denom == RING.one:
+        return num
+    if not _is_bare_term(f.numer):
+        num = f"({num})"
+    den = qfield._poly_str((key, int(c)) for key, c in f.denom.terms())
+    if not _is_bare_term(f.denom):
+        den = f"({den})"
+    return f"{num}/{den}"
 
 
 # -- the package's q-series and Schur functions as field elements --
 
-def qpoch_at(s: int, m: int) -> Coef:
+def qpoch_at(s: int, m: int) -> Field:
     """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), ``qfield.qpoch_laurent`` in Q(q,t)."""
     return from_poly(*qpoch_laurent(s, m))
 
 
-def qpoch(m: int) -> Coef:
+def qpoch(m: int) -> Field:
     """(q; q)_m."""
     return qpoch_at(1, m)
 
 
-def qbinom(a: int, b: int) -> Coef:
+def qbinom(a: int, b: int) -> Field:
     """Gaussian binomial [a, b]_q, ``qfield.qbinom_poly`` in Q(q,t); zero outside 0 <= b <= a."""
     return from_poly(qbinom_poly(a, b))
 
@@ -37,7 +137,8 @@ def one() -> SymFunc:
 def h(lam) -> SymFunc:
     """The complete symmetric function h_lam = sum_mu K_(mu,lam) s_mu, by Kostka numbers."""
     lam = sf._as_partition(lam)
-    return SymFunc({mu: kn for mu in partitions_of(lam.size) if (kn := kostka_number(mu, lam))})
+    return SymFunc({mu: coef(kn) for mu in partitions_of(lam.size)
+                    if (kn := kostka_number(mu, lam))})
 
 
 def e(lam) -> SymFunc:
@@ -62,7 +163,7 @@ def dominates(lam, mu) -> bool:
 def kf_table(n: int) -> dict:
     """All Kostka-Foulkes polynomials in degree n (zeros included), keyed (lam, mu)."""
     parts = partitions_of(n)
-    return {(lam, mu): hl.kostka_foulkes(lam, mu) for lam in parts for mu in parts}
+    return {(lam, mu): to_field(hl.kostka_foulkes(lam, mu)) for lam in parts for mu in parts}
 
 
 def to_ring(poly: QPoly):
@@ -72,9 +173,9 @@ def to_ring(poly: QPoly):
 
 # -- substitution: an evaluator independent of the package's reversal and swap --
 
-def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
-    powers_q: dict[int, Coef] = {}
-    powers_t: dict[int, Coef] = {}
+def _eval_poly(poly, q_val: Field, t_val: Field) -> Field:
+    powers_q: dict[int, Field] = {}
+    powers_t: dict[int, Field] = {}
     total = ZERO
     for (eq_, et_), c in poly.terms():
         pq = powers_q.get(eq_)
@@ -87,17 +188,18 @@ def _eval_poly(poly, q_val: Coef, t_val: Coef) -> Coef:
     return total
 
 
-def subs(f: Coef, q_image=None, t_image=None) -> Coef:
-    """Substitute field elements (or ints) for q and/or t in f, simultaneously.
+def subs(f, q_image=None, t_image=None) -> Field:
+    """Substitute field elements (or ints) for q and/or t in f (a ``coef`` value), simultaneously.
 
     Raises ZeroDivisionError when the denominator of f vanishes identically
     under the substitution.
     """
+    f = coef(f)
     q_val = q if q_image is None else coef(q_image)
     t_val = t if t_image is None else coef(t_image)
     den = _eval_poly(f.denom, q_val, t_val)
     if not den:
-        raise ZeroDivisionError(f"substitution hits a pole of {render(f)}")
+        raise ZeroDivisionError(f"substitution hits a pole of {render_field(f)}")
     return _eval_poly(f.numer, q_val, t_val) / den
 
 
@@ -108,7 +210,7 @@ def subs_coeffs(f: SymFunc, q_image=None, t_image=None) -> SymFunc:
     )
 
 
-def charge_content(nu: Partition, k: int) -> Coef:
+def charge_content(nu: Partition, k: int) -> Field:
     """Charge-graded length-k content of s_nu: delta_ops._charge_poly over (q;q)_k, one cancel.
 
     sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with b_rho the P-to-Q
@@ -117,11 +219,11 @@ def charge_content(nu: Partition, k: int) -> Coef:
     return from_poly(delta_ops._charge_poly(nu, k)) / qpoch(k)
 
 
-def charge_content_field_sum(nu: Partition, k: int) -> Coef:
+def charge_content_field_sum(nu: Partition, k: int) -> Field:
     """The same content, one field + and / per rho."""
     total = ZERO
     for rho in partitions_of(nu.size, length=k):
-        c = hl.kostka_foulkes(nu, rho)
+        c = to_field(hl.kostka_foulkes(nu, rho))
         if c == ZERO:
             continue
         total = total + c * q ** rho.nstat() / from_poly(hl.b_factor(rho))
@@ -156,14 +258,12 @@ def from_power(terms) -> SymFunc:
 def sym(basis: str, terms) -> SymFunc:
     """An expansion in the basis m, e, h or p.
 
-    m goes through ``symfunc.sym``, p through ``from_power``, h and e term by term.
+    p goes through ``from_power``, m (by ``symfunc.sym``), h and e term by term.
     """
-    if basis == "m":
-        return sf.sym(terms)
     if basis == "p":
         return from_power(terms)
-    elem = {"h": h, "e": e}[basis]
-    return sum((elem(lam).scale(c) for lam, c in dict(terms).items()), SymFunc())
+    elem = {"m": m, "h": h, "e": e}[basis]
+    return lincomb(*((c, elem(lam)) for lam, c in dict(terms).items()))
 
 
 def p(lam) -> SymFunc:
@@ -171,11 +271,12 @@ def p(lam) -> SymFunc:
 
 
 def m(lam) -> SymFunc:
-    return sf.sym({lam: 1})
+    """The monomial symmetric function m_lam, by ``symfunc.sym``, over Q(q,t)."""
+    return field(sf.sym({lam: {(0, 0): 1}}))
 
 
 @lru_cache(maxsize=None)
-def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
+def _schur_to_power(lam: Partition) -> dict[Partition, Field]:
     """s_lam = sum_rho chi^lam(rho)/z_rho p_rho."""
     out = {}
     for rho in partitions_of(lam.size):
@@ -185,17 +286,18 @@ def _schur_to_power(lam: Partition) -> dict[Partition, Coef]:
     return out
 
 
-def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
-    """Expansion of f in one of the bases m, e, h, p, s, as {Partition: Coef} with zeros dropped."""
+def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Field]:
+    """Expansion of f in one of the bases m, e, h, p, s, over Q(q,t), with zeros dropped."""
     if basis not in "mehps":
         raise ValueError(f"unknown basis {basis!r}")
+    f = field(f)
     if basis == "s":
         return dict(f.terms)
     if not f:
         return {}
     if basis == "e":
         return basis_convert(omega(f), "h")
-    out: dict[Partition, Coef] = {}
+    out: dict[Partition, Field] = {}
     if basis == "h":
         # f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
         for mu, row in sf._inverse_kostka(f.degree()).items():
@@ -217,7 +319,7 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Coef]:
     return out
 
 
-def read_coef(text: str) -> Coef:
+def read_coef(text: str) -> Field:
     """A rendered coefficient read back by sympy's parser, independent of ``qfield.render``."""
     return FIELD.from_expr(sympify(text.replace("^", "**")))
 

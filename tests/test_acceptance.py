@@ -9,15 +9,15 @@ import time
 
 import pytest
 
-from filter_route import counts_aggregate
-from references import basis_convert, dominates, kf_table, sym
+from filter_route import counts_aggregate, fundamental_monomials
+from references import ONE, ZERO, basis_convert, coef, dominates, kf_table, sym
 
-from deltaq import delta_ops as do, hall_littlewood as hl, parking, qfield
+from deltaq import delta_ops as do, hall_littlewood as hl, parking
 from deltaq import symfunc as sf
 from deltaq import verify as ver
 from deltaq.parking import DyckPath
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, QPoly, q
+from deltaq.qfield import QPoly, q
 
 
 @pytest.fixture
@@ -187,7 +187,7 @@ def test_llt_symmetry(verdict):
             agg = counts_aggregate(path)
             mono: dict = {}
             for alpha, coeffs in agg.items():
-                for expvec, c in parking.fundamental_monomials(alpha, n).items():
+                for expvec, c in fundamental_monomials(alpha, n).items():
                     slot = mono.setdefault(expvec, {})
                     for key, ct in coeffs.items():
                         slot[key] = slot.get(key, 0) + c * ct
@@ -255,7 +255,7 @@ def test_infrastructure(verdict):
                 if r1 != r2:
                     expected = ZERO
                 else:
-                    expected = ONE / qfield.coef(sf.zee(r1))
+                    expected = ONE / coef(sf.zee(r1))
                     for part in r1:
                         expected *= ONE - q**part
                 if got != expected:

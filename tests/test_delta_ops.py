@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import field_route
 import references
-from references import subs, subs_coeffs
+from references import (FIELD, ONE, ZERO, coef, field, from_poly, lincomb, subs, subs_coeffs,
+                        to_field)
 from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, QPoly, q, t
+from deltaq.qfield import Coef, QPoly, q, t
+from deltaq.symfunc import SymFunc
 
 
 def all_hooks(n: int):
@@ -44,7 +46,8 @@ class TestHookParams:
 class TestOperators:
     def test_base_case_frozen(self):
         # the smallest case, where every route must produce (1-q)(1-q^2) s_(1,1)
-        expected = sf.s((1, 1)).scale((ONE - q) * (ONE - q**2))
+        expected = SymFunc({(1, 1): Coef({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 1})})
+        assert field(expected) == lincomb(((ONE - q) * (ONE - q**2), sf.s((1, 1))))
         params = HookParams(k=0, m=1, n=2)
         assert d.lhs_nu((1,), 2) == expected
         assert d.lhs_hook_closed(params) == expected
@@ -54,33 +57,51 @@ class TestOperators:
         assert d.rhs_nu((1,), 2) == expected
 
     def test_nabla_e2_frozen(self):
-        assert d.delta_full(references.e(2), 2, prime=False) == (
-            sf.s(2) + sf.s((1, 1)).scale(q + t)
-        )
+        # e_2 = s_(1,1)
+        assert field(d.delta_full(sf.s((1, 1)), 2, prime=False)) == lincomb(
+            (1, sf.s(2)), (q + t, sf.s((1, 1))))
 
     def test_prime_shift_on_top_degree(self):
-        # Delta for e_n and primed Delta for e_(n-1) agree on e_n
+        # Delta for e_n and primed Delta for e_(n-1) agree on e_n; e_k = s_(1^k)
         for n in range(2, 5):
-            assert d.delta_full(references.e(n), n, prime=False) == d.delta_full(
-                references.e(n - 1), n, prime=True
+            assert d.delta_full(sf.s((1,) * n), n, prime=False) == d.delta_full(
+                sf.s((1,) * (n - 1)), n, prime=True
             )
+
+    def test_laurent_coefficients_of_f_scale_the_image(self):
+        # Delta is linear in f: negative exponents of f's coefficients are cleared and restored
+        c = Coef({(-1, 2): 3, (0, -1): -1})
+        for n in range(1, 4):
+            for nu in small_nus(n + 1):
+                for prime in (True, False):
+                    got = d.delta_full(SymFunc({nu: c}), n, prime=prime)
+                    want = lincomb((c, d.delta_full(sf.s(nu), n, prime=prime)))
+                    assert field(got) == want, (nu, n, prime)
 
     def test_t0_specializes_full(self):
         for n in range(1, 5):
             for nu in small_nus(n):
                 full = d.delta_full(sf.s(nu), n, prime=True)
-                assert subs_coeffs(full, t_image=ZERO) == d.delta_prime_t0(nu, n)
+                assert subs_coeffs(full, t_image=ZERO) == field(d.delta_prime_t0(nu, n))
 
     def test_cell_eigenvalue_matches_evaluate(self):
         # s_nu[B_mu] and s_nu[B_mu - 1] against the power-sum evaluation at the field alphabet
         for size in range(1, 6):
             for mu in partitions_of(size):
-                b = hl.macdonald_weights(mu).b
+                b = FIELD(hl.macdonald_weights(mu).b)
                 for nu_size in range(1, 6):
                     for nu in partitions_of(nu_size):
-                        f = sf.s(nu)
-                        assert d._cell_eigenvalue(f, mu, False) == field_route.evaluate(f, b)
-                        assert d._cell_eigenvalue(f, mu, True) == field_route.evaluate(f, b - ONE)
+                        f, one = sf.s(nu), {nu: qfield.RING.one}
+                        assert FIELD(d._cell_eigenvalue(one, mu, False)) == field_route.evaluate(f, b)
+                        assert (FIELD(d._cell_eigenvalue(one, mu, True))
+                                == field_route.evaluate(f, b - ONE))
+
+    def test_ring_numerators_clear_negative_exponents(self):
+        coeffs = [Coef({(-2, 0): 5, (1, -1): 1}), Coef({(3, 2): -1}), qfield.ZERO]
+        numers, (a, b) = d._ring_numerators(coeffs)
+        assert (a, b) == (2, 1)
+        assert [FIELD(x) for x in numers] == [q**2 * t * to_field(c) for c in coeffs]
+        assert d._ring_numerators([Coef({(3, 2): -1})])[1] == (0, 0)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -121,8 +142,10 @@ class TestHookExpansions:
                 assert sf.is_hook_only(kernel)
                 u = q**i
                 image = field_route.plethysm(references.h(n), ONE - u)
-                assert kernel == image.scale(ONE / (ONE - u))
-                assert d.h_plethysm(n, i) == image, (n, i)
+                assert field(kernel) == lincomb((ONE / (ONE - u), image))
+                assert field(d.h_plethysm(n, i)) == image, (n, i)
+                # with the factor 1 - q^i, the kernel is h_n[X(1-q^i)] (hook_support's rhs)
+                assert d.hook_kernel(n, i, qfield.qpoch_poly(i, 1)) == d.h_plethysm(n, i), (n, i)
 
 
 class TestScalarIdentities:
@@ -164,7 +187,7 @@ class TestScalarIdentities:
         for pairs, values in sides:
             for pair, value in zip(pairs, values):
                 assert qfield.laurent(*pair) == pair
-                assert qfield.from_poly(*pair) == value
+                assert from_poly(*pair) == value
         assert sum(not pair[0] for pairs, _ in sides for pair in pairs) > 0
 
     def test_prop33_moments(self):
@@ -189,7 +212,7 @@ class TestRingRoute:
                 for shift, length in ((1 - window, window - 1), (1, window - 1)):
                     got = d._kernel_moment(params, shift, length)
                     assert qfield.laurent(*got) == got, (params, shift, length)
-                    assert qfield.from_poly(*got) == (
+                    assert from_poly(*got) == (
                         field_route.kernel_moment(params, shift, length)), (params, shift, length)
 
     def test_kernel_moment_rejects_other_windows(self):
@@ -211,7 +234,7 @@ class TestRingRoute:
     def test_remmel_sum_matches_field_sum(self):
         for n in range(2, 9):
             for params in all_hooks(n):
-                assert d.remmel_sum(params) == field_route.remmel_sum(params), params
+                assert field(d.remmel_sum(params)) == field_route.remmel_sum(params), params
 
     def test_lhs_nu_matches_field_plethysm(self):
         # every nu up to |nu| = n + 2, so images that vanish are covered too
@@ -220,7 +243,7 @@ class TestRingRoute:
             for size in range(1, n + 3):
                 for nu in partitions_of(size):
                     got = d.lhs_nu(nu, n)
-                    assert got == field_route.lhs_nu(nu, n), (nu, n)
+                    assert field(got) == field_route.lhs_nu(nu, n), (nu, n)
                     zeros += not got
         assert zeros > 0
 
@@ -233,7 +256,7 @@ class TestLengthTables:
             table = d._t0_operator_table(n)
             assert sorted(table) == list(range(1, n + 1))
             for ell, part in table.items():
-                got = {lam: qfield.from_poly(poly, e) for lam, (poly, e) in part.items()}
+                got = {lam: from_poly(poly, e) for lam, (poly, e) in part.items()}
                 assert got == field_route.operator_table(n, ell).terms, (n, ell)
 
     def test_lhs_table_matches_field_plethysm(self):
@@ -241,7 +264,7 @@ class TestLengthTables:
             table = d._lhs_table(n)
             assert sorted(table) == list(range(1, n + 1))
             for ell, part in table.items():
-                got = {lam: qfield.from_poly(poly, e) for lam, (poly, e) in part.items()}
+                got = {lam: from_poly(poly, e) for lam, (poly, e) in part.items()}
                 want = field_route.plethysm(
                     references.omega(field_route.operator_table(n, ell)), ONE - q)
                 assert got == want.terms, (n, ell)
@@ -274,8 +297,8 @@ class TestLengthTables:
         for ell, row in table.items():
             for lam, (poly, e) in row.items():
                 want[lam] = (want.get(lam, ZERO)
-                             + qfield.from_poly(*coeffs[ell]) * qfield.from_poly(poly, e))
-        assert got.terms == {lam: c for lam, c in want.items() if c}
+                             + from_poly(*coeffs[ell]) * from_poly(poly, e))
+        assert field(got).terms == {lam: c for lam, c in want.items() if c}
         assert cancel not in got.terms
         assert sorted(calls) == sorted(table)
 
@@ -284,52 +307,52 @@ class TestLengthTables:
             for size in range(1, n + 1):
                 for nu in partitions_of(size):
                     want = field_route.delta_prime_t0(sf.s(nu), n)
-                    assert d.delta_prime_t0(nu, n) == want, (nu, n)
+                    assert field(d.delta_prime_t0(nu, n)) == want, (nu, n)
         for n in range(1, 9):
             for k in range(1, n + 1):
                 want = field_route.delta_prime_t0(references.e(k - 1), n)
-                assert d.delta_prime_t0((1,) * (k - 1), n) == want, (n, k)
+                assert field(d.delta_prime_t0((1,) * (k - 1), n)) == want, (n, k)
 
     def test_inverse_q_sides_match_per_mu_route(self):
         for n in range(1, 8):
             for params in all_hooks(n):
                 want = field_route.length_sum_invq(
                     n, lambda ell: field_route.lhs_hook_coeff(params, ell))
-                assert d.lhs_hook_closed(params) == want, params
+                assert field(d.lhs_hook_closed(params)) == want, params
             for i in range(1, 5):
                 want = field_route.length_sum_invq(
                     n, lambda ell: field_route.qpoch_at(i + 1, ell - 1))
-                assert d.shifted_cauchy(n, i, inverse_q=True) == want, (n, i)
+                assert field(d.shifted_cauchy(n, i, inverse_q=True)) == want, (n, i)
             for k in range(1, n + 1):
                 want = field_route.length_sum_invq(n, lambda ell: (
                     field_route.qbinom(ell - 1, k - 1) * field_route.qpoch_at(1, ell)))
-                assert d.ghry_sides(n, k)[0] == want, (n, k)
+                assert field(d.ghry_sides(n, k)[0]) == want, (n, k)
             for size in range(1, n + 1):
                 for nu in partitions_of(size):
                     want = field_route.length_sum_invq(n, lambda ell: field_route.evaluate(
                         sf.s(nu), field_route.qbinom(ell - 1, 1)) * field_route.qpoch_at(1, ell))
-                    assert d.lhs_expansion_thm41(nu, n) == want.scale(q**size), (nu, n)
+                    assert field(d.lhs_expansion_thm41(nu, n)) == lincomb((q**size, want)), (nu, n)
 
     def test_direct_q_sides_match_per_mu_route(self):
         for n in range(1, 8):
             for params in all_hooks(n):
                 want = field_route.length_sum(n, lambda j: field_route.rhs_hook_coeff(params, j))
-                assert d.rhs_hook(params) == want, params
+                assert field(d.rhs_hook(params)) == want, params
             for i in range(1, 5):
                 want = field_route.length_sum(
                     n, lambda ell: field_route.qpoch_at(i - ell + 1, ell - 1))
-                assert d.shifted_cauchy(n, i, inverse_q=False) == want, (n, i)
+                assert field(d.shifted_cauchy(n, i, inverse_q=False)) == want, (n, i)
             for k in range(1, n + 1):
                 want = field_route.length_sum(n, lambda ell: (
                     field_route.qpoch_at(1, k) * q ** (-k * (k - 1)) if ell == k else ZERO))
-                assert d.ghry_sides(n, k)[1] == want, (n, k)
+                assert field(d.ghry_sides(n, k)[1]) == want, (n, k)
             for size in range(1, n + 1):
                 for nu in partitions_of(size):
                     want = field_route.length_sum(n, lambda ell: (
                         references.charge_content_field_sum(nu, ell - 1)
                         * field_route.qpoch_at(1, ell - 1) * q ** (-ell * (ell - 1))
                         * field_route.qpoch_at(1, ell)))
-                    assert d.rhs_nu(nu, n) == want.scale(q**size), (nu, n)
+                    assert field(d.rhs_nu(nu, n)) == lincomb((q**size, want)), (nu, n)
 
 
 class TestShiftedCauchy:
@@ -344,7 +367,7 @@ class TestShiftedCauchy:
         for n in range(1, 5):
             for i in range(1, 4):
                 scaled = field_route.plethysm(references.h(n), ONE - q**i)
-                assert scaled == d.hook_kernel(n, i).scale(ONE - q**i)
+                assert scaled == lincomb((ONE - q**i, d.hook_kernel(n, i)))
 
 
 class TestLengthAggregates:
@@ -444,7 +467,7 @@ class TestSpan:
         for nu in small_nus(n + 1):
             terms = d.delta_full(sf.s(nu), n, prime=False).terms
             exact = [at_point(c.numer) * pow(at_point(c.denom), -1, p) % p if c else 0
-                     for c in (terms.get(lam, ZERO) for lam in partitions_of(n))]
+                     for c in (coef(terms.get(lam, qfield.ZERO)) for lam in partitions_of(n))]
             assert image(nu) == exact, nu
 
     def test_weights_at_a_point_are_the_field_weights_there(self):
@@ -452,8 +475,8 @@ class TestSpan:
         for mu in partitions_of(5):
             exact, at = hl.macdonald_weights(mu), hl.macdonald_weights(mu, point)
             for name in ("b", "pi_prime", "w"):
-                value = subs(getattr(exact, name), q_image=point[0], t_image=point[1])
-                assert value == qfield.coef(getattr(at, name)), (mu, name)
+                value = subs(FIELD(getattr(exact, name)), q_image=point[0], t_image=point[1])
+                assert value == coef(getattr(at, name)), (mu, name)
 
     def test_restricted_nu_range(self):
         # with only |nu| = 1 available the span cannot fill degree 3

@@ -9,12 +9,13 @@ import pytest
 from sympy.utilities.iterables import multiset_permutations
 
 import field_route
-from references import (basis_convert, dominates, e, h, kf_table, m, qpoch, subs, subs_coeffs,
+from references import (FIELD, ONE, ZERO, basis_convert, coef, dominates, e, field, from_poly, h,
+                        kf_table, lincomb, m, qpoch, render_field, subs, subs_coeffs, to_field,
                         to_ring)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, q, t
+from deltaq.qfield import q, t
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import charge, kostka_number, reading_word, ssyt
 
@@ -33,7 +34,7 @@ def inner_q(f: SymFunc, g: SymFunc):
         d = gp.get(rho)
         if d is None:
             continue
-        norm = qfield.coef(sf.zee(rho))
+        norm = coef(sf.zee(rho))
         for part in rho:
             norm = norm / (ONE - q**part)
         total += c * d * norm
@@ -49,14 +50,14 @@ def gram_schmidt_P(n: int) -> dict[Partition, SymFunc]:
         for nu, p_nu in out.items():
             c = inner_q(f, p_nu) / inner_q(p_nu, p_nu)
             if c:
-                f = f + p_nu.scale(-c)
+                f = lincomb((1, f), (-c, p_nu))
         out[mu] = f
     return out
 
 
 def poly_terms(c) -> dict[tuple[int, int], int]:
     """Exponent->coefficient map of a coefficient that must be polynomial."""
-    assert c.denom == ONE.numer, f"not a polynomial: {qfield.render(c)}"
+    assert c.denom == ONE.numer, f"not a polynomial: {render_field(c)}"
     return {exps: int(v) for exps, v in c.numer.terms()}
 
 
@@ -65,14 +66,14 @@ class TestKostkaFoulkes:
         for n in range(1, 6):
             oracle = gram_schmidt_P(n)
             for mu in partitions_of(n):
-                assert hl.hl_P(mu) == oracle[mu], mu.render()
+                assert field(hl.hl_P(mu)) == oracle[mu], mu.render()
             # K_(lam,mu) is the coefficient extracted against the oracle basis
             for lam in partitions_of(n):
                 f = sf.s(lam)
                 for mu in partitions_of(n):
                     p_mu = oracle[mu]
                     coeff = inner_q(f, p_mu) / inner_q(p_mu, p_mu)
-                    assert hl.kostka_foulkes(lam, mu) == coeff
+                    assert to_field(hl.kostka_foulkes(lam, mu)) == coeff
 
     def test_q1_matches_tableau_counts_and_pieri(self):
         for n in range(1, 6):
@@ -80,9 +81,9 @@ class TestKostkaFoulkes:
                 for mu in partitions_of(n):
                     at_one = subs(hl.kostka_foulkes(lam, mu), q_image=1)
                     count = kostka_number(lam, mu)
-                    assert at_one == qfield.coef(count)
+                    assert at_one == coef(count)
                     # h_mu = sum_lam K_(lam,mu)(1) s_lam
-                    assert qfield.coef(count) == h(mu).terms.get(lam, ZERO)
+                    assert coef(count) == h(mu).terms.get(lam, ZERO)
 
     def test_unitriangular_and_dominance(self):
         for n in range(1, 7):
@@ -90,9 +91,9 @@ class TestKostkaFoulkes:
                 for mu in partitions_of(n):
                     kf = hl.kostka_foulkes(lam, mu)
                     if lam == mu:
-                        assert kf == ONE
+                        assert kf == qfield.ONE
                     elif not dominates(lam, mu):
-                        assert kf == ZERO
+                        assert kf == qfield.ZERO
 
     def test_coefficients_positive(self):
         for n in range(1, 7):
@@ -103,7 +104,7 @@ class TestKostkaFoulkes:
 
     def test_charge_regression(self):
         # two tableaux of shape (4,1) and content (2,2,1), charges 2 and 3
-        assert hl.kostka_foulkes(Partition((4, 1)), Partition((2, 2, 1))) == (
+        assert to_field(hl.kostka_foulkes(Partition((4, 1)), Partition((2, 2, 1)))) == (
             q**2 + q**3
         )
 
@@ -124,7 +125,7 @@ class TestHallLittlewoodP:
     def test_q0_is_schur(self):
         for n in range(1, 6):
             for mu in partitions_of(n):
-                assert subs_coeffs(hl.hl_P(mu), q_image=ZERO) == sf.s(mu)
+                assert subs_coeffs(hl.hl_P(mu), q_image=ZERO) == field(sf.s(mu))
 
     def test_q1_is_monomial(self):
         for n in range(1, 6):
@@ -146,13 +147,15 @@ class TestHallLittlewoodP:
         for n in range(1, 8):
             table = hl._p_table_invq(n)
             for mu in partitions_of(n):
-                assert table[mu] == subs_coeffs(hl.hl_P(mu), q_image=ONE / q), mu
+                assert field(table[mu]) == subs_coeffs(hl.hl_P(mu), q_image=ONE / q), mu
 
     def test_q_normalization(self):
-        assert qfield.from_poly(hl.b_factor(Partition((1, 1, 1)))) == qpoch(3)
-        assert qfield.from_poly(hl.b_factor(Partition((3, 2)))) == qpoch(1) ** 2
-        for mu in partitions_of(4):
-            assert hl.hl_Q(mu) == hl.hl_P(mu).scale(qfield.from_poly(hl.b_factor(mu)))
+        assert from_poly(hl.b_factor(Partition((1, 1, 1)))) == qpoch(3)
+        assert from_poly(hl.b_factor(Partition((3, 2)))) == qpoch(1) ** 2
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                want = lincomb((from_poly(hl.b_factor(mu)), hl.hl_P(mu)))
+                assert field(hl.hl_Q(mu)) == want, mu
 
     def test_cauchy_kernel(self):
         # sum_lam P_lam (x) Q_lam, expanded over power sums in each slot,
@@ -173,7 +176,7 @@ class TestHallLittlewoodP:
                     if r1 != r2:
                         assert got == ZERO
                     else:
-                        expected = ONE / qfield.coef(sf.zee(r1))
+                        expected = ONE / coef(sf.zee(r1))
                         for part in r1:
                             expected *= ONE - q**part
                         assert got == expected
@@ -181,21 +184,18 @@ class TestHallLittlewoodP:
 
 class TestModifiedMacdonald:
     def test_frozen_small_values(self):
-        assert hl.modified_macdonald_full(Partition((2,))) == (
-            sf.s(2) + sf.s((1, 1)).scale(q)
-        )
-        assert hl.modified_macdonald_full(Partition((1, 1))) == (
-            sf.s(2) + sf.s((1, 1)).scale(t)
-        )
-        assert hl.modified_macdonald_full(Partition((2, 1))) == (
-            sf.s(3) + sf.s((2, 1)).scale(q + t) + sf.s((1, 1, 1)).scale(q * t)
-        )
+        assert field(hl.modified_macdonald_full(Partition((2,)))) == lincomb(
+            (1, sf.s(2)), (q, sf.s((1, 1))))
+        assert field(hl.modified_macdonald_full(Partition((1, 1)))) == lincomb(
+            (1, sf.s(2)), (t, sf.s((1, 1))))
+        assert field(hl.modified_macdonald_full(Partition((2, 1)))) == lincomb(
+            (1, sf.s(3)), (q + t, sf.s((2, 1))), (q * t, sf.s((1, 1, 1))))
 
     def test_schur_corner_coefficients(self):
         for n in range(1, 6):
             row, col = Partition((n,)), Partition((1,) * n)
             for mu in partitions_of(n):
-                f = hl.modified_macdonald_full(mu)
+                f = field(hl.modified_macdonald_full(mu))
                 assert f.terms.get(row, ZERO) == ONE
                 expected = q ** mu.conjugate().nstat() * t ** mu.nstat()
                 assert f.terms.get(col, ZERO) == expected
@@ -206,7 +206,7 @@ class TestModifiedMacdonald:
                 swapped = subs_coeffs(
                     hl.modified_macdonald_full(mu.conjugate()), q_image=t, t_image=q
                 )
-                assert hl.modified_macdonald_full(mu) == swapped
+                assert field(hl.modified_macdonald_full(mu)) == swapped
 
     def test_matches_content_fillings(self):
         # the coefficient of m_lam counts the fillings of content lam by q^inv t^maj
@@ -222,6 +222,13 @@ class TestModifiedMacdonald:
                         agg[key] = agg.get(key, 0) + 1
                     mono[lam] = sum((c * q**a * t**b for (a, b), c in agg.items()), ZERO)
                 assert basis_convert(hl.modified_macdonald_full(mu), "m") == mono, mu
+
+    def test_filling_words_follow_sympys_multiset_order(self):
+        # filling_aggregates walks the words of 1..n by itertools.permutations; its
+        # letters are distinct, so the words and their order are sympy's multiset order
+        for n in range(1, 8):
+            words = [list(word) for word in hl.multiset_permutations(range(1, n + 1))]
+            assert words == list(multiset_permutations(list(range(1, n + 1)))), n
 
     def test_size_limit_guard(self):
         with pytest.raises(ValueError):
@@ -243,9 +250,8 @@ class TestOneParameterSpecializations:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 full = hl.modified_macdonald_full(mu)
-                assert subs_coeffs(full, t_image=ZERO) == hl.modified_macdonald_t0(
-                    mu.conjugate()
-                )
+                assert subs_coeffs(full, t_image=ZERO) == field(hl.modified_macdonald_t0(
+                    mu.conjugate()))
 
     def test_q_zero_renames(self):
         for n in range(1, 6):
@@ -254,16 +260,14 @@ class TestOneParameterSpecializations:
                 collapsed = subs_coeffs(
                     subs_coeffs(full, q_image=ZERO), t_image=q
                 )
-                assert collapsed == hl.modified_macdonald_t0(mu)
+                assert collapsed == field(hl.modified_macdonald_t0(mu))
 
     def test_t0_vs_transformed_H(self):
         # cocharge twist: the one-parameter function is q^nstat * H at 1/q
         for n in range(1, 7):
             for mu in partitions_of(n):
-                twisted = subs_coeffs(
-                    transformed_H(mu), q_image=ONE / q
-                ).scale(q ** mu.nstat())
-                assert hl.modified_macdonald_t0(mu) == twisted
+                twisted = lincomb((q ** mu.nstat(), subs_coeffs(transformed_H(mu), q_image=ONE / q)))
+                assert field(hl.modified_macdonald_t0(mu)) == twisted
 
     def test_t0_reversal_matches_substitution(self):
         # q^n(mu) K_(lam,mu)(1/q) by reversal against substituting 1/q, |mu| <= 7
@@ -272,12 +276,13 @@ class TestOneParameterSpecializations:
                 want = SymFunc({
                     lam: q ** mu.nstat() * subs(hl.kostka_foulkes(lam, mu), q_image=ONE / q)
                     for lam in partitions_of(n)})
-                assert hl.modified_macdonald_t0(mu) == want, mu
+                assert field(hl.modified_macdonald_t0(mu)) == want, mu
 
     def test_t0_top_coefficient(self):
         for n in range(1, 7):
             for mu in partitions_of(n):
-                assert hl.modified_macdonald_t0(mu).terms.get(Partition((n,)), ZERO) == ONE
+                top = hl.modified_macdonald_t0(mu).terms.get(Partition((n,)), qfield.ZERO)
+                assert top == qfield.ONE
 
 
 class TestExpansionWeights:
@@ -289,23 +294,23 @@ class TestExpansionWeights:
     def test_w_specializes_from_two_parameters(self):
         for n in range(1, 7):
             for mu in partitions_of(n):
-                w0 = qfield.from_poly(*hl.w_t0(mu))
-                assert subs(hl.macdonald_weights(mu.conjugate()).w, t_image=ZERO) == w0
+                w0 = from_poly(*hl.w_t0(mu))
+                assert subs(FIELD(hl.macdonald_weights(mu.conjugate()).w), t_image=ZERO) == w0
                 assert (
-                    subs(subs(hl.macdonald_weights(mu).w, q_image=ZERO), t_image=q)
+                    subs(subs(FIELD(hl.macdonald_weights(mu).w), q_image=ZERO), t_image=q)
                     == w0
                 )
 
     def test_e_n_reconstruction_t0(self):
         # Delta'_1 scales nothing, so it rebuilds e_n from the t=0 weights
         for n in range(1, 6):
-            assert delta_prime_t0((), n) == e(n)
+            assert field(delta_prime_t0((), n)) == e(n)
 
     def test_e_n_reconstruction_full(self):
         for n in range(1, 5):
-            total = sf.zero()
+            terms = []
             for mu in partitions_of(n):
                 wt = hl.macdonald_weights(mu)
-                coeff = (ONE - q) * (ONE - t) * wt.pi_prime * wt.b / wt.w
-                total = total + hl.modified_macdonald_full(mu).scale(coeff)
-            assert total == e(n)
+                coeff = (ONE - q) * (ONE - t) * FIELD(wt.pi_prime * wt.b) / FIELD(wt.w)
+                terms.append((coeff, hl.modified_macdonald_full(mu)))
+            assert lincomb(*terms) == e(n)

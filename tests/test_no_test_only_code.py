@@ -21,10 +21,7 @@ TESTS = ROOT / "tests"
 CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "bench")
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-ALLOWED = {
-    "parking.fundamental_monomials": "the monomial reference route, pinned by bench/spans.py "
-                                     "until the next benchmark change",
-}
+ALLOWED: dict[str, str] = {}
 
 UNUSED_IMPORTS_ALLOWED = {
     ("parking", "permutations"): "bench/spans.py patches parking.permutations to count "

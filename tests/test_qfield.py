@@ -1,4 +1,8 @@
-"""Tests for the exact coefficient field Q(q,t) and its q-series primitives."""
+"""Tests for the Laurent coefficients, the dense ZZ[q] layer and its q-series primitives.
+
+The field Q(q,t) of ``references`` (sympy) is the oracle: its arithmetic and
+canonical text are checked first, then the package's values against it.
+"""
 
 from fractions import Fraction
 
@@ -6,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import field_route
-from references import qbinom, qpoch, qpoch_at, read_coef, subs, to_ring
+from references import (ONE, ZERO, coef, from_field, from_poly, qbinom, qpoch, qpoch_at, read_coef,
+                        render_field, subs, swap_qt, to_field, to_ring)
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
-from deltaq.qfield import ONE, ZERO, QPoly, coef, q, render, t
+from deltaq.qfield import Coef, QPoly, from_pair, q, t
 
 # small random coefficients: polynomial numerators over a few safe denominators
 _coef_strategy = st.builds(
@@ -66,13 +71,13 @@ class TestSubs:
 class TestRenderParse:
     def test_frozen_renders(self):
         # canonical normalization: denominator leading coefficient positive
-        assert render(ONE / (ONE - q)) == "(-1)/(q - 1)"
-        assert render((ONE - q**2) / (ONE - q)) == "q + 1"
-        assert render(-q) == "-q"
-        assert render(q**2 * t) == "q^2*t"
-        assert render(ZERO) == "0"
-        assert render(coef(5)) == "5"
-        assert render((q - t) / (q + t)) == "(q - t)/(q + t)"
+        assert render_field(ONE / (ONE - q)) == "(-1)/(q - 1)"
+        assert render_field((ONE - q**2) / (ONE - q)) == "q + 1"
+        assert render_field(-q) == "-q"
+        assert render_field(q**2 * t) == "q^2*t"
+        assert render_field(ZERO) == "0"
+        assert render_field(coef(5)) == "5"
+        assert render_field((q - t) / (q + t)) == "(q - t)/(q + t)"
 
     def test_lex_canonical_form(self):
         # leading terms differ under grlex and lex; lex (q > t) decides the sign
@@ -81,13 +86,68 @@ class TestRenderParse:
             (q**2 - t**3) / (t - q**2): "(-q^2 + t^3)/(q^2 - t)",
         }
         for f, text in cases.items():
-            assert render(f) == text
-            assert read_coef(render(f)) == f
+            assert render_field(f) == text
+            assert read_coef(render_field(f)) == f
 
     @given(_coef_strategy)
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, f):
-        assert read_coef(render(f)) == f
+        assert read_coef(render_field(f)) == f
+
+
+# Laurent polynomials in q,t as counts {(i, j): c}, negative exponents and zero counts included
+_laurent_counts = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                                  st.integers(-2**70, 2**70) | st.integers(-3, 3), max_size=6)
+
+
+def _field_sum(counts):
+    """sum c q^i t^j in Q(q,t), one field operation per term."""
+    return sum((coef(c) * q**i * t**j for (i, j), c in counts.items()), ZERO)
+
+
+class TestCoef:
+    """``qfield.Coef`` against the field oracle: same value, same text, same equality."""
+
+    @given(_laurent_counts)
+    @example({(-1, 0): 1})
+    @example({(0, -2): -3, (1, 0): 1})
+    @example({(2, -1): -1})
+    @example({(3, 0): 0})
+    @settings(max_examples=300, deadline=None)
+    def test_render_matches_field_render(self, counts):
+        c, want = Coef(counts), _field_sum(counts)
+        assert qfield.render(c) == render_field(want)
+        assert to_field(c) == want and from_field(want) == c
+        assert bool(c) == bool(want)
+
+    @given(_laurent_counts, _laurent_counts, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_matches_field_equality(self, a, b, same):
+        if same:  # the same value, its counts in another order and with zeros added
+            b = {**{key: 0 for key in b if key not in a}, **dict(reversed(list(a.items())))}
+        assert (Coef(a) == Coef(b)) == (_field_sum(a) == _field_sum(b))
+        if Coef(a) == Coef(b):
+            assert hash(Coef(a)) == hash(Coef(b))
+
+    @given(_laurent_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_swapped_matches_swap_qt(self, counts):
+        assert to_field(Coef(counts).swapped()) == swap_qt(_field_sum(counts))
+
+    @given(st.lists(st.integers(-9, 9), max_size=8).map(QPoly), st.integers(-12, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_from_pair_matches_from_poly(self, poly, e):
+        c = from_pair(poly, e)
+        assert c == from_field(from_poly(poly, e))
+        assert qfield.render(c) == qfield.render_laurent(poly, e)
+
+    def test_frozen_renders(self):
+        assert qfield.render(Coef({(-1, 0): 1})) == "1/q"
+        assert qfield.render(Coef({(0, -2): -3, (1, 0): 1})) == "(q*t^2 - 3)/t^2"
+        assert qfield.render(Coef({(1, -1): -2})) == "(-2*q)/t"
+        assert qfield.render(Coef({(0, 1): 1, (2, 0): 1})) == "q^2 + t"
+        assert qfield.render(qfield.ZERO) == "0" and qfield.render(qfield.ONE) == "1"
+        assert Coef({(1, 1): 0}) == qfield.ZERO and not qfield.ZERO
 
 
 class TestPochhammer:
@@ -163,7 +223,7 @@ class TestRingRoute:
         # the numerator and denominator sympy's own cancellation produces
         for poly in (QPoly(), QPoly([1]), QPoly([-6, 0, 3]), QPoly([0, 0, 2, -1])):
             for e in range(-4, 5):
-                got, want = qfield.from_poly(poly, e), qfield.FIELD(to_ring(poly)) * q**e
+                got, want = from_poly(poly, e), qfield.FIELD(to_ring(poly)) * q**e
                 assert (got.numer, got.denom) == (want.numer, want.denom), (poly, e)
 
     @given(st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6),
@@ -172,13 +232,13 @@ class TestRingRoute:
     def test_from_reversed_matches_substitution(self, coeffs, e):
         poly = QPoly.from_terms(coeffs)
         want = subs(qfield.FIELD(to_ring(poly)), q_image=ONE / q) * q**e
-        got = qfield.from_poly(*qfield.reverse(poly, e))
+        got = from_poly(*qfield.reverse(poly, e))
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
     @given(_coef_strategy)
     @settings(max_examples=60, deadline=None)
     def test_swap_qt_matches_substitution(self, f):
-        got, want = qfield.swap_qt(f), subs(f, q_image=t, t_image=q)
+        got, want = swap_qt(f), subs(f, q_image=t, t_image=q)
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
     def test_swap_qt_renames_q_to_t(self):
@@ -187,10 +247,10 @@ class TestRingRoute:
         cases = (q**2 + q, (ONE - q**2) / (ONE - q**3), ONE / (ONE - q),
                  (q + 2) / (ONE - 3 * q**2), ONE / (q - t), (q - 1) / (t - q**2))
         for f in cases:
-            got, want = qfield.swap_qt(f), subs(f, q_image=t, t_image=q)
-            assert (got.numer, got.denom) == (want.numer, want.denom), render(f)
-        assert render(qfield.swap_qt(ONE / (ONE - q))) == "(-1)/(t - 1)"
-        assert render(qfield.swap_qt(ONE / (q - t))) == "(-1)/(q - t)"
+            got, want = swap_qt(f), subs(f, q_image=t, t_image=q)
+            assert (got.numer, got.denom) == (want.numer, want.denom), render_field(f)
+        assert render_field(swap_qt(ONE / (ONE - q))) == "(-1)/(t - 1)"
+        assert render_field(swap_qt(ONE / (q - t))) == "(-1)/(q - t)"
 
     def test_qpoch_poly_needs_positive_start(self):
         with pytest.raises(ValueError):
@@ -284,9 +344,9 @@ class TestQPoly:
     @settings(max_examples=100, deadline=None)
     def test_entries_into_the_field(self, a, e):
         ra = qfield.FIELD(to_ring(a))
-        got, want = qfield.from_poly(a, e), ra * q**e
+        got, want = from_poly(a, e), ra * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
-        got, want = qfield.from_poly(*qfield.reverse(a, e)), subs(ra, q_image=ONE / q) * q**e
+        got, want = from_poly(*qfield.reverse(a, e)), subs(ra, q_image=ONE / q) * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
     @given(_qpolys, st.integers(-40, 40), st.integers(0, 6), st.booleans(), _qpolys,
@@ -297,8 +357,8 @@ class TestQPoly:
             b, f = a.shift(k), e - k
         pair = qfield.laurent(a, e)
         assert qfield.laurent(*pair) == pair
-        assert qfield.from_poly(*pair) == qfield.from_poly(a, e)
-        assert (pair == qfield.laurent(b, f)) == (qfield.from_poly(a, e) == qfield.from_poly(b, f))
+        assert from_poly(*pair) == from_poly(a, e)
+        assert (pair == qfield.laurent(b, f)) == (from_poly(a, e) == from_poly(b, f))
 
     def test_laurent_of_zero(self):
         assert qfield.laurent(QPoly(), -3) == qfield.laurent(QPoly([0, 0]), 5) == (QPoly(), 0)
@@ -319,7 +379,7 @@ class TestQPoly:
     @example(QPoly([0, 0, -2]), -6)  # a single negative term at a negative e
     @settings(max_examples=300, deadline=None)
     def test_render_laurent_matches_field_render(self, a, e):
-        assert qfield.render_laurent(a, e) == render(qfield.from_poly(a, e))
+        assert qfield.render_laurent(a, e) == render_field(from_poly(a, e))
 
     def test_frozen_laurent_renders(self):
         assert qfield.render_laurent(QPoly([-1]), -1) == "(-1)/q"

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import field_route
 import references
-from references import subs_coeffs
+from references import ONE, ZERO, field, from_field, subs_coeffs
 from deltaq import cli, delta_ops, hall_littlewood as hl, parking, symfunc as sf
 from deltaq import verify as ver
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import ONE, ZERO, QPoly, q, t
+from deltaq import qfield
+from deltaq.qfield import Coef, QPoly, q, t
 
 
 class TestRegistry:
@@ -112,8 +113,8 @@ class TestScalarRoute:
             report = ver.run_one(identity_id, p)
             lhs, rhs = _field_sides(identity_id, p)
             assert report.status == "equal", (identity_id, p, report.witness)
-            assert report.lhs_render == sf.render(sf.SymFunc({Partition(): lhs})), (identity_id, p)
-            assert report.rhs_render == sf.render(sf.SymFunc({Partition(): rhs})), (identity_id, p)
+            for text, side in ((report.lhs_render, lhs), (report.rhs_render, rhs)):
+                assert text == sf.render(sf.SymFunc({Partition(): from_field(side)})), (identity_id, p)
         assert {i for i, _ in cases} == {
             "prop31", "cor32", "prop33a", "prop33b", "eq17", "thm43", "wmu_consistency"}
         assert sum(i == "thm43" for i, _ in cases) == 8 * sum(len(partitions_of(n))
@@ -128,9 +129,9 @@ class TestScalarRoute:
         assert (report.lhs_render, report.rhs_render) == ("s[]*(3/q^2)", "0")
 
     def test_field_sides_must_be_laurent_polynomials_in_q(self, monkeypatch):
-        # scalar sides are pairs only: one in Q(q,t) is an error, never equal or a
-        # mismatch, whether or not it is a Laurent polynomial and the sides agree
-        for sides in ((ONE, ONE), (ONE / (ONE - q), ZERO)):
+        # scalar sides are pairs only: one in Q(q,t) or a Coef is an error, never equal
+        # or a mismatch, whether or not it is a Laurent polynomial and the sides agree
+        for sides in ((ONE, ONE), (ONE / (ONE - q), ZERO), (qfield.ONE, qfield.ONE)):
             monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: sides)
             report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
             assert report.status == "error", sides
@@ -245,11 +246,11 @@ class TestSuiteRunner:
 
     def test_q_to_t_renames_coefficients(self):
         # deltaconj_q0 compares against the t=0 image with q renamed t
-        f = sf.s((2, 1)).scale(q**2 + q) + sf.s(3).scale(ONE / (ONE - q)) + sf.s((1, 1, 1)).scale(
-            (q + 2) / (ONE - 3 * q**2))
-        assert ver._q_to_t(f) == subs_coeffs(f, q_image=t)
+        f = sf.SymFunc({(2, 1): Coef({(2, 0): 1, (1, 0): 1}), (3,): Coef({(-2, 0): 3, (0, 0): -1}),
+                        (1, 1, 1): Coef({(-1, 0): 1})})
+        assert field(ver._q_to_t(f)) == subs_coeffs(f, q_image=t)
         image = delta_ops.delta_prime_t0((1, 1), 4)
-        assert ver._q_to_t(image) == subs_coeffs(image, q_image=t)
+        assert field(ver._q_to_t(image)) == subs_coeffs(image, q_image=t)
 
     def test_qbinom_suite_small(self):
         reports = ver.run_suite("qbinom", nmax=4)
