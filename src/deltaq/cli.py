@@ -4,7 +4,7 @@ Subcommands:
 
 * ``deltaq verify``   -- run an identity suite (or one id) and optionally write JSONL
 * ``deltaq expand``   -- print a named expansion in the Schur basis
-* ``deltaq pf``       -- enumerate parking functions, optionally with statistics CSV
+* ``deltaq pf``       -- count parking functions, or list them path by path as statistics CSV
 * ``deltaq deltaside``-- print the combinatorial operator side for given n, k
 
 Every subcommand reports invalid input (a ``ValueError``, such as a malformed
@@ -177,21 +177,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_pf(args) -> int:
-    pfs = pk.ParkingFunction.all_parking(args.n)
     if args.stats:
         writer = csv.writer(sys.stdout)
         writer.writerow(["cars", "areas", "area", "dinv", "word", "ides"])
-        for pf in pfs:
-            writer.writerow([
-                " ".join(map(str, pf.cars)),
-                " ".join(map(str, pf.path.areas)),
-                pf.area,
-                pf.dinv(),
-                " ".join(map(str, pf.word())),
-                " ".join(map(str, pf.ides())),
-            ])
+        for path in pk.DyckPath.all_paths(args.n):  # one path's parking functions at a time
+            for pf in pk.ParkingFunction.all_on(path):
+                writer.writerow([
+                    " ".join(map(str, pf.cars)),
+                    " ".join(map(str, pf.path.areas)),
+                    pf.area,
+                    pf.dinv(),
+                    " ".join(map(str, pf.word())),
+                    " ".join(map(str, pf.ides())),
+                ])
     else:
-        print(f"{len(pfs)} parking functions of size {args.n}")
+        print(f"{pk.parking_count(args.n)} parking functions of size {args.n}")
     return 0
 
 

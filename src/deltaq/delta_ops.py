@@ -69,27 +69,34 @@ from .symfunc import SymFunc, _as_partition
 
 # -- hook parameter bundle ------------------------------------------------------
 
+HOOK_TEXT = "0 <= k, k+1 <= m, m < n"
+
+
+def is_hook(k: int, m: int, n: int) -> bool:
+    """``HOOK_TEXT``: the hook (m-k, 1^k) has a positive first part and lies below degree n."""
+    return 0 <= k and k + 1 <= m < n
+
+
+def _hook(n: int, r: int) -> Partition:
+    """The hook s_(n-r,1^r)."""
+    return Partition((n - r,) + (1,) * r)
+
+
 @dataclass(frozen=True)
 class HookParams:
-    """Parameters (k, m, n) describing the hook nu = (m-k, 1^k) inside degree n.
-
-    Requires 0 <= k, k + 1 <= m (so the hook has a positive first part) and
-    m < n (the hook is strictly smaller than the operand degree).
-    """
+    """Parameters (k, m, n) of the hook nu = (m-k, 1^k) inside degree n; ``is_hook`` must hold."""
 
     k: int
     m: int
     n: int
 
     def __post_init__(self):
-        if not (0 <= self.k and self.k + 1 <= self.m and self.m < self.n):
-            raise ValueError(
-                f"need 0 <= k, k+1 <= m, m < n; got k={self.k}, m={self.m}, n={self.n}"
-            )
+        if not is_hook(self.k, self.m, self.n):
+            raise ValueError(f"need {HOOK_TEXT}; got k={self.k}, m={self.m}, n={self.n}")
 
     @property
     def nu(self) -> Partition:
-        return Partition((self.m - self.k,) + (1,) * self.k)
+        return _hook(self.m, self.k)
 
 
 # -- Delta operators ------------------------------------------------------------
@@ -224,15 +231,14 @@ def delta_full(f: SymFunc, n: int, prime: bool = True) -> SymFunc:
     if n < 1:
         raise ValueError("n must be at least 1")
     ring = qfield.RING
-    gen_q, gen_t = ring.gens
     numers, (a, b) = _ring_numerators(list(f.terms.values()))
     numers = dict(zip(f.terms, numers))
     scalars, den = {}, ring.one
     for mu in partitions_of(n):
         eig = _cell_eigenvalue(numers, mu, prime)
         if eig:
-            wts = hl.macdonald_weights(mu)
-            scalar = qfield.FIELD.new(eig * (1 - gen_q) * (1 - gen_t) * wts.pi_prime * wts.b, wts.w)
+            weight, w = hl.macdonald_weights(mu)
+            scalar = qfield.FIELD.new(eig * weight, w)
             scalars[mu], den = scalar, den.lcm(scalar.denom)
     total: dict[Partition, object] = {}
     for mu, scalar in scalars.items():
@@ -308,11 +314,6 @@ def _remmel_ring(params: HookParams):
     k, m = params.k, params.m
     terms = {s: _alternating_term(k, m + 1 - s) for s in range(max(1, m - k - 1), m + 2)}
     return qbinom_poly(m - 1, k), comb(k + 1, 2) - (k + 1) * m, terms
-
-
-def _hook(n: int, r: int) -> Partition:
-    """The hook s_(n-r,1^r)."""
-    return Partition((n - r,) + (1,) * r)
 
 
 def hook_kernel(n: int, i: int, factor: QPoly | None = None) -> SymFunc:
@@ -429,6 +430,8 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     left:  sum_mu q^(-n(mu)) [l(mu)-1 choose k-1]_q (q;q)_(l(mu)) P_mu[X;1/q]
     right: q^(-k(k-1)) (q;q)_k sum_{l(mu)=k} q^(n(mu)) P_mu[X;q]
     """
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     left = _table_sum(_graded_P(n, True),
                       lambda ell: (qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell), 0))
     return left, _table_sum(_graded_P(n, False), lambda ell: (
@@ -442,9 +445,13 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
 
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
-    nu = _as_partition(nu)
-    return _table_sum(_graded_P(n, True), lambda ell: (
-        sf.principal_poly(nu, ell - 1) * qpoch_poly(1, ell), nu.size))
+    eigenvalue = _eigenvalue(nu)
+
+    def coeff(ell: int) -> Pair:
+        poly, e = eigenvalue(ell)
+        return poly * qpoch_poly(1, ell), e
+
+    return _table_sum(_graded_P(n, True), coeff)
 
 
 @lru_cache(maxsize=None)
@@ -487,8 +494,10 @@ def rhs_nu(nu, n: int) -> SymFunc:
 
     q^|nu| * sum_k (q;q)_k [charge-graded length-k content of s_nu]
            * q^(-k(k+1)) (q;q)_(k+1) sum_{l(mu)=k+1} q^(n(mu)) P_mu[X;q].
-    The first two factors are ``_charge_poly(nu, k)``.
+    The first two factors are ``_charge_poly(nu, k)``.  An n below 1 is a ValueError.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     nu = _as_partition(nu)
     return _table_sum(_graded_P(n, False), lambda ell: (
         _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), nu.size - ell * (ell - 1)))
@@ -586,7 +595,7 @@ def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition
     a, b = point
     shapes = basis = partitions_of(n)
     weights = {mu: hl.macdonald_weights(mu, point) for mu in shapes}
-    if any(wts.w % p == 0 for wts in weights.values()):
+    if any(w % p == 0 for _, w in weights.values()):
         return None
     # inv, maj <= n(n+1)/2 and the power-sum exponents are below n^2
     apow = [pow(a, e, p) for e in range(n * n + 1)]
@@ -594,8 +603,8 @@ def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition
     # (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu as a row over the basis
     scaled = {}
     for mu, agg in hl.filling_aggregates(shapes).items():
-        wts = weights[mu]
-        scale = (1 - a) * (1 - b) * wts.pi_prime * wts.b * pow(wts.w, -1, p)
+        weight, w = weights[mu]
+        scale = weight * pow(w, -1, p)
         counts = sf.straighten_aggregate(agg)
         row = [sum(k * apow[i] * bpow[j] for (i, j), k in counts.get(lam, {}).items())
                for lam in basis]

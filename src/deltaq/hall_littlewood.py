@@ -12,8 +12,9 @@ functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
 standard fillings: ``filling_aggregates`` counts them as integer
 F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
 functions with integer coefficients in q,t and ``delta_ops.span_rank_at_point``
-evaluates at a point mod p.  Their one-parameter specialization H~_mu(X;q,0), which ``deltaq
-expand --what Htilde0`` prints and ``delta_ops`` sums by length straight from
+evaluates at a point mod p; ``macdonald_weights`` writes H~_mu's coefficient
+in e_n as a pair (numerator, w_mu).  The specialization H~_mu(X;q,0), which
+``deltaq expand --what Htilde0`` prints and ``delta_ops`` sums by length from
 the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
 Its weight w_t0, in closed form and as a cell product, and the P-to-Q
 normalization ``b_factor`` are built in ZZ[q]: the weights as Laurent pairs
@@ -24,7 +25,6 @@ normalization ``b_factor`` are built in ZZ[q]: the weights as Laurent pairs
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 # bench/spans.py counts the fillings through hall_littlewood.multiset_permutations;
 # the words 1..n have distinct letters, so itertools yields sympy's multiset order
@@ -88,7 +88,6 @@ def hl_Q(mu) -> SymFunc:
     return SymFunc({lam: from_pair(b * c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
-@lru_cache(maxsize=None)
 def modified_macdonald_t0(mu) -> SymFunc:
     """One-parameter modified Macdonald function H~_mu(X;q,0).
 
@@ -130,34 +129,25 @@ def w_t0_cell_product(mu) -> Pair:
     return poly, e
 
 
-@dataclass(frozen=True)
-class MacdonaldWeights:
-    """Two-parameter weights of the e_n expansion: polynomials of ``qfield.RING``, or ints."""
-
-    b: object
-    pi_prime: object
-    w: object
-
-
 @lru_cache(maxsize=None)
-def macdonald_weights(mu, at=None) -> MacdonaldWeights:
-    """B_mu, Pi'_mu and w_mu by their cell formulas, with (q, t) set to ``at``.
+def macdonald_weights(mu, at=None) -> tuple:
+    """((1-q)(1-t) Pi'_mu B_mu, w_mu) by their cell formulas, with (q, t) set to ``at``.
 
-    Without ``at`` the weights are polynomials in ``qfield.RING`` = ZZ[q,t];
-    at a pair of ints they are the exact integer values of the same formulas.
-    Cached by (mu, at).
+    Their quotient is H~_mu's coefficient in e_n.  Without ``at`` both are
+    polynomials in ``qfield.RING`` = ZZ[q,t]; at a pair of ints they are the
+    exact integer values of the same formulas.  Cached by (mu, at).
     """
     mu = Partition(mu)
     qv, tv = qfield.RING.gens if at is None else at
     one = qv**0
-    b, pi_prime, w = one - one, one, one
+    b, numer, w = one - one, (one - qv) * (one - tv), one
     for i, j in mu.cells():
         b += qv**j * tv**i
         if (i, j) != (0, 0):
-            pi_prime *= one - qv**j * tv**i
+            numer *= one - qv**j * tv**i
     for cell in mu.cell_stats():
         w *= (qv**cell.arm - tv ** (cell.leg + 1)) * (tv**cell.leg - qv ** (cell.arm + 1))
-    return MacdonaldWeights(b=b, pi_prime=pi_prime, w=w)
+    return numer * b, w
 
 
 # -- two-parameter modified Macdonald via fillings -------------------------------

@@ -5,17 +5,18 @@ a_1 = 0, each a_{i+1} <= a_i + 1, all entries nonnegative.  A parking function
 is a Dyck path with car labels 1..n attached to the rows, increasing along
 consecutive rows that sit in the same column (the rises).
 
-The rises cut a path into maximal runs of rows, and the cars of each run form
-one increasing block, so a path whose runs have sizes c_1, ..., c_r carries
-n!/(c_1! ... c_r!) parking functions.  ``ParkingFunction.all_on`` generates
-them as block shuffles, one combination of the free cars per run, in
-lexicographic order and with none filtered.
+The rises cut a path into maximal runs of rows (``DyckPath.run_sizes``), and
+the cars of each run form one increasing block, so a path whose runs have
+sizes c_1, ..., c_r carries n!/(c_1! ... c_r!) parking functions:
+``parking_count`` sums that over the paths without building one, and
+``ParkingFunction.all_on`` generates them as block shuffles, one combination
+of the free cars per run, in lexicographic order and with none filtered.
 
 The generating-function side builds no ``ParkingFunction``.  ``car_counts``
 counts the parking functions on one path by descent set of the inverse
 reading word and dinv, with a dynamic program over the cars 1..n, and
-``rise_factor`` expands prod_{i in Rise} (1 + z t^(-a_i)); both are cached on
-the area sequence, so every k and both families read them once per path.
+``rise_factor`` expands t^(area) prod_{i in Rise} (1 + z t^(-a_i)); both are
+cached on the area sequence, so every k and both families read them once per path.
 ``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient of
 
     sum_paths t^(area) prod_{i in Rise} (1 + z t^(-a_i)) sum_{PF} q^(dinv) F_(ides(word))
@@ -34,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 # bench/spans.py counts the permutations tried through parking.permutations
 from itertools import combinations, permutations  # noqa: F401
 
@@ -75,6 +77,12 @@ class DyckPath:
         a = self.areas
         return tuple(i for i in range(1, len(a)) if a[i] == a[i - 1] + 1)
 
+    def run_sizes(self) -> tuple[int, ...]:
+        """Sizes of the maximal runs of rows joined by rises, bottom run first."""
+        rises = set(self.rises())
+        starts = [i for i in range(self.n) if i not in rises] + [self.n]
+        return tuple(b - a for a, b in zip(starts, starts[1:]))
+
     @staticmethod
     def all_paths(n: int) -> tuple["DyckPath", ...]:
         return tuple(DyckPath(a) for a in _area_sequences(n))
@@ -82,13 +90,13 @@ class DyckPath:
 
 @lru_cache(maxsize=None)
 def rise_factor(areas: tuple[int, ...]) -> dict[int, dict[int, int]]:
-    """Coefficients of prod_{i in Rise} (1 + z t^(-a_i)) as {z_deg: {t_exp: count}}.
+    """Coefficients of t^(area) prod_{i in Rise} (1 + z t^(-a_i)) as {z_deg: {t_exp: count}}.
 
-    The t exponents stored here are the (nonpositive) -a_i sums; they are
-    offset by t^(area) later.  Cached on the area sequence: the factor does
-    not depend on k.
+    Each t exponent is the area less the a_i of a set of rises, so it is
+    never negative.  Cached on the area sequence: the factor does not depend
+    on k.
     """
-    out: dict[int, dict[int, int]] = {0: {0: 1}}
+    out: dict[int, dict[int, int]] = {0: {sum(areas): 1}}
     for i in DyckPath(areas).rises():
         nxt: dict[int, dict[int, int]] = {}
         for zdeg, tdict in out.items():
@@ -162,18 +170,14 @@ class ParkingFunction:
     @staticmethod
     def all_on(path: DyckPath) -> tuple["ParkingFunction", ...]:
         """Every parking function on the path, cars in lexicographic order."""
-        rises = set(path.rises())
-        starts = [i for i in range(path.n) if i not in rises] + [path.n]
-        sizes = tuple(b - a for a, b in zip(starts, starts[1:]))
         return tuple(ParkingFunction(path, cars)
-                     for cars in _block_shuffles(sizes, tuple(range(1, path.n + 1))))
+                     for cars in _block_shuffles(path.run_sizes(), tuple(range(1, path.n + 1))))
 
-    @staticmethod
-    def all_parking(n: int) -> tuple["ParkingFunction", ...]:
-        out: list[ParkingFunction] = []
-        for path in DyckPath.all_paths(n):
-            out.extend(ParkingFunction.all_on(path))
-        return tuple(out)
+
+def parking_count(n: int) -> int:
+    """The number of parking functions of size n: n!/(c_1! ... c_r!) summed over the paths."""
+    return sum(factorial(n) // prod(map(factorial, path.run_sizes()))
+               for path in DyckPath.all_paths(n))
 
 
 def _block_shuffles(sizes: tuple[int, ...], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -271,8 +275,6 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
 
 
 def _rearrangement_count(lam: Partition, nvars: int) -> int:
-    from math import factorial
-
     mults = list(lam.multiplicities().values())
     zeros = nvars - len(lam)
     if zeros < 0:
@@ -310,18 +312,9 @@ def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool 
     low = (1 << n) - 1
     agg: dict[int, dict] = {}  # {ides bitmask: {(q_exp, t_exp): count}}
     for areas in _area_sequences(n):
-        zfac = rise_factor(areas).get(zdeg)
-        if not zfac:
-            continue
-        area = sum(areas)
-        tpoly: dict[int, int] = {}
-        for texp, c in zfac.items():
-            te = area + texp
-            if te < 0:
-                raise AssertionError(f"negative t power on path {areas}")
-            if t_zero and te != 0:
-                continue
-            tpoly[te] = tpoly.get(te, 0) + c
+        tpoly = rise_factor(areas).get(zdeg, {})
+        if t_zero:
+            tpoly = {0: tpoly[0]} if 0 in tpoly else {}
         if not tpoly:
             continue
         for key, count in car_counts(areas, q_zero).items():

@@ -12,10 +12,10 @@ int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", arXiv:0712.4046).  Values are
 immutable, so each keeps its int once packed at a digit width and a cached
 q-binomial is packed once; ``_pack`` and ``_unpack`` also serve
-``symfunc.plethysm_one_minus_q``.  ``qpoch_poly`` is a
-product of factors 1 - q^e and ``qbinom_poly`` the product formula with exact
-division by each 1 - q^j (``_over_one_minus``, which raises ArithmeticError
-when the division is not exact), both cached and neither recursive.  A Laurent
+``symfunc.plethysm_one_minus_q``.  Every exact q-product is one
+``one_minus_product``: factors 1 - q^e and exact divisions by 1 - q^j in the
+order given, as in ``qpoch_poly`` and in ``qbinom_poly``'s product formula,
+both cached and neither recursive.  A Laurent
 polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
 gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
 reversing the coefficients instead of substituting 1/q; ``==`` on the
@@ -299,15 +299,25 @@ def reverse(poly: QPoly, e: int) -> Pair:
     return QPoly(poly.c[::-1]), e - len(poly.c) + 1
 
 
+def one_minus_product(exponents) -> QPoly:
+    """The product of the factors 1 - q^e (e > 0) and 1/(1 - q^-e) (e < 0), in the order given.
+
+    A division that is not exact is an ArithmeticError, and e = 0 a ValueError.
+    """
+    c = [1]
+    for e in exponents:
+        if not e:
+            raise ValueError("the factor 1 - q^0 is zero")
+        c = _times_one_minus(c, e) if e > 0 else _over_one_minus(c, -e)
+    return _wrap(c)
+
+
 @lru_cache(maxsize=None)
 def qpoch_poly(s: int, m: int) -> QPoly:
     """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), for s >= 1 and m >= 0."""
     if s < 1 or m < 0:
         raise ValueError(f"need s >= 1 and m >= 0, got s={s}, m={m}")
-    c = [1]
-    for e in range(s, s + m):
-        c = _times_one_minus(c, e)
-    return _wrap(c)
+    return one_minus_product(range(s, s + m))
 
 
 def qpoch_laurent(s: int, m: int) -> Pair:
@@ -334,10 +344,7 @@ def qbinom_poly(a: int, b: int) -> QPoly:
     if b < 0 or b > a:
         return QPoly()
     b = min(b, a - b)
-    c = [1]
-    for j in range(1, b + 1):
-        c = _over_one_minus(_times_one_minus(c, a - b + j), j)
-    return _wrap(c)
+    return one_minus_product(x for j in range(1, b + 1) for x in (a - b + j, -j))
 
 
 # -- Laurent polynomials in q and t ----------------------------------------------

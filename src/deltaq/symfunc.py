@@ -108,9 +108,6 @@ class SymFunc:
             data[lam] = c
         self.terms = data
 
-    def degree(self) -> int | None:
-        return next(iter(self.terms)).size if self.terms else None
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -192,18 +189,15 @@ def principal_poly(lam: Partition, n: int) -> qfield.QPoly:
 
     q^(n(lam)) prod_x (1 - q^(n + c(x))) / (1 - q^h(x)) over the cells x of lam,
     with content c and hook length h (Stanley, EC2, Thm 7.21.2): every
-    numerator factor first, then one exact division by each 1 - q^h(x).
-    Zero when l(lam) > n, where a cell of content -n gives the factor 1 - q^0.
+    numerator factor first, then one exact division by each 1 - q^h(x)
+    (``qfield.one_minus_product``).  Zero when l(lam) > n, where a cell of
+    content -n gives the factor 1 - q^0.
     """
     if len(lam) > n:
         return qfield.QPoly()
     cells = lam.cell_stats()
-    c = [1]
-    for x in cells:
-        c = qfield._times_one_minus(c, n + x.content)
-    for x in cells:
-        c = qfield._over_one_minus(c, x.hook)
-    return qfield.QPoly(c).shift(lam.nstat())
+    return qfield.one_minus_product([n + x.content for x in cells]
+                                    + [-x.hook for x in cells]).shift(lam.nstat())
 
 
 @lru_cache(maxsize=None)
@@ -218,12 +212,7 @@ def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
     |coefficient| it bounds every coefficient before the division by n!.
     """
     rhos = partitions_of(n)
-    weights = []
-    for rho in rhos:
-        c = [factorial(n) // zee(rho)]
-        for part in rho:
-            c = qfield._times_one_minus(c, part)
-        weights.append(c)
+    weights = [(qfield.one_minus_product(rho) * (factorial(n) // zee(rho))).c for rho in rhos]
     characters = {lam: [character(lam, rho) for rho in rhos] for lam in rhos}
     top = max(abs(chi) for row in characters.values() for chi in row)
     growth = len(rhos) * top * top * max(sum(map(abs, c)) for c in weights)

@@ -7,7 +7,6 @@ from functools import lru_cache
 from .partition import Partition
 
 
-@lru_cache(maxsize=None)
 def ssyt(shape: Partition, content: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All semistandard tableaux of the given shape and content, as row tuples.
 

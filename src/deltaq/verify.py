@@ -146,11 +146,8 @@ class Identity:
 
 # -- hypotheses, sides and extra predicates --------------------------------------------
 
-_HOOK = "0 <= k, k+1 <= m, m < n"
-
-
 def _is_hook(p: dict) -> bool:
-    return 0 <= p["k"] and p["k"] + 1 <= p["m"] < p["n"]
+    return do.is_hook(p["k"], p["m"], p["n"])
 
 
 def _hook_params(p: dict) -> do.HookParams:
@@ -284,7 +281,7 @@ _prop33b = Identity(
     "prop33b",
     "kernel-coefficient moments against shifted Pochhammers, inverse grading",
     lambda p: do.prop33b(_hook_params(p), p["ell"]),
-    lambda p: _is_hook(p) and p["ell"] >= 1, _HOOK + ", ell >= 1",
+    lambda p: _is_hook(p) and p["ell"] >= 1, do.HOOK_TEXT + ", ell >= 1",
     _exactly(12, _windows("ell", _moment_windows)),
 )
 
@@ -312,7 +309,7 @@ REGISTRY: dict[str, Identity] = {
             "prop33a",
             "kernel-coefficient moments against shifted Pochhammers, direct grading",
             lambda p: do.prop33a(_hook_params(p), p["j"]),
-            lambda p: _is_hook(p) and p["j"] >= 1, _HOOK + ", j >= 1",
+            lambda p: _is_hook(p) and p["j"] >= 1, do.HOOK_TEXT + ", j >= 1",
             _exactly(12, _windows("j", _moment_windows)),
         ),
         _prop33b,
@@ -321,7 +318,7 @@ REGISTRY: dict[str, Identity] = {
             "hook image: closed inverse-q expansion equals length-graded expansion "
             "and the kernel route",
             lambda p: (do.lhs_hook_closed(_hook_params(p)), do.rhs_hook(_hook_params(p))),
-            _is_hook, _HOOK,
+            _is_hook, do.HOOK_TEXT,
             _upto(2, 6, lambda n: _hooks(n, kmin=1)),
             extra=_kernel_route,
         ),
@@ -345,7 +342,7 @@ REGISTRY: dict[str, Identity] = {
             "eq13_system",
             "full moment system (all j) for one hook parameter pair",
             _moment_system,
-            _is_hook, _HOOK,
+            _is_hook, do.HOOK_TEXT,
             _exactly(12, _hooks),
             compare=_compare_moments,
             render=_render_moments,
@@ -370,7 +367,7 @@ REGISTRY: dict[str, Identity] = {
             "hook case of the operator image equals the closed expansion",
             lambda p: (do.lhs_nu(_hook_params(p).nu, p["n"]),
                        do.lhs_hook_closed(_hook_params(p))),
-            _is_hook, _HOOK,
+            _is_hook, do.HOOK_TEXT,
             _upto(2, 5, _hooks),
         ),
         Identity(

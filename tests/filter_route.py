@@ -5,7 +5,10 @@ along the rises; each kept parking function contributes q^(dinv) F_(ides)
 through its own ``ParkingFunction`` statistics.  ``deltaq.parking`` generates
 the parking functions as block shuffles and counts them with a dynamic
 program instead; the tests require both routes to agree.  The rise factor
-is summed over the chosen sets of rises, not read from ``parking.rise_factor``.
+is summed over the chosen sets of rises (``rise_exponents``), not read from
+``parking.rise_factor``.  ``all_parking`` lists every parking function of a
+size from the package's block shuffles, path by path: the rows of
+``deltaq pf --stats``.
 ``counts_aggregate`` reads the package's count back as an F-aggregate for the
 tests that straighten it or expand it through monomials, each F_alpha by
 ``fundamental_monomials``.
@@ -23,6 +26,10 @@ def all_on(path: DyckPath) -> tuple[ParkingFunction, ...]:
     return tuple(ParkingFunction(path, perm)
                  for perm in permutations(range(1, path.n + 1))
                  if all(perm[i] > perm[i - 1] for i in rises))
+
+
+def all_parking(n: int) -> tuple[ParkingFunction, ...]:
+    return tuple(pf for path in DyckPath.all_paths(n) for pf in ParkingFunction.all_on(path))
 
 
 @lru_cache(maxsize=None)
@@ -46,16 +53,21 @@ def llt_sum(path: DyckPath) -> sf.SymFunc:
     return sf.from_fundamentals(agg)
 
 
+def rise_exponents(path: DyckPath, size: int) -> dict[int, int]:
+    """{area - sum_(i in S) a_i: count} over the sets S of ``size`` rises of the path."""
+    out: dict[int, int] = {}
+    for chosen in combinations(path.rises(), size):
+        te = path.area - sum(path.areas[i] for i in chosen)
+        out[te] = out.get(te, 0) + 1
+    return out
+
+
 def delta_side_combinatorial(n: int, k: int, t_zero: bool = False,
                              q_zero: bool = False) -> sf.SymFunc:
     """[z^(n-k)] of the rise products, one chosen set of n-k rises at a time."""
     agg: dict = {}
     for path in DyckPath.all_paths(n):
-        tpoly: dict[int, int] = {}
-        for chosen in combinations(path.rises(), n - k):
-            te = path.area - sum(path.areas[i] for i in chosen)
-            if not (t_zero and te):
-                tpoly[te] = tpoly.get(te, 0) + 1
+        tpoly = {te: c for te, c in rise_exponents(path, n - k).items() if not (t_zero and te)}
         if tpoly:
             add_cars(agg, path, tpoly, q_zero)
     return sf.from_fundamentals(agg)

@@ -300,7 +300,7 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Field]:
     out: dict[Partition, Field] = {}
     if basis == "h":
         # f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
-        for mu, row in sf._inverse_kostka(f.degree()).items():
+        for mu, row in sf._inverse_kostka(next(iter(f.terms)).size).items():
             val = sum((c * f.terms[lam] for lam, c in row.items() if lam in f.terms), ZERO)
             if val:
                 out[mu] = val

@@ -35,7 +35,7 @@ def llt_sum(path: DyckPath) -> sf.SymFunc:
 
 def small_pf() -> st.SearchStrategy[ParkingFunction]:
     return st.integers(1, 4).flatmap(
-        lambda n: st.sampled_from(ParkingFunction.all_parking(n))
+        lambda n: st.sampled_from(filter_route.all_parking(n))
     )
 
 
@@ -61,10 +61,19 @@ class TestDyckPath:
         assert path.rises() == (1,)
 
     def test_rise_factor(self):
-        # (1 + z t^(-1)) for the single rise at area 1
-        assert parking.rise_factor((0, 1)) == {0: {0: 1}, 1: {-1: 1}}
-        # no rises: constant 1
+        # t (1 + z t^(-1)) for the single rise at area 1, path area 1
+        assert parking.rise_factor((0, 1)) == {0: {1: 1}, 1: {0: 1}}
+        # no rises and area 0: constant 1
         assert parking.rise_factor((0, 0)) == {0: {0: 1}}
+
+    def test_rise_factor_exponents_are_the_subset_sums(self):
+        # [z^j] t^(area) prod (1 + z t^(-a_i)) is sum over j-sets S of rises of t^(area - sum_S a_i)
+        for n in range(1, 8):
+            for path in DyckPath.all_paths(n):
+                factor = parking.rise_factor(path.areas)
+                for size in range(len(path.rises()) + 1):
+                    assert factor[size] == filter_route.rise_exponents(path, size), (path, size)
+                    assert min(factor[size]) >= 0
 
     def test_rise_factor_degree_matches_rises(self):
         for n in range(1, 8):
@@ -77,7 +86,14 @@ class TestDyckPath:
 class TestParkingFunction:
     def test_counts(self):
         for n in range(1, 8):
-            assert len(ParkingFunction.all_parking(n)) == (n + 1) ** (n - 1)
+            assert len(filter_route.all_parking(n)) == (n + 1) ** (n - 1)
+
+    def test_parking_count_sums_the_paths(self):
+        # n!/prod c_i! per path, summed without building a parking function
+        for n in range(1, 7):
+            assert parking.parking_count(n) == len(filter_route.all_parking(n))
+        for n in range(1, 10):
+            assert parking.parking_count(n) == (n + 1) ** (n - 1)
 
     def test_validation(self):
         path = DyckPath((0, 1))
@@ -89,7 +105,7 @@ class TestParkingFunction:
     def test_frozen_n2(self):
         rows = [
             (pf.cars, pf.path.areas, pf.area, pf.dinv(), pf.word(), pf.ides())
-            for pf in ParkingFunction.all_parking(2)
+            for pf in filter_route.all_parking(2)
         ]
         assert rows == [
             ((1, 2), (0, 0), 0, 1, (2, 1), (1, 1)),
@@ -140,7 +156,7 @@ class TestBlockShuffles:
 class TestFunctionalAccessors:
     def test_enumeration_delegates(self):
         assert len(DyckPath.all_paths(3)) == CATALAN[3]
-        assert len(ParkingFunction.all_parking(3)) == 16
+        assert len(filter_route.all_parking(3)) == 16
         # one rise (row 1), so cars 1..3 with cars[1] > cars[0]
         assert len(ParkingFunction.all_on(DyckPath((0, 1, 1)))) == 3
 
@@ -151,7 +167,7 @@ class TestFunctionalAccessors:
         assert pf.word() == (2, 1)
         assert pf.ides() == (1, 1)
         assert pf.path.area == 1
-        assert parking.rise_factor(pf.path.areas) == {0: {0: 1}, 1: {-1: 1}}
+        assert parking.rise_factor(pf.path.areas) == {0: {1: 1}, 1: {0: 1}}
 
 
 class TestFundamentalMonomials:

@@ -481,6 +481,28 @@ class TestQPoly:
             qfield._over_one_minus(c, j)
 
 
+class TestOneMinusProduct:
+    @given(st.lists(st.integers(-6, 6).filter(bool), max_size=7))
+    @example([-1, 1])  # the product is 1, but its first partial product is not a polynomial
+    @example([4, -2, -1])  # 1 + q^2 over 1 - q
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_field_product_factor_by_factor(self, exponents):
+        # exact while every partial product is a polynomial, else ArithmeticError
+        running, exact = ONE, True
+        for e in exponents:
+            running = running * (ONE - q**e) if e > 0 else running / (ONE - q**-e)
+            exact = exact and running.denom.is_ground
+        if exact:
+            assert from_poly(qfield.one_minus_product(exponents)) == running
+        else:
+            with pytest.raises(ArithmeticError):
+                qfield.one_minus_product(exponents)
+
+    def test_zero_exponent_is_rejected(self):
+        with pytest.raises(ValueError):
+            qfield.one_minus_product([2, 0, -2])
+
+
 def qbinom_hook(n: int, shape):
     """Cell product prod_{x in shape} (1 - q^(n - content(x))) / (1 - q^(hook(x)))."""
     out = ONE

@@ -1,5 +1,6 @@
 """Tests for the identity registry, the suite runner, and the command line."""
 
+import hashlib
 import itertools
 import json
 
@@ -386,13 +387,17 @@ class TestCli:
          "--what rhs_nu takes no kk in --params"),
         (["expand", "--what", "P", "--mu", "[2,1]", "--params", "k=1"],
          "--what P takes no k in --params"),
+        (["expand", "--what", "ghry", "--params", "n=3,k=0"], "need 1 <= k <= n, got k=0, n=3"),
+        (["expand", "--what", "ghry", "--params", "n=3,k=5"], "need 1 <= k <= n, got k=5, n=3"),
+        (["expand", "--what", "rhs_nu", "--params", "nu=[2,1],n=0"], "n must be at least 1"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
             "verify-empty-value", "verify-value-not-an-int", "verify-params-unfit",
             "verify-params-unfit-several", "verify-nu-not-a-list", "verify-k-not-an-int",
             "verify-mu-not-a-list", "verify-unknown-key", "verify-span-nu-size-max",
-            "expand-unknown-key", "p-unknown-key"])
+            "expand-unknown-key", "p-unknown-key", "ghry-k-0", "ghry-k-above-n",
+            "rhs-nu-n-0"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
@@ -415,6 +420,28 @@ class TestCli:
             "2 1,0 0,0,0,1 2,2",
             "1 2,0 1,1,0,2 1,1 1",
         ]
+
+    def test_pf_counts_without_building_them(self, capsys):
+        # 10^8 parking functions: counted path by path, none built
+        rc = cli.main(["pf", "--n", "9"])
+        assert rc == 0
+        assert capsys.readouterr().out == "100000000 parking functions of size 9\n"
+
+    # sha256 of the whole --stats CSV, rows in path order and cars in lexicographic order
+    PF_STATS_SHA256 = {
+        1: "68de5424901442245acb94fdf24778b6ab1094c6982095a442a3be946e44062a",
+        2: "041a987849d5e3ea47aa0f1129c318f9ce11dede1baa554073fe1a9678086c4b",
+        3: "542b9b18ecac92badee647562e3962b2b9e585ba14df9f39b2755947c8bba857",
+        4: "d0a04008db815bf4f0f187f774ae8c301a5318ac4831889c2c4b48459d8fbf3a",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PF_STATS_SHA256))
+    def test_pf_stats_output_is_frozen(self, capsys, n):
+        rc = cli.main(["pf", "--n", str(n), "--stats"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + (n + 1) ** (n - 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PF_STATS_SHA256[n]
 
     def test_deltaside(self, capsys):
         rc = cli.main(["deltaside", "--n", "2", "--k", "2"])
