@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 
 from . import delta_ops as do
@@ -33,23 +34,14 @@ from .partition import Partition, parse_partition
 
 
 def _split_params(text: str) -> dict:
-    """Parse 'k=1,m=3,nu=[2,1]' into a dict with int or int-list values."""
+    """Parse 'k=1,m=3,nu=[2,1]' into a dict with int or int-list values.
+
+    Items are split at the commas outside brackets; one trailing comma is ignored.
+    """
     out: dict = {}
-    depth = 0
-    piece = ""
-    pieces = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            pieces.append(piece)
-            piece = ""
-        else:
-            piece += ch
-    if piece:
-        pieces.append(piece)
+    pieces = re.split(r",(?![^\[]*\])", text)
+    if not pieces[-1]:
+        pieces.pop()
     for item in pieces:
         key, _, value = item.partition("=")
         key = key.strip()

@@ -475,7 +475,7 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
 
 
 def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
-    """Principal evaluation s_nu[1 + q + ... + q^(j-2)] two ways; returns (direct, graded).
+    """s_nu[1 + q + ... + q^(j-2)] two ways, as canonical pairs; returns (direct, graded).
 
     direct: the hook-content product ``symfunc.principal_poly(nu, j-1)``.
     graded: sum over lengths k of the charge-graded length-k content of s_nu,
@@ -486,7 +486,7 @@ def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
     nu = _as_partition(nu)
     graded = dot((0, _charge_poly(nu, k), qbinom_poly(j - 1, k))
                  for k in range(len(nu), nu.size + 1))
-    return (sf.principal_poly(nu, j - 1), 0), (graded, 0)
+    return laurent(sf.principal_poly(nu, j - 1)), laurent(graded)
 
 
 def rhs_nu(nu, n: int) -> SymFunc:

@@ -34,7 +34,7 @@ from . import qfield, symfunc
 from .partition import Partition, partitions_of
 from .qfield import Coef, Pair, QPoly, from_pair, qpoch_poly, reverse
 from .symfunc import SymFunc
-from .tableaux import charge, reading_word, ssyt
+from .tableaux import charge, ssyt
 
 MACDONALD_FULL_LIMIT = 6
 
@@ -42,7 +42,7 @@ MACDONALD_FULL_LIMIT = 6
 @lru_cache(maxsize=None)
 def _kf_poly(lam: Partition, mu: Partition) -> QPoly:
     """K_(lam,mu)(q): the charges of the SSYT of shape lam, content mu, counted as ints."""
-    return QPoly.from_terms(Counter(charge(reading_word(tab)) for tab in ssyt(lam, mu)))
+    return QPoly.from_terms(Counter(map(charge, ssyt(lam, mu))))
 
 
 def kostka_foulkes(lam, mu) -> Coef:
@@ -152,7 +152,6 @@ def macdonald_weights(mu, at=None) -> tuple:
 
 # -- two-parameter modified Macdonald via fillings -------------------------------
 
-@lru_cache(maxsize=None)
 def _shape_geometry(mu: Partition):
     """Reading-order cells with the attack pairs and descent data of the shape.
 

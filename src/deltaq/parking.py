@@ -7,10 +7,10 @@ consecutive rows that sit in the same column (the rises).
 
 The rises cut a path into maximal runs of rows (``DyckPath.run_sizes``), and
 the cars of each run form one increasing block, so a path whose runs have
-sizes c_1, ..., c_r carries n!/(c_1! ... c_r!) parking functions:
-``parking_count`` sums that over the paths without building one, and
-``ParkingFunction.all_on`` generates them as block shuffles, one combination
-of the free cars per run, in lexicographic order and with none filtered.
+sizes c_1, ..., c_r carries n!/(c_1! ... c_r!) parking functions, which
+``ParkingFunction.all_on`` generates as block shuffles, one combination of
+the free cars per run, in lexicographic order and with none filtered.
+``parking_count`` is their total (n+1)^(n-1) (Pollak), built from no path.
 
 The generating-function side builds no ``ParkingFunction``.  ``car_counts``
 counts the parking functions on one path by descent set of the inverse
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 # bench/spans.py counts the permutations tried through parking.permutations
 from itertools import combinations, permutations  # noqa: F401
 
@@ -175,9 +175,10 @@ class ParkingFunction:
 
 
 def parking_count(n: int) -> int:
-    """The number of parking functions of size n: n!/(c_1! ... c_r!) summed over the paths."""
-    return sum(factorial(n) // prod(map(factorial, path.run_sizes()))
-               for path in DyckPath.all_paths(n))
+    """The number of parking functions of size n, (n+1)^(n-1) (Pollak); n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return (n + 1) ** (n - 1)
 
 
 def _block_shuffles(sizes: tuple[int, ...], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -56,7 +56,6 @@ def character(lam: Partition, rho: Partition) -> int:
     Border strips of size r correspond to beta numbers b with b - r >= 0 not
     already a beta number; the sign is (-1)^(number of beta numbers jumped).
     """
-    lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError("character needs |lam| = |rho|")
     if not rho:
@@ -78,7 +77,7 @@ def character(lam: Partition, rho: Partition) -> int:
 def zee(rho: Partition) -> int:
     """Centralizer order prod_i i^(m_i) m_i!."""
     out = 1
-    for part, mult in Partition(rho).multiplicities().items():
+    for part, mult in rho.multiplicities().items():
         out *= part**mult * factorial(mult)
     return out
 
@@ -88,8 +87,8 @@ def zee(rho: Partition) -> int:
 class SymFunc:
     """Homogeneous symmetric function, Schur-basis sparse map {Partition: coefficient}.
 
-    The package's coefficients are ``qfield.Coef`` values; zero coefficients
-    are left out.
+    Keys are ``Partition``s, taken as given (a plain tuple has no ``size`` and
+    raises); coefficients are ``qfield.Coef`` values, zero ones left out.
     """
 
     __slots__ = ("terms",)
@@ -98,7 +97,6 @@ class SymFunc:
         data: dict[Partition, Coef] = {}
         degree = None
         for lam, c in (terms or {}).items():
-            lam = Partition(lam)
             if not c:
                 continue
             if degree is None:

@@ -7,49 +7,41 @@ from functools import lru_cache
 from .partition import Partition
 
 
-def ssyt(shape: Partition, content: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All semistandard tableaux of the given shape and content, as row tuples.
+def ssyt(shape: Partition, content: Partition) -> tuple[tuple[int, ...], ...]:
+    """All semistandard tableaux of the given shape and content, each as its reading word.
 
     Rows weakly increase left to right, columns strictly increase downward,
-    value i appears content[i-1] times.
+    value i appears content[i-1] times.  The word reads the rows left to
+    right, bottom row first, as ``charge`` takes it.
     """
-    shape = Partition(shape)
-    content = tuple(content)
     if shape.size != sum(content):
         return ()
     nvals = len(content)
     remaining = list(content)
-    rows = [[0] * p for p in shape]
-    found: list[tuple[tuple[int, ...], ...]] = []
-
-    cells = [(i, j) for i, p in enumerate(shape) for j in range(p)]
+    word = [0] * shape.size
+    found: list[tuple[int, ...]] = []
+    # (place in the word, places of the left and upper neighbours or -1), top row first
+    start = [sum(shape[i + 1:]) for i in range(len(shape))]
+    cells = [(start[i] + j, start[i] + j - 1 if j else -1, start[i - 1] + j if i else -1)
+             for i, p in enumerate(shape) for j in range(p)]
 
     def fill(idx: int) -> None:
         if idx == len(cells):
-            found.append(tuple(tuple(r) for r in rows))
+            found.append(tuple(word))
             return
-        i, j = cells[idx]
-        lo = rows[i][j - 1] if j else 1
-        if i:
-            lo = max(lo, rows[i - 1][j] + 1)
+        at, left, up = cells[idx]
+        lo = word[left] if left >= 0 else 1
+        if up >= 0:
+            lo = max(lo, word[up] + 1)
         for v in range(lo, nvals + 1):
             if remaining[v - 1]:
                 remaining[v - 1] -= 1
-                rows[i][j] = v
+                word[at] = v
                 fill(idx + 1)
                 remaining[v - 1] += 1
-        rows[i][j] = 0
 
     fill(0)
     return tuple(found)
-
-
-def reading_word(tab) -> tuple[int, ...]:
-    """Rows read left to right, bottom row first."""
-    word: list[int] = []
-    for row in reversed(tab):
-        word.extend(row)
-    return tuple(word)
 
 
 def charge(word) -> int:
@@ -89,4 +81,4 @@ def charge(word) -> int:
 
 @lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: Partition) -> int:
-    return len(ssyt(Partition(shape), Partition(content)))
+    return len(ssyt(shape, content))

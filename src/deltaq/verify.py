@@ -6,10 +6,10 @@ plain parameter dict, the hypothesis under which the identity is claimed (a
 predicate plus its text), optional extra predicates, and a default parameter
 sweep.  :meth:`Identity.check` is the single runner: it skips a case only
 when the hypothesis fails, turns any exception into an ``error`` report, and
-renders both sides in the ``symfunc`` grammar.  A scalar side is given only
-as a Laurent pair (``QPoly``, e), never as a ``qfield.Coef``; it stays a
-canonical pair up to its report text, the degree-0 expansion ``s[]*(coef)``
-written by ``qfield.render_laurent``.
+renders both sides in the ``symfunc`` grammar.  A scalar side is the canonical
+Laurent pair (``qfield.laurent``) its producer returns, compared by ``==`` as
+it is, so a pair that is not canonical may read ``mismatch``, never a false
+``equal``; its report text is ``s[]*(coef)``, from ``qfield.render_laurent``.
 
 ``run_suite`` checks one identity or a whole suite, each with its default
 parameter sweep or one given case; ``write_jsonl`` writes the reports as JSON
@@ -64,13 +64,6 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> str:
     return ""
 
 
-def _scalar_pair(side):
-    """A scalar side (QPoly, e) as its canonical pair; any other side as it is."""
-    if isinstance(side, tuple) and len(side) == 2 and isinstance(side[0], qfield.QPoly):
-        return qfield.laurent(*side)
-    return side
-
-
 def _compare_sides(lhs, rhs, params: dict) -> str:
     if lhs == rhs:
         return ""
@@ -97,11 +90,11 @@ def _render_sides(lhs, rhs, params: dict) -> tuple[str, str]:
 class Identity:
     """One checkable identity.
 
-    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars as pairs
-    (QPoly, e) standing for poly * q^e, which ``check`` puts in canonical
-    form, or any pair that ``compare`` and ``render`` understand.  The
-    default ``compare`` and ``render`` take every side that is not a SymFunc
-    for such a pair, so a scalar of any other type is an ``error``.
+    ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars as
+    canonical pairs (QPoly, e) standing for poly * q^e, compared as given,
+    or any pair that ``compare`` and ``render`` understand.  The default
+    ``compare`` and ``render`` take every side that is not a SymFunc for
+    such a pair, so a scalar of any other type is an ``error``.
     ``compare`` and ``extra`` return "" when their predicate holds and a
     witness otherwise; ``extra`` is the predicate beyond equality (hook
     support, a third route).
@@ -124,7 +117,7 @@ class Identity:
             if not self.hypothesis(params):
                 status, witness = "skipped", f"hypothesis {self.hypothesis_text} fails"
             else:
-                lhs, rhs = map(_scalar_pair, self.sides(params))
+                lhs, rhs = self.sides(params)
                 failed = [self.compare(lhs, rhs, params)]
                 if self.extra is not None:
                     failed.append(self.extra(lhs, rhs, params))

@@ -46,7 +46,8 @@ class TestHookParams:
 class TestOperators:
     def test_base_case_frozen(self):
         # the smallest case, where every route must produce (1-q)(1-q^2) s_(1,1)
-        expected = SymFunc({(1, 1): Coef({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): 1})})
+        expected = SymFunc({Partition((1, 1)): Coef({(0, 0): 1, (1, 0): -1, (2, 0): -1,
+                                                     (3, 0): 1})})
         assert field(expected) == lincomb(((ONE - q) * (ONE - q**2), sf.s((1, 1))))
         params = HookParams(k=0, m=1, n=2)
         assert d.lhs_nu((1,), 2) == expected

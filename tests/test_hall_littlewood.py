@@ -17,7 +17,7 @@ from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import q, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import charge, kostka_number, reading_word, ssyt
+from deltaq.tableaux import charge, kostka_number, ssyt
 
 
 def transformed_H(mu) -> SymFunc:
@@ -115,10 +115,29 @@ class TestKostkaFoulkes:
             table = kf_table(n)
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
-                    counted = sum((q_ring ** charge(reading_word(tab)) for tab in ssyt(lam, mu)),
+                    counted = sum((q_ring ** charge(word) for word in ssyt(lam, mu)),
                                   qfield.RING.zero)
                     dense = to_ring(hl._kf_poly(lam, mu))
                     assert dense == counted == table[(lam, mu)].numer, (lam, mu)
+
+    def test_ssyt_words_cut_into_semistandard_tableaux(self):
+        # each word, cut into the rows of lam from the bottom, is a semistandard
+        # tableau of content mu; distinct words, as many as kostka_number counts
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    words = ssyt(lam, mu)
+                    assert len(set(words)) == len(words) == kostka_number(lam, mu)
+                    for word in words:
+                        rows, rest = [], list(word)
+                        for part in reversed(lam):
+                            rows.insert(0, rest[:part])
+                            rest = rest[part:]
+                        assert not rest
+                        assert all(row == sorted(row) for row in rows), (lam, mu, word)
+                        assert all(below[j] > above[j] for above, below in zip(rows, rows[1:])
+                                   for j in range(len(below))), (lam, mu, word)
+                        assert [word.count(v) for v in range(1, len(mu) + 1)] == list(mu)
 
 
 class TestHallLittlewoodP:

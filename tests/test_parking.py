@@ -1,5 +1,7 @@
 """Tests for labeled Dyck paths, parking statistics, and the combinatorial side."""
 
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,11 +91,16 @@ class TestParkingFunction:
             assert len(filter_route.all_parking(n)) == (n + 1) ** (n - 1)
 
     def test_parking_count_sums_the_paths(self):
-        # n!/prod c_i! per path, summed without building a parking function
+        # Pollak's (n+1)^(n-1) against the enumeration and against n!/prod c_i! per path
         for n in range(1, 7):
             assert parking.parking_count(n) == len(filter_route.all_parking(n))
         for n in range(1, 10):
-            assert parking.parking_count(n) == (n + 1) ** (n - 1)
+            assert parking.parking_count(n) == sum(
+                factorial(n) // prod(map(factorial, path.run_sizes()))
+                for path in DyckPath.all_paths(n))
+        assert parking.parking_count(15) == 72057594037927936
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            parking.parking_count(0)
 
     def test_validation(self):
         path = DyckPath((0, 1))
@@ -222,7 +229,7 @@ class TestRibbonSchur:
     def test_signed_counts_add_up(self):
         # F_(1,3) straightens to -s_(2,2) and cancels F_(2,2); F_(1,2) vanishes
         agg = {(1, 3): {(0, 0): 2, (1, 0): 1}, (2, 2): {(0, 0): 2}, (1, 2): {(0, 0): 5}}
-        assert sf.from_fundamentals(agg) == SymFunc({(2, 2): Coef({(1, 0): -1})})
+        assert sf.from_fundamentals(agg) == SymFunc({Partition((2, 2)): Coef({(1, 0): -1})})
         assert sf.from_fundamentals({(1, 3): {(0, 0): 1}, (2, 2): {(0, 0): 1}}) == SymFunc()
         assert sf.from_fundamentals({}) == SymFunc()
 

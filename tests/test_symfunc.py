@@ -61,7 +61,8 @@ class TestContainer:
         assert e(1) == h(1) == p(1) == m(1)
 
     def test_coeff_support_degree(self):
-        f = SymFunc({(2, 1): Coef({(1, 0): 1}), (3,): qfield.ONE, (1, 1, 1): qfield.ZERO})
+        f = SymFunc({Partition((2, 1)): Coef({(1, 0): 1}), Partition((3,)): qfield.ONE,
+                     Partition((1, 1, 1)): qfield.ZERO})
         assert {lam.size for lam in f.terms} == {3}
         assert f.terms.get(Partition((2, 1)), qfield.ZERO) == Coef({(1, 0): 1})
         assert f.terms.get(Partition((1, 1, 1)), qfield.ZERO) == qfield.ZERO
@@ -312,7 +313,8 @@ class TestFieldRoute:
 
 class TestRenderParse:
     def test_frozen_render(self):
-        f = SymFunc({(2, 1): Coef({(1, 0): 1, (0, 0): 1}), (1, 1, 1): Coef({(2, 0): -1})})
+        f = SymFunc({Partition((2, 1)): Coef({(1, 0): 1, (0, 0): 1}),
+                     Partition((1, 1, 1)): Coef({(2, 0): -1})})
         assert sf.render(f) == "s[2,1]*(q + 1) + s[1,1,1]*(-q^2)"
 
     def test_render_zero(self):

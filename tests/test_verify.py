@@ -121,6 +121,23 @@ class TestScalarRoute:
         assert sum(i == "thm43" for i, _ in cases) == 8 * sum(len(partitions_of(n))
                                                              for n in range(1, 7))
 
+    def test_every_scalar_side_is_a_canonical_pair(self):
+        # check compares the pairs as their producers return them
+        for identity_id in ("prop31", "cor32", "prop33a", "prop33b", "eq17", "thm43",
+                            "wmu_consistency"):
+            entry = ver.REGISTRY[identity_id]
+            for p in entry.default_cases(None):
+                assert entry.hypothesis(p), (identity_id, p)
+                for side in entry.sides(p):
+                    assert side == qfield.laurent(*side), (identity_id, p)
+
+    def test_a_pair_that_is_not_canonical_is_a_mismatch(self, monkeypatch):
+        # q as (q, 0) against (1, 1): the same value, but never a silent pass
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
+            (QPoly([0, 1]), 0), (QPoly([1]), 1)))
+        report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
+        assert report.status == "mismatch"
+
     def test_mismatch_witness_names_the_degree_zero_component(self, monkeypatch):
         monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
             (QPoly([0, 0, 3]), -4), (QPoly(), 7)))
@@ -247,8 +264,9 @@ class TestSuiteRunner:
 
     def test_q_to_t_renames_coefficients(self):
         # deltaconj_q0 compares against the t=0 image with q renamed t
-        f = sf.SymFunc({(2, 1): Coef({(2, 0): 1, (1, 0): 1}), (3,): Coef({(-2, 0): 3, (0, 0): -1}),
-                        (1, 1, 1): Coef({(-1, 0): 1})})
+        f = sf.SymFunc({Partition((2, 1)): Coef({(2, 0): 1, (1, 0): 1}),
+                        Partition((3,)): Coef({(-2, 0): 3, (0, 0): -1}),
+                        Partition((1, 1, 1)): Coef({(-1, 0): 1})})
         assert field(ver._q_to_t(f)) == subs_coeffs(f, q_image=t)
         image = delta_ops.delta_prime_t0((1, 1), 4)
         assert field(ver._q_to_t(image)) == subs_coeffs(image, q_image=t)
@@ -286,12 +304,20 @@ class TestParamParsing:
     def test_split_params(self):
         assert cli._split_params("k=1,m=3,nu=[2,1]") == {"k": 1, "m": 3, "nu": [2, 1]}
         assert cli._split_params("n=4") == {"n": 4}
+        # commas inside brackets stay, one trailing comma is dropped
+        assert cli._split_params("nu=[3, 2,1] , n=7,") == {"nu": [3, 2, 1], "n": 7}
+        assert cli._split_params("") == {}
 
     def test_malformed(self):
         with pytest.raises(ValueError):
             cli._split_params("k=")
         with pytest.raises(ValueError):
             cli._split_params("=3")
+        with pytest.raises(ValueError, match="malformed parameter ''"):
+            cli._split_params("k=1,,m=2")
+        for text in (",k=1", "k=1, ", "nu=[2,1", "nu=2,1]"):
+            with pytest.raises(ValueError):
+                cli._split_params(text)
 
 
 class TestCli:
