@@ -31,6 +31,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write one JSONL report per suite into this directory")
     args = parser.parse_args(argv)
+    if args.nmax is not None and args.nmax < 1:
+        parser.error("need nmax >= 1")
     suites = args.suites or [name for name in ver.SUITES if name != "all"]
     if args.out_dir:
         args.out_dir.mkdir(parents=True, exist_ok=True)

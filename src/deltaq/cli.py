@@ -50,8 +50,10 @@ def _split_params(text: str) -> dict:
             raise ValueError(f"malformed parameter {item!r}")
         if value.startswith("["):
             out[key] = list(parse_partition(value))
-        else:
+        elif re.fullmatch(r"-?[0-9]+", value):
             out[key] = int(value)
+        else:
+            raise ValueError(f"invalid literal for int() with base 10: {value!r}")
     return out
 
 
@@ -169,6 +171,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_pf(args) -> int:
+    count = pk.parking_count(args.n)  # rejects n < 1 before anything is written
     if args.stats:
         writer = csv.writer(sys.stdout)
         writer.writerow(["cars", "areas", "area", "dinv", "word", "ides"])
@@ -183,7 +186,7 @@ def _cmd_pf(args) -> int:
                     " ".join(map(str, pf.ides())),
                 ])
     else:
-        print(f"{pk.parking_count(args.n)} parking functions of size {args.n}")
+        print(f"{count} parking functions of size {args.n}")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Expansions are Schur-basis symmetric functions from :mod:`deltaq.symfunc`
 whose coefficients are integer Laurent polynomials in q,t (``qfield.Coef``);
-the t=0 sides are summed in ZZ[q] first, the two-parameter images in
-ZZ[q,t], and the scalar sides stay Laurent pairs in q.
+the t=0 sides are summed in ZZ[q, 1/q] first, the two-parameter images in
+ZZ[q,t], and the scalar sides stay Laurent polynomials in q (``qfield.QPoly``).
 
 The central objects:
 
@@ -19,9 +19,8 @@ The central objects:
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
   H~_mu over their weights, of their images under omega and X -> X(1-q), or
   of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l and every Schur
-  coefficient of T_l is a pair (``QPoly``, e) standing for poly * q^e;
-  ``_table_sum`` sums the products of each Schur coefficient by one
-  ``qfield.dot`` and builds one ``qfield.Coef``.
+  coefficient of T_l is a ``QPoly``; ``_table_sum`` sums the products of
+  each Schur coefficient by one ``qfield.dot`` and builds one ``qfield.Coef``.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.  ``lhs_nu`` is ``delta_prime_t0``'s eigenvalue sum
@@ -29,11 +28,11 @@ The central objects:
   X -> X(1-q) applied in ZZ[q] (``symfunc.plethysm_one_minus_q``), once per n.
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_sum``)
   plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
-  them.  Their coefficients are products and sums of dense ZZ[q] polynomials
-  (``qfield.QPoly``).  The scalar sides stay canonical pairs
-  (``qfield.laurent``), each sum over i or s one ``qfield.dot``, and so are
-  both sides of ``schur_principal_eval``; each coefficient of an expansion
-  becomes one ``qfield.Coef`` through ``qfield.from_pair``.  The kernel
+  them.  Their coefficients are products and sums of dense Laurent
+  polynomials (``qfield.QPoly``).  The scalar sides stay ``QPoly`` values,
+  each sum over i or s one ``qfield.dot``, and so are both sides of
+  ``schur_principal_eval``; each coefficient of an expansion becomes one
+  ``qfield.Coef`` through ``qfield.from_poly``.  The kernel
   coefficients remmel_coeff(s) of h_n[X(1-q^s)]/(1-q^s) come from
   ``_remmel_ring``; ``remmel_sum`` adds them times the hook kernels by one
   ``qfield.dot`` and one conversion per hook.
@@ -62,8 +61,7 @@ from . import hall_littlewood as hl
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import (Coef, Pair, QPoly, dot, from_pair, laurent, qbinom_poly, qpoch_laurent,
-                     qpoch_poly, reverse)
+from .qfield import Coef, QPoly, dot, from_poly, qbinom_poly, qpoch_poly, reverse
 from .symfunc import SymFunc, _as_partition
 
 
@@ -102,15 +100,14 @@ class HookParams:
 # -- Delta operators ------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, Pair]]:
+def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, QPoly]]:
     """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, summed in ZZ[q].
 
-    Each s_lam coefficient is a pair (poly, e) standing for poly * q^e.  With
-    inverse_q, the same polynomials read at 1/q, each reversed
+    With inverse_q, the same polynomials read at 1/q, each reversed
     (``qfield.reverse``): sum_{l(mu)=l} q^(-n(mu)) P_mu[X;1/q].
     """
     if inverse_q:
-        return {ell: {lam: reverse(c, 0) for lam, (c, _) in row.items()}
+        return {ell: {lam: reverse(c) for lam, c in row.items()}
                 for ell, row in _graded_P(n, False).items()}
     table = hl._p_table(n)
     sums: dict[int, dict[Partition, QPoly]] = {}
@@ -118,11 +115,11 @@ def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, Pair]]:
         row, shift = sums.setdefault(len(mu), {}), mu.nstat()
         for lam, c in table[mu].items():
             row[lam] = row.get(lam, 0) + c.shift(shift)
-    return {ell: {lam: (c, 0) for lam, c in row.items() if c} for ell, row in sums.items()}
+    return {ell: {lam: c for lam, c in row.items() if c} for ell, row in sums.items()}
 
 
 @lru_cache(maxsize=None)
-def _t0_operator_table(n: int) -> dict[int, dict[Partition, Pair]]:
+def _t0_operator_table(n: int) -> dict[int, dict[Partition, QPoly]]:
     """{l: sum_{l(mu)=l} (q;q)_l / w_t0(mu) H~_mu(X;q,0)} over the partitions mu of n.
 
     With E(mu) the exponent of q in w_t0(mu), (q;q)_l / w_t0(mu) is
@@ -130,13 +127,13 @@ def _t0_operator_table(n: int) -> dict[int, dict[Partition, Pair]]:
     q^(n(mu)) K_(lam,mu)(1/q).  As q-multinomials are palindromic, the s_lam
     coefficient is (-1)^(n-l) q^(C(l,2)-n+l) C(1/q), C = _charge_poly(lam, l).
     """
-    return {ell: {lam: reverse(-c if (n - ell) % 2 else c, comb(ell, 2) - n + ell)
+    return {ell: {lam: reverse(-c if (n - ell) % 2 else c).shift(comb(ell, 2) - n + ell)
                   for lam in partitions_of(n) if (c := _charge_poly(lam, ell))}
             for ell in range(1, n + 1)}
 
 
 @lru_cache(maxsize=None)
-def _lhs_table(n: int) -> dict[int, dict[Partition, Pair]]:
+def _lhs_table(n: int) -> dict[int, dict[Partition, QPoly]]:
     """{l: omega(T_l)[X(1-q)]} for T_l = ``_t0_operator_table(n)[l]``, in ZZ[q].
 
     omega conjugates the shapes and ``symfunc.plethysm_one_minus_q`` applies
@@ -147,31 +144,25 @@ def _lhs_table(n: int) -> dict[int, dict[Partition, Pair]]:
             for ell, row in _t0_operator_table(n).items()}
 
 
-def _table_sum(table: dict, coeff: Callable[[int], Pair]) -> SymFunc:
-    """sum_l coeff(l) T_l, coeff(l) a pair called once per length; one ``qfield.dot`` per s_lam.
+def _table_sum(table: dict, coeff: Callable[[int], QPoly]) -> SymFunc:
+    """sum_l coeff(l) T_l, coeff(l) called once per length; one ``qfield.dot`` per s_lam.
 
-    The products of s_lam are the triples (e_l + e, c_l, T_l[lam]) with
-    (c_l, e_l) = coeff(l) and (T_l[lam], e) the table's pair.  They are summed
-    from their least exponent by one ``dot`` into one ``Coef``;
-    ``SymFunc`` leaves out the zero sums.
+    The products c_l T_l[lam] of s_lam, c_l = coeff(l), are summed by one
+    ``dot`` into one ``Coef``; ``SymFunc`` leaves out the zero sums.
     """
-    terms: dict[Partition, list[tuple[int, QPoly, QPoly]]] = {}
+    terms: dict[Partition, list[tuple[QPoly, QPoly]]] = {}
     for ell, row in table.items():
-        c, ce = coeff(ell)
+        c = coeff(ell)
         if c:
-            for lam, (poly, e) in row.items():
-                terms.setdefault(lam, []).append((ce + e, c, poly))
-    out = {}
-    for lam, products in terms.items():
-        low = min(s for s, _, _ in products)
-        out[lam] = from_pair(dot((s - low, c, poly) for s, c, poly in products), low)
-    return SymFunc(out)
+            for lam, poly in row.items():
+                terms.setdefault(lam, []).append((c, poly))
+    return SymFunc({lam: from_poly(dot(products)) for lam, products in terms.items()})
 
 
-def _eigenvalue(nu) -> Callable[[int], Pair]:
-    """l -> s_nu[q + ... + q^(l-1)] = q^|nu| ``symfunc.principal_poly(nu, l-1)``, as a pair."""
+def _eigenvalue(nu) -> Callable[[int], QPoly]:
+    """l -> s_nu[q + ... + q^(l-1)] = q^|nu| ``symfunc.principal_poly(nu, l-1)``."""
     nu = _as_partition(nu)
-    return lambda ell: (sf.principal_poly(nu, ell - 1), nu.size)
+    return lambda ell: sf.principal_poly(nu, ell - 1).shift(nu.size)
 
 
 def delta_prime_t0(nu, n: int) -> SymFunc:
@@ -269,11 +260,11 @@ def lhs_nu(nu, n: int) -> SymFunc:
 
 # -- hook-indexed closed forms ---------------------------------------------------
 
-def lhs_hook_coeff(params: HookParams, ell: int) -> Pair:
-    """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed, as (poly, e)."""
+def lhs_hook_coeff(params: HookParams, ell: int) -> QPoly:
+    """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
     k, m = params.k, params.m
-    return (qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m) * qpoch_poly(1, ell),
-            m + comb(k + 1, 2))
+    return (qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m)
+            * qpoch_poly(1, ell)).shift(m + comb(k + 1, 2))
 
 
 def lhs_hook_closed(params: HookParams) -> SymFunc:
@@ -281,11 +272,11 @@ def lhs_hook_closed(params: HookParams) -> SymFunc:
     return _table_sum(_graded_P(params.n, True), lambda ell: lhs_hook_coeff(params, ell))
 
 
-def rhs_hook_coeff(params: HookParams, j: int) -> Pair:
-    """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook, as (poly, e)."""
+def rhs_hook_coeff(params: HookParams, j: int) -> QPoly:
+    """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook."""
     k, m = params.k, params.m
-    return (qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2) * qpoch_poly(1, j),
-            m + comb(k + 2, 2) - (k + 2) * j + 1)
+    return (qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2)
+            * qpoch_poly(1, j)).shift(m + comb(k + 2, 2) - (k + 2) * j + 1)
 
 
 def rhs_hook(params: HookParams) -> SymFunc:
@@ -294,26 +285,26 @@ def rhs_hook(params: HookParams) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _alternating_term(k: int, i: int) -> tuple[int, QPoly]:
-    """(C(i,2), (-1)^i [k+2, i]_q): q^C(i,2) times the latter is the z^i term of (z;q)_(k+2).
+def _alternating_term(k: int, i: int) -> QPoly:
+    """(-1)^i q^C(i,2) [k+2, i]_q, the z^i term of (z;q)_(k+2); zero unless 0 <= i <= k+2.
 
-    Zero unless 0 <= i <= k+2.  Cached, so the negated q-binomials keep their
-    Kronecker ints (``qfield.dot``) across calls, as the cached ones do.
+    Cached, so the negated q-binomials keep their Kronecker ints
+    (``qfield.dot``) across calls, as the cached ones do.
     """
     term = qbinom_poly(k + 2, i)
-    return comb(i, 2), (-term if i % 2 else term)
+    return (-term if i % 2 else term).shift(comb(i, 2))
 
 
 def _remmel_ring(params: HookParams):
-    """remmel_coeff(s) = c q^e q^h r (1 - q^s) over ZZ[q]: returns (c, e, {s: (h, r)}).
+    """remmel_coeff(s) = c r_s (1 - q^s) over ZZ[q, 1/q]: returns (c, {s: r_s}).
 
-    c = [m-1, k]_q and e = C(k+1, 2) - (k+1) m are shared by every s, and
-    (h, r) = ``_alternating_term(k, i)`` with i = m+1-s.  Only the s with a
-    nonzero r, 1 <= s <= m+1 and i <= k+2, are listed: at most k+3 of them.
+    c = [m-1, k]_q q^(C(k+1, 2) - (k+1) m) is shared by every s, and
+    r_s = ``_alternating_term(k, i)`` with i = m+1-s.  Only the s with a
+    nonzero r_s, 1 <= s <= m+1 and i <= k+2, are listed: at most k+3 of them.
     """
     k, m = params.k, params.m
     terms = {s: _alternating_term(k, m + 1 - s) for s in range(max(1, m - k - 1), m + 2)}
-    return qbinom_poly(m - 1, k), comb(k + 1, 2) - (k + 1) * m, terms
+    return qbinom_poly(m - 1, k).shift(comb(k + 1, 2) - (k + 1) * m), terms
 
 
 def hook_kernel(n: int, i: int, factor: QPoly | None = None) -> SymFunc:
@@ -324,61 +315,57 @@ def hook_kernel(n: int, i: int, factor: QPoly | None = None) -> SymFunc:
     if n < 1:
         raise ValueError("n must be at least 1")
     sign = QPoly([1]) if factor is None else factor
-    return SymFunc({_hook(n, r): from_pair(-sign if r % 2 else sign, i * r) for r in range(n)})
+    return SymFunc({_hook(n, r): from_poly((-sign if r % 2 else sign).shift(i * r))
+                    for r in range(n)})
 
 
 def h_plethysm(n: int, u: int) -> SymFunc:
     """h_n[X(1-q^u)]: ``symfunc.plethysm_one_minus_q`` of h_n = s_(n), read at q^u (hook_support).
 
-    p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u, so each pair (poly, e) of the
-    image moves its coefficient i to u*i and e to u*e; one ``from_pair`` per hook.
+    p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u, so each coefficient of q^i in
+    the image moves to q^(u*i); one ``Coef`` per hook.
     """
-    out = {}
-    for lam, (poly, e) in sf.plethysm_one_minus_q({Partition((n,)): (QPoly([1]), 0)}).items():
-        c = [0] * (u * (len(poly.c) - 1) + 1)
-        c[::u] = poly.c
-        out[lam] = from_pair(QPoly(c), u * e)
-    return SymFunc(out)
+    image = sf.plethysm_one_minus_q({Partition((n,)): QPoly([1])})
+    return SymFunc({lam: Coef({(u * (poly.e + i), 0): v for i, v in enumerate(poly.c)})
+                    for lam, poly in image.items()})
 
 
 def remmel_sum(params: HookParams) -> SymFunc:
     """Kernel expansion sum_s remmel_coeff(s) * h_n[X(1-q^s)]/(1-q^s), summed in ZZ[q].
 
-    With (c, e, {s: (h, r_s)}) from ``_remmel_ring``, remmel_coeff(s) is
-    c q^e q^h r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
+    With (c, {s: r_s}) from ``_remmel_ring``, remmel_coeff(s) is
+    c r_s (1 - q^s) and the kernel for q^s is sum_r (-q^s)^r s_(n-r,1^r)
     (``hook_kernel``), so each hook's coefficient is
-    (-1)^r c q^e sum_s q^h r_s (1 - q^s) q^(sr), one ``qfield.dot`` and one
-    ``Coef``.
+    (-1)^r c sum_s r_s (1 - q^s) q^(sr), one ``qfield.dot`` and one ``Coef``.
     """
-    c, e, terms = _remmel_ring(params)
-    kernels = [(s, h, r_s - r_s.shift(s)) for s, (h, r_s) in terms.items()]
+    c, terms = _remmel_ring(params)
+    kernels = [(s, r_s - r_s.shift(s)) for s, r_s in terms.items()]
     out = {}
     for r in range(params.n):
-        poly = dot((h + s * r, c, kernel) for s, h, kernel in kernels)
-        out[_hook(params.n, r)] = from_pair(-poly if r % 2 else poly, e)
+        poly = dot((c, kernel.shift(s * r)) for s, kernel in kernels)
+        out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly)
     return SymFunc(out)
 
 
 # -- scalar q-binomial identities -------------------------------------------------
-# Every side is a canonical pair (``qfield.laurent``).
 
-def prop31(k: int, m: int, ell: int) -> tuple[Pair, Pair]:
+def prop31(k: int, m: int, ell: int) -> tuple[QPoly, QPoly]:
     """Alternating-sum evaluation (valid for k+2 <= ell <= m+1); returns (lhs, rhs)."""
-    lhs = dot((*_alternating_term(k, i), qbinom_poly(m + 1 - i, ell))
+    lhs = dot((_alternating_term(k, i), qbinom_poly(m + 1 - i, ell))
               for i in range(0, min(k + 2, m + 1 - ell) + 1))
     rhs = qbinom_poly(m - k - 1, ell - 2 - k)
-    return laurent(lhs), laurent(rhs, (k + 2) * (m + 1 - ell))
+    return lhs, rhs.shift((k + 2) * (m + 1 - ell))
 
 
-def cor32(k: int, m: int, ell: int) -> tuple[Pair, Pair]:
+def cor32(k: int, m: int, ell: int) -> tuple[QPoly, QPoly]:
     """Companion alternating-sum evaluation; returns (lhs, rhs)."""
-    lhs = dot((*_alternating_term(k, i), qbinom_poly(m + ell - i, ell))
+    lhs = dot((_alternating_term(k, i), qbinom_poly(m + ell - i, ell))
               for i in range(0, min(k + 2, m) + 1))
     rhs = qbinom_poly(m + ell - (k + 2), ell - (k + 2))
-    return laurent(lhs), laurent(rhs, (k + 2) * m)
+    return lhs, rhs.shift((k + 2) * m)
 
 
-def _kernel_moment(params: HookParams, shift: int, length: int) -> Pair:
+def _kernel_moment(params: HookParams, shift: int, length: int) -> QPoly:
     """sum_s remmel_coeff(s) * (q^(s+shift); q)_length over the kernel indices s.
 
     Only the windows of prop33a (shift = -length) and prop33b (shift = 1)
@@ -388,27 +375,26 @@ def _kernel_moment(params: HookParams, shift: int, length: int) -> Pair:
     """
     if shift not in (1, -length):
         raise ValueError(f"no kernel moment window with shift {shift}, length {length}")
-    c, e, terms = _remmel_ring(params)
+    c, terms = _remmel_ring(params)
     low = min(shift, 0)
-    total = dot((h, r, qpoch_poly(s + low, length + 1))
-                for s, (h, r) in terms.items() if s + low >= 1)
-    return laurent(c * total, e)
+    total = dot((r, qpoch_poly(s + low, length + 1)) for s, r in terms.items() if s + low >= 1)
+    return c * total
 
 
-def prop33a(params: HookParams, j: int) -> tuple[Pair, Pair]:
+def prop33a(params: HookParams, j: int) -> tuple[QPoly, QPoly]:
     """Pochhammer moment of the kernel coefficients against (q^(s-j+1);q)_(j-1).
 
     Returns (lhs, rhs); the rhs is the length-j coefficient of rhs_hook.
     """
-    return _kernel_moment(params, 1 - j, j - 1), laurent(*rhs_hook_coeff(params, j))
+    return _kernel_moment(params, 1 - j, j - 1), rhs_hook_coeff(params, j)
 
 
-def prop33b(params: HookParams, ell: int) -> tuple[Pair, Pair]:
+def prop33b(params: HookParams, ell: int) -> tuple[QPoly, QPoly]:
     """Pochhammer moment of the kernel coefficients against (q^(s+1);q)_(ell-1).
 
     Returns (lhs, rhs); the rhs is the length-ell coefficient of lhs_hook_closed.
     """
-    return _kernel_moment(params, 1, ell - 1), laurent(*lhs_hook_coeff(params, ell))
+    return _kernel_moment(params, 1, ell - 1), lhs_hook_coeff(params, ell)
 
 
 # -- shifted Cauchy kernels --------------------------------------------------------
@@ -420,8 +406,8 @@ def shifted_cauchy(n: int, i: int, inverse_q: bool) -> SymFunc:
     inverse_q True (eq16):  sum_mu (q^(i+1);q)_(l-1) q^(-n(mu)) P_mu[X;1/q], l = l(mu)
     """
     if inverse_q:
-        return _table_sum(_graded_P(n, True), lambda ell: qpoch_laurent(i + 1, ell - 1))
-    return _table_sum(_graded_P(n, False), lambda ell: qpoch_laurent(i - ell + 1, ell - 1))
+        return _table_sum(_graded_P(n, True), lambda ell: qpoch_poly(i + 1, ell - 1))
+    return _table_sum(_graded_P(n, False), lambda ell: qpoch_poly(i - ell + 1, ell - 1))
 
 
 def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
@@ -433,9 +419,9 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     left = _table_sum(_graded_P(n, True),
-                      lambda ell: (qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell), 0))
-    return left, _table_sum(_graded_P(n, False), lambda ell: (
-        qpoch_poly(1, k) if ell == k else QPoly(), -k * (k - 1)))
+                      lambda ell: qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell))
+    right = qpoch_poly(1, k).shift(-k * (k - 1))
+    return left, _table_sum(_graded_P(n, False), lambda ell: right if ell == k else QPoly())
 
 
 # -- general-nu expansions ----------------------------------------------------------
@@ -446,12 +432,7 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
     eigenvalue = _eigenvalue(nu)
-
-    def coeff(ell: int) -> Pair:
-        poly, e = eigenvalue(ell)
-        return poly * qpoch_poly(1, ell), e
-
-    return _table_sum(_graded_P(n, True), coeff)
+    return _table_sum(_graded_P(n, True), lambda ell: eigenvalue(ell) * qpoch_poly(1, ell))
 
 
 @lru_cache(maxsize=None)
@@ -474,8 +455,8 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
     return total
 
 
-def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
-    """s_nu[1 + q + ... + q^(j-2)] two ways, as canonical pairs; returns (direct, graded).
+def schur_principal_eval(nu, j: int) -> tuple[QPoly, QPoly]:
+    """s_nu[1 + q + ... + q^(j-2)] two ways; returns (direct, graded).
 
     direct: the hook-content product ``symfunc.principal_poly(nu, j-1)``.
     graded: sum over lengths k of the charge-graded length-k content of s_nu,
@@ -484,9 +465,9 @@ def schur_principal_eval(nu, j: int) -> tuple[Pair, Pair]:
             sum_k ``_charge_poly(nu, k)`` [j-1, k]_q, one ``qfield.dot``.
     """
     nu = _as_partition(nu)
-    graded = dot((0, _charge_poly(nu, k), qbinom_poly(j - 1, k))
+    graded = dot((_charge_poly(nu, k), qbinom_poly(j - 1, k))
                  for k in range(len(nu), nu.size + 1))
-    return laurent(sf.principal_poly(nu, j - 1)), laurent(graded)
+    return sf.principal_poly(nu, j - 1), graded
 
 
 def rhs_nu(nu, n: int) -> SymFunc:
@@ -500,7 +481,7 @@ def rhs_nu(nu, n: int) -> SymFunc:
         raise ValueError("n must be at least 1")
     nu = _as_partition(nu)
     return _table_sum(_graded_P(n, False), lambda ell: (
-        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell), nu.size - ell * (ell - 1)))
+        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell)).shift(nu.size - ell * (ell - 1)))
 
 
 # -- span of plain-Delta images ------------------------------------------------------

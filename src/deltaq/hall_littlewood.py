@@ -5,7 +5,7 @@ tableaux, counted as integers into a dense ZZ[q] polynomial (``qfield.QPoly``).
 P expands through the unitriangular inverse of the Kostka-Foulkes matrix
 against the Schur basis, by back substitution over the same ZZ[q], whose
 products are Kronecker substitutions; every table entry becomes one
-``qfield.Coef`` through ``qfield.from_pair``, P_mu[X;1/q] after
+``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q] after
 ``qfield.reverse``, which reverses coefficients instead of
 substituting 1/q.  The two-parameter modified Macdonald
 functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
@@ -17,9 +17,9 @@ in e_n as a pair (numerator, w_mu).  The specialization H~_mu(X;q,0), which
 ``deltaq expand --what Htilde0`` prints and ``delta_ops`` sums by length from
 the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
 Its weight w_t0, in closed form and as a cell product, and the P-to-Q
-normalization ``b_factor`` are built in ZZ[q]: the weights as Laurent pairs
-(``QPoly``, e), which ``verify`` compares as they are, and ``b_factor`` as a
-``QPoly`` that ``hl_Q`` multiplies into each coefficient of P_mu.
+normalization ``b_factor`` are each one ``QPoly``: the weights are Laurent
+polynomials in q, which ``verify`` compares by ``==``, and ``hl_Q``
+multiplies ``b_factor`` into each coefficient of P_mu.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import permutations as multiset_permutations
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, Pair, QPoly, from_pair, qpoch_poly, reverse
+from .qfield import Coef, QPoly, from_poly, qpoch_poly, reverse
 from .symfunc import SymFunc
 from .tableaux import charge, ssyt
 
@@ -47,7 +47,7 @@ def _kf_poly(lam: Partition, mu: Partition) -> QPoly:
 
 def kostka_foulkes(lam, mu) -> Coef:
     """K_(lam,mu)(q) = sum of q^charge over SSYT of shape lam, content mu."""
-    return from_pair(_kf_poly(Partition(lam), Partition(mu)))
+    return from_poly(_kf_poly(Partition(lam), Partition(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -63,14 +63,14 @@ def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
 @lru_cache(maxsize=None)
 def _p_table_invq(n: int) -> dict[Partition, SymFunc]:
     """P_mu[X;1/q] for mu |- n, each coefficient p(1/q) by reversing p."""
-    return {mu: SymFunc({lam: from_pair(*reverse(c, 0)) for lam, c in row.items()})
+    return {mu: SymFunc({lam: from_poly(reverse(c)) for lam, c in row.items()})
             for mu, row in _p_table(n).items()}
 
 
 def hl_P(mu) -> SymFunc:
     """Hall-Littlewood P_mu in the Schur basis."""
     mu = Partition(mu)
-    return SymFunc({lam: from_pair(c) for lam, c in _p_table(mu.size)[mu].items()})
+    return SymFunc({lam: from_poly(c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
 def b_factor(mu) -> QPoly:
@@ -85,7 +85,7 @@ def hl_Q(mu) -> SymFunc:
     """Q_mu = b_mu(q) P_mu, each coefficient one ``QPoly`` product."""
     mu = Partition(mu)
     b = b_factor(mu)
-    return SymFunc({lam: from_pair(b * c) for lam, c in _p_table(mu.size)[mu].items()})
+    return SymFunc({lam: from_poly(b * c) for lam, c in _p_table(mu.size)[mu].items()})
 
 
 def modified_macdonald_t0(mu) -> SymFunc:
@@ -95,14 +95,14 @@ def modified_macdonald_t0(mu) -> SymFunc:
     Kostka-Foulkes polynomials, each by reversing K_(lam,mu)(q).
     """
     mu = Partition(mu)
-    return SymFunc({lam: from_pair(*reverse(kf, mu.nstat()))
+    return SymFunc({lam: from_poly(reverse(kf).shift(mu.nstat()))
                     for lam in partitions_of(mu.size) if (kf := _kf_poly(lam, mu))})
 
 
 # -- specialized weights -------------------------------------------------------
 
-def w_t0(mu) -> Pair:
-    """The t=0 weight w_mu of the expansion of e_n over the modified basis, as (poly, e).
+def w_t0(mu) -> QPoly:
+    """The t=0 weight w_mu of the expansion of e_n over the modified basis.
 
     (-1)^(n - l(mu)) q^(2 n(mu) + n - sum_i C(m_i + 1, 2)) b_mu(q), m_i the
     multiplicities of mu.
@@ -110,23 +110,20 @@ def w_t0(mu) -> Pair:
     mu = Partition(mu)
     mult_exp = sum(m * (m + 1) // 2 for m in mu.multiplicities().values())
     b = b_factor(mu)
-    return (-b if (mu.size - len(mu)) % 2 else b), 2 * mu.nstat() + mu.size - mult_exp
+    return (-b if (mu.size - len(mu)) % 2 else b).shift(2 * mu.nstat() + mu.size - mult_exp)
 
 
-def w_t0_cell_product(mu) -> Pair:
-    """Cell-product form of the t=0 w-weight, as (poly, e), for cross-checking the closed form.
+def w_t0_cell_product(mu) -> QPoly:
+    """Cell-product form of the t=0 w-weight, for cross-checking the closed form.
 
     The product over the cells of q^leg times 1 - q^(leg+1) in the last
     column (arm 0) and -q^(leg+1) elsewhere.
     """
-    poly, e = QPoly([1]), 0
+    poly = QPoly([1])
     for cell in Partition(mu).cell_stats():
-        e += cell.leg
-        if cell.arm == 0:
-            poly -= poly.shift(cell.leg + 1)
-        else:
-            poly, e = -poly, e + cell.leg + 1
-    return poly, e
+        poly = poly.shift(cell.leg)
+        poly = poly - poly.shift(cell.leg + 1) if cell.arm == 0 else -poly.shift(cell.leg + 1)
+    return poly
 
 
 @lru_cache(maxsize=None)

@@ -1,30 +1,29 @@
-"""Integer Laurent polynomials in q and t, and the dense ZZ[q] they are built from.
+"""Integer Laurent polynomials in q and t, and the dense ZZ[q, 1/q] they are built from.
 
 Every coefficient the package reports is a ``Coef``: an integer Laurent
 polynomial in q and t in a canonical form, so equality is plain ``==``.  It
-has no arithmetic and is built once per Schur coefficient, from a pair
-(``from_pair``) or from integer counts {(i, j): c} (``Coef(counts)``).
+has no arithmetic and is built once per Schur coefficient, from a ``QPoly``
+(``from_poly``) or from integer counts {(i, j): c} (``Coef(counts)``).
 
-The q-only scalars and the t=0 tables are built in ``QPoly``, a dense ZZ[q]:
-a list of integer coefficients whose ``+`` and ``-`` run elementwise and
-whose ``*`` is one product of two Python ints, each polynomial packed into an
-int by Kronecker substitution (D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", arXiv:0712.4046).  Values are
-immutable, so each keeps its int once packed at a digit width and a cached
-q-binomial is packed once; ``_pack`` and ``_unpack`` also serve
-``symfunc.plethysm_one_minus_q``.  Every exact q-product is one
+The q-only scalars and the t=0 tables are built in ``QPoly``, a dense
+ZZ[q, 1/q]: a list of integer coefficients from a least exponent e, always
+canonical, so ``==`` is equality.  ``+`` and ``-`` run elementwise once the
+exponents are aligned, and ``*`` is one product of two Python ints, each
+coefficient list packed into an int by Kronecker substitution (D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+arXiv:0712.4046).  Values are immutable, so each keeps its int once packed at
+a digit width, a cached q-binomial is packed once, and ``shift``, which
+leaves the coefficients alone, shares the memo; ``_pack`` and ``_unpack``
+also serve ``symfunc.plethysm_one_minus_q``.  Every exact q-product is one
 ``one_minus_product``: factors 1 - q^e and exact divisions by 1 - q^j in the
-order given, as in ``qpoch_poly`` and in ``qbinom_poly``'s product formula,
-both cached and neither recursive.  A Laurent
-polynomial in q is a pair (poly, e), standing for poly * q^e: ``qpoch_laurent``
-gives (q^s;q)_m so for any s, and ``reverse`` gives poly(1/q) * q^e by
-reversing the coefficients instead of substituting 1/q; ``==`` on the
-canonical pairs of ``laurent`` is equality, and ``dot`` sums products
-q^s a b in one Kronecker pass.
+order given, as in ``qpoch_poly`` (for any start s) and in ``qbinom_poly``'s
+product formula, both cached and neither recursive.  ``reverse`` gives
+poly(1/q) by reversing the coefficients instead of substituting 1/q, and
+``dot`` sums products a b in one Kronecker pass.
 
 ``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
-the package's one output format for coefficients, and ``render_laurent``
-writes a pair as that same text in one pass; nothing reads it back.
+the package's one output format for coefficients, and ``render_poly``
+writes a ``QPoly`` as that same text in one pass; nothing reads it back.
 
 Only the two-parameter route of ``delta_ops`` uses sympy: ``FIELD`` = Q(q,t),
 ``RING`` = ZZ[q,t] and their generators ``q``, ``t`` are built on first
@@ -37,6 +36,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
+from math import inf
 from operator import add, mul, neg, sub
 
 #: FIELD, RING, q and t once built; kept here, not in the module namespace
@@ -55,7 +55,7 @@ def __getattr__(name: str):
     return _SYMBOLIC[name]
 
 
-# -- dense ZZ[q] ----------------------------------------------------------------
+# -- dense ZZ[q, 1/q] -----------------------------------------------------------
 
 #: Products whose shorter factor has at most this many coefficients are summed
 #: term by term; longer ones go through one Kronecker-substituted int product.
@@ -66,21 +66,31 @@ _SCHOOLBOOK = 2
 _DIGIT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _strip(c: list) -> list:
-    """c without its trailing zeros."""
+def _canonical(c: list, e: int) -> tuple[list, int]:
+    """c q^e as (c', e'): c less its zeros at either end, e past the low ones; ([], 0) if zero."""
     end = len(c)
     while end and not c[end - 1]:
         end -= 1
-    return c if end == len(c) else c[:end]
+    if not end:
+        return [], 0
+    low = 0
+    while not c[low]:
+        low += 1
+    return (c if low == 0 and end == len(c) else c[low:end]), e + low
 
 
-def _termwise(op, a: list, b: list) -> list:
-    """op(a_i, b_i) for every i, the shorter of a and b padded with zeros."""
+def _termwise(op, x: tuple[list, int], y: tuple[list, int]) -> QPoly:
+    """op(a_i, b_i) at every exponent i of a q^ea and b q^eb, (a, ea) = x and (b, eb) = y."""
+    (a, ea), (b, eb) = x, y
+    if ea < eb:
+        b = [0] * (eb - ea) + b
+    elif eb < ea:
+        a, ea = [0] * (ea - eb) + a, eb
     n = min(len(a), len(b))
     out = list(map(op, a, b))
     out += a[n:]
     out += map(op, repeat(0), b[n:])
-    return _strip(out)
+    return _wrap(*_canonical(out, ea))
 
 
 def _digit_width(bound: int) -> int:
@@ -120,32 +130,37 @@ def _unpack(value: int, n: int, width: int) -> list:
             for i in range(0, n * width, width)]
 
 
-def _mul(a: list, b: list) -> list:
-    """a * b summed term by term; ``QPoly`` sends longer products to ``dot``."""
+def _mul(x: tuple[list, int], y: tuple[list, int]) -> QPoly:
+    """a q^ea times b q^eb, (a, ea) = x and (b, eb) = y, summed term by term.
+
+    ``QPoly`` sends longer products to ``dot``.
+    """
+    (a, ea), (b, eb) = x, y
     if not a or not b:
-        return []
+        return QPoly()
     if len(a) > len(b):
         a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + len(b)] = map(add, out[i:i + len(b)], map(mul, b, repeat(x)))
-    return out
+    for i, v in enumerate(a):
+        if v:
+            out[i:i + len(b)] = map(add, out[i:i + len(b)], map(mul, b, repeat(v)))
+    return _wrap(out, ea + eb)
 
 
-def _coeffs(x):
-    """The coefficient list of a QPoly or an int; NotImplemented for anything else."""
+def _terms(x):
+    """(coefficients, least exponent) of a QPoly or an int; NotImplemented for anything else."""
     if isinstance(x, QPoly):
-        return x.c
+        return x.c, x.e
     if isinstance(x, int):
-        return [x] if x else []
+        return ([x] if x else []), 0
     return NotImplemented
 
 
-def _wrap(c: list) -> QPoly:
-    """A QPoly holding c, which must have no trailing zero."""
+def _wrap(c: list, e: int = 0) -> QPoly:
+    """A QPoly holding c q^e, c with no zero at either end."""
     poly = object.__new__(QPoly)
     poly.c = c
+    poly.e = e if c else 0
     return poly
 
 
@@ -168,58 +183,66 @@ def _packed(p: QPoly, width: int) -> int:
 def _operator(op, reflected: bool = False):
     """The QPoly method self op other (other op self if reflected), other a QPoly or an int."""
     def method(self, other):
-        b = _coeffs(other)
+        b = _terms(other)
         if b is NotImplemented:
             return b
-        return _wrap(op(b, self.c) if reflected else op(self.c, b))
+        return op(b, (self.c, self.e)) if reflected else op((self.c, self.e), b)
     return method
 
 
 class QPoly:
-    """An element of ZZ[q], dense: ``c[i]`` is the coefficient of q^i.
+    """An element of ZZ[q, 1/q], dense: ``c[i]`` is the coefficient of q^(e+i).
 
-    ``c`` has no trailing zero, so the zero polynomial is ``[]``.  ``+``, ``-``
-    and ``*`` take a QPoly or an int on either side; ``*`` of two QPolys is one
+    Canonical: ``c`` has no zero at either end, and zero is ``c == []`` with
+    ``e == 0``, so ``==`` is equality.  ``QPoly(coeffs, e)`` is
+    sum coeffs[i] q^(e+i) for any list and any integer e.  ``+``, ``-`` and
+    ``*`` take a QPoly or an int on either side; ``*`` of two QPolys is one
     Kronecker product (``dot``) unless a factor has at most ``_SCHOOLBOOK``
     coefficients.  Values are immutable by contract: no operation changes
     ``c`` in place and no caller may, because polynomials are shared, not
     least by the caches of ``qpoch_poly`` and ``qbinom_poly``; so two memos
     that a product fills, ``_norm`` (``_norm_of``) and ``_packs``, the
-    Kronecker int by digit width (``_packed``), stay valid, and a cached
-    factor is packed once per width.  New values start without them.  ``c``
-    is a list rather than a tuple because every operation frees short
+    Kronecker int of ``c`` by digit width (``_packed``), stay valid, and a
+    cached factor is packed once per width.  New values start without them,
+    except that ``shift`` hands its result the same ``_packs``.  ``c`` is a
+    list rather than a tuple because every operation frees short
     intermediates, and freed tuples of up to 20 items stay in CPython's
     per-size free lists: about 1 MiB more peak memory on a sweep of
     q-binomial identities.
     """
 
-    __slots__ = ("c", "_norm", "_packs")
+    __slots__ = ("c", "e", "_norm", "_packs")
 
-    def __init__(self, coeffs=()):
-        self.c = _strip(list(coeffs))
+    def __init__(self, coeffs=(), e: int = 0):
+        self.c, self.e = _canonical(list(coeffs), e)
 
     @classmethod
     def from_terms(cls, terms: dict[int, int]) -> QPoly:
-        """sum c q^e over the items e: c of terms, every e >= 0."""
-        c = [0] * (max(terms, default=-1) + 1)
+        """sum c q^e over the items e: c of terms."""
+        low = min(terms, default=0)
+        c = [0] * (max(terms, default=-1) - low + 1)
         for e, v in terms.items():
-            c[e] += v
-        return cls(c)
+            c[e - low] += v
+        return cls(c, low)
 
     def shift(self, e: int) -> QPoly:
-        """q^e times self, for e >= 0; a negative e is a ValueError."""
-        if e < 0:
-            raise ValueError(f"cannot shift by q^{e} within ZZ[q]")
-        return _wrap([0] * e + self.c) if self.c else self
+        """q^e times self, for any integer e; the result shares self's Kronecker ints."""
+        if not self.c:
+            return self
+        out = _wrap(self.c, self.e + e)
+        if (packs := getattr(self, "_packs", None)) is None:
+            packs = self._packs = {}
+        out._packs = packs
+        return out
 
     def __bool__(self) -> bool:
         return bool(self.c)
 
     def __eq__(self, other) -> bool:
-        return self.c == _coeffs(other)
+        return (self.c, self.e) == _terms(other)
 
     def __neg__(self) -> QPoly:
-        return _wrap(list(map(neg, self.c)))
+        return _wrap(list(map(neg, self.c)), self.e)
 
     __add__ = __radd__ = _operator(partial(_termwise, add))
     __sub__ = _operator(partial(_termwise, sub))
@@ -228,39 +251,39 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, QPoly) and min(len(self.c), len(other.c)) > _SCHOOLBOOK:
-            return dot(((0, self, other),))
+            return dot(((self, other),))
         return self._schoolbook(other)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"QPoly({self.c})"
+        return f"QPoly({self.c}, {self.e})"
 
 
-def dot(terms) -> QPoly:
-    """sum q^s a b over the triples (s, a, b) of QPolys a, b and s >= 0, read off one int sum.
+def dot(pairs) -> QPoly:
+    """sum a b over the pairs (a, b) of QPolys, read off one int sum.
 
     Kronecker substitution: every factor is evaluated at X = 2^(8w) (``_packed``),
     w bytes holding with a sign bit the bound sum ||a|| ||b|| min(len a, len b)
-    on every coefficient; each int product is shifted by s digits.
+    on every coefficient; each int product is shifted by as many digits as its
+    least exponent a.e + b.e exceeds the least of them all.
     """
-    live, bound, digits = [], 0, 0
-    for s, a, b in terms:
-        if s < 0:
-            raise ValueError("cannot shift by a negative power of q within ZZ[q]")
+    live, bound, low, top = [], 0, inf, -inf
+    for a, b in pairs:
         if a.c and b.c:
+            s = a.e + b.e
             live.append((s, a, b))
             bound += _norm_of(a) * _norm_of(b) * min(len(a.c), len(b.c))
-            digits = max(digits, s + len(a.c) + len(b.c) - 1)
+            if s < low:
+                low = s
+            if (end := s + len(a.c) + len(b.c) - 1) > top:
+                top = end
     if not live:
         return QPoly()
     width = _digit_width(bound)
-    total = sum((_packed(a, width) * _packed(b, width)) << (8 * width * s) for s, a, b in live)
-    return _wrap(_strip(_unpack(total, digits, width)))
-
-
-#: a Laurent polynomial poly * q^e in q as the pair (poly, e)
-Pair = tuple[QPoly, int]
+    total = sum((_packed(a, width) * _packed(b, width)) << (8 * width * (s - low))
+                for s, a, b in live)
+    return _wrap(*_canonical(_unpack(total, top - low, width), low))
 
 
 def _times_one_minus(c: list, e: int) -> list:
@@ -286,17 +309,9 @@ def _over_one_minus(c: list, j: int) -> list:
     return out[:cut]
 
 
-def laurent(poly: QPoly, e: int = 0) -> Pair:
-    """poly * q^e as its canonical pair: nonzero constant coefficient, or (QPoly(), 0) for zero."""
-    low = next((i for i, v in enumerate(poly.c) if v), None)
-    if low is None:
-        return poly, 0
-    return (_wrap(poly.c[low:]), e + low) if low else (poly, e)
-
-
-def reverse(poly: QPoly, e: int) -> Pair:
-    """poly(1/q) * q^e as the pair (rev(poly), e - deg poly), rev reversing the coefficients."""
-    return QPoly(poly.c[::-1]), e - len(poly.c) + 1
+def reverse(poly: QPoly) -> QPoly:
+    """poly(1/q), by reversing the coefficients."""
+    return _wrap(poly.c[::-1], -poly.e - len(poly.c) + 1)
 
 
 def one_minus_product(exponents) -> QPoly:
@@ -314,23 +329,16 @@ def one_minus_product(exponents) -> QPoly:
 
 @lru_cache(maxsize=None)
 def qpoch_poly(s: int, m: int) -> QPoly:
-    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), for s >= 1 and m >= 0."""
-    if s < 1 or m < 0:
-        raise ValueError(f"need s >= 1 and m >= 0, got s={s}, m={m}")
-    return one_minus_product(range(s, s + m))
-
-
-def qpoch_laurent(s: int, m: int) -> Pair:
-    """(q^s; q)_m as (poly, e), standing for poly * q^e, for any s.  m < 0 is rejected."""
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), for any s and m >= 0; zero if s <= 0 < s+m."""
     if m < 0:
-        raise ValueError("Pochhammer length must be nonnegative")
+        raise ValueError(f"Pochhammer length must be nonnegative, got m={m}")
     if s >= 1:
-        return qpoch_poly(s, m), 0
-    if s + m > 0:  # the factor 1 - q^0
-        return QPoly(), 0
+        return one_minus_product(range(s, s + m))
+    if s + m > 0:
+        return QPoly()
     # every exponent is negative: 1 - q^-a = -q^-a (1 - q^a)
     poly = qpoch_poly(1 - s - m, m)
-    return (-poly if m % 2 else poly), m * (2 * s + m - 1) // 2
+    return (-poly if m % 2 else poly).shift(m * (2 * s + m - 1) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -381,15 +389,15 @@ class Coef:
         return f"Coef({render(self)})"
 
 
-def from_pair(poly: QPoly, e: int = 0) -> Coef:
-    """poly * q^e as a ``Coef``, for any integer e: its terms are the coefficients from the top."""
-    c, out = poly.c, object.__new__(Coef)
+def from_poly(poly: QPoly) -> Coef:
+    """poly as a ``Coef``: its terms are the coefficients from the top."""
+    c, e, out = poly.c, poly.e, object.__new__(Coef)
     out.terms = tuple(((e + i, 0), c[i]) for i in range(len(c) - 1, -1, -1) if c[i])
     return out
 
 
 ZERO = Coef()
-ONE = from_pair(QPoly([1]))
+ONE = from_poly(QPoly([1]))
 
 
 # -- rendering -----------------------------------------------------------------
@@ -427,10 +435,10 @@ def render(f: Coef) -> str:
     return f"{num}/{_poly_str((((a, b), 1),))}"
 
 
-def render_laurent(poly: QPoly, e: int = 0) -> str:
-    """``render(from_pair(poly, e))``, written from the canonical pair: q^-e is the denominator."""
-    poly, e = laurent(poly, e)
-    c, low = poly.c, max(e, 0)
+def render_poly(poly: QPoly) -> str:
+    """``render(from_poly(poly))``, written in one pass: q^-e is the denominator when e < 0."""
+    c, e = poly.c, poly.e
+    low = max(e, 0)
     pieces = []
     for k in range(len(c) - 1 + low, low - 1, -1):
         if v := c[k - low]:

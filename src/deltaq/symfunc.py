@@ -8,8 +8,8 @@ coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function,
 and ``sym`` a function given in the monomial basis by integer counts, through
 the inverse Kostka matrix (``parking``'s monomial route is its one caller).
 
-The t=0 operator sides and thm43 stay in ZZ[q] instead, with Laurent
-coefficients as pairs (``QPoly``, e) standing for poly * q^e:
+The t=0 operator sides and thm43 stay in ZZ[q, 1/q] instead, each
+coefficient one ``qfield.QPoly``:
 ``principal_poly`` is s_lam[1 + q + ... + q^(n-1)] by the hook-content
 formula, and ``plethysm_one_minus_q`` is f[X(1-q)] by the integer
 characters, each polynomial packed into one int (Kronecker substitution).
@@ -217,13 +217,11 @@ def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
     return weights, characters, growth
 
 
-def plethysm_one_minus_q(
-    terms: dict[Partition, tuple[qfield.QPoly, int]],
-) -> dict[Partition, tuple[qfield.QPoly, int]]:
-    """f[X(1-q)] for f = sum_lam poly_lam q^(e_lam) s_lam, given and returned as {lam: (poly, e)}.
+def plethysm_one_minus_q(terms: dict[Partition, qfield.QPoly]) -> dict[Partition, qfield.QPoly]:
+    """f[X(1-q)] for f = sum_lam poly_lam s_lam, given and returned as {lam: poly_lam}.
 
-    In ZZ[q] by Kronecker substitution: every poly
-    goes to the least exponent and into one int at a digit width that holds
+    In ZZ[q, 1/q] by Kronecker substitution: every poly is aligned at the
+    least exponent and goes into one int at a digit width that holds
     the largest coefficient the route can reach (``_one_minus_q_table``).
     c_rho = sum_lam chi^lam(rho) poly_lam is scaled by (n!/z_rho) p_rho[1 - q],
     and sum_rho chi^mu(rho) c_rho is unpacked and divided exactly by n! for
@@ -233,8 +231,8 @@ def plethysm_one_minus_q(
         return {}
     n = next(iter(terms)).size
     weights, characters, growth = _one_minus_q_table(n)
-    low = min(e for _, e in terms.values())
-    polys = [(characters[lam], poly.shift(e - low).c) for lam, (poly, e) in terms.items()]
+    low = min(poly.e for poly in terms.values())
+    polys = [(characters[lam], [0] * (poly.e - low) + poly.c) for lam, poly in terms.items()]
     top = max((abs(v) for _, c in polys for v in c), default=0)
     width = qfield._digit_width(growth * len(polys) * top)
     packed = [(row, qfield._pack(c, width)) for row, c in polys]
@@ -245,10 +243,10 @@ def plethysm_one_minus_q(
     out, scale = {}, factorial(n)
     for mu, row in characters.items():
         total = sum(row[i] * x for i, x in images if row[i])
-        if c := qfield._strip(qfield._unpack(total, digits, width)):
+        if any(c := qfield._unpack(total, digits, width)):
             if any(v % scale for v in c):
                 raise ArithmeticError(f"{scale} does not divide the s{mu.render()} coefficient")
-            out[mu] = (qfield.QPoly([v // scale for v in c]), low)
+            out[mu] = qfield.QPoly([v // scale for v in c], low)
     return out
 
 

@@ -6,10 +6,9 @@ plain parameter dict, the hypothesis under which the identity is claimed (a
 predicate plus its text), optional extra predicates, and a default parameter
 sweep.  :meth:`Identity.check` is the single runner: it skips a case only
 when the hypothesis fails, turns any exception into an ``error`` report, and
-renders both sides in the ``symfunc`` grammar.  A scalar side is the canonical
-Laurent pair (``qfield.laurent``) its producer returns, compared by ``==`` as
-it is, so a pair that is not canonical may read ``mismatch``, never a false
-``equal``; its report text is ``s[]*(coef)``, from ``qfield.render_laurent``.
+renders both sides in the ``symfunc`` grammar.  A scalar side is a Laurent
+polynomial in q (``qfield.QPoly``), always canonical, so ``==`` is equality;
+its report text is ``s[]*(coef)``, from ``qfield.render_poly``.
 
 ``run_suite`` checks one identity or a whole suite, each with its default
 parameter sweep or one given case; ``write_jsonl`` writes the reports as JSON
@@ -29,7 +28,7 @@ from . import parking as pk
 from . import qfield
 from . import symfunc as sf
 from .partition import Partition, partitions_of
-from .qfield import ZERO, qpoch_poly
+from .qfield import ZERO, QPoly, qpoch_poly
 from .symfunc import SymFunc
 
 STATUSES = ("equal", "mismatch", "skipped", "error")
@@ -64,22 +63,27 @@ def _sym_witness(lhs: SymFunc, rhs: SymFunc) -> str:
     return ""
 
 
+def _scalar_text(side) -> str:
+    """``qfield.render_poly`` of a scalar side; a TypeError unless it is a ``QPoly``."""
+    if not isinstance(side, QPoly):
+        raise TypeError(f"a scalar side must be a QPoly, not {type(side).__name__}")
+    return qfield.render_poly(side)
+
+
 def _compare_sides(lhs, rhs, params: dict) -> str:
     if lhs == rhs:
         return ""
     if isinstance(lhs, SymFunc):
         return _sym_witness(lhs, rhs)
-    return (f"first differing component s[]: lhs ({qfield.render_laurent(*lhs)}) "
-            f"vs rhs ({qfield.render_laurent(*rhs)})")
+    return f"first differing component s[]: lhs ({_scalar_text(lhs)}) vs rhs ({_scalar_text(rhs)})"
 
 
 def _render_sides(lhs, rhs, params: dict) -> tuple[str, str]:
-    """Both renders, a scalar pair as s[]*(coef) or 0; an equal rhs reuses the lhs text."""
+    """Both renders, a scalar as s[]*(coef) or 0; an equal rhs reuses the lhs text."""
     def render(side) -> str:
         if isinstance(side, SymFunc):
             return sf.render(side)
-        poly, e = side
-        return f"s[]*({qfield.render_laurent(poly, e)})" if poly else "0"
+        return f"s[]*({_scalar_text(side)})" if side else "0"
     text = render(lhs)
     return text, text if lhs == rhs else render(rhs)
 
@@ -91,10 +95,10 @@ class Identity:
     """One checkable identity.
 
     ``sides(params)`` returns (lhs, rhs): two SymFuncs, two scalars as
-    canonical pairs (QPoly, e) standing for poly * q^e, compared as given,
-    or any pair that ``compare`` and ``render`` understand.  The default
-    ``compare`` and ``render`` take every side that is not a SymFunc for
-    such a pair, so a scalar of any other type is an ``error``.
+    Laurent polynomials in q (``qfield.QPoly``), or any pair that
+    ``compare`` and ``render`` understand.  The default ``compare`` and
+    ``render`` take every side that is not a SymFunc for a ``QPoly``, so a
+    scalar of any other type is an ``error``.
     ``compare`` and ``extra`` return "" when their predicate holds and a
     witness otherwise; ``extra`` is the predicate beyond equality (hook
     support, a third route).

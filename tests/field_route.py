@@ -79,12 +79,11 @@ def rhs_hook_coeff(params: HookParams, j: int):
 
 def remmel_coeff(s: int, params: HookParams):
     """Coefficient of the kernel h_n[X(1-q^s)]/(1-q^s) in the hook image; zero off the kernel."""
-    c, e, terms = delta_ops._remmel_ring(params)
+    c, terms = delta_ops._remmel_ring(params)
     if s not in terms:
         return ZERO
-    h, r = terms[s]
-    poly = c * r
-    return from_poly(poly - poly.shift(s), e + h)
+    poly = c * terms[s]
+    return from_poly(poly - poly.shift(s))
 
 
 def remmel_sum(params: HookParams):

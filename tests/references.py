@@ -15,7 +15,7 @@ from sympy.polys.domains import ZZ
 
 from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import FIELD, RING, QPoly, q, qbinom_poly, qpoch_laurent, t
+from deltaq.qfield import FIELD, RING, QPoly, q, qbinom_poly, qpoch_poly, t
 from deltaq.symfunc import SymFunc
 from deltaq.tableaux import kostka_number
 
@@ -71,20 +71,26 @@ def lincomb(*terms) -> SymFunc:
     return SymFunc(out)
 
 
-def from_poly(poly: QPoly, e: int = 0) -> Field:
-    """poly * q^e as an element of Q(q,t), for any integer e.
+def from_poly(poly: QPoly) -> Field:
+    """sum c[i] q^(e+i) over the coefficients c of poly from its exponent e, in Q(q,t).
 
-    The canonical form is reached without a gcd: the denominator is the least
+    It reads ``poly.c`` and ``poly.e`` as given, canonical or not.  The
+    canonical form is reached without a gcd: the denominator is the least
     power of q that makes the numerator a polynomial.
     """
-    c = poly.c
-    if not c:
+    c, e = poly.c, poly.e
+    if not any(c):
         return ZERO
     low = next(i for i, v in enumerate(c) if v)
     d = max(0, -e - low)
     # RING.dtype builds the element without converting each coefficient again
     numer = RING.dtype({(i + e + d, 0): ZZ.dtype(v) for i, v in enumerate(c) if v})
     return FIELD.raw_new(numer, _Q_POLY**d)
+
+
+def is_canonical(poly: QPoly) -> bool:
+    """poly's one form: no zero coefficient at either end, and exponent 0 when it is zero."""
+    return (poly.c[0] != 0 != poly.c[-1]) if poly.c else poly.e == 0
 
 
 def swap_qt(f: Field) -> Field:
@@ -115,8 +121,8 @@ def render_field(f: Field) -> str:
 # -- the package's q-series and Schur functions as field elements --
 
 def qpoch_at(s: int, m: int) -> Field:
-    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), ``qfield.qpoch_laurent`` in Q(q,t)."""
-    return from_poly(*qpoch_laurent(s, m))
+    """(q^s; q)_m = prod_{j=0}^{m-1} (1 - q^(s+j)), ``qfield.qpoch_poly`` in Q(q,t)."""
+    return from_poly(qpoch_poly(s, m))
 
 
 def qpoch(m: int) -> Field:
@@ -167,8 +173,10 @@ def kf_table(n: int) -> dict:
 
 
 def to_ring(poly: QPoly):
-    """A dense ZZ[q] polynomial as the same element of the sparse ``qfield.RING``."""
-    return RING.from_dict({(i, 0): c for i, c in enumerate(poly.c) if c})
+    """A ``QPoly`` with no negative exponent as the same element of the sparse ``qfield.RING``."""
+    if poly.e < 0:
+        raise ValueError(f"{poly} is not in ZZ[q]")
+    return RING.from_dict({(poly.e + i, 0): c for i, c in enumerate(poly.c) if c})
 
 
 # -- substitution: an evaluator independent of the package's reversal and swap --

@@ -313,7 +313,7 @@ class TestExpansionWeights:
     def test_w_specializes_from_two_parameters(self):
         for n in range(1, 7):
             for mu in partitions_of(n):
-                w0 = from_poly(*hl.w_t0(mu))
+                w0 = from_poly(hl.w_t0(mu))
                 assert subs(FIELD(hl.macdonald_weights(mu.conjugate())[1]), t_image=ZERO) == w0
                 assert (
                     subs(subs(FIELD(hl.macdonald_weights(mu)[1]), q_image=ZERO), t_image=q)

@@ -1,4 +1,4 @@
-"""Tests for the Laurent coefficients, the dense ZZ[q] layer and its q-series primitives.
+"""Tests for the Laurent coefficients, the dense ZZ[q, 1/q] layer and its q-series primitives.
 
 The field Q(q,t) of ``references`` (sympy) is the oracle: its arithmetic and
 canonical text are checked first, then the package's values against it.
@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import field_route
-from references import (ONE, ZERO, coef, from_field, from_poly, qbinom, qpoch, qpoch_at, read_coef,
-                        render_field, subs, swap_qt, to_field, to_ring)
+from references import (ONE, ZERO, coef, from_field, from_poly, is_canonical, qbinom, qpoch,
+                        qpoch_at, read_coef, render_field, subs, swap_qt, to_field, to_ring)
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
-from deltaq.qfield import Coef, QPoly, from_pair, q, t
+from deltaq.qfield import Coef, QPoly, q, t
 
 # small random coefficients: polynomial numerators over a few safe denominators
 _coef_strategy = st.builds(
@@ -134,12 +134,12 @@ class TestCoef:
     def test_swapped_matches_swap_qt(self, counts):
         assert to_field(Coef(counts).swapped()) == swap_qt(_field_sum(counts))
 
-    @given(st.lists(st.integers(-9, 9), max_size=8).map(QPoly), st.integers(-12, 12))
+    @given(st.builds(QPoly, st.lists(st.integers(-9, 9), max_size=8), st.integers(-12, 12)))
     @settings(max_examples=100, deadline=None)
-    def test_from_pair_matches_from_poly(self, poly, e):
-        c = from_pair(poly, e)
-        assert c == from_field(from_poly(poly, e))
-        assert qfield.render(c) == qfield.render_laurent(poly, e)
+    def test_from_poly_matches_the_field_route(self, poly):
+        c = qfield.from_poly(poly)
+        assert c == from_field(from_poly(poly))
+        assert qfield.render(c) == qfield.render_poly(poly)
 
     def test_frozen_renders(self):
         assert qfield.render(Coef({(-1, 0): 1})) == "1/q"
@@ -223,16 +223,16 @@ class TestRingRoute:
         # the numerator and denominator sympy's own cancellation produces
         for poly in (QPoly(), QPoly([1]), QPoly([-6, 0, 3]), QPoly([0, 0, 2, -1])):
             for e in range(-4, 5):
-                got, want = from_poly(poly, e), qfield.FIELD(to_ring(poly)) * q**e
+                got, want = from_poly(poly.shift(e)), qfield.FIELD(to_ring(poly)) * q**e
                 assert (got.numer, got.denom) == (want.numer, want.denom), (poly, e)
 
-    @given(st.dictionaries(st.integers(0, 12), st.integers(-9, 9), max_size=6),
+    @given(st.dictionaries(st.integers(-12, 12), st.integers(-9, 9), max_size=6),
            st.integers(-8, 8))
     @settings(max_examples=60, deadline=None)
     def test_from_reversed_matches_substitution(self, coeffs, e):
         poly = QPoly.from_terms(coeffs)
-        want = subs(qfield.FIELD(to_ring(poly)), q_image=ONE / q) * q**e
-        got = from_poly(*qfield.reverse(poly, e))
+        want = subs(sum((coef(c) * q**i for i, c in coeffs.items()), ZERO), q_image=ONE / q) * q**e
+        got = from_poly(qfield.reverse(poly).shift(e))
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
     @given(_coef_strategy)
@@ -252,9 +252,11 @@ class TestRingRoute:
         assert render_field(swap_qt(ONE / (ONE - q))) == "(-1)/(t - 1)"
         assert render_field(swap_qt(ONE / (q - t))) == "(-1)/(q - t)"
 
-    def test_qpoch_poly_needs_positive_start(self):
-        with pytest.raises(ValueError):
-            qfield.qpoch_poly(0, 2)
+    def test_qpoch_poly_takes_any_start(self):
+        # a window through q^0 is zero, one below it a Laurent polynomial
+        assert qfield.qpoch_poly(0, 2) == qfield.qpoch_poly(-3, 5) == QPoly()
+        assert qfield.qpoch_poly(-2, 2) == QPoly([1, -1, -1, 1], -3)  # (1 - q^-2)(1 - q^-1)
+        assert all(is_canonical(qfield.qpoch_poly(s, m)) for s in range(-6, 7) for m in range(7))
 
     def test_long_products_need_no_recursion(self):
         # [a, b]_q (q;q)_c = (q^(a-c+1);q)_c, c = min(b, a-b), a far past the recursion limit
@@ -280,9 +282,9 @@ def _schoolbook(a: QPoly, b: QPoly) -> list:
     return QPoly(out).c
 
 
-def _shifted_sum(terms) -> QPoly:
-    """sum q^s a b over the triples (s, a, b), every product summed term by term."""
-    return sum((QPoly(_schoolbook(a, b)).shift(s) for s, a, b in terms), QPoly())
+def _summed_products(pairs) -> QPoly:
+    """sum a b over the pairs (a, b), every product summed term by term."""
+    return sum((QPoly(_schoolbook(a, b), a.e + b.e) for a, b in pairs), QPoly())
 
 
 class TestQPoly:
@@ -293,6 +295,11 @@ class TestQPoly:
         assert QPoly([0, 0]).c == [] and not QPoly([0, 0])
         assert QPoly.from_terms({3: 2, 0: -1}) == QPoly([-1, 0, 0, 2])
         assert QPoly([5]) == 5 and QPoly() == 0
+        # zeros at either end leave c, and the low ones raise e
+        laurent = QPoly([0, 0, 1, 0, -2, 0], -3)
+        assert (laurent.c, laurent.e) == ([1, 0, -2], -1)
+        assert QPoly.from_terms({-1: 1, 1: -2, 4: 0}) == laurent
+        assert QPoly([1], 2) != QPoly([1]) and QPoly([1], -2) != 1
 
     @given(_qpolys, _qpolys)
     @settings(max_examples=300, deadline=None)
@@ -329,84 +336,89 @@ class TestQPoly:
         assert to_ring(a - k) == to_ring(a) - k
         assert to_ring(k + a) == to_ring(a + k) == to_ring(a) + k
 
-    @given(_qpolys, st.integers(0, 12))
+    @given(_qpolys, st.integers(-12, 12))
     @settings(max_examples=60, deadline=None)
     def test_shift(self, a, e):
-        assert to_ring(a.shift(e)) == to_ring(a).mul_monom((e, 0))
+        assert from_poly(a.shift(e)) == qfield.FIELD(to_ring(a)) * q**e
+        assert is_canonical(a.shift(e))
 
-    def test_negative_shift_is_rejected(self):
-        # q^-1 * poly is not in ZZ[q], even when the constant coefficient is zero
-        for poly in (QPoly([1, 2]), QPoly([0, 1]), QPoly()):
-            with pytest.raises(ValueError):
-                poly.shift(-1)
+    def test_shift_shares_the_kronecker_ints(self):
+        p, r = QPoly([3, -1, 4, 1, 5]), QPoly([2**70, 0, 1])
+        moved = p.shift(-3)
+        assert moved._packs is p._packs and not p._packs
+        assert ((moved * r).c, (moved * r).e) == (_schoolbook(p, r), -3)
+        assert p._packs  # packed through the shifted value, kept for p
+        assert QPoly().shift(-4) == QPoly() and QPoly().shift(-4).e == 0
 
     @given(_qpolys, st.integers(-40, 40))
     @settings(max_examples=100, deadline=None)
     def test_entries_into_the_field(self, a, e):
         ra = qfield.FIELD(to_ring(a))
-        got, want = from_poly(a, e), ra * q**e
+        got, want = from_poly(a.shift(e)), ra * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
-        got, want = from_poly(*qfield.reverse(a, e)), subs(ra, q_image=ONE / q) * q**e
+        got, want = from_poly(qfield.reverse(a).shift(e)), subs(ra, q_image=ONE / q) * q**e
         assert (got.numer, got.denom) == (want.numer, want.denom)
 
-    @given(_qpolys, st.integers(-40, 40), st.integers(0, 6), st.booleans(), _qpolys,
-           st.integers(-40, 40))
+    @given(st.lists(_coefficients, max_size=8), st.integers(-40, 40), st.integers(0, 6),
+           st.booleans(), st.lists(_coefficients, max_size=8), st.integers(-40, 40))
     @settings(max_examples=200, deadline=None)
     def test_laurent_pairs_are_equal_exactly_when_the_field_values_are(self, a, e, k, same, b, f):
         if same:  # the same Laurent polynomial written with k more low zeros
-            b, f = a.shift(k), e - k
-        pair = qfield.laurent(a, e)
-        assert qfield.laurent(*pair) == pair
-        assert from_poly(*pair) == from_poly(a, e)
-        assert (pair == qfield.laurent(b, f)) == (from_poly(a, e) == from_poly(b, f))
+            b, f = [0] * k + a, e - k
+        x, y = QPoly(a, e), QPoly(b, f)
+        assert is_canonical(x) and is_canonical(y)
+        assert from_poly(x) == from_poly(QPoly(a)) * q**e
+        assert (x == y) == (from_poly(x) == from_poly(y))
 
     def test_laurent_of_zero(self):
-        assert qfield.laurent(QPoly(), -3) == qfield.laurent(QPoly([0, 0]), 5) == (QPoly(), 0)
+        assert QPoly([], -3) == QPoly([0, 0], 5) == QPoly([1], 4) - QPoly([0, 1], 3) == QPoly()
+        assert (QPoly([0, 0], 5).c, QPoly([0, 0], 5).e) == ([], 0)
 
-    @given(st.one_of(_qpolys, st.builds(lambda zeros, c: QPoly([0] * zeros + c), st.integers(0, 6),
-                                        st.lists(st.integers(-3, 3), max_size=6))),
-           st.integers(-40, 40))
-    @example(QPoly(), -3)
-    @example(QPoly([-1]), -1)
-    @example(QPoly([0, 0, -7]), -5)
-    @example(QPoly([0, 1, -1]), -4)
-    @example(QPoly([1, -1, 0, 1, -1]), 2)  # coefficients of +-1 print as bare powers
-    @example(QPoly([-1, 1]), -3)
-    @example(QPoly([2**70 + 1, 0, -(2**65) - 3, 1]), -1)  # coefficients above 2^64
-    @example(QPoly([-(2**64) - 7]), 0)
-    @example(QPoly([5]), -1)  # the bare /q
-    @example(QPoly([1]), -1)
-    @example(QPoly([0, 0, -2]), -6)  # a single negative term at a negative e
+    @given(st.builds(QPoly, st.one_of(st.lists(_coefficients, max_size=40),
+                                      st.lists(st.integers(-3, 3), max_size=12)),
+                     st.integers(-40, 40)))
+    @example(QPoly([], -3))
+    @example(QPoly([-1], -1))
+    @example(QPoly([0, 0, -7], -5))
+    @example(QPoly([0, 1, -1], -4))
+    @example(QPoly([1, -1, 0, 1, -1], 2))  # coefficients of +-1 print as bare powers
+    @example(QPoly([-1, 1], -3))
+    @example(QPoly([2**70 + 1, 0, -(2**65) - 3, 1], -1))  # coefficients above 2^64
+    @example(QPoly([-(2**64) - 7]))
+    @example(QPoly([5], -1))  # the bare /q
+    @example(QPoly([1], -1))
+    @example(QPoly([0, 0, -2], -6))  # a single negative term at a negative e
     @settings(max_examples=300, deadline=None)
-    def test_render_laurent_matches_field_render(self, a, e):
-        assert qfield.render_laurent(a, e) == render_field(from_poly(a, e))
+    def test_render_poly_matches_field_render(self, a):
+        assert qfield.render_poly(a) == render_field(from_poly(a))
 
     def test_frozen_laurent_renders(self):
-        assert qfield.render_laurent(QPoly([-1]), -1) == "(-1)/q"
-        assert qfield.render_laurent(QPoly([3]), -2) == "3/q^2"
-        assert qfield.render_laurent(QPoly([1, -1]), -3) == "(-q + 1)/q^3"
-        assert qfield.render_laurent(QPoly([0, 2, 0, -1]), 1) == "-q^4 + 2*q^2"
-        assert qfield.render_laurent(QPoly(), -2) == "0"
+        assert qfield.render_poly(QPoly([-1], -1)) == "(-1)/q"
+        assert qfield.render_poly(QPoly([3], -2)) == "3/q^2"
+        assert qfield.render_poly(QPoly([1, -1], -3)) == "(-q + 1)/q^3"
+        assert qfield.render_poly(QPoly([0, 2, 0, -1], 1)) == "-q^4 + 2*q^2"
+        assert qfield.render_poly(QPoly([], -2)) == "0"
 
-    @given(st.lists(st.tuples(st.integers(0, 12), _qpolys, _qpolys), max_size=6))
+    @given(st.lists(st.tuples(st.integers(-12, 12), _qpolys, _qpolys), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_dot_matches_sum_of_shifted_products(self, terms):
         want = sum(((a * b).shift(s) for s, a, b in terms), QPoly())
-        assert qfield.dot(terms) == want
-        assert qfield.dot(iter(terms)) == want
+        pairs = [(a.shift(s), b) for s, a, b in terms]
+        assert qfield.dot(pairs) == want
+        assert qfield.dot(iter(pairs)) == want
         # the same terms with one factor negated cancel to zero
-        assert qfield.dot(terms + [(s, -a, b) for s, a, b in terms]) == QPoly()
+        assert qfield.dot(pairs + [(-a, b) for a, b in pairs]) == QPoly()
 
     def test_dot_edges(self):
         one_plus_q = QPoly([1, 1])
         assert qfield.dot([]) == QPoly()
-        assert qfield.dot([(3, QPoly(), one_plus_q)]) == QPoly()
+        assert qfield.dot([(QPoly(), one_plus_q)]) == QPoly()
         # the top coefficients cancel: (1 + q)^2 - q^2
-        assert qfield.dot([(0, one_plus_q, one_plus_q), (2, QPoly([-1]), QPoly([1]))]) == (
+        assert qfield.dot([(one_plus_q, one_plus_q), (QPoly([-1], 2), QPoly([1]))]) == (
             QPoly([1, 2]))
         # digits wider than 8 bytes, packed one at a time
         big = QPoly([2**70, -(2**70) + 1, 5])
-        terms = [(0, big, big), (4, big, one_plus_q), (1, -big, big)]
+        terms = [(big, big), (big.shift(4), one_plus_q), (-big.shift(1), big)]
         assert qfield._digit_width(2**140 * 9) not in qfield._DIGIT_CODES
         assert qfield.dot(terms) == big * big + (big * one_plus_q).shift(4) - (big * big).shift(1)
 
@@ -436,14 +448,15 @@ class TestQPoly:
     def test_dot_of_shared_cached_factors(self, rows, wide):
         # the same cached factors occur in several terms and in calls at different widths
         shared = qfield.qbinom_poly(9, 4)
-        terms = [(s, qfield.qbinom_poly(a, b), qfield.qpoch_poly(1 + b, a % 6)) for s, a, b in rows]
-        terms += [(s, shared, shared) for s, _, _ in rows]
-        want = _shifted_sum(terms)
+        terms = [(qfield.qbinom_poly(a, b).shift(s), qfield.qpoch_poly(1 + b, a % 6))
+                 for s, a, b in rows]
+        terms += [(shared.shift(s), shared) for s, _, _ in rows]
+        want = _summed_products(terms)
         assert qfield.dot(terms) == want
-        widened = terms + [(2, shared, wide), (0, wide, terms[0][2])]
-        assert qfield.dot(widened) == _shifted_sum(widened)
+        widened = terms + [(shared.shift(2), wide), (wide, terms[0][1])]
+        assert qfield.dot(widened) == _summed_products(widened)
         assert qfield.dot(terms) == want
-        assert qfield.dot(terms[:1]) == _shifted_sum(terms[:1])
+        assert qfield.dot(terms[:1]) == _summed_products(terms[:1])
 
     def test_products_leave_cached_coefficients_alone(self):
         cached = [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
@@ -452,7 +465,7 @@ class TestQPoly:
         for p in cached:
             for other in (p, big, QPoly([1, 1, 1, 1])):
                 assert (p * other).c == _schoolbook(p, other)
-            qfield.dot([(1, p, big), (0, p, p), (3, big, p)])
+            qfield.dot([(p.shift(1), big), (p, p), (big.shift(3), p)])
         assert [p.c for p in cached] == coefficients
         assert cached == [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
         assert qfield.qbinom_poly(11, 5)._packs  # the memo stays on the cached value
@@ -462,16 +475,11 @@ class TestQPoly:
         assert (p * p).c == _schoolbook(p, p)
         assert p._norm == 5 and p._packs
         r = QPoly([2**70, 0, 1])
-        for derived in (-p, p.shift(2), p.shift(0), p + r, r + p, p - r, p * 2, 3 * p, p * p,
-                        qfield.laurent(p.shift(3), 1)[0], qfield.reverse(p, 0)[0]):
+        for derived in (-p, p + r, r + p, p - r, p * 2, 3 * p, p * p, qfield.reverse(p),
+                        QPoly(p.c, 3)):
             assert not hasattr(derived, "_norm") and not hasattr(derived, "_packs"), derived
             assert (derived * r).c == _schoolbook(derived, r)
             assert (derived * p).c == _schoolbook(derived, p)
-
-    def test_dot_rejects_negative_shifts(self):
-        for factor in (QPoly([1]), QPoly()):
-            with pytest.raises(ValueError):
-                qfield.dot([(0, QPoly([1]), QPoly([1])), (-1, factor, QPoly([1]))])
 
     @pytest.mark.parametrize("c, j", [([1, 0, 1], 1), ([1], 2), ([0, 1], 2), ([1, 0, -1, 1], 2)],
                              ids=["1+q^2 over 1-q", "1 over 1-q^2", "q over 1-q^2",
@@ -479,6 +487,46 @@ class TestQPoly:
     def test_inexact_division_by_one_minus_q_power_raises(self, c, j):
         with pytest.raises(ArithmeticError):
             qfield._over_one_minus(c, j)
+
+
+# raw coefficient lists, zeros at either end included, each from an exponent in -20..20
+_raw_laurent = st.tuples(st.lists(st.integers(-3, 3) | _coefficients, max_size=10),
+                         st.integers(-20, 20))
+
+
+def _field_of(coeffs: list, e: int):
+    """sum coeffs[i] q^(e+i) in Q(q,t), one field operation per term."""
+    return sum((coef(c) * q ** (e + i) for i, c in enumerate(coeffs)), ZERO)
+
+
+class TestLaurentQPoly:
+    """Every operation on ``QPoly`` returns the canonical form of its value in Q(q,t)."""
+
+    @given(_raw_laurent, _raw_laurent, st.integers(-20, 20), st.integers(-9, 9),
+           st.dictionaries(st.integers(-20, 20), st.integers(-3, 3), max_size=6))
+    @example(([1, 2, 3], -4), ([-1, -2, 5], -4), 3, 0, {-2: 1, 5: -1})  # the low terms cancel
+    @example(([0, 1, 0], -1), ([0, 0, -1, 0, 0], -2), -7, 2, {0: 0})  # every term cancels
+    @example(([4, 0, 7], 3), ([0, 0, 0, 0, -7], 1), 0, -4, {})  # the top terms cancel
+    @settings(max_examples=200, deadline=None)
+    def test_operations_are_canonical_and_match_the_field(self, x, y, s, k, terms):
+        a, b = QPoly(*x), QPoly(*y)
+        fa, fb = _field_of(*x), _field_of(*y)
+        low = QPoly([-v for v in a.c[:2]], a.e)  # minus the two lowest terms of a
+        cases = [
+            (a, fa), (b, fb),
+            (QPoly.from_terms(terms), sum((coef(c) * q**e for e, c in terms.items()), ZERO)),
+            (a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa), (a - a, ZERO),
+            (a + low, fa + from_poly(low)),
+            (a + k, fa + k), (k + a, fa + k), (a - k, fa - k), (k - a, k - fa),
+            (a * b, fa * fb), (b * a, fa * fb), (a * k, fa * k), (k * a, fa * k), (-a, -fa),
+            (a.shift(s), fa * q**s), (qfield.reverse(a), subs(fa, q_image=ONE / q)),
+            (qfield.dot([(a.shift(s), b), (b, b), (a, a.shift(-s))]),
+             q**s * fa * fb + fb * fb + q**-s * fa * fa),
+            (qfield.dot([(a.shift(s), b), (-a, b.shift(s)), (a, low)]), fa * from_poly(low)),
+        ]
+        for got, want in cases:
+            assert is_canonical(got), got
+            assert from_poly(got) == want, got
 
 
 class TestOneMinusProduct:

@@ -65,7 +65,7 @@ class TestRunOne:
             ver.run_one("nonsense", {})
 
     def test_mismatch_is_detected(self, monkeypatch):
-        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: ((QPoly([1]), 0), (QPoly(), 0)))
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (QPoly([1]), QPoly()))
         report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
         assert report.status == "mismatch"
         assert "first differing component" in report.witness
@@ -100,7 +100,7 @@ def _field_sides(identity_id: str, p: dict):
 
 
 class TestScalarRoute:
-    """Scalar sides are compared and rendered as Laurent pairs, never through Q(q,t)."""
+    """Scalar sides are compared and rendered as Laurent polynomials in q, never through Q(q,t)."""
 
     def test_default_cases_render_as_the_field_route(self):
         # every default case up to n = 6; the hook families sweep one n at a time;
@@ -121,33 +121,15 @@ class TestScalarRoute:
         assert sum(i == "thm43" for i, _ in cases) == 8 * sum(len(partitions_of(n))
                                                              for n in range(1, 7))
 
-    def test_every_scalar_side_is_a_canonical_pair(self):
-        # check compares the pairs as their producers return them
-        for identity_id in ("prop31", "cor32", "prop33a", "prop33b", "eq17", "thm43",
-                            "wmu_consistency"):
-            entry = ver.REGISTRY[identity_id]
-            for p in entry.default_cases(None):
-                assert entry.hypothesis(p), (identity_id, p)
-                for side in entry.sides(p):
-                    assert side == qfield.laurent(*side), (identity_id, p)
-
-    def test_a_pair_that_is_not_canonical_is_a_mismatch(self, monkeypatch):
-        # q as (q, 0) against (1, 1): the same value, but never a silent pass
-        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
-            (QPoly([0, 1]), 0), (QPoly([1]), 1)))
-        report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
-        assert report.status == "mismatch"
-
     def test_mismatch_witness_names_the_degree_zero_component(self, monkeypatch):
-        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (
-            (QPoly([0, 0, 3]), -4), (QPoly(), 7)))
+        monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: (QPoly([0, 0, 3], -4), QPoly()))
         report = ver.run_one("cor32", {"k": 0, "m": 1, "ell": 2})
         assert report.status == "mismatch"
         assert report.witness == "first differing component s[]: lhs (3/q^2) vs rhs (0)"
         assert (report.lhs_render, report.rhs_render) == ("s[]*(3/q^2)", "0")
 
     def test_field_sides_must_be_laurent_polynomials_in_q(self, monkeypatch):
-        # scalar sides are pairs only: one in Q(q,t) or a Coef is an error, never equal
+        # scalar sides are QPolys only: one in Q(q,t) or a Coef is an error, never equal
         # or a mismatch, whether or not it is a Laurent polynomial and the sides agree
         for sides in ((ONE, ONE), (ONE / (ONE - q), ZERO), (qfield.ONE, qfield.ONE)):
             monkeypatch.setattr(ver.do, "cor32", lambda k, m, ell: sides)
@@ -416,6 +398,14 @@ class TestCli:
         (["expand", "--what", "ghry", "--params", "n=3,k=0"], "need 1 <= k <= n, got k=0, n=3"),
         (["expand", "--what", "ghry", "--params", "n=3,k=5"], "need 1 <= k <= n, got k=5, n=3"),
         (["expand", "--what", "rhs_nu", "--params", "nu=[2,1],n=0"], "n must be at least 1"),
+        (["pf", "--n", "0", "--stats"], "n must be at least 1"),
+        (["pf", "--n", "-1", "--stats"], "n must be at least 1"),
+        (["verify", "--id", "prop31", "--params", "k=0,m=1_0,ell=2"],
+         "invalid literal for int() with base 10: '1_0'"),
+        (["verify", "--id", "prop31", "--params", "k=0,m=10,ell=+2"],
+         "invalid literal for int() with base 10: '+2'"),
+        (["verify", "--id", "prop31", "--params", "k=0,m=\uff13,ell=2"],
+         "invalid literal for int() with base 10: '\uff13'"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
@@ -423,7 +413,8 @@ class TestCli:
             "verify-params-unfit-several", "verify-nu-not-a-list", "verify-k-not-an-int",
             "verify-mu-not-a-list", "verify-unknown-key", "verify-span-nu-size-max",
             "expand-unknown-key", "p-unknown-key", "ghry-k-0", "ghry-k-above-n",
-            "rhs-nu-n-0"])
+            "rhs-nu-n-0", "pf-stats-n-0", "pf-stats-n-negative", "verify-int-with-underscore",
+            "verify-int-with-plus", "verify-full-width-digit"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
