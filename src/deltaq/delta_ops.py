@@ -447,7 +447,7 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
     """
     total = QPoly()
     for rho in partitions_of(nu.size, length=k):
-        term, top = hl._kf_poly(nu, rho).shift(rho.nstat()), 0
+        term, top = hl._kf_column(rho).get(nu, QPoly()).shift(rho.nstat()), 0
         for m in rho.multiplicities().values():
             top += m
             term = term * qbinom_poly(top, m)
@@ -567,7 +567,7 @@ def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition
     """nu -> Delta_{s_nu} e_n at (q,t) = point mod SPAN_PRIME, a row over partitions_of(n).
 
     The image is sum_mu s_nu[B_mu] (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu.  At
-    the point, H~_mu comes from its straightened integer filling aggregate,
+    the point, H~_mu comes from its integer Schur counts of the fillings,
     s_nu[B_mu] from sum_rho chi^nu(rho)/z_rho p_rho[B_mu] with the power sums
     of the cell monomials (p > n, so every z_rho is a unit), and the weights
     from their cell formulas.  None when some w_mu vanishes mod p there.
@@ -583,10 +583,9 @@ def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition
     bpow = [pow(b, e, p) for e in range(n * n + 1)]
     # (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu as a row over the basis
     scaled = {}
-    for mu, agg in hl.filling_aggregates(shapes).items():
+    for mu, counts in hl._filling_counts(n).items():
         weight, w = weights[mu]
         scale = weight * pow(w, -1, p)
-        counts = sf.straighten_aggregate(agg)
         row = [sum(k * apow[i] * bpow[j] for (i, j), k in counts.get(lam, {}).items())
                for lam in basis]
         scaled[mu] = [scale * v % p for v in row]

@@ -1,19 +1,20 @@
 """Hall-Littlewood P and Q and the modified Macdonald bases.
 
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
-tableaux, counted as integers into a dense ZZ[q] polynomial (``qfield.QPoly``).
-P expands through the unitriangular inverse of the Kostka-Foulkes matrix
-against the Schur basis, by back substitution over the same ZZ[q], whose
-products are Kronecker substitutions; every table entry becomes one
-``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q] after
-``qfield.reverse``, which reverses coefficients instead of
-substituting 1/q.  The two-parameter modified Macdonald
-functions come from the Haglund-Haiman-Loehr inv/maj formula over the n!
-standard fillings: ``filling_aggregates`` counts them as integer
-F-aggregates, which ``symfunc.from_fundamentals`` straightens into Schur
-functions with integer coefficients in q,t and ``delta_ops.span_rank_at_point``
-evaluates at a point mod p; ``macdonald_weights`` writes H~_mu's coefficient
-in e_n as a pair (numerator, w_mu).  The specialization H~_mu(X;q,0), which
+tableaux, one column K_(.,mu)(q) per content mu from one walk over its
+tableaux (``tableaux.charge_counts``), counted as integers into dense ZZ[q]
+polynomials (``qfield.QPoly``).  P expands through the unitriangular inverse
+of the Kostka-Foulkes matrix against the Schur basis, by back substitution
+over the same ZZ[q], whose products are Kronecker substitutions; every table
+entry becomes one ``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q]
+after ``qfield.reverse``, which reverses coefficients instead of substituting
+1/q.  The two-parameter modified Macdonald functions come from the
+Haglund-Haiman-Loehr inv/maj formula over the n! standard fillings:
+``_filling_counts(n)`` counts them for every mu |- n in one pass over the n!
+words into Schur counts with integer coefficients in q,t, which
+``modified_macdonald_full`` and ``delta_ops.span_rank_at_point`` (mod p)
+read; ``macdonald_weights`` writes H~_mu's coefficient in e_n as a pair
+(numerator, w_mu).  The specialization H~_mu(X;q,0), which
 ``deltaq expand --what Htilde0`` prints and ``delta_ops`` sums by length from
 the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
 Its weight w_t0, in closed form and as a cell product, and the P-to-Q
@@ -24,7 +25,6 @@ multiplies ``b_factor`` into each coefficient of P_mu.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 # bench/spans.py counts the fillings through hall_littlewood.multiset_permutations;
 # the words 1..n have distinct letters, so itertools yields sympy's multiset order
@@ -34,20 +34,20 @@ from . import qfield, symfunc
 from .partition import Partition, partitions_of
 from .qfield import Coef, QPoly, from_poly, qpoch_poly, reverse
 from .symfunc import SymFunc
-from .tableaux import charge, ssyt
+from .tableaux import charge_counts
 
 MACDONALD_FULL_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
-def _kf_poly(lam: Partition, mu: Partition) -> QPoly:
-    """K_(lam,mu)(q): the charges of the SSYT of shape lam, content mu, counted as ints."""
-    return QPoly.from_terms(Counter(map(charge, ssyt(lam, mu))))
+def _kf_column(mu: Partition) -> dict[Partition, QPoly]:
+    """{lam: K_(lam,mu)(q)} over the shapes lam with a tableau of content mu, one walk."""
+    return {lam: QPoly.from_terms(counts) for lam, counts in charge_counts(mu).items()}
 
 
 def kostka_foulkes(lam, mu) -> Coef:
     """K_(lam,mu)(q) = sum of q^charge over SSYT of shape lam, content mu."""
-    return from_poly(_kf_poly(Partition(lam), Partition(mu)))
+    return from_poly(_kf_column(Partition(mu)).get(Partition(lam), QPoly()))
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +57,7 @@ def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
     s_nu = sum_rho K_(nu,rho)(q) P_rho with the Kostka-Foulkes matrix
     unitriangular over Z[q], so P is its inverse, by back substitution in ZZ[q].
     """
-    return symfunc.unitriangular_inverse(n, _kf_poly)
+    return symfunc.unitriangular_inverse(n, lambda lam, mu: _kf_column(mu).get(lam, 0))
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +96,7 @@ def modified_macdonald_t0(mu) -> SymFunc:
     """
     mu = Partition(mu)
     return SymFunc({lam: from_poly(reverse(kf).shift(mu.nstat()))
-                    for lam in partitions_of(mu.size) if (kf := _kf_poly(lam, mu))})
+                    for lam, kf in _kf_column(mu).items()})
 
 
 # -- specialized weights -------------------------------------------------------
@@ -188,42 +188,34 @@ def _filling_stats(values, attack, descent) -> tuple[int, int]:
     return inv, maj
 
 
-def filling_aggregates(shapes) -> dict[Partition, dict[tuple[int, ...], dict]]:
-    """The inv/maj filling sums of shapes of one size, as integer F-aggregates.
+@lru_cache(maxsize=None)
+def _filling_counts(n: int) -> dict[Partition, dict[Partition, dict[tuple[int, int], int]]]:
+    """{mu: Schur counts {lam: {(inv, maj): count}}} of H~_mu for every mu |- n.
 
-    Each aggregate {ides: {(inv, maj): count}} counts the n! standard
-    fillings of one shape mu (Haglund-Haiman-Loehr) by the inverse-descent
-    composition of the reading word and the exponents of q^inv t^maj.  A
-    filling's reading word is the same list of values for every shape, so
-    one pass over the n! words computes each composition once and counts
-    every shape against it.  ``symfunc.straighten_aggregate`` turns an
-    aggregate into Schur counts.
+    The n! standard fillings of each mu are counted by the inverse-descent
+    composition of the reading word and the exponents of q^inv t^maj.  The
+    word is the same for every shape, so one pass over the n! words computes
+    each composition once, and each shape's F-aggregate is straightened once.
     """
-    shapes = [Partition(mu) for mu in shapes]
-    sizes = {mu.size for mu in shapes}
-    if len(sizes) != 1:
-        raise ValueError(f"need shapes of one size, got sizes {sorted(sizes)}")
-    aggs: dict[Partition, dict] = {mu: {} for mu in shapes}
+    aggs: dict[Partition, dict] = {mu: {} for mu in partitions_of(n)}
     shape_data = [(aggs[mu], *_shape_geometry(mu)) for mu in aggs]
-    for values in multiset_permutations(range(1, sizes.pop() + 1)):
+    for values in multiset_permutations(range(1, n + 1)):
         ides = symfunc.inverse_descents(values)
         for agg, attack, descent in shape_data:
             slot = agg.setdefault(ides, {})
             key = _filling_stats(values, attack, descent)
             slot[key] = slot.get(key, 0) + 1
-    return aggs
+    return {mu: symfunc.straighten_aggregate(agg) for mu, agg in aggs.items()}
 
 
-@lru_cache(maxsize=None)
 def modified_macdonald_full(mu) -> SymFunc:
-    """Two-parameter modified Macdonald function, by the filling formula.
+    """Two-parameter modified Macdonald function, from the counts of ``_filling_counts``.
 
-    Straightens the integer F-aggregate of ``filling_aggregates`` into Schur
-    functions.  Refuses sizes above MACDONALD_FULL_LIMIT, where the n! fillings
+    Refuses sizes above MACDONALD_FULL_LIMIT, where the n! fillings
     are too slow to enumerate to be useful.
     """
     mu = Partition(mu)
     if mu.size > MACDONALD_FULL_LIMIT:
         raise ValueError(
             f"filling enumeration limited to size {MACDONALD_FULL_LIMIT}, got {mu.size}")
-    return symfunc.from_fundamentals(filling_aggregates([mu])[mu])
+    return SymFunc({lam: Coef(counts) for lam, counts in _filling_counts(mu.size)[mu].items()})

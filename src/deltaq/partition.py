@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -74,14 +75,18 @@ class Partition(tuple):
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of Partition.render: '[3,1,1]' -> Partition((3,1,1))."""
+    """Inverse of Partition.render: '[3,1,1]' -> Partition((3,1,1)), each part ASCII digits."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"expected bracketed partition, got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return Partition()
-    return Partition(int(piece) for piece in inner.split(","))
+    pieces = [piece.strip() for piece in inner.split(",")]
+    for piece in pieces:
+        if not re.fullmatch(r"[0-9]+", piece):
+            raise ValueError(f"invalid literal for int() with base 10: {piece!r}")
+    return Partition(map(int, pieces))
 
 
 def _gen(n: int, max_part: int) -> Iterator[tuple[int, ...]]:

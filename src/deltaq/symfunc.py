@@ -18,11 +18,11 @@ That is the package's one plethysm; it takes no other alphabet.  Read at q^u
 p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u: ``delta_ops.h_plethysm`` reads it
 so for h_n.
 
-``from_fundamentals`` is the package's one route from fundamental
+``straighten_aggregate`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
 composition (Egge-Loehr-Warrington) and sums signed integer counts.  The
-parking-function sides and the Macdonald fillings both go through it; the
-rank at a point mod p shares its integer half, ``straighten_aggregate``.
+parking-function sides go through it by ``from_fundamentals``, and the
+Macdonald fillings of every shape of one size by ``hall_littlewood``.
 """
 
 from __future__ import annotations
@@ -256,11 +256,10 @@ def inverse_descents(word) -> tuple[int, ...]:
     """Descent composition of the inverse of a word in 1..n: i descends when i+1 sits left of i."""
     pos = {v: i for i, v in enumerate(word)}
     comp, prev = [], 0
-    for v in range(1, len(word)):
-        if pos[v + 1] < pos[v]:
+    for v in range(1, len(word) + 1):
+        if v == len(word) or pos[v + 1] < pos[v]:
             comp.append(v - prev)
             prev = v
-    comp.append(len(word) - prev)
     return tuple(comp)
 
 

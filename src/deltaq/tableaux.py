@@ -1,47 +1,43 @@
-"""Semistandard tableaux and the charge statistic."""
+"""Semistandard tableaux of one content, walked once for every shape, and the charge statistic."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .partition import Partition
 
 
-def ssyt(shape: Partition, content: Partition) -> tuple[tuple[int, ...], ...]:
-    """All semistandard tableaux of the given shape and content, each as its reading word.
+def charge_counts(content: Partition) -> dict[Partition, Counter]:
+    """{shape: Counter of charges} over the semistandard tableaux of the given content.
 
-    Rows weakly increase left to right, columns strictly increase downward,
-    value i appears content[i-1] times.  The word reads the rows left to
-    right, bottom row first, as ``charge`` takes it.
+    The cells of value v form a horizontal strip, placed from the bottom row up:
+    a row grows by appending and never past the row above it, and the top row
+    takes the cells left.  Each tableau's reading word (rows left to right,
+    bottom row first) is charged and counted under its shape, and not kept.
     """
-    if shape.size != sum(content):
-        return ()
-    nvals = len(content)
-    remaining = list(content)
-    word = [0] * shape.size
-    found: list[tuple[int, ...]] = []
-    # (place in the word, places of the left and upper neighbours or -1), top row first
-    start = [sum(shape[i + 1:]) for i in range(len(shape))]
-    cells = [(start[i] + j, start[i] + j - 1 if j else -1, start[i - 1] + j if i else -1)
-             for i, p in enumerate(shape) for j in range(p)]
+    rows: list[list[int]] = [[] for _ in range(len(content) + 1)]
+    found: dict[tuple[int, ...], Counter] = {}
 
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            found.append(tuple(word))
-            return
-        at, left, up = cells[idx]
-        lo = word[left] if left >= 0 else 1
-        if up >= 0:
-            lo = max(lo, word[up] + 1)
-        for v in range(lo, nvals + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                word[at] = v
-                fill(idx + 1)
-                remaining[v - 1] += 1
+    def strip(v: int, height: int, r: int, left: int) -> None:
+        # `left` cells of value v still go into rows r, r-1, ..., 0; rows[:height] are not empty
+        row, start = rows[r], len(rows[r])
+        if r:
+            for a in range(min(left, len(rows[r - 1]) - start) + 1):
+                strip(v, height, r - 1, left - a)
+                row.append(v)
+        else:
+            row.extend([v] * left)
+            height += bool(rows[height])
+            if v < len(content):
+                strip(v + 1, height, height, content[v])
+            else:
+                word = [x for done in reversed(rows[:height]) for x in done]
+                found.setdefault(tuple(map(len, rows[:height])), Counter())[charge(word)] += 1
+        del row[start:]
 
-    fill(0)
-    return tuple(found)
+    strip(0, 0, 0, 0)  # value 0 has no cells; its top row starts value 1
+    return {Partition(shape): counts for shape, counts in found.items()}
 
 
 def charge(word) -> int:
@@ -81,4 +77,4 @@ def charge(word) -> int:
 
 @lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: Partition) -> int:
-    return len(ssyt(shape, content))
+    return sum(charge_counts(content).get(shape, {}).values())

@@ -179,6 +179,45 @@ def to_ring(poly: QPoly):
     return RING.from_dict({(poly.e + i, 0): c for i, c in enumerate(poly.c) if c})
 
 
+# -- the cell-by-cell tableau search, the reference of tableaux.charge_counts --
+
+def ssyt(shape: Partition, content: Partition) -> tuple[tuple[int, ...], ...]:
+    """All semistandard tableaux of the given shape and content, each as its reading word.
+
+    Rows weakly increase left to right, columns strictly increase downward,
+    value i appears content[i-1] times.  The word reads the rows left to
+    right, bottom row first, as ``charge`` takes it.
+    """
+    if shape.size != sum(content):
+        return ()
+    nvals = len(content)
+    remaining = list(content)
+    word = [0] * shape.size
+    found: list[tuple[int, ...]] = []
+    # (place in the word, places of the left and upper neighbours or -1), top row first
+    start = [sum(shape[i + 1:]) for i in range(len(shape))]
+    cells = [(start[i] + j, start[i] + j - 1 if j else -1, start[i - 1] + j if i else -1)
+             for i, p in enumerate(shape) for j in range(p)]
+
+    def fill(idx: int) -> None:
+        if idx == len(cells):
+            found.append(tuple(word))
+            return
+        at, left, up = cells[idx]
+        lo = word[left] if left >= 0 else 1
+        if up >= 0:
+            lo = max(lo, word[up] + 1)
+        for v in range(lo, nvals + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                word[at] = v
+                fill(idx + 1)
+                remaining[v - 1] += 1
+
+    fill(0)
+    return tuple(found)
+
+
 # -- substitution: an evaluator independent of the package's reversal and swap --
 
 def _eval_poly(poly, q_val: Field, t_val: Field) -> Field:

@@ -5,19 +5,22 @@ independent Gram-Schmidt construction of the P basis from the q-deformed
 power-sum inner product, so the tableau conventions cannot drift silently.
 """
 
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
 import field_route
 from references import (FIELD, ONE, ZERO, basis_convert, coef, dominates, e, field, from_poly, h,
-                        kf_table, lincomb, m, qpoch, render_field, subs, subs_coeffs, to_field,
-                        to_ring)
+                        kf_table, lincomb, m, qpoch, render_field, ssyt, subs, subs_coeffs,
+                        to_field, to_ring)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
-from deltaq.qfield import q, t
+from deltaq.qfield import QPoly, q, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import charge, kostka_number, ssyt
+from deltaq.tableaux import charge, charge_counts, kostka_number
 
 
 def transformed_H(mu) -> SymFunc:
@@ -109,7 +112,8 @@ class TestKostkaFoulkes:
         )
 
     def test_dense_table_matches_ring_counts(self):
-        # _kf_poly against q^charge summed in qfield.RING and against kf_table, |mu| <= 7
+        # _kf_column against q^charge over the reference's tableaux, summed in
+        # qfield.RING, and against kf_table, |mu| <= 7
         q_ring = qfield.RING.gens[0]
         for n in range(1, 8):
             table = kf_table(n)
@@ -117,12 +121,33 @@ class TestKostkaFoulkes:
                 for mu in partitions_of(n):
                     counted = sum((q_ring ** charge(word) for word in ssyt(lam, mu)),
                                   qfield.RING.zero)
-                    dense = to_ring(hl._kf_poly(lam, mu))
+                    dense = to_ring(hl._kf_column(mu).get(lam, QPoly()))
                     assert dense == counted == table[(lam, mu)].numer, (lam, mu)
 
+    def test_charge_counts_match_the_cell_by_cell_search(self):
+        # one walk per content against the reference's search per (shape, content)
+        for n in range(9):
+            for mu in partitions_of(n):
+                counts = charge_counts(mu)
+                assert all(counts.values()), mu
+                for lam in partitions_of(n):
+                    want = Counter(map(charge, ssyt(lam, mu)))
+                    assert counts.get(lam, Counter()) == want, (lam, mu)
+
+    def test_every_word_of_the_content_is_counted_once(self):
+        # RSK: the words of content mu are the pairs (P, Q) of a tableau P of
+        # content mu and a standard Q of the same shape, so
+        # sum_lam f^lam K_(lam,mu)(1) = n!/prod mu_i!, f^lam by the hook lengths
+        for n in range(11):
+            for mu in partitions_of(n):
+                total = sum(factorial(n) // prod(cell.hook for cell in lam.cell_stats())
+                            * sum(counts.values()) for lam, counts in charge_counts(mu).items())
+                assert total == factorial(n) // prod(map(factorial, mu)), mu
+
     def test_ssyt_words_cut_into_semistandard_tableaux(self):
-        # each word, cut into the rows of lam from the bottom, is a semistandard
-        # tableau of content mu; distinct words, as many as kostka_number counts
+        # each word of the reference search, cut into the rows of lam from the bottom,
+        # is a semistandard tableau of content mu; distinct words, as many as
+        # kostka_number counts
         for n in range(1, 7):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
@@ -243,7 +268,7 @@ class TestModifiedMacdonald:
                 assert basis_convert(hl.modified_macdonald_full(mu), "m") == mono, mu
 
     def test_filling_words_follow_sympys_multiset_order(self):
-        # filling_aggregates walks the words of 1..n by itertools.permutations; its
+        # _filling_counts walks the words of 1..n by itertools.permutations; its
         # letters are distinct, so the words and their order are sympy's multiset order
         for n in range(1, 8):
             words = [list(word) for word in hl.multiset_permutations(range(1, n + 1))]
@@ -254,14 +279,22 @@ class TestModifiedMacdonald:
             hl.modified_macdonald_full(Partition((7,)))
 
     def test_one_pass_over_the_words_matches_one_shape_at_a_time(self):
-        for n in range(1, 6):
-            shapes = partitions_of(n)
-            together = hl.filling_aggregates(shapes)
-            assert list(together) == list(shapes)
-            for mu in shapes:
-                assert together[mu] == hl.filling_aggregates([mu])[mu], mu
-        with pytest.raises(ValueError, match="one size"):
-            hl.filling_aggregates([Partition((2,)), Partition((1,))])
+        # every shape's straightened counts against a pass over the words for it alone
+        for n in range(6):
+            together = hl._filling_counts(n)
+            assert list(together) == list(partitions_of(n))
+            for mu, counts in together.items():
+                attack, descent = hl._shape_geometry(mu)
+                agg: dict = {}
+                for values in hl.multiset_permutations(range(1, n + 1)):
+                    slot = agg.setdefault(sf.inverse_descents(values), {})
+                    key = hl._filling_stats(values, attack, descent)
+                    slot[key] = slot.get(key, 0) + 1
+                assert counts == sf.straighten_aggregate(agg), mu
+
+    def test_empty_shape_is_one(self):
+        # H~ of the empty shape is s_() = 1; its one filling has the empty composition
+        assert hl.modified_macdonald_full(Partition()) == sf.s(())
 
 
 class TestOneParameterSpecializations:

@@ -346,6 +346,12 @@ class TestCli:
         assert rc == 0
         assert out == sf.render(hl.hl_P((2, 1)))
 
+    @pytest.mark.parametrize("what", ["P", "Q", "Htilde0", "Htilde"])
+    def test_expand_empty_partition(self, capsys, what):
+        rc = cli.main(["expand", "--what", what, "--mu", "[]"])
+        assert rc == 0
+        assert capsys.readouterr().out == "s[]*(1)\n"
+
     def test_expand_csv(self, capsys):
         rc = cli.main([
             "expand", "--what", "lhs_hook", "--params", "k=0,m=1,n=2", "--csv",
@@ -406,6 +412,12 @@ class TestCli:
          "invalid literal for int() with base 10: '+2'"),
         (["verify", "--id", "prop31", "--params", "k=0,m=\uff13,ell=2"],
          "invalid literal for int() with base 10: '\uff13'"),
+        (["expand", "--what", "P", "--mu", "[2, +1]"],
+         "invalid literal for int() with base 10: '+1'"),
+        (["verify", "--id", "thm43", "--params", "nu=[+1_0],j=2"],
+         "invalid literal for int() with base 10: '+1_0'"),
+        (["expand", "--what", "P", "--mu", "[\uff12]"],
+         "invalid literal for int() with base 10: '\uff12'"),
     ], ids=["htilde-size-7", "hook-outside-hypothesis", "malformed-mu", "pf-n-0",
             "deltaside-k-0", "htilde0-without-mu", "p-without-mu", "hook-without-n",
             "nu-without-params", "ghry-without-k", "nu-not-a-list", "hook-k-not-an-int",
@@ -414,7 +426,8 @@ class TestCli:
             "verify-mu-not-a-list", "verify-unknown-key", "verify-span-nu-size-max",
             "expand-unknown-key", "p-unknown-key", "ghry-k-0", "ghry-k-above-n",
             "rhs-nu-n-0", "pf-stats-n-0", "pf-stats-n-negative", "verify-int-with-underscore",
-            "verify-int-with-plus", "verify-full-width-digit"])
+            "verify-int-with-plus", "verify-full-width-digit", "mu-part-with-plus",
+            "verify-list-part-not-digits", "mu-full-width-digit"])
     def test_bad_input_exits_2(self, capsys, argv, message):
         rc = cli.main(argv)
         captured = capsys.readouterr()
