@@ -154,24 +154,19 @@ def _shape_geometry(mu: Partition):
 
     Rows are indexed French style, bottom row 0 the longest.  Reading order is
     top row first, left to right.  Cell u in row i attacks same-row cells to
-    its right and cells strictly left of it in the row below.
+    its right and cells strictly left of it in the row below.  Arm and leg
+    are those of ``Partition.cell_stats``.
     """
-    parts = tuple(mu)
-    conj = mu.conjugate()
-    length = len(parts)
-    cells = [(i, j) for i in range(length - 1, -1, -1) for j in range(parts[i])]
-    pos = {c: idx for idx, c in enumerate(cells)}
+    cells = sorted(mu.cell_stats(), key=lambda x: (-x.row, x.col))
+    pos = {(x.row, x.col): idx for idx, x in enumerate(cells)}
     attack: list[tuple[int, int]] = []
     descent: list[tuple[int, int, int, int]] = []  # (pos_u, pos_south, leg+1, arm)
-    for i, j in cells:
-        for j2 in range(j + 1, parts[i]):
-            attack.append((pos[(i, j)], pos[(i, j2)]))
+    for u, x in enumerate(cells):
+        i, j = x.row, x.col
+        attack.extend((u, pos[(i, j2)]) for j2 in range(j + 1, mu[i]))
         if i > 0:
-            for j2 in range(j):
-                attack.append((pos[(i, j)], pos[(i - 1, j2)]))
-            leg = conj[j] - 1 - i
-            arm = parts[i] - 1 - j
-            descent.append((pos[(i, j)], pos[(i - 1, j)], leg + 1, arm))
+            attack.extend((u, pos[(i - 1, j2)]) for j2 in range(j))
+            descent.append((u, pos[(i - 1, j)], x.leg + 1, x.arm))
     return tuple(attack), tuple(descent)
 
 

@@ -27,7 +27,9 @@ parking functions in a plain int F-aggregate {ides: {(q_exp, t_exp): count}}
 and passes it once to ``symfunc.from_fundamentals``, the one route from
 F-expansions to Schur functions.  The older monomial route's last step,
 ``_monomials_to_symfunc``, stays as the reference the tests check that route
-against; nothing in the package calls it.
+against; nothing in the package calls it.  It reads m_lam as the
+Hall-Littlewood P_lam at q = 1 (Macdonald, III.2), so it needs no Kostka
+matrix of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from math import factorial
 # bench/spans.py counts the permutations tried through parking.permutations
 from itertools import combinations, permutations  # noqa: F401
 
-from . import symfunc as sf
+from . import hall_littlewood as hl, qfield, symfunc as sf
 from .partition import Partition
 from .symfunc import SymFunc
 
@@ -158,10 +160,8 @@ class ParkingFunction:
         return count
 
     def word(self) -> tuple[int, ...]:
-        """Cars read by decreasing area, ties broken right to left (top row first)."""
-        a = self.path.areas
-        order = sorted(range(self.n), key=lambda i: (-a[i], -i))
-        return tuple(self.cars[i] for i in order)
+        """Cars in the reading order of their rows (``_reading_order``)."""
+        return tuple(self.cars[i] for i in _reading_order(self.path.areas))
 
     def ides(self) -> tuple[int, ...]:
         """Descent composition of the inverse of the reading word."""
@@ -172,6 +172,11 @@ class ParkingFunction:
         """Every parking function on the path, cars in lexicographic order."""
         return tuple(ParkingFunction(path, cars)
                      for cars in _block_shuffles(path.run_sizes(), tuple(range(1, path.n + 1))))
+
+
+def _reading_order(areas: tuple[int, ...]) -> list[int]:
+    """The rows by decreasing area, ties broken right to left (top row first)."""
+    return sorted(range(len(areas)), key=lambda i: (-areas[i], -i))
 
 
 def parking_count(n: int) -> int:
@@ -211,7 +216,7 @@ def car_counts(areas: tuple[int, ...], q_zero: bool = False) -> dict[int, int]:
     n = len(areas)
     a = areas
     read = [0] * n  # position in the reading order of ParkingFunction.word
-    for pos, row in enumerate(sorted(range(n), key=lambda i: (-a[i], -i))):
+    for pos, row in enumerate(_reading_order(a)):
         read[row] = pos
     below = [1 << (x - 1) if x and a[x] == a[x - 1] + 1 else 0 for x in range(n)]
     pairs = [sum(1 << i for i in range(n)
@@ -268,11 +273,18 @@ def _monomials_to_symfunc(mono: dict[tuple[int, ...], dict], degree: int) -> Sym
             raise AsymmetricAggregateError(f"asymmetric at exponent vector {expvec}")
         present[key] = present.get(key, 0) + 1
     nvars = len(next(iter(mono))) if mono else degree
-    for lam in by_partition:
+    out: dict[Partition, dict] = {}
+    for lam, counts in by_partition.items():
         # symmetry check: every distinct rearrangement must be present
         if _rearrangement_count(lam, nvars) != present[lam]:
             raise AsymmetricAggregateError(f"missing rearrangements of {lam}")
-    return sf.sym(by_partition)
+        # m_lam is P_lam at q = 1, so its Schur coefficients are the P table's at q = 1
+        for mu, poly in hl._p_table(degree)[lam].items():
+            if base_c := sum(poly.c):
+                slot = out.setdefault(mu, {})
+                for key, c in counts.items():
+                    slot[key] = slot.get(key, 0) + c * base_c
+    return SymFunc({mu: qfield.Coef(counts) for mu, counts in out.items()})
 
 
 def _rearrangement_count(lam: Partition, nvars: int) -> int:

@@ -5,8 +5,8 @@ one homogeneous degree per function, each coefficient a ``qfield.Coef``
 built once, and ``render`` writes that expansion as text, the package's one
 output format.  A ``SymFunc`` has no arithmetic: each route sums its
 coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function,
-and ``sym`` a function given in the monomial basis by integer counts, through
-the inverse Kostka matrix (``parking``'s monomial route is its one caller).
+and ``unitriangular_inverse`` is the one back substitution, which
+``hall_littlewood`` runs on the Kostka-Foulkes matrix.
 
 The t=0 operator sides and thm43 stay in ZZ[q, 1/q] instead, each
 coefficient one ``qfield.QPoly``:
@@ -32,7 +32,6 @@ from math import factorial
 
 from . import qfield
 from .partition import Partition, partitions_of
-from .tableaux import kostka_number
 
 Coef = qfield.Coef
 
@@ -122,14 +121,15 @@ def _as_partition(x) -> Partition:
     return Partition(x)
 
 
-# -- other bases into the Schur basis -----------------------------------------
+# -- the back substitution and Schur functions ------------------------------
 
 def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
     """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
 
     ``entry(a, b)`` is 1 in its ring at b = a and zero unless b follows a in
-    ``partitions_of`` order, which refines dominance (Kostka matrices, integer
-    or Kostka-Foulkes).  Back substitution: row a = e_a - sum_b entry(a, b) row b.
+    ``partitions_of`` order, which refines dominance: the Kostka-Foulkes
+    matrix K(q), whose inverse is ``hall_littlewood._p_table``.
+    Back substitution: row a = e_a - sum_b entry(a, b) row b.
     """
     order = partitions_of(n)
     out: dict[Partition, dict[Partition, object]] = {}
@@ -147,28 +147,6 @@ def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, obje
                         row.pop(lam, None)
         out[a] = row
     return out
-
-
-@lru_cache(maxsize=None)
-def _inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
-    """The monomial basis in Schur functions: m_mu = sum_lam c[mu][lam] s_lam."""
-    return unitriangular_inverse(n, kostka_number)
-
-
-def sym(terms) -> SymFunc:
-    """A SymFunc from its monomial expansion {lam: {(a, b): c}}, m_lam times sum c q^a t^b.
-
-    The integer counts of each s_mu are summed by the inverse Kostka matrix
-    and become one ``Coef``, as in ``from_fundamentals``.
-    """
-    out: dict[Partition, dict[tuple[int, int], int]] = {}
-    for lam, counts in dict(terms).items():
-        lam = _as_partition(lam)
-        for mu, base_c in _inverse_kostka(lam.size)[lam].items():
-            slot = out.setdefault(mu, {})
-            for key, c in counts.items():
-                slot[key] = slot.get(key, 0) + c * base_c
-    return SymFunc({mu: qfield.Coef(counts) for mu, counts in out.items()})
 
 
 def s(lam) -> SymFunc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .partition import Partition
 
@@ -74,7 +73,3 @@ def charge(word) -> int:
             del w[j]
     return total
 
-
-@lru_cache(maxsize=None)
-def kostka_number(shape: Partition, content: Partition) -> int:
-    return sum(charge_counts(content).get(shape, {}).values())

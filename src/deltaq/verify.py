@@ -453,10 +453,7 @@ SUITES: dict[str, tuple[str, ...]] = {
     "consistency": ("wmu_consistency",),
     "span": ("span_dim",),
 }
-SUITES["all"] = tuple(i for name in
-                      ("qbinom", "hook", "kernels", "nu", "t0-delta",
-                       "q0-delta", "consistency", "span")
-                      for i in SUITES[name])
+SUITES["all"] = tuple(i for ids in SUITES.values() for i in ids)
 
 
 def run_one(identity_id: str, params: dict) -> IdentityReport:

@@ -17,7 +17,7 @@ from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import FIELD, RING, QPoly, q, qbinom_poly, qpoch_poly, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import kostka_number
+from deltaq.tableaux import charge_counts
 
 #: element type of Q(q,t), and its zero and one
 Field = type(q)
@@ -140,11 +140,27 @@ def one() -> SymFunc:
     return SymFunc({Partition(): ONE})
 
 
+@lru_cache(maxsize=None)
+def _kostka_column(content: Partition) -> dict[Partition, int]:
+    """{shape: number of semistandard tableaux of that shape and content}, one walk."""
+    return {shape: sum(counts.values()) for shape, counts in charge_counts(content).items()}
+
+
+def kostka_number(shape: Partition, content: Partition) -> int:
+    """The Kostka number K_(shape,content), K(q) at q = 1."""
+    return _kostka_column(content).get(shape, 0)
+
+
+@lru_cache(maxsize=None)
+def inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
+    """The monomial basis in Schur functions: m_mu = sum_lam c[mu][lam] s_lam."""
+    return sf.unitriangular_inverse(n, kostka_number)
+
+
 def h(lam) -> SymFunc:
     """The complete symmetric function h_lam = sum_mu K_(mu,lam) s_mu, by Kostka numbers."""
     lam = sf._as_partition(lam)
-    return SymFunc({mu: coef(kn) for mu in partitions_of(lam.size)
-                    if (kn := kostka_number(mu, lam))})
+    return SymFunc({mu: coef(kn) for mu, kn in _kostka_column(lam).items()})
 
 
 def e(lam) -> SymFunc:
@@ -305,7 +321,7 @@ def from_power(terms) -> SymFunc:
 def sym(basis: str, terms) -> SymFunc:
     """An expansion in the basis m, e, h or p.
 
-    p goes through ``from_power``, m (by ``symfunc.sym``), h and e term by term.
+    p goes through ``from_power``, m (by ``inverse_kostka``), h and e term by term.
     """
     if basis == "p":
         return from_power(terms)
@@ -318,8 +334,9 @@ def p(lam) -> SymFunc:
 
 
 def m(lam) -> SymFunc:
-    """The monomial symmetric function m_lam, by ``symfunc.sym``, over Q(q,t)."""
-    return field(sf.sym({lam: {(0, 0): 1}}))
+    """The monomial symmetric function m_lam, by ``inverse_kostka``, over Q(q,t)."""
+    lam = sf._as_partition(lam)
+    return SymFunc({mu: coef(c) for mu, c in inverse_kostka(lam.size)[lam].items()})
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +364,7 @@ def basis_convert(f: SymFunc, basis: str) -> dict[Partition, Field]:
     out: dict[Partition, Field] = {}
     if basis == "h":
         # f = sum_mu a_mu h_mu with h_mu = sum_lam K_(lam,mu) s_lam, so a = K^-1 f
-        for mu, row in sf._inverse_kostka(next(iter(f.terms)).size).items():
+        for mu, row in inverse_kostka(next(iter(f.terms)).size).items():
             val = sum((c * f.terms[lam] for lam, c in row.items() if lam in f.terms), ZERO)
             if val:
                 out[mu] = val

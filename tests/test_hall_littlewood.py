@@ -13,14 +13,14 @@ from sympy.utilities.iterables import multiset_permutations
 
 import field_route
 from references import (FIELD, ONE, ZERO, basis_convert, coef, dominates, e, field, from_poly, h,
-                        kf_table, lincomb, m, qpoch, render_field, ssyt, subs, subs_coeffs,
-                        to_field, to_ring)
+                        inverse_kostka, kf_table, kostka_number, lincomb, m, qpoch, render_field,
+                        ssyt, subs, subs_coeffs, to_field, to_ring)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import QPoly, q, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import charge, charge_counts, kostka_number
+from deltaq.tableaux import charge, charge_counts
 
 
 def transformed_H(mu) -> SymFunc:
@@ -175,6 +175,13 @@ class TestHallLittlewoodP:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 assert subs_coeffs(hl.hl_P(mu), q_image=ONE) == m(mu)
+
+    def test_p_table_at_one_is_the_inverse_kostka_matrix(self):
+        # P_mu at q = 1 is m_mu, the route of parking._monomials_to_symfunc
+        for n in range(9):
+            at_one = {mu: {lam: v for lam, c in row.items() if (v := sum(c.c))}
+                      for mu, row in hl._p_table(n).items()}
+            assert at_one == inverse_kostka(n), n
 
     def test_p_table_matches_ring_back_substitution(self):
         # every entry of the dense table against the same back substitution over
