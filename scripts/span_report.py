@@ -28,6 +28,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (1 <= args.nmin <= args.nmax):
         parser.error("need 1 <= nmin <= nmax")
+    if args.nu_size_max is not None and args.nu_size_max < 1:
+        parser.error("need nu-size-max >= 1")
     print(f"{'n':>3} {'rank':>5} {'p(n)':>5} {'images':>7} {'full?':>6} {'time':>8}")
     for n in range(args.nmin, args.nmax + 1):
         started = time.perf_counter()

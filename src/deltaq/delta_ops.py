@@ -45,7 +45,7 @@ The central objects:
   ``h_plethysm`` is h_n[X(1-q^u)] by ``symfunc.plethysm_one_minus_q`` read at q^u.
 * ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
   (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
-  computed from integer filling counts without a field operation.
+  taken as the rank of their eigenvalues s_nu[B_mu], with no H~_mu or weight.
   ``span_dimension_report`` is the exact reference, by fraction-free
   elimination over ZZ[q,t] (``qfield.RING``, sympy's, as for ``delta_full``).
 """
@@ -486,9 +486,9 @@ def rhs_nu(nu, n: int) -> SymFunc:
 
 # -- span of plain-Delta images ------------------------------------------------------
 
-#: The prime of the rank at a point, and the points (q, t) tried in order.
+#: The prime of the rank at a point, and the point (q, t) it is taken at.
 SPAN_PRIME = 2**61 - 1
-SPAN_POINTS = ((123456789, 987654321), (314159265, 271828182), (161803398, 141421356))
+SPAN_POINT = (123456789, 987654321)
 
 
 def point_label(point: tuple[int, int]) -> str:
@@ -518,8 +518,11 @@ def _feed(n: int, nu_size_max: int | None, image: Callable[[Partition], list],
     ``image(nu)`` is the image's row over the basis partitions_of(n) and
     ``reduce(vec, rows)`` reduces it against the stored (pivot column, row)
     pairs.  Feeding stops once the span is full, so nu_count then reports how
-    many images were examined, not the whole sweep size.
+    many images were examined, not the whole sweep size.  A nu_size_max
+    below 1 feeds no image and is a ValueError.
     """
+    if nu_size_max is not None and nu_size_max < 1:
+        raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
     basis = partitions_of(n)
     rows: list[tuple[int, list]] = []  # (pivot column, row) in insertion order
     count = 0
@@ -563,64 +566,38 @@ def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
     return _feed(n, nu_size_max, image, reduce)
 
 
-def delta_images_at_point(n: int, point: tuple[int, int]) -> Callable[[Partition], list[int]] | None:
-    """nu -> Delta_{s_nu} e_n at (q,t) = point mod SPAN_PRIME, a row over partitions_of(n).
+def _eigenvalue_rows(n: int, point: tuple[int, int]) -> Callable[[Partition], list[int]]:
+    """nu -> [s_nu[B_mu] for mu in partitions_of(n)] at (q,t) = point mod SPAN_PRIME.
 
-    The image is sum_mu s_nu[B_mu] (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu.  At
-    the point, H~_mu comes from its integer Schur counts of the fillings,
-    s_nu[B_mu] from sum_rho chi^nu(rho)/z_rho p_rho[B_mu] with the power sums
-    of the cell monomials (p > n, so every z_rho is a unit), and the weights
-    from their cell formulas.  None when some w_mu vanishes mod p there.
+    s_nu = sum_rho chi^nu(rho)/z_rho p_rho (p > |nu|, so z_rho is a unit), and
+    p_k[B_mu] = sum q^(col k) t^(row k) over the cells of mu, built once per k.
     """
-    p = SPAN_PRIME
-    a, b = point
-    shapes = basis = partitions_of(n)
-    weights = {mu: hl.macdonald_weights(mu, point) for mu in shapes}
-    if any(w % p == 0 for _, w in weights.values()):
-        return None
-    # inv, maj <= n(n+1)/2 and the power-sum exponents are below n^2
-    apow = [pow(a, e, p) for e in range(n * n + 1)]
-    bpow = [pow(b, e, p) for e in range(n * n + 1)]
-    # (1-q)(1-t) Pi'_mu B_mu / w_mu H~_mu as a row over the basis
-    scaled = {}
-    for mu, counts in hl._filling_counts(n).items():
-        weight, w = weights[mu]
-        scale = weight * pow(w, -1, p)
-        row = [sum(k * apow[i] * bpow[j] for (i, j), k in counts.get(lam, {}).items())
-               for lam in basis]
-        scaled[mu] = [scale * v % p for v in row]
-    # p_k[B_mu] for k = 1..n
-    power = {mu: [0] + [sum(apow[j * k] * bpow[i * k] for i, j in mu.cells()) % p
-                        for k in range(1, n + 1)]
-             for mu in shapes}
+    p, (a, b) = SPAN_PRIME, point
+    cells = [tuple(mu.cells()) for mu in partitions_of(n)]
+    power: list[list[int]] = [[]]  # power[k][i] = p_k[B_mu], mu the i-th shape
 
-    def image(nu: Partition) -> list[int]:
-        # s_nu = sum_rho chi^nu(rho)/z_rho p_rho
+    def row(nu: Partition) -> list[int]:
+        for k in range(len(power), nu.size + 1):
+            power.append([sum(pow(a, j * k, p) * pow(b, i * k, p) for i, j in shape) % p
+                          for shape in cells])
         classes = [(rho, chi * pow(sf.zee(rho), -1, p)) for rho in partitions_of(nu.size)
                    if (chi := sf.character(nu, rho))]
-        vec = [0] * len(basis)
-        for mu in shapes:
-            eig = 0
-            for rho, c in classes:
-                for k in rho:
-                    c = c * power[mu][k] % p
-                eig += c
-            vec = [(v + eig * h) % p for v, h in zip(vec, scaled[mu])]
-        return vec
+        return [sum(c * prod(power[k][i] for k in rho) for rho, c in classes) % p
+                for i in range(len(cells))]
 
-    return image
+    return row
 
 
 def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
-    """Rank the plain-Delta images of e_n at one point of GF(p)^2, p = SPAN_PRIME.
+    """Rank the plain-Delta images of e_n at the point SPAN_POINT of GF(p)^2, p = SPAN_PRIME.
 
-    The images come from ``delta_images_at_point`` at the first point of
-    SPAN_POINTS where no w_mu vanishes mod p (ValueError if there is none),
-    and are fed and reduced in the order of ``span_dimension_report``.
-
-    The images lie in ZZ[q, t, 1/n!, 1/prod_mu w_mu], which maps onto GF(p)
-    at every such point.  A minor that is nonzero there is nonzero over
-    Q(q,t), so the rank at the point is a lower bound on the exact rank.
+    Delta_{s_nu} e_n = sum_mu s_nu[B_mu] c_mu H~_mu, with the H~_mu (mu |- n) a
+    basis over Q(q,t) and every c_mu = (1-q)(1-t) Pi'_mu B_mu / w_mu nonzero,
+    so the images have the rank of [s_nu[B_mu]]_(nu,mu).  Its rows
+    (``_eigenvalue_rows``) are fed and reduced in the order of
+    ``span_dimension_report``.  Its entries lie in ZZ[q,t], so no point is
+    unusable, and a minor nonzero at the point mod p is nonzero over Q(q,t):
+    the rank at the point is a lower bound on the exact rank.
     """
     p = SPAN_PRIME
 
@@ -631,9 +608,4 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
                 vec = [(piv * v - lead * r) % p for v, r in zip(vec, row)]
         return vec
 
-    for point in SPAN_POINTS:
-        image = delta_images_at_point(n, point)
-        if image is not None:
-            return _feed(n, nu_size_max, image, reduce, point=point)
-    raise ValueError("some w_mu vanishes at every point: "
-                     + "; ".join(point_label(pt) for pt in SPAN_POINTS))
+    return _feed(n, nu_size_max, _eigenvalue_rows(n, SPAN_POINT), reduce, point=SPAN_POINT)

@@ -12,15 +12,15 @@ after ``qfield.reverse``, which reverses coefficients instead of substituting
 Haglund-Haiman-Loehr inv/maj formula over the n! standard fillings:
 ``_filling_counts(n)`` counts them for every mu |- n in one pass over the n!
 words into Schur counts with integer coefficients in q,t, which
-``modified_macdonald_full`` and ``delta_ops.span_rank_at_point`` (mod p)
-read; ``macdonald_weights`` writes H~_mu's coefficient in e_n as a pair
-(numerator, w_mu).  The specialization H~_mu(X;q,0), which
-``deltaq expand --what Htilde0`` prints and ``delta_ops`` sums by length from
-the Kostka-Foulkes table, has the cocharge coefficients q^n(mu) K_(lam,mu)(1/q).
-Its weight w_t0, in closed form and as a cell product, and the P-to-Q
-normalization ``b_factor`` are each one ``QPoly``: the weights are Laurent
-polynomials in q, which ``verify`` compares by ``==``, and ``hl_Q``
-multiplies ``b_factor`` into each coefficient of P_mu.
+``modified_macdonald_full`` reads for ``delta_ops.delta_full``;
+``macdonald_weights`` writes H~_mu's coefficient in e_n as a pair
+(numerator, w_mu) in ZZ[q,t], cached by shape.  The specialization
+H~_mu(X;q,0), which ``deltaq expand --what Htilde0`` prints and ``delta_ops``
+sums by length from the Kostka-Foulkes table, has the cocharge coefficients
+q^n(mu) K_(lam,mu)(1/q).  Its weight w_t0, in closed form and as a cell
+product, and the P-to-Q normalization ``b_factor`` are each one ``QPoly``:
+the weights are Laurent polynomials in q, which ``verify`` compares by
+``==``, and ``hl_Q`` multiplies ``b_factor`` into each coefficient of P_mu.
 """
 
 from __future__ import annotations
@@ -127,21 +127,17 @@ def w_t0_cell_product(mu) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def macdonald_weights(mu, at=None) -> tuple:
-    """((1-q)(1-t) Pi'_mu B_mu, w_mu) by their cell formulas, with (q, t) set to ``at``.
+def macdonald_weights(mu: Partition) -> tuple:
+    """((1-q)(1-t) Pi'_mu B_mu, w_mu) in ``qfield.RING`` = ZZ[q,t] by their cell formulas.
 
-    Their quotient is H~_mu's coefficient in e_n.  Without ``at`` both are
-    polynomials in ``qfield.RING`` = ZZ[q,t]; at a pair of ints they are the
-    exact integer values of the same formulas.  Cached by (mu, at).
+    Their quotient is H~_mu's coefficient in e_n.  Cached by shape.
     """
-    mu = Partition(mu)
-    qv, tv = qfield.RING.gens if at is None else at
-    one = qv**0
-    b, numer, w = one - one, (one - qv) * (one - tv), one
+    qv, tv = qfield.RING.gens
+    b, numer, w = qfield.RING.zero, (1 - qv) * (1 - tv), qfield.RING.one
     for i, j in mu.cells():
         b += qv**j * tv**i
         if (i, j) != (0, 0):
-            numer *= one - qv**j * tv**i
+            numer *= 1 - qv**j * tv**i
     for cell in mu.cell_stats():
         w *= (qv**cell.arm - tv ** (cell.leg + 1)) * (tv**cell.leg - qv ** (cell.arm + 1))
     return numer * b, w

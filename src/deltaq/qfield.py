@@ -23,7 +23,9 @@ poly(1/q) by reversing the coefficients instead of substituting 1/q, and
 
 ``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
 the package's one output format for coefficients, and ``render_poly``
-writes a ``QPoly`` as that same text in one pass; nothing reads it back.
+writes a ``QPoly`` as that same text without building the ``Coef``; both
+go through one term writer, ``_write``, with the monomial texts cached.
+Nothing reads the text back.
 
 Only the two-parameter route of ``delta_ops`` uses sympy: ``FIELD`` = Q(q,t),
 ``RING`` = ZZ[q,t] and their generators ``q``, ``t`` are built on first
@@ -402,52 +404,51 @@ ONE = from_poly(QPoly([1]))
 
 # -- rendering -----------------------------------------------------------------
 
-def _poly_str(terms) -> str:
-    """sum c q^i t^j over the items ((i, j), c) of terms, in their order; "0" for none."""
+@lru_cache(maxsize=None)
+def _power(i: int, j: int) -> str:
+    """The text of the monomial q^i t^j, i, j >= 0: 'q^2*t', 'q', ...; '' for 1."""
+    return "*".join(x if k == 1 else f"{x}^{k}" for x, k in (("q", i), ("t", j)) if k)
+
+
+@lru_cache(maxsize=None)
+def _q_powers(n: int) -> tuple[str, ...]:
+    """The texts of q^0 .. q^(n-1)."""
+    return tuple(_power(k, 0) for k in range(n))
+
+
+def _write(terms, den: str) -> str:
+    """sum c m over the pairs (m, c) of terms in order, zero c skipped, over the monomial den.
+
+    "0" for no term, and den "" is 1.  Over any other den the numerator is
+    bracketed unless it is one term with a positive coefficient.
+    """
     pieces = []
-    for (i, j), c in terms:
-        power = ("q" if i == 1 else f"q^{i}") if i else ""
-        if j:
-            power = f"{power}*t" if power else "t"
-            power += f"^{j}" if j > 1 else ""
-        a = abs(c)
-        text = (power if a == 1 else f"{a}*{power}") if power else str(a)
-        pieces.append(f" - {text}" if c < 0 else f" + {text}")
+    for power, c in terms:
+        if c:
+            v = -c if c < 0 else c
+            text = (power if v == 1 else f"{v}*{power}") if power else str(v)
+            pieces.append(f" - {text}" if c < 0 else f" + {text}")
     text = "".join(pieces) or " + 0"
-    return text[3:] if text[1] == "+" else f"-{text[3:]}"
+    num = text[3:] if text[1] == "+" else f"-{text[3:]}"
+    if not den:
+        return num
+    return f"{num}/{den}" if len(pieces) == 1 and text[1] == "+" else f"({num})/{den}"
 
 
 def render(f: Coef) -> str:
     """Canonical string form of f as an element of Q(q,t), e.g. '(q^3 - 2*t)/(q*t^2)'.
 
     The numerator is f times the least monomial q^a t^b that leaves no
-    negative exponent, and q^a t^b is the denominator, unless it is 1.  The
-    numerator is bracketed unless it is one term with a positive coefficient.
+    negative exponent, and q^a t^b is the denominator, unless it is 1.
     """
     terms = f.terms
     a = max(0, -min((i for (i, _), _ in terms), default=0))
     b = max(0, -min((j for (_, j), _ in terms), default=0))
-    if not (a or b):
-        return _poly_str(terms)
-    num = _poly_str(((i + a, j + b), c) for (i, j), c in terms)
-    if len(terms) > 1 or terms[0][1] < 0:
-        num = f"({num})"
-    return f"{num}/{_poly_str((((a, b), 1),))}"
+    return _write([(_power(i + a, j + b), c) for (i, j), c in terms], _power(a, b))
 
 
 def render_poly(poly: QPoly) -> str:
-    """``render(from_poly(poly))``, written in one pass: q^-e is the denominator when e < 0."""
+    """``render(from_poly(poly))`` without the ``Coef``: q^-e is the denominator when e < 0."""
     c, e = poly.c, poly.e
     low = max(e, 0)
-    pieces = []
-    for k in range(len(c) - 1 + low, low - 1, -1):
-        if v := c[k - low]:
-            a, power = (-v if v < 0 else v), (f"q^{k}" if k > 1 else "q" if k else "")
-            text = (power if a == 1 else f"{a}*{power}") if power else str(a)
-            pieces.append(f" - {text}" if v < 0 else f" + {text}")
-    text = "".join(pieces) or " + 0"
-    num = text[3:] if text[1] == "+" else f"-{text[3:]}"
-    if e >= 0:
-        return num
-    den = f"q^{-e}" if e < -1 else "q"
-    return f"{num}/{den}" if len(c) == 1 and c[0] > 0 else f"({num})/{den}"  # one positive term
+    return _write(zip(reversed(_q_powers(low + len(c))[low:]), reversed(c)), _power(low - e, 0))

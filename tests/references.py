@@ -105,14 +105,35 @@ def _is_bare_term(poly) -> bool:
     return len(terms) == 1 and int(terms[0][1]) > 0
 
 
+def _ring_text(poly) -> str:
+    """A polynomial of ``RING`` written out term by term from the top, e.g. 'q^2*t - 3'."""
+    text = ""
+    for (i, j), c in poly.terms():
+        c = int(c)
+        factors = []
+        if i:
+            factors.append("q" if i == 1 else f"q^{i}")
+        if j:
+            factors.append("t" if j == 1 else f"t^{j}")
+        monomial = "*".join(factors)
+        if not monomial:
+            body = str(abs(c))
+        else:
+            body = monomial if abs(c) == 1 else f"{abs(c)}*{monomial}"
+        text += (" - " if c < 0 else " + ") + body
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
 def render_field(f: Field) -> str:
     """Canonical string form of a field element, e.g. '(q^3 - q^2 + 1)/(q - 1)'."""
-    num = qfield._poly_str((key, int(c)) for key, c in f.numer.terms())
+    num = _ring_text(f.numer)
     if f.denom == RING.one:
         return num
     if not _is_bare_term(f.numer):
         num = f"({num})"
-    den = qfield._poly_str((key, int(c)) for key, c in f.denom.terms())
+    den = _ring_text(f.denom)
     if not _is_bare_term(f.denom):
         den = f"({den})"
     return f"{num}/{den}"

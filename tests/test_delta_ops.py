@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import field_route
 import references
-from references import (FIELD, ONE, ZERO, coef, field, from_poly, is_canonical, lincomb, subs,
+from references import (FIELD, ONE, ZERO, field, from_poly, is_canonical, lincomb,
                         subs_coeffs, to_field)
-from deltaq import delta_ops as d, hall_littlewood as hl, qfield, symfunc as sf
+from deltaq import delta_ops as d, qfield, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import Coef, QPoly, q, t
@@ -438,45 +438,38 @@ class TestSpan:
         for s, expected in enumerate(self.SPAN_REPORTS[n], start=1):
             r = d.span_rank_at_point(n, s)
             assert (r.nu_count, r.rank, r.dim) == expected, (n, s)
-            assert r.point == d.SPAN_POINTS[0]
+            assert r.point == d.SPAN_POINT
 
-    def test_point_with_vanishing_weight_is_skipped(self, monkeypatch):
-        # at q = t = 1 the cell factor q^arm - t^(leg+1) of every w_mu is 0
-        assert hl.macdonald_weights(Partition((2, 1)), (1, 1))[1] == 0
-        second = d.SPAN_POINTS[0]
-        monkeypatch.setattr(d, "SPAN_POINTS", ((1, 1), second))
-        r = d.span_rank_at_point(5)
-        assert (r.nu_count, r.rank, r.dim, r.point) == (12, 7, 7, second)
+    # (nu_count, rank, dim) at n = 6..9, as ranked at the point from the images themselves,
+    # with H~_mu from its fillings: an independent route to the same numbers
+    POINT_REPORTS = {6: (19, 11, 11), 7: (30, 15, 15), 8: (45, 22, 22), 9: (67, 30, 30)}
 
-    def test_no_usable_point_raises(self, monkeypatch):
-        monkeypatch.setattr(d, "SPAN_POINTS", ((1, 1), (0, 0)))
-        with pytest.raises(ValueError, match=r"\(q,t\) = \(0, 0\) mod 2\^61-1"):
-            d.span_rank_at_point(4)
+    @pytest.mark.parametrize("n", sorted(POINT_REPORTS))
+    def test_point_route_frozen_ranks(self, n):
+        r = d.span_rank_at_point(n)
+        assert (r.nu_count, r.rank, r.dim) == self.POINT_REPORTS[n]
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_images_at_point_are_the_field_images_there(self, n):
-        p, (a, b) = d.SPAN_PRIME, d.SPAN_POINTS[0]
+    def test_rows_at_point_are_the_cell_eigenvalues_there(self, n):
+        p, (a, b) = d.SPAN_PRIME, d.SPAN_POINT
 
         def at_point(poly):
             return sum(c * pow(a, i, p) * pow(b, j, p) for (i, j), c in poly.terms()) % p
 
-        image = d.delta_images_at_point(n, (a, b))
-        for nu in small_nus(n + 1):
-            terms = d.delta_full(sf.s(nu), n, prime=False).terms
-            exact = [at_point(c.numer) * pow(at_point(c.denom), -1, p) % p if c else 0
-                     for c in (coef(terms.get(lam, qfield.ZERO)) for lam in partitions_of(n))]
-            assert image(nu) == exact, nu
-
-    def test_weights_at_a_point_are_the_field_weights_there(self):
-        point = d.SPAN_POINTS[0]
-        for mu in partitions_of(5):
-            exact, at = hl.macdonald_weights(mu), hl.macdonald_weights(mu, point)
-            for name, poly, value in zip(("numerator", "w"), exact, at):
-                value_there = subs(FIELD(poly), q_image=point[0], t_image=point[1])
-                assert value_there == coef(value), (mu, name)
+        row = d._eigenvalue_rows(n, (a, b))
+        for nu in small_nus(n + 2):
+            exact = [at_point(d._cell_eigenvalue({nu: qfield.RING.one}, mu, prime=False))
+                     for mu in partitions_of(n)]
+            assert row(nu) == exact, nu
 
     def test_restricted_nu_range(self):
         # with only |nu| = 1 available the span cannot fill degree 3
         report = d.span_dimension_report(3, nu_size_max=1)
         assert report.rank == 1
         assert report.nu_count == 1
+
+    @pytest.mark.parametrize("nu_size_max", [0, -3])
+    def test_nu_size_max_below_one_raises(self, nu_size_max):
+        for route in (d.span_dimension_report, d.span_rank_at_point):
+            with pytest.raises(ValueError, match="need nu_size_max >= 1"):
+                route(4, nu_size_max)
