@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Report the rank of span{ Delta_{s_nu} e_n } against the ambient dimension p(n).
 
-Ranks are computed by exact fraction-free elimination over ZZ[q,t], feeding
-images in increasing |nu| and stopping once the span is full.  This is the
-exact reference: ``deltaq verify --id span_dim`` certifies the rank at a
-point mod 2^61-1 instead (``delta_ops.span_rank_at_point``).
+Each rank is taken at the point (q,t) = (123456789, 987654321) mod 2^61-1
+(``delta_ops.point_label(SPAN_POINT)``) by ``delta_ops.span_rank_at_point``,
+the route ``deltaq verify --id span_dim`` certifies with, feeding images in
+increasing |nu| and stopping once the span is full.  The rank at the point is
+a lower bound on the rank over Q(q,t), and it never exceeds p(n), so
+"full? yes" certifies rank = p(n); "no" proves nothing.
 
 Examples:
     python scripts/span_report.py
@@ -20,7 +22,8 @@ from deltaq import delta_ops
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--nmin", type=int, default=2)
     parser.add_argument("--nmax", type=int, default=5)
     parser.add_argument("--nu-size-max", type=int, default=None,
@@ -33,7 +36,7 @@ def main(argv=None) -> int:
     print(f"{'n':>3} {'rank':>5} {'p(n)':>5} {'images':>7} {'full?':>6} {'time':>8}")
     for n in range(args.nmin, args.nmax + 1):
         started = time.perf_counter()
-        report = delta_ops.span_dimension_report(n, args.nu_size_max)
+        report = delta_ops.span_rank_at_point(n, args.nu_size_max)
         elapsed = time.perf_counter() - started
         print(
             f"{report.n:>3} {report.rank:>5} {report.dim:>5} {report.nu_count:>7} "

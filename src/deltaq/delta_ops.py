@@ -45,9 +45,9 @@ The central objects:
   ``h_plethysm`` is h_n[X(1-q^u)] by ``symfunc.plethysm_one_minus_q`` read at q^u.
 * ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
   (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
-  taken as the rank of their eigenvalues s_nu[B_mu], with no H~_mu or weight.
-  ``span_dimension_report`` is the exact reference, by fraction-free
-  elimination over ZZ[q,t] (``qfield.RING``, sympy's, as for ``delta_full``).
+  taken as the rank of their eigenvalues s_nu[B_mu], with no H~_mu or weight,
+  each row one weighted sum of the vectors p_rho[B_mu] built once per call.
+  It is the one rank route; only ``delta_full`` uses sympy (``qfield.RING``).
 """
 
 from __future__ import annotations
@@ -498,92 +498,48 @@ def point_label(point: tuple[int, int]) -> str:
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max }.
+    """Rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max } at ``point``.
 
-    ``point`` is None for the exact rank over Q(q,t), else the point (q, t) of
-    GF(SPAN_PRIME)^2 the rank was taken at.
+    ``point`` is the point (q, t) of GF(SPAN_PRIME)^2 the rank was taken at, so
+    ``rank`` is a lower bound on the rank over Q(q,t).
     """
 
     n: int
     nu_count: int
     rank: int
     dim: int  # number of partitions of n, the ambient dimension
-    point: tuple[int, int] | None = None
-
-
-def _feed(n: int, nu_size_max: int | None, image: Callable[[Partition], list],
-          reduce: Callable[[list, list], list], point=None) -> SpanReport:
-    """Feed the images of s_nu, |nu| = 1..nu_size_max in partitions_of order, to an echelon form.
-
-    ``image(nu)`` is the image's row over the basis partitions_of(n) and
-    ``reduce(vec, rows)`` reduces it against the stored (pivot column, row)
-    pairs.  Feeding stops once the span is full, so nu_count then reports how
-    many images were examined, not the whole sweep size.  A nu_size_max
-    below 1 feeds no image and is a ValueError.
-    """
-    if nu_size_max is not None and nu_size_max < 1:
-        raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
-    basis = partitions_of(n)
-    rows: list[tuple[int, list]] = []  # (pivot column, row) in insertion order
-    count = 0
-    for size in range(1, (n if nu_size_max is None else nu_size_max) + 1):
-        for nu in partitions_of(size):
-            if len(rows) == len(basis):
-                break
-            count += 1
-            vec = reduce(image(nu), rows)
-            col = next((j for j, v in enumerate(vec) if v), None)
-            if col is not None:
-                rows.append((col, vec))
-    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=len(basis), point=point)
-
-
-def span_dimension_report(n: int, nu_size_max: int | None = None) -> SpanReport:
-    """Rank the plain-Delta images of e_n by fraction-free elimination over ZZ[q,t].
-
-    The exact reference for ``span_rank_at_point``.  Each image is cleared of
-    denominators by the least monomial q^a t^b that makes every coefficient a
-    polynomial, then reduced
-    against the stored rows in order by Bareiss's step
-    v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th stored
-    row and p_k its pivot entry in column c_k.  Every such division is exact
-    (Sylvester's identity); ``exquo`` raises if one is not.
-    """
-    basis = partitions_of(n)
-
-    def image(nu):
-        terms = delta_full(sf.s(nu), n, prime=False).terms
-        return _ring_numerators([terms.get(lam, qfield.ZERO) for lam in basis])[0]
-
-    def reduce(vec, rows):
-        prev = qfield.RING.one
-        for col, row in rows:
-            piv, lead = row[col], vec[col]
-            vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]
-            prev = piv
-        return vec
-
-    return _feed(n, nu_size_max, image, reduce)
+    point: tuple[int, int]
 
 
 def _eigenvalue_rows(n: int, point: tuple[int, int]) -> Callable[[Partition], list[int]]:
     """nu -> [s_nu[B_mu] for mu in partitions_of(n)] at (q,t) = point mod SPAN_PRIME.
 
     s_nu = sum_rho chi^nu(rho)/z_rho p_rho (p > |nu|, so z_rho is a unit), and
-    p_k[B_mu] = sum q^(col k) t^(row k) over the cells of mu, built once per k.
+    p_k[B_mu] = sum q^(col k) t^(row k) over the cells of mu.  Each rho's vector
+    [p_rho[B_mu] for mu] is built once per call, as p_(rho_1) times the vector
+    of the rest of rho, so a row is one weighted sum of those vectors.
     """
     p, (a, b) = SPAN_PRIME, point
     cells = [tuple(mu.cells()) for mu in partitions_of(n)]
-    power: list[list[int]] = [[]]  # power[k][i] = p_k[B_mu], mu the i-th shape
+    power: dict[tuple[int, ...], list[int]] = {}  # rho -> [p_rho[B_mu] for mu]
+
+    def vector(rho: tuple[int, ...]) -> list[int]:
+        if rho not in power:
+            k = rho[0]
+            if len(rho) == 1:
+                power[rho] = [sum(pow(a, j * k, p) * pow(b, i * k, p) for i, j in shape) % p
+                              for shape in cells]
+            else:
+                power[rho] = [x * y % p for x, y in zip(vector(rho[:1]), vector(rho[1:]))]
+        return power[rho]
 
     def row(nu: Partition) -> list[int]:
-        for k in range(len(power), nu.size + 1):
-            power.append([sum(pow(a, j * k, p) * pow(b, i * k, p) for i, j in shape) % p
-                          for shape in cells])
-        classes = [(rho, chi * pow(sf.zee(rho), -1, p)) for rho in partitions_of(nu.size)
-                   if (chi := sf.character(nu, rho))]
-        return [sum(c * prod(power[k][i] for k in rho) for rho, c in classes) % p
-                for i in range(len(cells))]
+        total = [0] * len(cells)
+        for rho in partitions_of(nu.size):
+            if chi := sf.character(nu, rho):
+                c = chi * pow(sf.zee(rho), -1, p)
+                total = [s + c * v for s, v in zip(total, vector(rho))]
+        return [s % p for s in total]
 
     return row
 
@@ -593,19 +549,28 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
 
     Delta_{s_nu} e_n = sum_mu s_nu[B_mu] c_mu H~_mu, with the H~_mu (mu |- n) a
     basis over Q(q,t) and every c_mu = (1-q)(1-t) Pi'_mu B_mu / w_mu nonzero,
-    so the images have the rank of [s_nu[B_mu]]_(nu,mu).  Its rows
-    (``_eigenvalue_rows``) are fed and reduced in the order of
-    ``span_dimension_report``.  Its entries lie in ZZ[q,t], so no point is
-    unusable, and a minor nonzero at the point mod p is nonzero over Q(q,t):
-    the rank at the point is a lower bound on the exact rank.
+    so the images have the rank of [s_nu[B_mu]]_(nu,mu).  Its entries lie in
+    ZZ[q,t], so a minor nonzero at the point mod p is nonzero over Q(q,t): the
+    rank at the point is a lower bound on the exact rank.  The rows
+    (``_eigenvalue_rows``) of s_nu, |nu| = 1..nu_size_max (default n) in
+    partitions_of order, are reduced mod p until the span is full; nu_count
+    counts the rows examined.  A nu_size_max below 1 is a ValueError.
     """
-    p = SPAN_PRIME
-
-    def reduce(vec, rows):
+    if nu_size_max is not None and nu_size_max < 1:
+        raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
+    p, dim = SPAN_PRIME, len(partitions_of(n))
+    image = _eigenvalue_rows(n, SPAN_POINT)
+    rows: list[tuple[int, list[int]]] = []  # (pivot column, row) in insertion order
+    count = 0
+    for nu in (nu for size in range(1, (nu_size_max or n) + 1) for nu in partitions_of(size)):
+        if len(rows) == dim:
+            break
+        count += 1
+        vec = image(nu)
         for col, row in rows:
-            piv, lead = row[col], vec[col]
-            if lead:
-                vec = [(piv * v - lead * r) % p for v, r in zip(vec, row)]
-        return vec
-
-    return _feed(n, nu_size_max, _eigenvalue_rows(n, SPAN_POINT), reduce, point=SPAN_POINT)
+            if lead := vec[col]:
+                vec = [(row[col] * v - lead * r) % p for v, r in zip(vec, row)]
+        col = next((j for j, v in enumerate(vec) if v), None)
+        if col is not None:
+            rows.append((col, vec))
+    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=dim, point=SPAN_POINT)

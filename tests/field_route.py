@@ -13,10 +13,12 @@ omega of the field image, thm43's direct side as that evaluation at
 1 + q + ... + q^(j-2), the t=0 weight w_t0(mu) in closed form and as a cell
 product, and the t=0 Hall-Littlewood sides one partition mu at a time: each
 H~_mu(X;q,0) over its weight w_t0(mu), each P_mu[X;q] times q^(n(mu)) and
-each P_mu[X;1/q] times q^(-n(mu)).
+each P_mu[X;1/q] times q^(-n(mu)); and the rank of the span of the plain-Delta
+images by fraction-free elimination over ZZ[q,t].
 ``deltaq.qfield``, ``deltaq.delta_ops`` and ``deltaq.symfunc`` build the same
-values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first; the
-tests require both routes to agree.
+values in ZZ[q,t] or ZZ[q] and convert once, or sum them by length first, and
+rank the eigenvalues s_nu[B_mu] at one point mod 2^61-1; the tests require both
+routes to agree.
 """
 
 from functools import lru_cache
@@ -25,7 +27,7 @@ from references import ONE, ZERO, basis_convert, coef, from_poly, from_power, li
 from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import partitions_of
-from deltaq.qfield import FIELD, q
+from deltaq.qfield import FIELD, RING, Coef, q
 
 
 def qpoch_at(s: int, m: int):
@@ -186,3 +188,39 @@ def length_sum_invq(n: int, coeff):
     """sum_mu coeff(l(mu)) q^(-n(mu)) P_mu[X;1/q], one ``_p_table_invq`` entry at a time."""
     table = hl._p_table_invq(n)
     return lincomb(*((coeff(len(mu)) * q ** -mu.nstat(), table[mu]) for mu in partitions_of(n)))
+
+
+def span_dimension_report(n: int, nu_size_max: int | None = None) -> tuple[int, int, int]:
+    """(nu_count, rank, dim) of the plain-Delta images of e_n, by elimination over ZZ[q,t].
+
+    The exact reference for ``delta_ops.span_rank_at_point``, fed the same
+    images in the same order: s_nu for |nu| = 1..nu_size_max (default n) in
+    partitions_of order, stopping once the span is full.  Each image
+    ``delta_full(s_nu, n, prime=False)`` is cleared of denominators by the least
+    monomial q^a t^b that makes every coefficient a polynomial, then reduced
+    against the stored rows in order by Bareiss's step
+    v <- (p_k v - v[c_k] r_k) / p_(k-1), p_0 = 1, where r_k is the k-th stored
+    row and p_k its pivot entry in column c_k.  Every such division is exact
+    (Sylvester's identity); ``exquo`` raises if one is not.  A nu_size_max below
+    1 is a ValueError.
+    """
+    if nu_size_max is not None and nu_size_max < 1:
+        raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
+    basis = partitions_of(n)
+    rows = []  # (pivot column, row) in insertion order
+    count = 0
+    for nu in (nu for size in range(1, (nu_size_max or n) + 1) for nu in partitions_of(size)):
+        if len(rows) == len(basis):
+            break
+        count += 1
+        terms = delta_ops.delta_full(sf.s(nu), n, prime=False).terms
+        vec = delta_ops._ring_numerators([terms.get(lam, Coef()) for lam in basis])[0]
+        prev = RING.one
+        for col, row in rows:
+            piv, lead = row[col], vec[col]
+            vec = [(piv * v - lead * r).exquo(prev) for v, r in zip(vec, row)]
+            prev = piv
+        col = next((j for j, v in enumerate(vec) if v), None)
+        if col is not None:
+            rows.append((col, vec))
+    return count, len(rows), len(basis)
