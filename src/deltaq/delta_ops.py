@@ -18,9 +18,10 @@ The central objects:
   ``symfunc.principal_poly``, the hook-content product.  Every t=0 side is one
   ``_table_sum`` sum_l c_l T_l, T_l a cached table summed by length: of the
   H~_mu over their weights, of their images under omega and X -> X(1-q), or
-  of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l and every Schur
-  coefficient of T_l is a ``QPoly``; ``_table_sum`` sums the products of
-  each Schur coefficient by one ``qfield.dot`` and builds one ``qfield.Coef``.
+  of q^(n(mu)) P_mu, read at q or 1/q.  Every c_l, a product of one or more
+  ``QPoly`` factors, and every Schur coefficient of T_l is a ``QPoly``;
+  ``_table_sum`` sums the products of each Schur coefficient by one
+  ``qfield.dot`` and builds one ``qfield.Coef``.
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.  ``lhs_nu`` is ``delta_prime_t0``'s eigenvalue sum
@@ -37,7 +38,8 @@ The central objects:
   ``_remmel_ring``; ``remmel_sum`` adds them times the hook kernels by one
   ``qfield.dot`` and one conversion per hook.
   The kernel moment sum_s remmel_coeff(s) (q^(s+shift);q)_L of prop33a/prop33b
-  pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares, keeps
+  pulls out the factor [m-1,k]_q q^(C(k+1,2)-(k+1)m) that every s shares
+  (``qfield.dot``'s common factor), keeps
   the at most k+3 indices s >= m-k-1 with a nonzero term, and folds the factor
   (1 - q^s) of remmel_coeff(s) into the Pochhammer window next to it.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 
 from . import hall_littlewood as hl
@@ -144,18 +146,19 @@ def _lhs_table(n: int) -> dict[int, dict[Partition, QPoly]]:
             for ell, row in _t0_operator_table(n).items()}
 
 
-def _table_sum(table: dict, coeff: Callable[[int], QPoly]) -> SymFunc:
-    """sum_l coeff(l) T_l, coeff(l) called once per length; one ``qfield.dot`` per s_lam.
+def _table_sum(table: dict, *coeffs: Callable[[int], QPoly]) -> SymFunc:
+    """sum_l c_1(l) ... c_r(l) T_l over the coeffs c_i, each called once per length.
 
-    The products c_l T_l[lam] of s_lam, c_l = coeff(l), are summed by one
-    ``dot`` into one ``Coef``; ``SymFunc`` leaves out the zero sums.
+    The products c_1(l) ... c_r(l) T_l[lam] of s_lam are summed by one
+    ``qfield.dot`` into one ``Coef``, so a coefficient with several factors
+    is never multiplied out on its own; ``SymFunc`` leaves out the zero sums.
     """
-    terms: dict[Partition, list[tuple[QPoly, QPoly]]] = {}
+    terms: dict[Partition, list[tuple[QPoly, ...]]] = {}
     for ell, row in table.items():
-        c = coeff(ell)
-        if c:
+        c = tuple(coeff(ell) for coeff in coeffs)
+        if all(c):
             for lam, poly in row.items():
-                terms.setdefault(lam, []).append((c, poly))
+                terms.setdefault(lam, []).append((*c, poly))
     return SymFunc({lam: from_poly(dot(products)) for lam, products in terms.items()})
 
 
@@ -263,8 +266,8 @@ def lhs_nu(nu, n: int) -> SymFunc:
 def lhs_hook_coeff(params: HookParams, ell: int) -> QPoly:
     """Coefficient of q^(-n(mu)) P_mu[X;1/q], l(mu) = ell, in lhs_hook_closed."""
     k, m = params.k, params.m
-    return (qbinom_poly(m - 1, k) * qbinom_poly(m + ell - (k + 2), m)
-            * qpoch_poly(1, ell)).shift(m + comb(k + 1, 2))
+    return dot(((qpoch_poly(1, ell).shift(m + comb(k + 1, 2)), qbinom_poly(m - 1, k),
+                 qbinom_poly(m + ell - (k + 2), m)),))
 
 
 def lhs_hook_closed(params: HookParams) -> SymFunc:
@@ -275,8 +278,8 @@ def lhs_hook_closed(params: HookParams) -> SymFunc:
 def rhs_hook_coeff(params: HookParams, j: int) -> QPoly:
     """Coefficient of sum_{l(mu)=j} q^(n(mu)) P_mu[X;q] in rhs_hook."""
     k, m = params.k, params.m
-    return (qbinom_poly(j - 2, k) * qbinom_poly(m - 1, j - 2)
-            * qpoch_poly(1, j)).shift(m + comb(k + 2, 2) - (k + 2) * j + 1)
+    return dot(((qpoch_poly(1, j).shift(m + comb(k + 2, 2) - (k + 2) * j + 1),
+                 qbinom_poly(j - 2, k), qbinom_poly(m - 1, j - 2)),))
 
 
 def rhs_hook(params: HookParams) -> SymFunc:
@@ -342,7 +345,7 @@ def remmel_sum(params: HookParams) -> SymFunc:
     kernels = [(s, r_s - r_s.shift(s)) for s, r_s in terms.items()]
     out = {}
     for r in range(params.n):
-        poly = dot((c, kernel.shift(s * r)) for s, kernel in kernels)
+        poly = dot(((kernel.shift(s * r),) for s, kernel in kernels), c)
         out[_hook(params.n, r)] = from_poly(-poly if r % 2 else poly)
     return SymFunc(out)
 
@@ -371,14 +374,14 @@ def _kernel_moment(params: HookParams, shift: int, length: int) -> QPoly:
     Only the windows of prop33a (shift = -length) and prop33b (shift = 1)
     occur.  In both, the factor 1 - q^s of remmel_coeff(s) sits next to the
     window and extends it to (q^(s + min(shift, 0)); q)_(length+1), which is
-    zero once it reaches q^0.  The sum over s is one ``qfield.dot``.
+    zero once it reaches q^0.  The sum over s times c is one ``qfield.dot``.
     """
     if shift not in (1, -length):
         raise ValueError(f"no kernel moment window with shift {shift}, length {length}")
     c, terms = _remmel_ring(params)
     low = min(shift, 0)
-    total = dot((r, qpoch_poly(s + low, length + 1)) for s, r in terms.items() if s + low >= 1)
-    return c * total
+    return dot(((r, qpoch_poly(s + low, length + 1)) for s, r in terms.items() if s + low >= 1),
+               c)
 
 
 def prop33a(params: HookParams, j: int) -> tuple[QPoly, QPoly]:
@@ -418,8 +421,8 @@ def ghry_sides(n: int, k: int) -> tuple[SymFunc, SymFunc]:
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    left = _table_sum(_graded_P(n, True),
-                      lambda ell: qbinom_poly(ell - 1, k - 1) * qpoch_poly(1, ell))
+    left = _table_sum(_graded_P(n, True), lambda ell: qbinom_poly(ell - 1, k - 1),
+                      partial(qpoch_poly, 1))
     right = qpoch_poly(1, k).shift(-k * (k - 1))
     return left, _table_sum(_graded_P(n, False), lambda ell: right if ell == k else QPoly())
 
@@ -431,8 +434,7 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
 
     q^|nu| * sum_mu s_nu[1 + q + ... + q^(l(mu)-2)] q^(-n(mu)) (q;q)_(l(mu)) P_mu[X;1/q].
     """
-    eigenvalue = _eigenvalue(nu)
-    return _table_sum(_graded_P(n, True), lambda ell: eigenvalue(ell) * qpoch_poly(1, ell))
+    return _table_sum(_graded_P(n, True), _eigenvalue(nu), partial(qpoch_poly, 1))
 
 
 @lru_cache(maxsize=None)
@@ -443,16 +445,17 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
     b_rho the P-to-Q normalization prod_i (q;q)_(m_i(rho)).  Since
     (q;q)_k / b_rho(q) is the q-multinomial of the multiplicities of rho, a
     product of q-binomials, the product lies in ZZ[q]:
-    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q.
+    sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q, one ``qfield.dot``
+    with one term per rho: K_(nu,rho)(q) q^(n(rho)) and its q-binomials.
     """
-    total = QPoly()
+    terms = []
     for rho in partitions_of(nu.size, length=k):
-        term, top = hl._kf_column(rho).get(nu, QPoly()).shift(rho.nstat()), 0
+        term, top = [hl._kf_column(rho).get(nu, QPoly()).shift(rho.nstat())], 0
         for m in rho.multiplicities().values():
             top += m
-            term = term * qbinom_poly(top, m)
-        total += term
-    return total
+            term.append(qbinom_poly(top, m))
+        terms.append(term)
+    return dot(terms)
 
 
 def schur_principal_eval(nu, j: int) -> tuple[QPoly, QPoly]:
@@ -480,8 +483,8 @@ def rhs_nu(nu, n: int) -> SymFunc:
     if n < 1:
         raise ValueError("n must be at least 1")
     nu = _as_partition(nu)
-    return _table_sum(_graded_P(n, False), lambda ell: (
-        _charge_poly(nu, ell - 1) * qpoch_poly(1, ell)).shift(nu.size - ell * (ell - 1)))
+    return _table_sum(_graded_P(n, False), lambda ell: _charge_poly(nu, ell - 1),
+                      lambda ell: qpoch_poly(1, ell).shift(nu.size - ell * (ell - 1)))
 
 
 # -- span of plain-Delta images ------------------------------------------------------
@@ -553,14 +556,15 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
     ZZ[q,t], so a minor nonzero at the point mod p is nonzero over Q(q,t): the
     rank at the point is a lower bound on the exact rank.  The rows
     (``_eigenvalue_rows``) of s_nu, |nu| = 1..nu_size_max (default n) in
-    partitions_of order, are reduced mod p until the span is full; nu_count
-    counts the rows examined.  A nu_size_max below 1 is a ValueError.
+    partitions_of order, are reduced mod p until the span is full, each kept
+    row scaled to pivot 1; nu_count counts the rows examined.  A nu_size_max
+    below 1 is a ValueError.
     """
     if nu_size_max is not None and nu_size_max < 1:
         raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
     p, dim = SPAN_PRIME, len(partitions_of(n))
     image = _eigenvalue_rows(n, SPAN_POINT)
-    rows: list[tuple[int, list[int]]] = []  # (pivot column, row) in insertion order
+    rows: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to pivot 1) in order
     count = 0
     for nu in (nu for size in range(1, (nu_size_max or n) + 1) for nu in partitions_of(size)):
         if len(rows) == dim:
@@ -569,8 +573,9 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
         vec = image(nu)
         for col, row in rows:
             if lead := vec[col]:
-                vec = [(row[col] * v - lead * r) % p for v, r in zip(vec, row)]
+                vec = [(v - lead * r) % p for v, r in zip(vec, row)]
         col = next((j for j, v in enumerate(vec) if v), None)
         if col is not None:
-            rows.append((col, vec))
+            inverse = pow(vec[col], -1, p)
+            rows.append((col, [v * inverse % p for v in vec]))
     return SpanReport(n=n, nu_count=count, rank=len(rows), dim=dim, point=SPAN_POINT)

@@ -11,15 +11,21 @@ canonical, so ``==`` is equality.  ``+`` and ``-`` run elementwise once the
 exponents are aligned, and ``*`` is one product of two Python ints, each
 coefficient list packed into an int by Kronecker substitution (D. Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-arXiv:0712.4046).  Values are immutable, so each keeps its int once packed at
-a digit width, a cached q-binomial is packed once, and ``shift``, which
-leaves the coefficients alone, shares the memo; ``_pack`` and ``_unpack``
-also serve ``symfunc.plethysm_one_minus_q``.  Every exact q-product is one
-``one_minus_product``: factors 1 - q^e and exact divisions by 1 - q^j in the
-order given, as in ``qpoch_poly`` (for any start s) and in ``qbinom_poly``'s
-product formula, both cached and neither recursive.  ``reverse`` gives
-poly(1/q) by reversing the coefficients instead of substituting 1/q, and
-``dot`` sums products a b in one Kronecker pass.
+arXiv:0712.4046).  ``dot`` takes a whole q-expression in one such pass: the
+sum of products f_1 ... f_r, terms of any arity, times an optional common
+factor, is one int sum of int products unpacked once, so no intermediate
+product is unpacked and packed again.  Values are immutable, so each keeps
+its int once packed at a digit width, a cached q-binomial is packed once,
+and ``shift``, which leaves the coefficients alone, shares the memo.  Digits
+are signed, packed little-endian, and offset by H, the int whose every digit
+is X/2; H is cut from one long constant per width (``_half``).  ``_pack``
+and ``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.
+
+Every exact q-product is one ``one_minus_product``: factors 1 - q^e and
+exact divisions by 1 - q^j in the order given, as in ``qpoch_poly`` (for any
+start s) and in ``qbinom_poly``'s product formula, both cached and neither
+recursive.  ``reverse`` gives poly(1/q) by reversing the coefficients instead
+of substituting 1/q.
 
 ``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
 the package's one output format for coefficients, and ``render_poly``
@@ -95,21 +101,43 @@ def _termwise(op, x: tuple[list, int], y: tuple[list, int]) -> QPoly:
     return _wrap(*_canonical(out, ea))
 
 
+#: the struct width that holds a sign bit and b bits, by b < 64
+_WIDTHS = bytes([1] * 8 + [2] * 8 + [4] * 16 + [8] * 32)
+
+
 def _digit_width(bound: int) -> int:
     """Bytes per signed digit for digits |c| <= bound: a width with a struct code if one fits."""
-    width = (bound.bit_length() + 8) // 8
-    return next((size for size in _DIGIT_CODES if size >= width), width)
+    bits = bound.bit_length()
+    return _WIDTHS[bits] if bits < 64 else (bits + 8) // 8
+
+
+#: width -> (n, H_n), H_n = sum_{i<n} (X/2) X^i at X = 2^(8 width), for the longest n asked
+_HALVES: dict[int, tuple[int, int]] = {}
+
+
+def _half(n: int, width: int) -> int:
+    """H, the int of n digits that are all X/2, X = 2^(8 width): the top n digits of one constant.
+
+    Every digit is the same, so H for fewer digits is the longest H built at
+    this width shifted right; a longer n rebuilds it at twice that length.
+    """
+    digits, value = _HALVES.get(width, (0, 0))
+    if digits < n:
+        digits = max(2 * digits, n, 64)
+        value = int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
+        _HALVES[width] = digits, value
+    return value >> (8 * width * (digits - n))
 
 
 def _pack(x: list, width: int) -> int:
     """sum_i x_i X^i at X = 2^(8 width), for signed digits |x_i| < X/2.
 
-    The digits are written as two's complement bytes; xor-ing H, the int whose
-    every digit is X/2, flips each digit's top bit, which leaves the digit
-    c + X/2, and subtracting H then leaves c.
+    The digits are written as little-endian two's complement bytes; xor-ing
+    H (``_half``) flips each digit's top bit, which leaves the digit c + X/2,
+    and subtracting H then leaves c.
     """
     code = _DIGIT_CODES.get(width)
-    half = int.from_bytes((bytes(width - 1) + b"\x80") * len(x), "little")
+    half = _half(len(x), width)
     if code:
         raw = struct.pack(f"<{len(x)}{code}", *x)
     else:
@@ -120,10 +148,10 @@ def _pack(x: list, width: int) -> int:
 def _unpack(value: int, n: int, width: int) -> list:
     """The n signed digits of value = sum_i c_i X^i, X = 2^(8 width), every |c_i| < X/2.
 
-    ``_pack`` backwards: adding H makes every digit c + X/2 nonnegative and
-    below X, and xor-ing H then leaves the two's complement of c.
+    ``_pack`` backwards: adding H (``_half``) makes every digit c + X/2
+    nonnegative and below X, and xor-ing H then leaves the two's complement of c.
     """
-    half = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    half = _half(n, width)
     raw = ((value + half) ^ half).to_bytes(n * width, "little")
     code = _DIGIT_CODES.get(width)
     if code:
@@ -262,30 +290,55 @@ class QPoly:
         return f"QPoly({self.c}, {self.e})"
 
 
-def dot(pairs) -> QPoly:
-    """sum a b over the pairs (a, b) of QPolys, read off one int sum.
+def dot(terms, factor: QPoly | None = None) -> QPoly:
+    """factor times the sum of f_1 ... f_r over the terms (f_1, ..., f_r) of QPolys, in one int.
 
-    Kronecker substitution: every factor is evaluated at X = 2^(8w) (``_packed``),
-    w bytes holding with a sign bit the bound sum ||a|| ||b|| min(len a, len b)
-    on every coefficient; each int product is shifted by as many digits as its
-    least exponent a.e + b.e exceeds the least of them all.
+    A term is a tuple or list of any number r of QPolys (r = 0 is the product
+    1), and factor defaults to 1.  Kronecker substitution: every factor is
+    evaluated at X = 2^(8w) (``_packed``), each term is one int product
+    shifted by as many digits as its least exponent exceeds the least of them
+    all, and the sum of the terms times the factor's int is unpacked once.  Evaluation at X is a
+    ring map, so only the result's coefficients need to fit in w bytes with a
+    sign bit.  A term's coefficients are bounded along its chain: from 1, each
+    f_i multiplies the bound by ||f_i|| min(len(f_1 ... f_(i-1)), len f_i), so
+    a pair gives ||a|| ||b|| min(len a, len b); the terms' bounds are summed,
+    and the factor takes one more such step on the sum.
     """
+    if factor is not None and not factor.c:
+        return QPoly()
     live, bound, low, top = [], 0, inf, -inf
-    for a, b in pairs:
-        if a.c and b.c:
-            s = a.e + b.e
-            live.append((s, a, b))
-            bound += _norm_of(a) * _norm_of(b) * min(len(a.c), len(b.c))
+    for term in terms:
+        s, size, length = 0, 1, 1  # of the empty product 1
+        for f in term:
+            if not f.c:
+                break
+            s += f.e
+            size *= _norm_of(f) * min(length, len(f.c))
+            length += len(f.c) - 1
+        else:
+            live.append((s, term))
+            bound += size
             if s < low:
                 low = s
-            if (end := s + len(a.c) + len(b.c) - 1) > top:
-                top = end
+            if s + length > top:
+                top = s + length
     if not live:
         return QPoly()
+    digits = top - low
+    if factor is not None:
+        bound *= _norm_of(factor) * min(digits, len(factor.c))
     width = _digit_width(bound)
-    total = sum((_packed(a, width) * _packed(b, width)) << (8 * width * (s - low))
-                for s, a, b in live)
-    return _wrap(*_canonical(_unpack(total, top - low, width), low))
+    total = 0
+    for s, term in live:
+        value = 1
+        for f in term:
+            value *= _packed(f, width)
+        total += value << (8 * width * (s - low))
+    if factor is not None:
+        total *= _packed(factor, width)
+        low += factor.e
+        digits += len(factor.c) - 1
+    return _wrap(*_canonical(_unpack(total, digits, width), low))
 
 
 def _times_one_minus(c: list, e: int) -> list:

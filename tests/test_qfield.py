@@ -529,6 +529,92 @@ class TestLaurentQPoly:
             assert from_poly(got) == want, got
 
 
+def _chained(term) -> QPoly:
+    """f_1 ... f_r, one schoolbook ``qfield._mul`` per factor."""
+    out = QPoly([1])
+    for f in term:
+        out = qfield._mul((out.c, out.e), (f.c, f.e))
+    return out
+
+
+def _width_by_scan(bound: int) -> int:
+    """The digit width of ``qfield.dot``'s first release: the first struct width that fits."""
+    width = (bound.bit_length() + 8) // 8
+    return next((size for size in qfield._DIGIT_CODES if size >= width), width)
+
+
+# Laurent polynomials, negative coefficients and exponents included, with
+# coefficients of one drawn size: sizes 0..80 bits reach every digit width
+_sized_laurent = st.integers(0, 80).flatmap(lambda bits: st.builds(
+    QPoly, st.lists(st.integers(-2**bits, 2**bits), max_size=8), st.integers(-12, 12)))
+_dot_terms = st.lists(st.lists(_sized_laurent, min_size=1, max_size=4).map(tuple), max_size=5)
+
+#: bounds on either side of each byte edge, and the digit width each needs
+_EDGES = [(0, 1), (2**7 - 1, 1), (2**7, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4),
+          (2**31, 8), (2**63 - 1, 8), (2**63, 9), (2**100, 13)]
+
+
+class TestDot:
+    """``qfield.dot`` with terms of any arity and a common factor, against chained schoolbook."""
+
+    @given(_dot_terms, st.none() | _sized_laurent)
+    @example([], None)
+    @example([], QPoly([3], -2))
+    @example([(QPoly([1, -2], -3), QPoly(), QPoly([5]))], None)  # a zero factor drops its term
+    @example([(QPoly([2**70, -1], -4),), (QPoly([-3], 2), QPoly([2**40, 7], -1))], QPoly())
+    @example([(QPoly([1, 1]), QPoly([1, -1], -1)), (QPoly([-1], 1),)], QPoly([2**63 - 1, 1], -5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chained_schoolbook(self, terms, factor):
+        coefficients = [list(f.c) for term in terms for f in term]
+        total = sum((_chained(term) for term in terms), QPoly())
+        want = total if factor is None else _chained((total, factor))
+        got = qfield.dot(terms, factor)
+        assert got == want and is_canonical(got)
+        assert qfield.dot(iter(terms), factor) == want
+        assert [list(f.c) for term in terms for f in term] == coefficients
+        # every memo holds the factor packed at its own width, never a narrower one
+        for f in [f for term in terms for f in term] + [factor or QPoly()]:
+            for width, value in getattr(f, "_packs", {}).items():
+                assert value == qfield._pack(f.c, width), (f, width)
+
+    @pytest.mark.parametrize("bound, width", _EDGES)
+    def test_digit_width_at_the_byte_edges(self, bound, width):
+        assert qfield._digit_width(bound) == _width_by_scan(bound) == width
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound, width", _EDGES[1:])
+    def test_each_width_is_reached_and_holds_its_extreme_digits(self, bound, width, arity):
+        # a coefficient of size bound times shifts by +-q^j: the bound is met exactly
+        big = QPoly([bound, -bound, 0, bound], -3)
+        term = (big,) + tuple(QPoly([(-1) ** j], -j) for j in range(1, arity))
+        unit = QPoly([-1], 2)
+        want = _chained(term)
+        assert qfield.dot([term]) == want
+        assert qfield.dot([term], unit) == _chained((want, unit))
+        assert set(big._packs) == {width}
+
+    def test_half_is_cut_from_one_constant_per_width(self):
+        for width in (1, 2, 4, 8, 9, 13):
+            for n in (1, 3, 64, 65, 200, 7, 1):
+                want = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+                assert qfield._half(n, width) == want, (n, width)
+
+    def test_cached_factors_keep_their_coefficients_at_every_width(self):
+        cached = [qfield.qbinom_poly(10, 4), qfield.qpoch_poly(1, 7), qfield.qbinom_poly(9, 3)]
+        coefficients = [list(p.c) for p in cached]
+        big = QPoly([2**70, -5, 1], -2)
+        narrow = qfield.dot([tuple(cached)])
+        wide = qfield.dot([tuple(cached), (big, cached[0])], cached[2])
+        assert narrow == _chained(cached)
+        assert wide == _chained((_chained(cached) + _chained((big, cached[0])), cached[2]))
+        assert [p.c for p in cached] == coefficients
+        assert len(cached[0]._packs) >= 2  # packed again at the wider width, not reused
+        for p in cached:
+            for width, value in p._packs.items():
+                assert value == qfield._pack(p.c, width)
+        assert qfield.dot([tuple(cached)]) == narrow
+
+
 class TestOneMinusProduct:
     @given(st.lists(st.integers(-6, 6).filter(bool), max_size=7))
     @example([-1, 1])  # the product is 1, but its first partial product is not a polynomial
