@@ -8,11 +8,12 @@ Subcommands:
 * ``deltaq deltaside``-- print the combinatorial operator side for given n, k
 
 Every subcommand reports invalid input (a ``ValueError``, such as a malformed
-``--params``) as ``error: <message>`` on stderr and exits with status 2.
-``verify --params`` must give exactly the keys of each selected identity's
-first default case, each an int or a list as there, and ``expand --params``
-exactly the keys its ``--what`` needs; otherwise the command names what does
-not fit and exits with status 2 before computing anything.
+``--params`` or one that repeats a key) as ``error: <message>`` on stderr and
+exits with status 2.  ``verify --params`` must give exactly the keys of each
+selected identity's first default case, each an int or a list as there, and
+``expand --params`` exactly the keys its ``--what`` needs; otherwise the
+command names what does not fit and exits with status 2 before computing
+anything.
 ``verify`` turns each case's own exception into an ``error`` report instead and
 exits with status 1 when any case mismatches or errors.
 """
@@ -36,7 +37,8 @@ from .partition import Partition, parse_partition
 def _split_params(text: str) -> dict:
     """Parse 'k=1,m=3,nu=[2,1]' into a dict with int or int-list values.
 
-    Items are split at the commas outside brackets; one trailing comma is ignored.
+    Items are split at the commas outside brackets; one trailing comma is ignored,
+    and a key given twice is a ``ValueError``.
     """
     out: dict = {}
     pieces = re.split(r",(?![^\[]*\])", text)
@@ -48,6 +50,8 @@ def _split_params(text: str) -> dict:
         value = value.strip()
         if not key or not value:
             raise ValueError(f"malformed parameter {item!r}")
+        if key in out:
+            raise ValueError(f"repeated parameter {key!r}")
         if value.startswith("["):
             out[key] = list(parse_partition(value))
         elif re.fullmatch(r"-?[0-9]+", value):
@@ -150,12 +154,10 @@ def _expand_target(args) -> sf.SymFunc:
         k, m, n = _required(params, what, "k", "m", "n")
         hp = do.HookParams(k=k, m=m, n=n)
         return do.lhs_hook_closed(hp) if what == "lhs_hook" else do.rhs_hook(hp)
-    if what == "ghry":
-        left, right = do.ghry_sides(*_required(params, what, "n", "k"))
-        if left != right:
-            print("note: the two sides differ; printing the left side", file=sys.stderr)
-        return left
-    raise SystemExit(f"unknown expansion {what!r}")
+    left, right = do.ghry_sides(*_required(params, what, "n", "k"))  # --what ghry
+    if left != right:
+        print("note: the two sides differ; printing the left side", file=sys.stderr)
+    return left
 
 
 def _cmd_expand(args) -> int:

@@ -3,12 +3,13 @@
 Kostka-Foulkes polynomials come from the charge statistic on semistandard
 tableaux, one column K_(.,mu)(q) per content mu from one walk over its
 tableaux (``tableaux.charge_counts``), counted as integers into dense ZZ[q]
-polynomials (``qfield.QPoly``).  P expands through the unitriangular inverse
-of the Kostka-Foulkes matrix against the Schur basis, by back substitution
-over the same ZZ[q], whose products are Kronecker substitutions; every table
-entry becomes one ``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q]
-after ``qfield.reverse``, which reverses coefficients instead of substituting
-1/q.  The two-parameter modified Macdonald functions come from the
+polynomials (``qfield.QPoly``).  As Q'_mu = sum_lam K_(lam,mu)(q) s_lam, a
+column gives Q_mu = Q'_mu[X(1-q)] = b_mu(q) P_mu (Macdonald, ch. III) by the
+one plethysm, ``symfunc.plethysm_one_minus_q``, and P_mu divides it exactly by
+b_mu (``qfield.one_minus_product``).  Every table entry becomes one
+``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q] after
+``qfield.reverse``, which reverses coefficients instead of substituting 1/q.
+The two-parameter modified Macdonald functions come from the
 Haglund-Haiman-Loehr inv/maj formula over the n! standard fillings:
 ``_filling_counts(n)`` counts them for every mu |- n in one pass over the n!
 words into Schur counts with integer coefficients in q,t, which
@@ -19,8 +20,7 @@ H~_mu(X;q,0), which ``deltaq expand --what Htilde0`` prints and ``delta_ops``
 sums by length from the Kostka-Foulkes table, has the cocharge coefficients
 q^n(mu) K_(lam,mu)(1/q).  Its weight w_t0, in closed form and as a cell
 product, and the P-to-Q normalization ``b_factor`` are each one ``QPoly``:
-the weights are Laurent polynomials in q, which ``verify`` compares by
-``==``, and ``hl_Q`` multiplies ``b_factor`` into each coefficient of P_mu.
+the weights are Laurent polynomials in q, which ``verify`` compares by ``==``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import permutations as multiset_permutations
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
-from .qfield import Coef, QPoly, from_poly, qpoch_poly, reverse
+from .qfield import Coef, QPoly, from_poly, reverse
 from .symfunc import SymFunc
 from .tableaux import charge_counts
 
@@ -50,14 +50,26 @@ def kostka_foulkes(lam, mu) -> Coef:
     return from_poly(_kf_column(Partition(mu)).get(Partition(lam), QPoly()))
 
 
+def _b_exponents(mu: Partition) -> list[int]:
+    """The exponents j = 1..m_i for each multiplicity m_i of mu: b_mu = prod_j (1 - q^j)."""
+    return [j for mult in mu.multiplicities().values() for j in range(1, mult + 1)]
+
+
 @lru_cache(maxsize=None)
 def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
     """Schur coefficients of P_mu for mu |- n, as {mu: {lam: polynomial in ZZ[q]}}.
 
-    s_nu = sum_rho K_(nu,rho)(q) P_rho with the Kostka-Foulkes matrix
-    unitriangular over Z[q], so P is its inverse, by back substitution in ZZ[q].
+    P_mu = Q'_mu[X(1-q)] / b_mu(q), Q'_mu = sum_lam K_(lam,mu)(q) s_lam
+    (Macdonald, ch. III): one ``symfunc.plethysm_one_minus_q`` per mu, and each
+    coefficient divided exactly by every 1 - q^j of b_mu, so a division that
+    is not exact raises ArithmeticError.
     """
-    return symfunc.unitriangular_inverse(n, lambda lam, mu: _kf_column(mu).get(lam, 0))
+    table = {}
+    for mu in partitions_of(n):
+        over_b = [-j for j in _b_exponents(mu)]
+        table[mu] = {lam: qfield.one_minus_product(over_b, c)
+                     for lam, c in symfunc.plethysm_one_minus_q(_kf_column(mu)).items()}
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -75,17 +87,13 @@ def hl_P(mu) -> SymFunc:
 
 def b_factor(mu) -> QPoly:
     """prod_i (q;q)_(m_i(mu)), the P-to-Q normalization, in ZZ[q]."""
-    out = QPoly([1])
-    for mult in Partition(mu).multiplicities().values():
-        out *= qpoch_poly(1, mult)
-    return out
+    return qfield.one_minus_product(_b_exponents(Partition(mu)))
 
 
 def hl_Q(mu) -> SymFunc:
-    """Q_mu = b_mu(q) P_mu, each coefficient one ``QPoly`` product."""
-    mu = Partition(mu)
-    b = b_factor(mu)
-    return SymFunc({lam: from_poly(b * c) for lam, c in _p_table(mu.size)[mu].items()})
+    """Q_mu = Q'_mu[X(1-q)], by ``symfunc.plethysm_one_minus_q`` of the Kostka-Foulkes column."""
+    return SymFunc({lam: from_poly(c)
+                    for lam, c in symfunc.plethysm_one_minus_q(_kf_column(Partition(mu))).items()})
 
 
 def modified_macdonald_t0(mu) -> SymFunc:

@@ -21,11 +21,12 @@ are signed, packed little-endian, and offset by H, the int whose every digit
 is X/2; H is cut from one long constant per width (``_half``).  ``_pack``
 and ``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.
 
-Every exact q-product is one ``one_minus_product``: factors 1 - q^e and
-exact divisions by 1 - q^j in the order given, as in ``qpoch_poly`` (for any
-start s) and in ``qbinom_poly``'s product formula, both cached and neither
-recursive.  ``reverse`` gives poly(1/q) by reversing the coefficients instead
-of substituting 1/q.
+Every exact q-product is one ``one_minus_product``: a start polynomial times
+factors 1 - q^e and exact divisions by 1 - q^j in the order given, as in
+``qpoch_poly`` (for any start s) and in ``qbinom_poly``'s product formula,
+both cached and neither recursive, and in ``hall_littlewood``'s division of
+Q_mu by b_mu, which starts from each Schur coefficient.  ``reverse`` gives
+poly(1/q) by reversing the coefficients instead of substituting 1/q.
 
 ``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
 the package's one output format for coefficients, and ``render_poly``
@@ -369,17 +370,18 @@ def reverse(poly: QPoly) -> QPoly:
     return _wrap(poly.c[::-1], -poly.e - len(poly.c) + 1)
 
 
-def one_minus_product(exponents) -> QPoly:
-    """The product of the factors 1 - q^e (e > 0) and 1/(1 - q^-e) (e < 0), in the order given.
+def one_minus_product(exponents, start: QPoly = QPoly([1])) -> QPoly:
+    """start times the factors 1 - q^e (e > 0) and 1/(1 - q^-e) (e < 0), in the order given.
 
-    A division that is not exact is an ArithmeticError, and e = 0 a ValueError.
+    A division that is not exact, at any step, is an ArithmeticError, and
+    e = 0 a ValueError.
     """
-    c = [1]
+    c = start.c
     for e in exponents:
         if not e:
             raise ValueError("the factor 1 - q^0 is zero")
         c = _times_one_minus(c, e) if e > 0 else _over_one_minus(c, -e)
-    return _wrap(c)
+    return _wrap(*_canonical(c, start.e))
 
 
 @lru_cache(maxsize=None)

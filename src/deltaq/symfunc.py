@@ -4,9 +4,7 @@ Everything is stored in the Schur basis as a sparse map {Partition: Coef},
 one homogeneous degree per function, each coefficient a ``qfield.Coef``
 built once, and ``render`` writes that expansion as text, the package's one
 output format.  A ``SymFunc`` has no arithmetic: each route sums its
-coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function,
-and ``unitriangular_inverse`` is the one back substitution, which
-``hall_littlewood`` runs on the Kostka-Foulkes matrix.
+coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function.
 
 The t=0 operator sides and thm43 stay in ZZ[q, 1/q] instead, each
 coefficient one ``qfield.QPoly``:
@@ -16,7 +14,8 @@ characters, each polynomial packed into one int (Kronecker substitution).
 That is the package's one plethysm; it takes no other alphabet.  Read at q^u
 (coefficient i moved to u*i), its output is f[X(1-q^u)], because
 p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u: ``delta_ops.h_plethysm`` reads it
-so for h_n.
+so for h_n.  ``hall_littlewood`` builds Q_mu and P_mu with it from the
+Kostka-Foulkes columns, as Q'_mu[X(1-q)].
 
 ``straighten_aggregate`` is the package's one route from fundamental
 quasisymmetric expansions to Schur functions: it straightens each
@@ -121,33 +120,7 @@ def _as_partition(x) -> Partition:
     return Partition(x)
 
 
-# -- the back substitution and Schur functions ------------------------------
-
-def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
-    """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
-
-    ``entry(a, b)`` is 1 in its ring at b = a and zero unless b follows a in
-    ``partitions_of`` order, which refines dominance: the Kostka-Foulkes
-    matrix K(q), whose inverse is ``hall_littlewood._p_table``.
-    Back substitution: row a = e_a - sum_b entry(a, b) row b.
-    """
-    order = partitions_of(n)
-    out: dict[Partition, dict[Partition, object]] = {}
-    for j in range(len(order) - 1, -1, -1):
-        a = order[j]
-        row = {a: entry(a, a)}
-        for b in order[j + 1:]:
-            c = entry(a, b)
-            if c:
-                for lam, v in out[b].items():
-                    val = row.get(lam, 0) - c * v
-                    if val:
-                        row[lam] = val
-                    else:
-                        row.pop(lam, None)
-        out[a] = row
-    return out
-
+# -- Schur functions -----------------------------------------------------------
 
 def s(lam) -> SymFunc:
     return SymFunc({_as_partition(lam): qfield.ONE})

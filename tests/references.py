@@ -172,10 +172,36 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     return _kostka_column(content).get(shape, 0)
 
 
+def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
+    """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
+
+    ``entry(a, b)`` is 1 in its ring at b = a and zero unless b follows a in
+    ``partitions_of`` order, which refines dominance: the Kostka-Foulkes
+    matrix K(q), whose inverse is ``hall_littlewood._p_table``.
+    Back substitution: row a = e_a - sum_b entry(a, b) row b.
+    """
+    order = partitions_of(n)
+    out: dict[Partition, dict[Partition, object]] = {}
+    for j in range(len(order) - 1, -1, -1):
+        a = order[j]
+        row = {a: entry(a, a)}
+        for b in order[j + 1:]:
+            c = entry(a, b)
+            if c:
+                for lam, v in out[b].items():
+                    val = row.get(lam, 0) - c * v
+                    if val:
+                        row[lam] = val
+                    else:
+                        row.pop(lam, None)
+        out[a] = row
+    return out
+
+
 @lru_cache(maxsize=None)
 def inverse_kostka(n: int) -> dict[Partition, dict[Partition, int]]:
     """The monomial basis in Schur functions: m_mu = sum_lam c[mu][lam] s_lam."""
-    return sf.unitriangular_inverse(n, kostka_number)
+    return unitriangular_inverse(n, kostka_number)
 
 
 def h(lam) -> SymFunc:

@@ -14,7 +14,7 @@ from sympy.utilities.iterables import multiset_permutations
 import field_route
 from references import (FIELD, ONE, ZERO, basis_convert, coef, dominates, e, field, from_poly, h,
                         inverse_kostka, kf_table, kostka_number, lincomb, m, qpoch, render_field,
-                        ssyt, subs, subs_coeffs, to_field, to_ring)
+                        ssyt, subs, subs_coeffs, to_field, to_ring, unitriangular_inverse)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
@@ -188,10 +188,17 @@ class TestHallLittlewoodP:
         # qfield.RING from the Kostka-Foulkes numerators of kf_table, |mu| <= 7
         for n in range(1, 8):
             table = kf_table(n)
-            want = sf.unitriangular_inverse(n, lambda a, b: table[(a, b)].numer)
+            want = unitriangular_inverse(n, lambda a, b: table[(a, b)].numer)
             got = {mu: {lam: to_ring(c) for lam, c in row.items()}
                    for mu, row in hl._p_table(n).items()}
             assert got == want, n
+
+    def test_p_table_matches_dense_back_substitution(self):
+        # the plethysm route against inverting the Kostka-Foulkes columns in
+        # dense QPoly, at every entry for every |mu| <= 10
+        for n in range(11):
+            want = unitriangular_inverse(n, lambda a, b: hl._kf_column(b).get(a, 0))
+            assert hl._p_table(n) == want, n
 
     def test_inverse_q_variant(self):
         # the reversed table against substituting 1/q, for every mu with |mu| <= 7

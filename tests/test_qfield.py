@@ -632,6 +632,25 @@ class TestOneMinusProduct:
             with pytest.raises(ArithmeticError):
                 qfield.one_minus_product(exponents)
 
+    @given(st.lists(st.integers(-4, 4), max_size=6), st.integers(-3, 3),
+           st.lists(st.integers(-5, 5).filter(bool), max_size=5))
+    @example([1, 0, -1], 2, [-2])  # q^2 (1 - q^2) over 1 - q^2
+    @example([1, 0, -1], 2, [-1, -2])  # 1 + q does not divide by 1 - q^2
+    @example([], 0, [3, -1])  # a zero start stays zero
+    @settings(max_examples=200, deadline=None)
+    def test_start_times_the_product(self, coeffs, low, exponents):
+        start = QPoly(coeffs)
+        running, exact = from_poly(start), True
+        for e in exponents:
+            running = running * (ONE - q**e) if e > 0 else running / (ONE - q**-e)
+            exact = exact and running.denom.is_ground
+        if exact:
+            got = qfield.one_minus_product(exponents, start.shift(low))
+            assert is_canonical(got) and from_poly(got) == running * q**low
+        else:
+            with pytest.raises(ArithmeticError):
+                qfield.one_minus_product(exponents, start.shift(low))
+
     def test_zero_exponent_is_rejected(self):
         with pytest.raises(ValueError):
             qfield.one_minus_product([2, 0, -2])

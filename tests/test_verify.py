@@ -284,6 +284,12 @@ class TestParamParsing:
         assert cli._split_params("nu=[3, 2,1] , n=7,") == {"nu": [3, 2, 1], "n": 7}
         assert cli._split_params("") == {}
 
+    def test_repeated_key(self, capsys):
+        with pytest.raises(ValueError, match="repeated parameter 'k'"):
+            cli._split_params("k=1,m=4,ell=4,k=0")
+        assert cli.main(["verify", "--id", "prop31", "--params", "k=1,m=4,ell=4,k=0"]) == 2
+        assert capsys.readouterr().err == "error: repeated parameter 'k'\n"
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             cli._split_params("k=")
