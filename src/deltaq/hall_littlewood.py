@@ -1,9 +1,9 @@
 """Hall-Littlewood P and Q and the modified Macdonald bases.
 
-Kostka-Foulkes polynomials come from the charge statistic on semistandard
-tableaux, one column K_(.,mu)(q) per content mu from one walk over its
-tableaux (``tableaux.charge_counts``), counted as integers into dense ZZ[q]
-polynomials (``qfield.QPoly``).  As Q'_mu = sum_lam K_(lam,mu)(q) s_lam, a
+Kostka-Foulkes polynomials come from the Jing-Garsia operator, which builds
+the column K_(.,mu)(q) of each mu from its tail's column by removing and
+adding strips (``tableaux``), with no tableau enumerated, in dense ZZ[q]
+(``qfield.QPoly``).  As Q'_mu = sum_lam K_(lam,mu)(q) s_lam, a
 column gives Q_mu = Q'_mu[X(1-q)] = b_mu(q) P_mu (Macdonald, ch. III) by the
 one plethysm, ``symfunc.plethysm_one_minus_q``, and P_mu divides it exactly by
 b_mu (``qfield.one_minus_product``).  Every table entry becomes one
@@ -29,24 +29,55 @@ from functools import lru_cache
 # bench/spans.py counts the fillings through hall_littlewood.multiset_permutations;
 # the words 1..n have distinct letters, so itertools yields sympy's multiset order
 from itertools import permutations as multiset_permutations
+from math import factorial, prod
 
 from . import qfield, symfunc
 from .partition import Partition, partitions_of
 from .qfield import Coef, QPoly, from_poly, reverse
 from .symfunc import SymFunc
-from .tableaux import charge_counts
+from .tableaux import horizontal_strip_removals, pieri, vertical_strip_removals
 
 MACDONALD_FULL_LIMIT = 6
 
 
 @lru_cache(maxsize=None)
 def _kf_column(mu: Partition) -> dict[Partition, QPoly]:
-    """{lam: K_(lam,mu)(q)} over the shapes lam with a tableau of content mu, one walk."""
-    return {lam: QPoly.from_terms(counts) for lam, counts in charge_counts(mu).items()}
+    """{lam: K_(lam,mu)(q)}, the nonzero Schur coefficients of Q'_mu, by the Jing-Garsia operator.
+
+    Q'_() = 1 and Q'_mu = H_(mu_1) Q'_(mu_2, ...), where H_m F is the sum of
+    h_(m+i+j) q^i (-1)^j h_i^perp e_j^perp F over i, j >= 0 (Jing, Adv. Math.
+    87, 1991; Garsia, Discrete Math. 99, 1992): each s_lam of F loses a vertical
+    strip of j cells and a horizontal strip of i cells, then gains a horizontal
+    strip of mu_1 + i + j cells by Pieri.  Each coefficient stays one int
+    (Kronecker substitution) through all three steps.  Evaluation is a ring map,
+    so only the column's digits must fit: tableau counts, below the n!/prod mu_i!
+    words of content mu, in degree at most n(mu).
+    """
+    if not mu:
+        return {mu: QPoly([1])}
+    n = mu.size
+    width = qfield._digit_width(factorial(n) // prod(map(factorial, mu)))
+    digit = 8 * width  # bits
+    removed: dict[Partition, int] = {}
+    for lam, poly in _kf_column(Partition(mu[1:])).items():
+        x = qfield._pack(poly.c, width) << (digit * poly.e)
+        for kappa, j in vertical_strip_removals(lam):
+            removed[kappa] = removed.get(kappa, 0) + (-x if j % 2 else x)
+    weighted: dict[Partition, int] = {}
+    for kappa, x in removed.items():
+        if x:
+            for rho, i in horizontal_strip_removals(kappa):
+                weighted[rho] = weighted.get(rho, 0) + (x << (digit * i))
+    column: dict[Partition, int] = {}
+    for rho, x in weighted.items():
+        if x:
+            for sigma in pieri(rho, n - rho.size):
+                column[sigma] = column.get(sigma, 0) + x
+    return {lam: QPoly(qfield._unpack(x, mu.nstat() + 1, width)) for lam, x in column.items() if x}
 
 
 def kostka_foulkes(lam, mu) -> Coef:
-    """K_(lam,mu)(q) = sum of q^charge over SSYT of shape lam, content mu."""
+    """K_(lam,mu)(q), the coefficient of s_lam in Q'_mu: one entry of ``_kf_column(mu)``."""
     return from_poly(_kf_column(Partition(mu)).get(Partition(lam), QPoly()))
 
 

@@ -247,15 +247,6 @@ class QPoly:
     def __init__(self, coeffs=(), e: int = 0):
         self.c, self.e = _canonical(list(coeffs), e)
 
-    @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> QPoly:
-        """sum c q^e over the items e: c of terms."""
-        low = min(terms, default=0)
-        c = [0] * (max(terms, default=-1) - low + 1)
-        for e, v in terms.items():
-            c[e - low] += v
-        return cls(c, low)
-
     def shift(self, e: int) -> QPoly:
         """q^e times self, for any integer e; the result shares self's Kronecker ints."""
         if not self.c:

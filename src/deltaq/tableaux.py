@@ -1,75 +1,44 @@
-"""Semistandard tableaux of one content, walked once for every shape, and the charge statistic."""
+"""The strips that the Jing-Garsia operator of ``hall_littlewood`` removes and adds.
+
+lam/rho is a horizontal strip, no two cells in one column, when rho interlaces
+lam from below: lam_1 >= rho_1 >= lam_2 >= rho_2 >= ...  A vertical strip of
+lam is a horizontal strip of its conjugate, and sigma/lam is a horizontal strip
+when sigma below its first row interlaces lam.  Each walk is cached by shape.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 from .partition import Partition
 
 
-def charge_counts(content: Partition) -> dict[Partition, Counter]:
-    """{shape: Counter of charges} over the semistandard tableaux of the given content.
+@lru_cache(maxsize=None)
+def horizontal_strip_removals(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Every (rho, i) with lam/rho a horizontal strip of i cells: lam_(r+1) <= rho_r <= lam_r."""
+    return tuple((Partition(p for p in rho if p), lam.size - sum(rho))
+                 for rho in product(*map(range, lam[1:] + (0,), (p + 1 for p in lam))))
 
-    The cells of value v form a horizontal strip, placed from the bottom row up:
-    a row grows by appending and never past the row above it, and the top row
-    takes the cells left.  Each tableau's reading word (rows left to right,
-    bottom row first) is charged and counted under its shape, and not kept.
+
+@lru_cache(maxsize=None)
+def vertical_strip_removals(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Every (kappa, j) with lam/kappa a vertical strip of j cells: conjugate horizontal strips.
+
+    Each row loses at most one cell, and kappa need only be a partition: a
+    row may drop below the old length of the row under it.
     """
-    rows: list[list[int]] = [[] for _ in range(len(content) + 1)]
-    found: dict[tuple[int, ...], Counter] = {}
-
-    def strip(v: int, height: int, r: int, left: int) -> None:
-        # `left` cells of value v still go into rows r, r-1, ..., 0; rows[:height] are not empty
-        row, start = rows[r], len(rows[r])
-        if r:
-            for a in range(min(left, len(rows[r - 1]) - start) + 1):
-                strip(v, height, r - 1, left - a)
-                row.append(v)
-        else:
-            row.extend([v] * left)
-            height += bool(rows[height])
-            if v < len(content):
-                strip(v + 1, height, height, content[v])
-            else:
-                word = [x for done in reversed(rows[:height]) for x in done]
-                found.setdefault(tuple(map(len, rows[:height])), Counter())[charge(word)] += 1
-        del row[start:]
-
-    strip(0, 0, 0, 0)  # value 0 has no cells; its top row starts value 1
-    return {Partition(shape): counts for shape, counts in found.items()}
+    return tuple((rho.conjugate(), i) for rho, i in horizontal_strip_removals(lam.conjugate()))
 
 
-def charge(word) -> int:
-    """Lascoux-Schutzenberger charge of a word whose content is a partition.
+@lru_cache(maxsize=None)
+def pieri(lam: Partition, k: int) -> tuple[Partition, ...]:
+    """Every sigma with sigma/lam a horizontal strip of k cells: h_k s_lam = sum_sigma s_sigma.
 
-    Repeatedly extract a standard subword: take the rightmost 1, then scan
-    leftward (cyclically) for a 2, then a 3, and so on.  Each letter whose
-    scan wraps around the left end increments the running index; charge is
-    the sum of the indices over all letters of all extracted subwords.
+    Row r > 1 of sigma lies between lam_r and lam_(r-1), the old row above
+    it, so sigma below its first row is a rho of ``horizontal_strip_removals(lam)``
+    and its first row takes the rest, k + |lam/rho|, which must reach lam_1.
     """
-    w = list(word)
-    total = 0
-    while w:
-        top = max(w)
-        pos = max(i for i, v in enumerate(w) if v == 1)
-        chosen = [pos]
-        index = 0
-        for letter in range(2, top + 1):
-            j = pos - 1
-            wrapped = False
-            while True:
-                if j < 0:
-                    j = len(w) - 1
-                    wrapped = True
-                if w[j] == letter:
-                    break
-                j -= 1
-            if wrapped:
-                index += 1
-            total += index
-            chosen.append(j)
-            pos = j
-        for j in sorted(chosen, reverse=True):
-            del w[j]
-    return total
-
+    first = lam[0] if lam else 0
+    return tuple(Partition((k + i,) + rho if k + i else ())
+                 for rho, i in horizontal_strip_removals(lam) if k + i >= first)

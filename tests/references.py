@@ -8,6 +8,7 @@ is the one sum of ``SymFunc`` values, and ``render_field`` is the canonical
 text of a field element, the oracle of ``qfield.render``.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from sympy import sympify
@@ -17,7 +18,6 @@ from deltaq import delta_ops, hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import FIELD, RING, QPoly, q, qbinom_poly, qpoch_poly, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import charge_counts
 
 #: element type of Q(q,t), and its zero and one
 Field = type(q)
@@ -235,6 +235,15 @@ def kf_table(n: int) -> dict:
     return {(lam, mu): to_field(hl.kostka_foulkes(lam, mu)) for lam in parts for mu in parts}
 
 
+def poly_from_terms(terms: dict[int, int]) -> QPoly:
+    """sum c q^e over the items e: c of terms, as one ``QPoly``."""
+    low = min(terms, default=0)
+    c = [0] * (max(terms, default=-1) - low + 1)
+    for e, v in terms.items():
+        c[e - low] += v
+    return QPoly(c, low)
+
+
 def to_ring(poly: QPoly):
     """A ``QPoly`` with no negative exponent as the same element of the sparse ``qfield.RING``."""
     if poly.e < 0:
@@ -242,7 +251,75 @@ def to_ring(poly: QPoly):
     return RING.from_dict({(poly.e + i, 0): c for i, c in enumerate(poly.c) if c})
 
 
-# -- the cell-by-cell tableau search, the reference of tableaux.charge_counts --
+# -- the charge walk, the reference of hall_littlewood._kf_column, and the --
+# -- cell-by-cell tableau search it is checked against --
+
+def charge_counts(content: Partition) -> dict[Partition, Counter]:
+    """{shape: Counter of charges} over the semistandard tableaux of the given content.
+
+    The cells of value v form a horizontal strip, placed from the bottom row up:
+    a row grows by appending and never past the row above it, and the top row
+    takes the cells left.  Each tableau's reading word (rows left to right,
+    bottom row first) is charged and counted under its shape, and not kept.
+    """
+    rows: list[list[int]] = [[] for _ in range(len(content) + 1)]
+    found: dict[tuple[int, ...], Counter] = {}
+
+    def strip(v: int, height: int, r: int, left: int) -> None:
+        # `left` cells of value v still go into rows r, r-1, ..., 0; rows[:height] are not empty
+        row, start = rows[r], len(rows[r])
+        if r:
+            for a in range(min(left, len(rows[r - 1]) - start) + 1):
+                strip(v, height, r - 1, left - a)
+                row.append(v)
+        else:
+            row.extend([v] * left)
+            height += bool(rows[height])
+            if v < len(content):
+                strip(v + 1, height, height, content[v])
+            else:
+                word = [x for done in reversed(rows[:height]) for x in done]
+                found.setdefault(tuple(map(len, rows[:height])), Counter())[charge(word)] += 1
+        del row[start:]
+
+    strip(0, 0, 0, 0)  # value 0 has no cells; its top row starts value 1
+    return {Partition(shape): counts for shape, counts in found.items()}
+
+
+def charge(word) -> int:
+    """Lascoux-Schutzenberger charge of a word whose content is a partition.
+
+    Repeatedly extract a standard subword: take the rightmost 1, then scan
+    leftward (cyclically) for a 2, then a 3, and so on.  Each letter whose
+    scan wraps around the left end increments the running index; charge is
+    the sum of the indices over all letters of all extracted subwords.
+    """
+    w = list(word)
+    total = 0
+    while w:
+        top = max(w)
+        pos = max(i for i, v in enumerate(w) if v == 1)
+        chosen = [pos]
+        index = 0
+        for letter in range(2, top + 1):
+            j = pos - 1
+            wrapped = False
+            while True:
+                if j < 0:
+                    j = len(w) - 1
+                    wrapped = True
+                if w[j] == letter:
+                    break
+                j -= 1
+            if wrapped:
+                index += 1
+            total += index
+            chosen.append(j)
+            pos = j
+        for j in sorted(chosen, reverse=True):
+            del w[j]
+    return total
+
 
 def ssyt(shape: Partition, content: Partition) -> tuple[tuple[int, ...], ...]:
     """All semistandard tableaux of the given shape and content, each as its reading word.

@@ -1,8 +1,10 @@
 """Tests for Hall-Littlewood bases, Kostka-Foulkes polynomials, and Macdonald functions.
 
-The charge-based Kostka-Foulkes computation is checked against a fully
-independent Gram-Schmidt construction of the P basis from the q-deformed
-power-sum inner product, so the tableau conventions cannot drift silently.
+The Kostka-Foulkes columns of the Jing-Garsia operator are checked entry by
+entry against the charge walk over semistandard tableaux
+(``references.charge_counts``), and against a fully independent Gram-Schmidt
+construction of the P basis from the q-deformed power-sum inner product, so
+the tableau conventions cannot drift silently.
 """
 
 from collections import Counter
@@ -12,15 +14,15 @@ import pytest
 from sympy.utilities.iterables import multiset_permutations
 
 import field_route
-from references import (FIELD, ONE, ZERO, basis_convert, coef, dominates, e, field, from_poly, h,
-                        inverse_kostka, kf_table, kostka_number, lincomb, m, qpoch, render_field,
-                        ssyt, subs, subs_coeffs, to_field, to_ring, unitriangular_inverse)
+from references import (FIELD, ONE, ZERO, basis_convert, charge, charge_counts, coef, dominates, e,
+                        field, from_poly, h, inverse_kostka, kf_table, kostka_number, lincomb, m,
+                        poly_from_terms, qpoch, render_field, ssyt, subs, subs_coeffs, to_field,
+                        to_ring, unitriangular_inverse)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
 from deltaq.qfield import QPoly, q, t
 from deltaq.symfunc import SymFunc
-from deltaq.tableaux import charge, charge_counts
 
 
 def transformed_H(mu) -> SymFunc:
@@ -110,6 +112,21 @@ class TestKostkaFoulkes:
         assert to_field(hl.kostka_foulkes(Partition((4, 1)), Partition((2, 2, 1)))) == (
             q**2 + q**3
         )
+
+    def test_columns_match_the_charge_walk(self):
+        # the operator's columns against q^charge counted by the walk, mu = () included:
+        # every entry, and no zero entry stored, for every |mu| <= 10
+        for n in range(11):
+            for mu in partitions_of(n):
+                column = hl._kf_column(mu)
+                assert all(column.values()), mu
+                want = {lam: poly_from_terms(counts) for lam, counts in charge_counts(mu).items()}
+                assert column == want, mu
+
+    def test_every_vertical_strip_is_removed(self):
+        # F[X - 1] takes e_j^perp for every j: with 1 - e_1^perp alone,
+        # K_(3),(1,1,1) would read q^3 - 1
+        assert hl._kf_column(Partition((1, 1, 1)))[Partition((3,))] == QPoly([1], 3)
 
     def test_dense_table_matches_ring_counts(self):
         # _kf_column against q^charge over the reference's tableaux, summed in
