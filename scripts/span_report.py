@@ -2,7 +2,7 @@
 """Report the rank of span{ Delta_{s_nu} e_n } against the ambient dimension p(n).
 
 Each rank is taken at the point (q,t) = (123456789, 987654321) mod 2^61-1
-(``delta_ops.point_label(SPAN_POINT)``) by ``delta_ops.span_rank_at_point``,
+(``delta_ops.point_label()``) by ``delta_ops.span_rank_at_point``,
 the route ``deltaq verify --id span_dim`` certifies with, feeding images in
 increasing |nu| and stopping once the span is full.  The rank at the point is
 a lower bound on the rank over Q(q,t), and it never exceeds p(n), so

@@ -7,9 +7,11 @@ Subcommands:
 * ``deltaq pf``       -- count parking functions, or list them path by path as statistics CSV
 * ``deltaq deltaside``-- print the combinatorial operator side for given n, k
 
-Every subcommand reports invalid input (a ``ValueError``, such as a malformed
-``--params`` or one that repeats a key) as ``error: <message>`` on stderr and
-exits with status 2.  ``verify --params`` must give exactly the keys of each
+Every subcommand reports invalid input as ``error: <message>`` on stderr and
+exits with status 2: a ``ValueError``, such as a malformed ``--params`` or one
+that repeats a key, or an ``OSError``, such as a ``verify --out`` file that
+cannot be opened, which ``verify`` opens before the first case runs.
+``verify --params`` must give exactly the keys of each
 selected identity's first default case, each an int or a list as there, and
 ``expand --params`` exactly the keys its ``--what`` needs; otherwise the
 command names what does not fit and exits with status 2 before computing
@@ -104,6 +106,8 @@ def _cmd_verify(args) -> int:
         unfit = _unfit((args.id,) if args.id else ver.SUITES[args.suite], params)
         if unfit:
             raise ValueError("; ".join(unfit))
+    if args.out:  # fail before any case runs; an old report is replaced only by a finished run
+        open(args.out, "a").close()
     reports = ver.run_suite(args.suite, args.id, params, args.nmax)
     if args.out:
         ver.write_jsonl(reports, args.out)
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # invalid input; verify reports case failures itself
+    except (ValueError, OSError) as exc:  # invalid input; verify reports case failures itself
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,7 +103,7 @@ class HookParams:
 
 @lru_cache(maxsize=None)
 def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, QPoly]]:
-    """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, summed in ZZ[q].
+    """{l: sum_{l(mu)=l} q^(n(mu)) P_mu[X;q]} over the partitions mu of n, each entry one ``dot``.
 
     With inverse_q, the same polynomials read at 1/q, each reversed
     (``qfield.reverse``): sum_{l(mu)=l} q^(-n(mu)) P_mu[X;1/q].
@@ -112,12 +112,13 @@ def _graded_P(n: int, inverse_q: bool) -> dict[int, dict[Partition, QPoly]]:
         return {ell: {lam: reverse(c) for lam, c in row.items()}
                 for ell, row in _graded_P(n, False).items()}
     table = hl._p_table(n)
-    sums: dict[int, dict[Partition, QPoly]] = {}
+    sums: dict[int, dict[Partition, list[tuple[QPoly]]]] = {}
     for mu in partitions_of(n):
         row, shift = sums.setdefault(len(mu), {}), mu.nstat()
         for lam, c in table[mu].items():
-            row[lam] = row.get(lam, 0) + c.shift(shift)
-    return {ell: {lam: c for lam, c in row.items() if c} for ell, row in sums.items()}
+            row.setdefault(lam, []).append((c.shift(shift),))
+    return {ell: {lam: c for lam, terms in row.items() if (c := dot(terms))}
+            for ell, row in sums.items()}
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +343,7 @@ def remmel_sum(params: HookParams) -> SymFunc:
     (-1)^r c sum_s r_s (1 - q^s) q^(sr), one ``qfield.dot`` and one ``Coef``.
     """
     c, terms = _remmel_ring(params)
-    kernels = [(s, r_s - r_s.shift(s)) for s, r_s in terms.items()]
+    kernels = [(s, qfield.one_minus_product((s,), r_s)) for s, r_s in terms.items()]
     out = {}
     for r in range(params.n):
         poly = dot(((kernel.shift(s * r),) for s, kernel in kernels), c)
@@ -494,35 +495,34 @@ SPAN_PRIME = 2**61 - 1
 SPAN_POINT = (123456789, 987654321)
 
 
-def point_label(point: tuple[int, int]) -> str:
-    """'(q,t) = (a, b) mod 2^61-1', the text every rank at a point is reported with."""
-    return f"(q,t) = {tuple(point)} mod 2^61-1"
+def point_label() -> str:
+    """'(q,t) = (a, b) mod 2^61-1' for (a, b) = SPAN_POINT, read when called."""
+    return f"(q,t) = {SPAN_POINT} mod 2^61-1"
 
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max } at ``point``.
+    """Rank of span{ Delta_{s_nu} e_n : 1 <= |nu| <= nu_size_max } at SPAN_POINT.
 
-    ``point`` is the point (q, t) of GF(SPAN_PRIME)^2 the rank was taken at, so
-    ``rank`` is a lower bound on the rank over Q(q,t).
+    SPAN_POINT is the point (q, t) of GF(SPAN_PRIME)^2 the rank was taken at,
+    so ``rank`` is a lower bound on the rank over Q(q,t).
     """
 
     n: int
     nu_count: int
     rank: int
     dim: int  # number of partitions of n, the ambient dimension
-    point: tuple[int, int]
 
 
-def _eigenvalue_rows(n: int, point: tuple[int, int]) -> Callable[[Partition], list[int]]:
-    """nu -> [s_nu[B_mu] for mu in partitions_of(n)] at (q,t) = point mod SPAN_PRIME.
+def _eigenvalue_rows(n: int) -> Callable[[Partition], list[int]]:
+    """nu -> [s_nu[B_mu] for mu in partitions_of(n)] at (q,t) = SPAN_POINT mod SPAN_PRIME.
 
     s_nu = sum_rho chi^nu(rho)/z_rho p_rho (p > |nu|, so z_rho is a unit), and
     p_k[B_mu] = sum q^(col k) t^(row k) over the cells of mu.  Each rho's vector
     [p_rho[B_mu] for mu] is built once per call, as p_(rho_1) times the vector
     of the rest of rho, so a row is one weighted sum of those vectors.
     """
-    p, (a, b) = SPAN_PRIME, point
+    p, (a, b) = SPAN_PRIME, SPAN_POINT
     cells = [tuple(mu.cells()) for mu in partitions_of(n)]
     power: dict[tuple[int, ...], list[int]] = {}  # rho -> [p_rho[B_mu] for mu]
 
@@ -563,7 +563,7 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
     if nu_size_max is not None and nu_size_max < 1:
         raise ValueError(f"need nu_size_max >= 1, got {nu_size_max}")
     p, dim = SPAN_PRIME, len(partitions_of(n))
-    image = _eigenvalue_rows(n, SPAN_POINT)
+    image = _eigenvalue_rows(n)
     rows: list[tuple[int, list[int]]] = []  # (pivot column, row scaled to pivot 1) in order
     count = 0
     for nu in (nu for size in range(1, (nu_size_max or n) + 1) for nu in partitions_of(size)):
@@ -578,4 +578,4 @@ def span_rank_at_point(n: int, nu_size_max: int | None = None) -> SpanReport:
         if col is not None:
             inverse = pow(vec[col], -1, p)
             rows.append((col, [v * inverse % p for v in vec]))
-    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=dim, point=SPAN_POINT)
+    return SpanReport(n=n, nu_count=count, rank=len(rows), dim=dim)

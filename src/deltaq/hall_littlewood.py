@@ -161,7 +161,8 @@ def w_t0_cell_product(mu) -> QPoly:
     poly = QPoly([1])
     for cell in Partition(mu).cell_stats():
         poly = poly.shift(cell.leg)
-        poly = poly - poly.shift(cell.leg + 1) if cell.arm == 0 else -poly.shift(cell.leg + 1)
+        poly = (qfield.one_minus_product((cell.leg + 1,), poly) if cell.arm == 0
+                else -poly.shift(cell.leg + 1))
     return poly
 
 

@@ -7,26 +7,28 @@ has no arithmetic and is built once per Schur coefficient, from a ``QPoly``
 
 The q-only scalars and the t=0 tables are built in ``QPoly``, a dense
 ZZ[q, 1/q]: a list of integer coefficients from a least exponent e, always
-canonical, so ``==`` is equality.  ``+`` and ``-`` run elementwise once the
-exponents are aligned, and ``*`` is one product of two Python ints, each
-coefficient list packed into an int by Kronecker substitution (D. Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-arXiv:0712.4046).  ``dot`` takes a whole q-expression in one such pass: the
-sum of products f_1 ... f_r, terms of any arity, times an optional common
-factor, is one int sum of int products unpacked once, so no intermediate
-product is unpacked and packed again.  Values are immutable, so each keeps
-its int once packed at a digit width, a cached q-binomial is packed once,
-and ``shift``, which leaves the coefficients alone, shares the memo.  Digits
-are signed, packed little-endian, and offset by H, the int whose every digit
-is X/2; H is cut from one long constant per width (``_half``).  ``_pack``
-and ``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.
+canonical, so ``==`` is equality.  It has no ``+``, ``-`` or ``*``: past
+``shift``, unary ``-`` and ``reverse``, its arithmetic is ``dot`` and
+``one_minus_product``.  ``dot`` takes a whole q-expression, the sum of
+products f_1 ... f_r, terms of any arity, times an optional common factor,
+in one pass of Kronecker substitution (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", arXiv:0712.4046):
+each coefficient list is packed into a Python int, and the expression is
+one int sum of int products unpacked once, so no intermediate product is
+unpacked and packed again.  Values are immutable, so each keeps its int
+once packed at a digit width, a cached q-binomial is packed once, and
+``shift``, which leaves the coefficients alone, shares the memo.  Digits are
+signed, packed little-endian, and offset by H, the int whose every digit is
+X/2; H is cut from one long constant per width (``_half``).  ``_pack`` and
+``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.
 
 Every exact q-product is one ``one_minus_product``: a start polynomial times
 factors 1 - q^e and exact divisions by 1 - q^j in the order given, as in
 ``qpoch_poly`` (for any start s) and in ``qbinom_poly``'s product formula,
 both cached and neither recursive, and in ``hall_littlewood``'s division of
-Q_mu by b_mu, which starts from each Schur coefficient.  ``reverse`` gives
-poly(1/q) by reversing the coefficients instead of substituting 1/q.
+Q_mu by b_mu, which starts from each Schur coefficient; a start times one
+factor 1 - q^e is the same call.  ``reverse`` gives poly(1/q) by reversing
+the coefficients instead of substituting 1/q.
 
 ``render`` writes a ``Coef`` as the canonical text of its element of Q(q,t),
 the package's one output format for coefficients, and ``render_poly``
@@ -43,10 +45,10 @@ import sympy.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache, partial
-from itertools import accumulate, repeat
+from functools import lru_cache
+from itertools import accumulate
 from math import inf
-from operator import add, mul, neg, sub
+from operator import neg, sub
 
 #: FIELD, RING, q and t once built; kept here, not in the module namespace
 _SYMBOLIC: dict = {}
@@ -66,10 +68,6 @@ def __getattr__(name: str):
 
 # -- dense ZZ[q, 1/q] -----------------------------------------------------------
 
-#: Products whose shorter factor has at most this many coefficients are summed
-#: term by term; longer ones go through one Kronecker-substituted int product.
-_SCHOOLBOOK = 2
-
 #: struct codes of the signed integer digits that the Kronecker product packs
 #: in one call, by byte width; other widths pack digit by digit.
 _DIGIT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -86,20 +84,6 @@ def _canonical(c: list, e: int) -> tuple[list, int]:
     while not c[low]:
         low += 1
     return (c if low == 0 and end == len(c) else c[low:end]), e + low
-
-
-def _termwise(op, x: tuple[list, int], y: tuple[list, int]) -> QPoly:
-    """op(a_i, b_i) at every exponent i of a q^ea and b q^eb, (a, ea) = x and (b, eb) = y."""
-    (a, ea), (b, eb) = x, y
-    if ea < eb:
-        b = [0] * (eb - ea) + b
-    elif eb < ea:
-        a, ea = [0] * (ea - eb) + a, eb
-    n = min(len(a), len(b))
-    out = list(map(op, a, b))
-    out += a[n:]
-    out += map(op, repeat(0), b[n:])
-    return _wrap(*_canonical(out, ea))
 
 
 #: the struct width that holds a sign bit and b bits, by b < 64
@@ -161,32 +145,6 @@ def _unpack(value: int, n: int, width: int) -> list:
             for i in range(0, n * width, width)]
 
 
-def _mul(x: tuple[list, int], y: tuple[list, int]) -> QPoly:
-    """a q^ea times b q^eb, (a, ea) = x and (b, eb) = y, summed term by term.
-
-    ``QPoly`` sends longer products to ``dot``.
-    """
-    (a, ea), (b, eb) = x, y
-    if not a or not b:
-        return QPoly()
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(a):
-        if v:
-            out[i:i + len(b)] = map(add, out[i:i + len(b)], map(mul, b, repeat(v)))
-    return _wrap(out, ea + eb)
-
-
-def _terms(x):
-    """(coefficients, least exponent) of a QPoly or an int; NotImplemented for anything else."""
-    if isinstance(x, QPoly):
-        return x.c, x.e
-    if isinstance(x, int):
-        return ([x] if x else []), 0
-    return NotImplemented
-
-
 def _wrap(c: list, e: int = 0) -> QPoly:
     """A QPoly holding c q^e, c with no zero at either end."""
     poly = object.__new__(QPoly)
@@ -211,35 +169,24 @@ def _packed(p: QPoly, width: int) -> int:
     return value
 
 
-def _operator(op, reflected: bool = False):
-    """The QPoly method self op other (other op self if reflected), other a QPoly or an int."""
-    def method(self, other):
-        b = _terms(other)
-        if b is NotImplemented:
-            return b
-        return op(b, (self.c, self.e)) if reflected else op((self.c, self.e), b)
-    return method
-
-
 class QPoly:
     """An element of ZZ[q, 1/q], dense: ``c[i]`` is the coefficient of q^(e+i).
 
     Canonical: ``c`` has no zero at either end, and zero is ``c == []`` with
     ``e == 0``, so ``==`` is equality.  ``QPoly(coeffs, e)`` is
-    sum coeffs[i] q^(e+i) for any list and any integer e.  ``+``, ``-`` and
-    ``*`` take a QPoly or an int on either side; ``*`` of two QPolys is one
-    Kronecker product (``dot``) unless a factor has at most ``_SCHOOLBOOK``
-    coefficients.  Values are immutable by contract: no operation changes
-    ``c`` in place and no caller may, because polynomials are shared, not
-    least by the caches of ``qpoch_poly`` and ``qbinom_poly``; so two memos
-    that a product fills, ``_norm`` (``_norm_of``) and ``_packs``, the
-    Kronecker int of ``c`` by digit width (``_packed``), stay valid, and a
-    cached factor is packed once per width.  New values start without them,
-    except that ``shift`` hands its result the same ``_packs``.  ``c`` is a
-    list rather than a tuple because every operation frees short
-    intermediates, and freed tuples of up to 20 items stay in CPython's
-    per-size free lists: about 1 MiB more peak memory on a sweep of
-    q-binomial identities.
+    sum coeffs[i] q^(e+i) for any list and any integer e.  There is no
+    ``+``, ``-`` or ``*``: sums and products are ``dot`` and
+    ``one_minus_product``, and ``==`` holds only between QPolys.  Values are
+    immutable by contract: no operation changes ``c`` in place and no caller
+    may, because polynomials are shared, not least by the caches of
+    ``qpoch_poly`` and ``qbinom_poly``; so two memos that ``dot`` fills,
+    ``_norm`` (``_norm_of``) and ``_packs``, the Kronecker int of ``c`` by
+    digit width (``_packed``), stay valid, and a cached factor is packed once
+    per width.  New values start without them, except that ``shift`` hands
+    its result the same ``_packs``.  ``c`` is a list rather than a tuple
+    because every operation frees short intermediates, and freed tuples of
+    up to 20 items stay in CPython's per-size free lists: about 1 MiB more
+    peak memory on a sweep of q-binomial identities.
     """
 
     __slots__ = ("c", "e", "_norm", "_packs")
@@ -261,22 +208,10 @@ class QPoly:
         return bool(self.c)
 
     def __eq__(self, other) -> bool:
-        return (self.c, self.e) == _terms(other)
+        return isinstance(other, QPoly) and (self.c, self.e) == (other.c, other.e)
 
     def __neg__(self) -> QPoly:
         return _wrap(list(map(neg, self.c)), self.e)
-
-    __add__ = __radd__ = _operator(partial(_termwise, add))
-    __sub__ = _operator(partial(_termwise, sub))
-    __rsub__ = _operator(partial(_termwise, sub), reflected=True)
-    _schoolbook = _operator(_mul)
-
-    def __mul__(self, other):
-        if isinstance(other, QPoly) and min(len(self.c), len(other.c)) > _SCHOOLBOOK:
-            return dot(((self, other),))
-        return self._schoolbook(other)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"QPoly({self.c}, {self.e})"
@@ -334,7 +269,7 @@ def dot(terms, factor: QPoly | None = None) -> QPoly:
 
 
 def _times_one_minus(c: list, e: int) -> list:
-    """c * (1 - q^e), for e >= 1, in one pass (``poly - poly.shift(e)`` takes three)."""
+    """c * (1 - q^e), for e >= 1, in one pass."""
     out = list(c) + [0] * e
     out[e:] = map(sub, out[e:], c)
     return out

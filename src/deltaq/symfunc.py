@@ -161,7 +161,8 @@ def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
     |coefficient| it bounds every coefficient before the division by n!.
     """
     rhos = partitions_of(n)
-    weights = [(qfield.one_minus_product(rho) * (factorial(n) // zee(rho))).c for rho in rhos]
+    weights = [qfield.one_minus_product(rho, qfield.QPoly([factorial(n) // zee(rho)])).c
+               for rho in rhos]
     characters = {lam: [character(lam, rho) for rho in rhos] for lam in rhos}
     top = max(abs(chi) for row in characters.values() for chi in row)
     growth = len(rhos) * top * top * max(sum(map(abs, c)) for c in weights)

@@ -200,14 +200,14 @@ def _span_sides(p: dict) -> tuple[do.SpanReport, int]:
 def _compare_rank(report: do.SpanReport, n: int, params: dict) -> str:
     if report.rank <= n:  # a lower bound that does not exceed n proves nothing
         raise ValueError(f"inconclusive: rank {report.rank} <= n = {n} at "
-                         f"{do.point_label(report.point)}")
+                         f"{do.point_label()}")
     return ""
 
 
 def _render_rank(report: do.SpanReport, n: int, params: dict) -> tuple[str, str]:
     return (f"rank {report.rank} from {report.nu_count} images",
             f"required > {n}; ambient dimension p({n}) = {report.dim}; "
-            f"rank at {do.point_label(report.point)}")
+            f"rank at {do.point_label()}")
 
 
 def _q_to_t(f: SymFunc) -> SymFunc:

@@ -23,7 +23,8 @@ routes to agree.
 
 from functools import lru_cache
 
-from references import ONE, ZERO, basis_convert, coef, from_poly, from_power, lincomb, omega
+from references import (ONE, ZERO, basis_convert, coef, from_poly, from_power, lincomb, omega,
+                        poly_sum)
 from deltaq import delta_ops, hall_littlewood as hl, symfunc as sf
 from deltaq.delta_ops import HookParams
 from deltaq.partition import partitions_of
@@ -84,8 +85,7 @@ def remmel_coeff(s: int, params: HookParams):
     c, terms = delta_ops._remmel_ring(params)
     if s not in terms:
         return ZERO
-    poly = c * terms[s]
-    return from_poly(poly - poly.shift(s))
+    return from_poly(poly_sum((c, terms[s]), (-1, c, terms[s].shift(s))))
 
 
 def remmel_sum(params: HookParams):

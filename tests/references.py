@@ -10,6 +10,7 @@ text of a field element, the oracle of ``qfield.render``.
 
 from collections import Counter
 from functools import lru_cache
+from operator import add
 
 from sympy import sympify
 from sympy.polys.domains import ZZ
@@ -172,13 +173,15 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     return _kostka_column(content).get(shape, 0)
 
 
-def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, object]]:
+def unitriangular_inverse(n: int, entry, minus=lambda x, c, v: x - c * v
+                          ) -> dict[Partition, dict[Partition, object]]:
     """{a: {b: nonzero entry}}, the inverse of a unitriangular matrix over the partitions of n.
 
     ``entry(a, b)`` is 1 in its ring at b = a and zero unless b follows a in
     ``partitions_of`` order, which refines dominance: the Kostka-Foulkes
     matrix K(q), whose inverse is ``hall_littlewood._p_table``.
-    Back substitution: row a = e_a - sum_b entry(a, b) row b.
+    Back substitution: row a = e_a - sum_b entry(a, b) row b, each step
+    ``minus(x, c, v)`` = x - c v; an absent x is the int 0.
     """
     order = partitions_of(n)
     out: dict[Partition, dict[Partition, object]] = {}
@@ -189,7 +192,7 @@ def unitriangular_inverse(n: int, entry) -> dict[Partition, dict[Partition, obje
             c = entry(a, b)
             if c:
                 for lam, v in out[b].items():
-                    val = row.get(lam, 0) - c * v
+                    val = minus(row.get(lam, 0), c, v)
                     if val:
                         row[lam] = val
                     else:
@@ -242,6 +245,30 @@ def poly_from_terms(terms: dict[int, int]) -> QPoly:
     for e, v in terms.items():
         c[e - low] += v
     return QPoly(c, low)
+
+
+def poly_sum(*terms) -> QPoly:
+    """sum f_1 ... f_r over the terms (f_1, ..., f_r) of QPolys and ints, on coefficient lists.
+
+    The tests' one sum and product of ``QPoly`` values, since the package
+    adds and multiplies them only through ``qfield.dot``: each product is
+    summed term by term, r = 0 is 1, and the products are added once aligned.
+    """
+    products = []
+    for term in terms:
+        c, e = [1], 0
+        for f in term:
+            f = f if isinstance(f, QPoly) else QPoly([f])
+            out = [0] * (len(c) + len(f.c) - 1) if c and f.c else []
+            for i, v in enumerate(f.c):
+                out[i:i + len(c)] = map(add, out[i:i + len(c)], [v * x for x in c])
+            c, e = out, e + f.e
+        products.append((c, e))
+    low = min((e for _, e in products), default=0)
+    out = [0] * max((e - low + len(c) for c, e in products), default=0)
+    for c, e in products:
+        out[e - low:e - low + len(c)] = map(add, out[e - low:e - low + len(c)], c)
+    return QPoly(out, low)
 
 
 def to_ring(poly: QPoly):

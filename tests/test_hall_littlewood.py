@@ -16,8 +16,8 @@ from sympy.utilities.iterables import multiset_permutations
 import field_route
 from references import (FIELD, ONE, ZERO, basis_convert, charge, charge_counts, coef, dominates, e,
                         field, from_poly, h, inverse_kostka, kf_table, kostka_number, lincomb, m,
-                        poly_from_terms, qpoch, render_field, ssyt, subs, subs_coeffs, to_field,
-                        to_ring, unitriangular_inverse)
+                        poly_from_terms, poly_sum, qpoch, render_field, ssyt, subs, subs_coeffs,
+                        to_field, to_ring, unitriangular_inverse)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
@@ -214,7 +214,8 @@ class TestHallLittlewoodP:
         # the plethysm route against inverting the Kostka-Foulkes columns in
         # dense QPoly, at every entry for every |mu| <= 10
         for n in range(11):
-            want = unitriangular_inverse(n, lambda a, b: hl._kf_column(b).get(a, 0))
+            want = unitriangular_inverse(n, lambda a, b: hl._kf_column(b).get(a, 0),
+                                         lambda x, c, v: poly_sum((x,), (-1, c, v)))
             assert hl._p_table(n) == want, n
 
     def test_inverse_q_variant(self):

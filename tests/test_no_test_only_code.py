@@ -1,11 +1,14 @@
-"""Every public top-level name of deltaq has a caller outside the tests.
+"""Every top-level name of deltaq has a caller outside the tests.
 
-Parses ``src/deltaq/*.py`` and looks for a load of each public top-level
-function or class in ``src/``, ``scripts/`` or ``bench/``.  A load counts
-only when it resolves to that definition: a bare name bound to it (in its own
-module or by ``from ... import``) and not shadowed by a local binding, or an
-attribute of an alias of the ``deltaq`` module that defines or imports it.
-So ``p["n"]`` or ``params.m`` do not call ``symfunc.p`` or ``symfunc.m``.
+Parses ``src/deltaq/*.py`` and looks for a load of each top-level function
+or class but the dunders, public or private, in ``src/``, ``scripts/`` or
+``bench/``.  The private functions that ``bench/spans.py`` traces by name
+(``spans.PRIVATE_SPANS``) are exempt: the tracer looks them up by string.
+A load counts only when it resolves to that definition: a bare name bound
+to it (in its own module or by ``from ... import``) and not shadowed by a
+local binding, or an attribute of an alias of the ``deltaq`` module that
+defines or imports it.  So ``p["n"]`` or ``params.m`` do not call
+``symfunc.p`` or ``symfunc.m``.
 Loads inside the name's own definition (a recursive call) do not count.  A
 name used only by tests belongs in the tests, as an oracle beside the code it
 checks.  Likewise every name a ``src/deltaq`` or ``tests`` module imports must
@@ -91,14 +94,15 @@ def _scope_bindings(scope, module: str | None) -> dict:
 
 
 def _package_tables() -> tuple[dict, dict]:
-    """({module: its top-level bindings}, {module: {public name: definitions}})."""
+    """({module: its top-level bindings}, {module: {name: definition}}), dunders left out."""
     tables, definitions = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         tables[path.stem] = _scope_bindings(tree, path.stem)
         definitions[path.stem] = {
             node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
         }
     return tables, definitions
 
@@ -164,7 +168,8 @@ def _uses(tree, module: str | None, tables: dict) -> set[tuple[str, str]]:
     return used
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _uncalled() -> tuple[set[str], set[str]]:
+    """(every definition "module.name", the ones nothing in src/, scripts/ or bench/ loads)."""
     tables, definitions = _package_tables()
     used: set[tuple[str, str]] = set()
     for folder in CALLERS:
@@ -174,9 +179,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             module = path.stem if path.parent == PACKAGE else None
             used |= _uses(ast.parse(path.read_text()), module, tables)
     defined = {f"{module}.{name}" for module, names in definitions.items() for name in names}
+    return defined, defined - {f"{module}.{name}" for module, name in used}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    defined, uncalled = _uncalled()
     assert set(ALLOWED) <= defined, "allowlist names a deleted definition"
-    unused = sorted(defined - {f"{module}.{name}" for module, name in used} - set(ALLOWED))
+    unused = sorted(name for name in uncalled - set(ALLOWED) if "._" not in name)
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def test_every_private_name_has_a_caller_outside_the_tests(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    traced = {f"{module}.{name}" for module, names in spans.PRIVATE_SPANS.items() for name in names}
+    defined, uncalled = _uncalled()
+    assert traced <= defined, "bench/spans.py traces a deleted definition"
+    unused = sorted(name for name in uncalled - traced if "._" in name)
+    assert unused == [], f"private names only tests call: {unused}"
 
 
 def test_every_import_is_loaded_in_its_module():

@@ -5,14 +5,15 @@ canonical text are checked first, then the package's values against it.
 """
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import field_route
 from references import (ONE, ZERO, coef, from_field, from_poly, is_canonical, poly_from_terms,
-                        qbinom, qpoch, qpoch_at, read_coef, render_field, subs, swap_qt, to_field,
-                        to_ring)
+                        poly_sum, qbinom, qpoch, qpoch_at, read_coef, render_field, subs, swap_qt,
+                        to_field, to_ring)
 from deltaq import qfield, symfunc as sf
 from deltaq.partition import Partition
 from deltaq.qfield import Coef, QPoly, q, t
@@ -262,7 +263,7 @@ class TestRingRoute:
     def test_long_products_need_no_recursion(self):
         # [a, b]_q (q;q)_c = (q^(a-c+1);q)_c, c = min(b, a-b), a far past the recursion limit
         for a, b in ((2000, 3), (1201, 5), (3000, 2998)):
-            product = qfield.qbinom_poly(a, b) * qfield.qpoch_poly(1, min(b, a - b))
+            product = qfield.dot([(qfield.qbinom_poly(a, b), qfield.qpoch_poly(1, min(b, a - b)))])
             assert product == qfield.qpoch_poly(max(b, a - b) + 1, min(b, a - b)), (a, b)
 
 
@@ -283,11 +284,6 @@ def _schoolbook(a: QPoly, b: QPoly) -> list:
     return QPoly(out).c
 
 
-def _summed_products(pairs) -> QPoly:
-    """sum a b over the pairs (a, b), every product summed term by term."""
-    return sum((QPoly(_schoolbook(a, b), a.e + b.e) for a, b in pairs), QPoly())
-
-
 class TestQPoly:
     """The dense ZZ[q] type against sympy's sparse ``qfield.RING``."""
 
@@ -295,47 +291,53 @@ class TestQPoly:
         assert QPoly([1, 2, 0, 0]).c == [1, 2]
         assert QPoly([0, 0]).c == [] and not QPoly([0, 0])
         assert poly_from_terms({3: 2, 0: -1}) == QPoly([-1, 0, 0, 2])
-        assert QPoly([5]) == 5 and QPoly() == 0
+        assert QPoly([5]) == poly_from_terms({0: 5}) and QPoly() == QPoly([0])
         # zeros at either end leave c, and the low ones raise e
         laurent = QPoly([0, 0, 1, 0, -2, 0], -3)
         assert (laurent.c, laurent.e) == ([1, 0, -2], -1)
         assert poly_from_terms({-1: 1, 1: -2, 4: 0}) == laurent
-        assert QPoly([1], 2) != QPoly([1]) and QPoly([1], -2) != 1
+        assert QPoly([1], 2) != QPoly([1]) and QPoly([1], -2) != QPoly([1])
 
     @given(_qpolys, _qpolys)
     @settings(max_examples=300, deadline=None)
     def test_product(self, a, b):
-        assert to_ring(a * b) == to_ring(a) * to_ring(b)
+        assert to_ring(qfield.dot([(a, b)])) == to_ring(a) * to_ring(b)
 
     @given(_qpolys, _coefficients)
     @settings(max_examples=60, deadline=None)
     def test_int_product(self, a, k):
-        assert to_ring(a * k) == to_ring(k * a) == to_ring(a) * k
-
-    def test_products_across_the_schoolbook_cutoff(self):
-        big = 2**70 + 3
-        for la in range(1, 6):
-            for lb in range(1, 12):
-                a = QPoly([(-1) ** i * (i + 2) for i in range(la)])
-                b = QPoly([big - 7 * j for j in range(lb)])
-                assert to_ring(a * b) == to_ring(a) * to_ring(b), (la, lb)
+        want = to_ring(a) * k
+        assert to_ring(qfield.dot([(a,)], QPoly([k]))) == want
+        assert to_ring(qfield.dot([(QPoly([k]), a)])) == want
 
     @given(_qpolys, _qpolys)
     @settings(max_examples=150, deadline=None)
     def test_sum_and_difference(self, a, b):
         ra, rb = to_ring(a), to_ring(b)
-        assert to_ring(a + b) == ra + rb
-        assert to_ring(a - b) == ra - rb
-        assert to_ring(a - a) == qfield.RING.zero and not a - a
+        assert to_ring(qfield.dot([(a,), (b,)])) == ra + rb
+        assert to_ring(qfield.dot([(a,), (-b,)])) == ra - rb
+        difference = qfield.dot([(a,), (-a,)])
+        assert to_ring(difference) == qfield.RING.zero and not difference
         assert to_ring(-a) == -ra
         assert (a == b) == (ra == rb)
 
     @given(_qpolys, _coefficients)
     @settings(max_examples=60, deadline=None)
     def test_int_sum_and_difference(self, a, k):
-        assert to_ring(k - a) == k - to_ring(a)
-        assert to_ring(a - k) == to_ring(a) - k
-        assert to_ring(k + a) == to_ring(a + k) == to_ring(a) + k
+        ra, rk = to_ring(a), QPoly([k])
+        assert to_ring(qfield.dot([(rk,), (-a,)])) == k - ra
+        assert to_ring(qfield.dot([(a,), (-rk,)])) == ra - k
+        assert to_ring(qfield.dot([(rk,), (a,)])) == to_ring(qfield.dot([(a,), (rk,)])) == ra + k
+
+    def test_sums_and_products_are_not_operators(self):
+        # q-arithmetic is qfield.dot and qfield.one_minus_product, never + - *
+        a = QPoly([1, -2], -1)
+        for other in (a, 3):
+            for op in (add, sub, mul):
+                with pytest.raises(TypeError):
+                    op(a, other)
+                with pytest.raises(TypeError):
+                    op(other, a)
 
     @given(_qpolys, st.integers(-12, 12))
     @settings(max_examples=60, deadline=None)
@@ -347,7 +349,8 @@ class TestQPoly:
         p, r = QPoly([3, -1, 4, 1, 5]), QPoly([2**70, 0, 1])
         moved = p.shift(-3)
         assert moved._packs is p._packs and not p._packs
-        assert ((moved * r).c, (moved * r).e) == (_schoolbook(p, r), -3)
+        product = qfield.dot([(moved, r)])
+        assert (product.c, product.e) == (_schoolbook(p, r), -3)
         assert p._packs  # packed through the shifted value, kept for p
         assert QPoly().shift(-4) == QPoly() and QPoly().shift(-4).e == 0
 
@@ -372,7 +375,8 @@ class TestQPoly:
         assert (x == y) == (from_poly(x) == from_poly(y))
 
     def test_laurent_of_zero(self):
-        assert QPoly([], -3) == QPoly([0, 0], 5) == QPoly([1], 4) - QPoly([0, 1], 3) == QPoly()
+        assert QPoly([], -3) == QPoly([0, 0], 5) == QPoly()
+        assert qfield.dot([(QPoly([1], 4),), (-QPoly([0, 1], 3),)]) == QPoly()
         assert (QPoly([0, 0], 5).c, QPoly([0, 0], 5).e) == ([], 0)
 
     @given(st.builds(QPoly, st.one_of(st.lists(_coefficients, max_size=40),
@@ -403,8 +407,8 @@ class TestQPoly:
     @given(st.lists(st.tuples(st.integers(-12, 12), _qpolys, _qpolys), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_dot_matches_sum_of_shifted_products(self, terms):
-        want = sum(((a * b).shift(s) for s, a, b in terms), QPoly())
         pairs = [(a.shift(s), b) for s, a, b in terms]
+        want = poly_sum(*pairs)
         assert qfield.dot(pairs) == want
         assert qfield.dot(iter(pairs)) == want
         # the same terms with one factor negated cancel to zero
@@ -421,7 +425,7 @@ class TestQPoly:
         big = QPoly([2**70, -(2**70) + 1, 5])
         terms = [(big, big), (big.shift(4), one_plus_q), (-big.shift(1), big)]
         assert qfield._digit_width(2**140 * 9) not in qfield._DIGIT_CODES
-        assert qfield.dot(terms) == big * big + (big * one_plus_q).shift(4) - (big * big).shift(1)
+        assert qfield.dot(terms) == poly_sum(*terms)
 
     @given(_qpolys, _qpolys, _qpolys)
     @settings(max_examples=200, deadline=None)
@@ -429,18 +433,18 @@ class TestQPoly:
         coefficients = [list(x.c) for x in (a, b, c)]
         # every factor is reused against the others, so its memo is read at several widths
         for x, y in ((a, b), (a, c), (b, c), (a, a), (c, a), (b, a)):
-            assert (x * y).c == _schoolbook(x, y), (x, y)
+            assert qfield.dot([(x, y)]).c == _schoolbook(x, y), (x, y)
         assert [x.c for x in (a, b, c)] == coefficients
 
     def test_a_narrow_pack_is_not_reused_at_a_wider_width(self):
         small, ones = QPoly([1, -1, 1, 1]), QPoly([1, 1, 1])
         big = QPoly([2**70, 3, -(2**70)])
-        assert (small * ones).c == _schoolbook(small, ones)
+        assert qfield.dot([(small, ones)]).c == _schoolbook(small, ones)
         assert set(small._packs) == {1}
         # 2^70 * 3 needs 10-byte digits: small is packed again, not read at 1 byte
-        assert (small * big).c == _schoolbook(small, big)
+        assert qfield.dot([(small, big)]).c == _schoolbook(small, big)
         assert set(small._packs) == {1, 10}
-        assert (small * ones).c == _schoolbook(small, ones)
+        assert qfield.dot([(small, ones)]).c == _schoolbook(small, ones)
         assert small.c == [1, -1, 1, 1] and small._norm == 1
 
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 14), st.integers(0, 14)),
@@ -452,12 +456,12 @@ class TestQPoly:
         terms = [(qfield.qbinom_poly(a, b).shift(s), qfield.qpoch_poly(1 + b, a % 6))
                  for s, a, b in rows]
         terms += [(shared.shift(s), shared) for s, _, _ in rows]
-        want = _summed_products(terms)
+        want = poly_sum(*terms)
         assert qfield.dot(terms) == want
         widened = terms + [(shared.shift(2), wide), (wide, terms[0][1])]
-        assert qfield.dot(widened) == _summed_products(widened)
+        assert qfield.dot(widened) == poly_sum(*widened)
         assert qfield.dot(terms) == want
-        assert qfield.dot(terms[:1]) == _summed_products(terms[:1])
+        assert qfield.dot(terms[:1]) == poly_sum(*terms[:1])
 
     def test_products_leave_cached_coefficients_alone(self):
         cached = [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
@@ -465,7 +469,7 @@ class TestQPoly:
         big = QPoly([2**70, -1, 5, 7])
         for p in cached:
             for other in (p, big, QPoly([1, 1, 1, 1])):
-                assert (p * other).c == _schoolbook(p, other)
+                assert qfield.dot([(p, other)]).c == _schoolbook(p, other)
             qfield.dot([(p.shift(1), big), (p, p), (big.shift(3), p)])
         assert [p.c for p in cached] == coefficients
         assert cached == [qfield.qbinom_poly(11, 5), qfield.qpoch_poly(3, 6), qfield.qbinom_poly(7, 0)]
@@ -473,14 +477,15 @@ class TestQPoly:
 
     def test_derived_values_start_without_memos(self):
         p = QPoly([3, -1, 4, 1, 5])
-        assert (p * p).c == _schoolbook(p, p)
+        assert qfield.dot([(p, p)]).c == _schoolbook(p, p)
         assert p._norm == 5 and p._packs
         r = QPoly([2**70, 0, 1])
-        for derived in (-p, p + r, r + p, p - r, p * 2, 3 * p, p * p, qfield.reverse(p),
-                        QPoly(p.c, 3)):
+        for derived in (-p, qfield.dot([(p,), (r,)]), qfield.dot([(p,)], QPoly([2])),
+                        qfield.dot([(p, p)]), qfield.one_minus_product((2,), p),
+                        qfield.reverse(p), QPoly(p.c, 3)):
             assert not hasattr(derived, "_norm") and not hasattr(derived, "_packs"), derived
-            assert (derived * r).c == _schoolbook(derived, r)
-            assert (derived * p).c == _schoolbook(derived, p)
+            assert qfield.dot([(derived, r)]).c == _schoolbook(derived, r)
+            assert qfield.dot([(derived, p)]).c == _schoolbook(derived, p)
 
     @pytest.mark.parametrize("c, j", [([1, 0, 1], 1), ([1], 2), ([0, 1], 2), ([1, 0, -1, 1], 2)],
                              ids=["1+q^2 over 1-q", "1 over 1-q^2", "q over 1-q^2",
@@ -516,10 +521,12 @@ class TestLaurentQPoly:
         cases = [
             (a, fa), (b, fb),
             (poly_from_terms(terms), sum((coef(c) * q**e for e, c in terms.items()), ZERO)),
-            (a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa), (a - a, ZERO),
-            (a + low, fa + from_poly(low)),
-            (a + k, fa + k), (k + a, fa + k), (a - k, fa - k), (k - a, k - fa),
-            (a * b, fa * fb), (b * a, fa * fb), (a * k, fa * k), (k * a, fa * k), (-a, -fa),
+            (qfield.dot([(a,), (b,)]), fa + fb), (qfield.dot([(a,), (-b,)]), fa - fb),
+            (qfield.dot([(-a,), (b,)]), fb - fa), (qfield.dot([(a,), (-a,)]), ZERO),
+            (qfield.dot([(a,), (low,)]), fa + from_poly(low)),
+            (qfield.dot([(a, b)]), fa * fb), (qfield.dot([(b, a)]), fa * fb),
+            (qfield.dot([(a,)], QPoly([k])), fa * k), (-a, -fa),
+            (qfield.one_minus_product((abs(s) + 1,), a), fa * (ONE - q ** (abs(s) + 1))),
             (a.shift(s), fa * q**s), (qfield.reverse(a), subs(fa, q_image=ONE / q)),
             (qfield.dot([(a.shift(s), b), (b, b), (a, a.shift(-s))]),
              q**s * fa * fb + fb * fb + q**-s * fa * fa),
@@ -531,10 +538,10 @@ class TestLaurentQPoly:
 
 
 def _chained(term) -> QPoly:
-    """f_1 ... f_r, one schoolbook ``qfield._mul`` per factor."""
+    """f_1 ... f_r, one ``_schoolbook`` product per factor."""
     out = QPoly([1])
     for f in term:
-        out = qfield._mul((out.c, out.e), (f.c, f.e))
+        out = QPoly(_schoolbook(out, f), out.e + f.e)
     return out
 
 
@@ -567,7 +574,7 @@ class TestDot:
     @settings(max_examples=300, deadline=None)
     def test_matches_chained_schoolbook(self, terms, factor):
         coefficients = [list(f.c) for term in terms for f in term]
-        total = sum((_chained(term) for term in terms), QPoly())
+        total = poly_sum(*((_chained(term),) for term in terms))
         want = total if factor is None else _chained((total, factor))
         got = qfield.dot(terms, factor)
         assert got == want and is_canonical(got)
@@ -607,7 +614,7 @@ class TestDot:
         narrow = qfield.dot([tuple(cached)])
         wide = qfield.dot([tuple(cached), (big, cached[0])], cached[2])
         assert narrow == _chained(cached)
-        assert wide == _chained((_chained(cached) + _chained((big, cached[0])), cached[2]))
+        assert wide == _chained((poly_sum((_chained(cached),), (big, cached[0])), cached[2]))
         assert [p.c for p in cached] == coefficients
         assert len(cached[0]._packs) >= 2  # packed again at the wider width, not reused
         for p in cached:

@@ -47,6 +47,6 @@ def test_help_names_the_point_and_what_full_certifies(span_report, capsys):
     assert exc.value.code == 0
     shown = capsys.readouterr().out
     for text in (span_report.__doc__, shown):
-        assert delta_ops.point_label(delta_ops.SPAN_POINT) in text
+        assert delta_ops.point_label() in text
         assert "lower bound" in text
         assert '"full? yes" certifies rank = p(n)' in text

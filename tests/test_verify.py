@@ -340,6 +340,15 @@ class TestCli:
         assert rc == 0
         assert json.loads(out_file.read_text())["status"] == "equal"
 
+    def test_verify_out_that_cannot_be_opened_runs_no_case(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(ver, "run_one", lambda *case: ran.append(case))
+        out_file = tmp_path / "missing" / "run.jsonl"
+        rc = cli.main(["verify", "--id", "prop31", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert rc == 2 and ran == [] and captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out_file}'\n"
+
     def test_expand_schur(self, capsys):
         rc = cli.main(["expand", "--what", "P", "--mu", "[2,1]"])
         out = capsys.readouterr().out.strip()
