@@ -12,24 +12,23 @@ sizes c_1, ..., c_r carries n!/(c_1! ... c_r!) parking functions, which
 the free cars per run, in lexicographic order and with none filtered.
 ``parking_count`` is their total (n+1)^(n-1) (Pollak), built from no path.
 
-The generating-function side builds no ``ParkingFunction``.  ``car_counts``
-counts the parking functions on one path by descent set of the inverse
-reading word and dinv, with a dynamic program over the cars 1..n, and
-``rise_factor`` expands t^(area) prod_{i in Rise} (1 + z t^(-a_i)); both are
-cached on the area sequence, so every k and both families read them once per path.
+The generating-function side builds no ``ParkingFunction``.
 ``delta_side_combinatorial(n, k)`` extracts the z^(n-k) coefficient of
 
     sum_paths t^(area) prod_{i in Rise} (1 + z t^(-a_i)) sum_{PF} q^(dinv) F_(ides(word))
 
-with F a fundamental quasisymmetric function; ``t_zero`` keeps its
-t-degree-0 part and ``q_zero`` its q-degree-0 part (dinv = 0).  It counts
-parking functions in a plain int F-aggregate {ides: {(q_exp, t_exp): count}}
-and passes it once to ``symfunc.from_fundamentals``, the one route from
-F-expansions to Schur functions.  The older monomial route's last step,
+with each F_alpha read as the straightened Schur function s_alpha
+(Egge-Loehr-Warrington).  ``rise_factor`` expands the rise product, and
+``schur_counts`` counts the parking functions by Schur function and dinv,
+straightening each part of the descent composition inside its dynamic
+program (``symfunc._straighten_step``); both are cached.  ``t_zero`` keeps
+the t-degree-0 part, which lives on the concatenations of k staircases
+alone, and ``q_zero`` the q-degree-0 part.  Counting by ``ides`` and
+straightening at the end is the tests' reference route
+(``tests/filter_route.py``).  The older monomial route's last step,
 ``_monomials_to_symfunc``, stays as the reference the tests check that route
-against; nothing in the package calls it.  It reads m_lam as the
-Hall-Littlewood P_lam at q = 1 (Macdonald, III.2), so it needs no Kostka
-matrix of its own.
+against; nothing in the package calls it.  It reads m_lam as P_lam at q = 1
+(Macdonald, III.2), so it needs no Kostka matrix of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 # bench/spans.py counts the permutations tried through parking.permutations
 from itertools import combinations, permutations  # noqa: F401
 
@@ -199,55 +198,85 @@ def _block_shuffles(sizes: tuple[int, ...], free: tuple[int, ...]) -> Iterator[t
 
 
 @lru_cache(maxsize=None)
-def car_counts(areas: tuple[int, ...], q_zero: bool = False) -> dict[int, int]:
-    """The parking functions on the path counted by (ides, dinv), as {dinv << n | ides: count}.
+def schur_counts(areas: tuple[int, ...], n: int,
+                 q_zero: bool = False) -> dict[Partition, list[int]]:
+    """sum_{PF on the path} q^(dinv) F_(ides(word)) as Schur counts {lam: [count at dinv d]}.
 
-    ``ides`` is a bitmask with bit v set when v is a descent of the inverse
-    reading word (car v+1 is read before car v).  With ``q_zero`` only the
-    parking functions with dinv = 0 are counted.
-
-    The cars 1..n are placed in increasing order.  Each run of rises fills
-    from its bottom row up, so a state is the set of filled rows (a bitmask)
-    and the row of the last car.  Car v+1 on row x adds one dinv pair for each
+    The cars 1..n are placed in increasing order, each run of rises filling
+    from its bottom row up: a state is the set of filled rows (a bitmask) and
+    the row of the last car.  Car v+1 on row x adds one dinv pair for each
     filled row i with i < x and a_i = a_x, or i > x and a_i = a_x - 1, and a
-    descent at v when row x is read before the row of car v.  dinv never
-    falls, so ``q_zero`` drops a state as soon as it gains a pair.
+    descent at v when row x is read before the row of car v.  The descent
+    closes the part v - cut, straightened at once (``symfunc._straighten_step``),
+    so a state keeps one signed count per (closed beta bits, cut), packed as
+    one int key, and drops the histories that vanish.  A count packs its dinv
+    polynomial into one int, so a dinv pair is one shift, and ``q_zero``
+    drops a move that gains a pair.  The moves are found once per filled set.
+
+    With fewer cars than rows, on runs that all start at area 0, a filling
+    that starts every run is a parking function on the path of the filled
+    rows, so one program counts all those paths: a move that leaves more
+    empty runs than cars left is dropped.
     """
-    n = len(areas)
-    a = areas
-    read = [0] * n  # position in the reading order of ParkingFunction.word
+    rows, a = len(areas), areas
+    read = [0] * rows  # position in the reading order of ParkingFunction.word
     for pos, row in enumerate(_reading_order(a)):
         read[row] = pos
-    below = [1 << (x - 1) if x and a[x] == a[x - 1] + 1 else 0 for x in range(n)]
-    pairs = [sum(1 << i for i in range(n)
+    below = [1 << (x - 1) if x and a[x] == a[x - 1] + 1 else 0 for x in range(rows)]
+    pairs = [sum(1 << i for i in range(rows)
                  if (i < x and a[i] == a[x]) or (i > x and a[i] == a[x] - 1))
-             for x in range(n)]
-    states = {(1 << x, x): {0: 1} for x in range(n) if not below[x]}
+             for x in range(rows)]
+    starts = sum(1 << x for x in range(rows) if not below[x])
+    # a history places each car on a row, the lowest free one of a run: a bound on |count|
+    width = qfield._digit_width(min(perm(rows, n), starts.bit_count() ** n))
+    bits, step = 8 * width, sf._straighten_step
+    low = n.bit_length()
+    cuts = (1 << low) - 1
+    # {filled: {last: {beta << low | cut: packed dinv counts}}}
+    states = {1 << x: {x: {0: 1}} for x in range(rows) if not below[x]}
     for v in range(1, n):
-        descent = 1 << v
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (filled, last), counts in states.items():
-            for x in range(n):
+        nxt: dict[int, dict[int, dict[int, int]]] = {}
+        for filled, by_last in states.items():
+            moves = []
+            tight = (starts & ~filled).bit_count() >= n - v  # each car left must start a run
+            for x in range(rows):
                 if filled >> x & 1 or filled & below[x] != below[x]:
                     continue
                 dinv = (filled & pairs[x]).bit_count()
-                if q_zero and dinv:
+                if (q_zero and dinv) or (tight and below[x]):
                     continue
-                step = dinv << n | (descent if read[x] < read[last] else 0)
-                state = (filled | 1 << x, x)
-                slot = nxt.get(state)
-                if slot is None:
-                    nxt[state] = {key + step: c for key, c in counts.items()}
-                else:
-                    for key, c in counts.items():
-                        key += step
-                        slot[key] = slot.get(key, 0) + c
+                moves.append((x, nxt.setdefault(filled | 1 << x, {}), dinv * bits))
+            for last, counts in by_last.items():
+                closed = None  # the counts with part v - cut closed, shared by every descent
+                for x, targets, shift in moves:
+                    if read[x] > read[last]:
+                        source = counts
+                    elif closed is None:
+                        source = closed = {}
+                        for key, c in counts.items():
+                            hit = step(key >> low, v - (key & cuts), n)
+                            if hit is not None:
+                                key = hit[0] << low | v
+                                closed[key] = closed.get(key, 0) + (c if hit[1] > 0 else -c)
+                    else:
+                        source = closed
+                    slot = targets.get(x)
+                    if slot is None:
+                        targets[x] = {key: c << shift for key, c in source.items()}
+                    else:
+                        for key, c in source.items():
+                            slot[key] = slot.get(key, 0) + (c << shift)
         states = nxt
-    out: dict[int, int] = {}
-    for counts in states.values():
-        for key, c in counts.items():
-            out[key] = out.get(key, 0) + c
-    return out
+    totals: dict[Partition, int] = {}
+    for by_last in states.values():
+        for counts in by_last.values():
+            for key, c in counts.items():
+                hit = step(key >> low, n - (key & cuts), n)
+                if hit is not None:
+                    lam = sf._beta_shape(hit[0], n)
+                    totals[lam] = totals.get(lam, 0) + c * hit[1]
+    digits = 1 + n * (n - 1) // 2  # dinv counts pairs of cars
+    return {lam: qfield._unpack(c, digits, width) for lam, c in totals.items() if c}
 
 
 # -- monomial reference route (tests only) ------------------------------------------
@@ -300,39 +329,31 @@ def _rearrangement_count(lam: Partition, nvars: int) -> int:
 
 # -- the combinatorial operator side ----------------------------------------------
 
-def _from_masks(agg: dict[int, dict], n: int) -> SymFunc:
-    """``from_fundamentals`` of an aggregate keyed by ides bitmask instead of composition."""
-    by_comp = {}
-    for mask, coeffs in agg.items():
-        cuts = [v for v in range(1, n) if mask >> v & 1]
-        by_comp[tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))] = coeffs
-    return sf.from_fundamentals(by_comp)
-
-
 def delta_side_combinatorial(n: int, k: int, t_zero: bool = False, q_zero: bool = False) -> SymFunc:
     """z^(n-k) coefficient of the rise-product parking sum, as a Schur expansion.
 
     Aggregates  sum_paths [z^(n-k)] t^(area) prod_{rises}(1 + z t^(-a_i))
                 * sum_{PF} q^(dinv) F_(ides(word))
-    as integer counts.  With t_zero, only the t-degree-0 part is kept (every
-    surviving path must cover all its positive-area rows by chosen rises).
-    With q_zero, only the q-degree-0 part is kept (parking functions with
-    dinv = 0).  Both together keep the constant term.
+    as integer Schur counts (``schur_counts``).  With t_zero, only the
+    t-degree-0 part is kept: every positive-area row must be a chosen rise,
+    so the surviving paths are the concatenations of k staircases, each with
+    weight 1.  One ``schur_counts`` places the n cars on k staircases of
+    height n - k + 1 and counts every such path at once.  With q_zero, only
+    the q-degree-0 part is kept (parking functions with dinv = 0).  Both
+    together keep the constant term.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    zdeg = n - k
-    low = (1 << n) - 1
-    agg: dict[int, dict] = {}  # {ides bitmask: {(q_exp, t_exp): count}}
-    for areas in _area_sequences(n):
-        tpoly = rise_factor(areas).get(zdeg, {})
-        if t_zero:
-            tpoly = {0: tpoly[0]} if 0 in tpoly else {}
+    paths = ([(tuple(range(n - k + 1)) * k, {0: 1})] if t_zero else
+             ((areas, rise_factor(areas).get(n - k)) for areas in _area_sequences(n)))
+    agg: dict[Partition, dict[tuple[int, int], int]] = {}
+    for areas, tpoly in paths:
         if not tpoly:
             continue
-        for key, count in car_counts(areas, q_zero).items():
-            slot = agg.setdefault(key & low, {})
-            qe = key >> n
-            for te, ct in tpoly.items():
-                slot[(qe, te)] = slot.get((qe, te), 0) + count * ct
-    return _from_masks(agg, n)
+        for lam, digits in schur_counts(areas, n, q_zero).items():
+            slot = agg.setdefault(lam, {})
+            for qe, count in enumerate(digits):
+                if count:
+                    for te, ct in tpoly.items():
+                        slot[(qe, te)] = slot.get((qe, te), 0) + count * ct
+    return SymFunc({lam: qfield.Coef(counts) for lam, counts in agg.items()})

@@ -17,11 +17,13 @@ p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u: ``delta_ops.h_plethysm`` reads it
 so for h_n.  ``hall_littlewood`` builds Q_mu and P_mu with it from the
 Kostka-Foulkes columns, as Q'_mu[X(1-q)].
 
-``straighten_aggregate`` is the package's one route from fundamental
-quasisymmetric expansions to Schur functions: it straightens each
-composition (Egge-Loehr-Warrington) and sums signed integer counts.  The
-parking-function sides go through it by ``from_fundamentals``, and the
-Macdonald fillings of every shape of one size by ``hall_littlewood``.
+``_straighten_step`` is the package's one straightening rule
+(Egge-Loehr-Warrington): it reads the Schur function of a composition one
+part at a time.  ``parking.schur_counts`` applies it inside its dynamic
+program as each part closes, and ``straighten`` folds it over a whole
+composition.  ``straighten_aggregate`` straightens an F-aggregate one
+composition at a time and sums signed integer counts: the Macdonald fillings
+of every shape of one size go through it by ``hall_littlewood``.
 """
 
 from __future__ import annotations
@@ -215,19 +217,42 @@ def inverse_descents(word) -> tuple[int, ...]:
     return tuple(comp)
 
 
+def _straighten_step(beta: int, part: int, size: int) -> tuple[int, int] | None:
+    """One step of the straightening rule: close the next part of a composition of ``size``.
+
+    ``beta`` holds the closed parts as bits beta_i + size, beta_i = alpha_i - i.
+    The part alpha_j adds beta_j = alpha_j - j: None if it is there already (the
+    Jacobi-Trudi determinant vanishes), else the new bits and the sign +-1,
+    flipped once for each earlier beta_i < beta_j.
+    """
+    bit = 1 << (part - beta.bit_count() + size)
+    if beta & bit:
+        return None
+    return beta | bit, -1 if (beta & (bit - 1)).bit_count() & 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _beta_shape(beta: int, size: int) -> Partition:
+    """The partition whose beta_i = lam_i - i (bits beta_i + size) ``beta`` holds."""
+    values = [b - size for b in range(beta.bit_length() - 1, -1, -1) if beta >> b & 1]
+    return Partition(b + i for i, b in enumerate(values))
+
+
 def straighten(alpha: tuple[int, ...]) -> tuple[Partition, int] | None:
     """The Schur function indexed by a composition, as (partition, +-1) or None for 0.
 
-    Slides beta_i = alpha_i - i; a repeated entry makes the Jacobi-Trudi
-    determinant vanish, otherwise sorting beta decreasingly costs the sign of
-    the sort and leaves the partition sorted(beta)_i + i.
+    ``_straighten_step`` folded over the parts of alpha: sorting beta
+    decreasingly costs the sign of the sort and leaves the partition
+    sorted(beta)_i + i.
     """
-    beta = [a - i for i, a in enumerate(alpha)]
-    if len(set(beta)) < len(beta):
-        return None
-    swaps = sum(b < c for i, b in enumerate(beta) for c in beta[i + 1:])
-    lam = Partition(b + i for i, b in enumerate(sorted(beta, reverse=True)))
-    return lam, (-1) ** swaps
+    beta, sign, size = 0, 1, sum(alpha)
+    for part in alpha:
+        hit = _straighten_step(beta, part, size)
+        if hit is None:
+            return None
+        beta, flip = hit
+        sign *= flip
+    return _beta_shape(beta, size), sign
 
 
 def straighten_aggregate(
@@ -248,17 +273,6 @@ def straighten_aggregate(
         for key, c in coeffs.items():
             slot[key] = slot.get(key, 0) + sign * c
     return by_shape
-
-
-def from_fundamentals(agg: dict[tuple[int, ...], dict[tuple[int, int], int]]) -> SymFunc:
-    """Schur expansion of sum_alpha F_alpha * sum c q^a t^b, given as {alpha: {(a, b): c}}.
-
-    Valid when the sum is symmetric: then replacing each fundamental
-    quasisymmetric function F_alpha by the straightened Schur function s_alpha
-    gives its Schur expansion (Egge-Loehr-Warrington).  Counts stay integers
-    until each Schur coefficient is built once, as one ``Coef``.
-    """
-    return SymFunc({lam: qfield.Coef(coeffs) for lam, coeffs in straighten_aggregate(agg).items()})
 
 
 # -- rendering -------------------------------------------------------------------

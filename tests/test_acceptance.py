@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from filter_route import counts_aggregate, fundamental_monomials
+from filter_route import counts_aggregate, from_fundamentals, fundamental_monomials
 from references import ONE, ZERO, basis_convert, coef, dominates, kf_table, sym
 
 from deltaq import delta_ops as do, hall_littlewood as hl, parking
@@ -192,7 +192,7 @@ def test_llt_symmetry(verdict):
                     for key, ct in coeffs.items():
                         slot[key] = slot.get(key, 0) + c * ct
             # raises if the aggregate is asymmetric
-            if parking._monomials_to_symfunc(mono, n) != sf.from_fundamentals(agg):
+            if parking._monomials_to_symfunc(mono, n) != from_fundamentals(agg):
                 bad.append(str(path.areas))
             paths += 1
     verdict("llt_symmetry", not bad,

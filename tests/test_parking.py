@@ -1,5 +1,6 @@
 """Tests for labeled Dyck paths, parking statistics, and the combinatorial side."""
 
+from itertools import combinations
 from math import factorial, prod
 
 import pytest
@@ -32,7 +33,20 @@ def monomial_route(agg: dict) -> sf.SymFunc:
 
 def llt_sum(path: DyckPath) -> sf.SymFunc:
     """sum over parking functions on the path of q^(dinv) F_(ides), from ``car_counts``."""
-    return sf.from_fundamentals(filter_route.counts_aggregate(path))
+    return filter_route.from_fundamentals(filter_route.counts_aggregate(path))
+
+
+def schur_sum(path: DyckPath, q_zero: bool = False) -> sf.SymFunc:
+    """The same sum from ``parking.schur_counts``, which straightens as it counts."""
+    return SymFunc({lam: Coef({(d, 0): c for d, c in enumerate(digits) if c})
+                    for lam, digits in parking.schur_counts(path.areas, path.n, q_zero).items()})
+
+
+def compositions(n: int):
+    """Every composition of n >= 1."""
+    for size in range(n):
+        for cuts in combinations(range(1, n), size):
+            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
 
 
 def small_pf() -> st.SearchStrategy[ParkingFunction]:
@@ -142,13 +156,50 @@ class TestBlockShuffles:
     def test_car_counts_total(self):
         # n! / prod c_i! parking functions on a path whose runs have sizes c_i
         path = DyckPath((0, 1, 2, 0, 1, 0))
-        assert sum(parking.car_counts(path.areas).values()) == 720 // (6 * 2)
-        assert sum(parking.car_counts(path.areas, True).values()) == sum(
+        assert sum(filter_route.car_counts(path.areas).values()) == 720 // (6 * 2)
+        assert sum(filter_route.car_counts(path.areas, True).values()) == sum(
             1 for pf in ParkingFunction.all_on(path) if pf.dinv() == 0)
 
     def test_llt_sum_matches_filter(self):
         for path in self.PATHS:
             assert llt_sum(path) == filter_route.llt_sum(path), path
+
+    def test_schur_counts_match_the_f_aggregate_route(self):
+        # straightened inside the dynamic program against straightened at the end
+        for path in self.PATHS:
+            assert schur_sum(path) == llt_sum(path), path
+            agg = filter_route.counts_aggregate(path)
+            at_q0 = {alpha: {key: c for key, c in coeffs.items() if not key[0]}
+                     for alpha, coeffs in agg.items()}
+            assert schur_sum(path, q_zero=True) == filter_route.from_fundamentals(at_q0), path
+
+    def test_staircases_share_one_program(self):
+        # k staircases of height n - k + 1 with n cars: every concatenation of k staircases
+        def terms(counts):
+            return {(lam, d): c for lam, digits in counts.items()
+                    for d, c in enumerate(digits) if c}
+
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for q_zero in (False, True):
+                    summed: dict = {}
+                    for alpha in compositions(n):
+                        if len(alpha) == k:
+                            areas = tuple(i for part in alpha for i in range(part))
+                            for key, c in terms(parking.schur_counts(areas, n, q_zero)).items():
+                                summed[key] = summed.get(key, 0) + c
+                    shared = parking.schur_counts(tuple(range(n - k + 1)) * k, n, q_zero)
+                    assert terms(shared) == {key: c for key, c in summed.items() if c}, \
+                        (n, k, q_zero)
+
+    def test_schur_counts_total_the_parking_functions_on_the_path(self):
+        # sum_lam f^lam [s_lam] at q = 1 is n!/prod c_i!, f^lam = chi^lam(1^n)
+        for n in range(1, 8):
+            ones = Partition((1,) * n)
+            for path in DyckPath.all_paths(n):
+                total = sum(sf.character(lam, ones) * sum(digits)
+                            for lam, digits in parking.schur_counts(path.areas, n).items())
+                assert total == factorial(n) // prod(map(factorial, path.run_sizes())), path
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_side_matches_filter(self, n):
@@ -158,6 +209,15 @@ class TestBlockShuffles:
                     flags = (t_zero, q_zero)
                     assert parking.delta_side_combinatorial(n, k, *flags) == \
                         filter_route.delta_side_combinatorial(n, k, *flags), (k, flags)
+
+    @pytest.mark.parametrize("n, t_zero, q_zero", [
+        (n, t_zero, q_zero) for n in (7, 8) for t_zero in (False, True) for q_zero in (False, True)
+    ] + [(9, True, False)])
+    def test_side_matches_the_f_aggregate_route(self, n, t_zero, q_zero):
+        # past the sizes the filter reaches: the ides-keyed count straightened at the end
+        for k in range(1, n + 1):
+            assert parking.delta_side_combinatorial(n, k, t_zero, q_zero) == \
+                filter_route.car_count_side(n, k, t_zero, q_zero), k
 
 
 class TestFunctionalAccessors:
@@ -229,9 +289,21 @@ class TestRibbonSchur:
     def test_signed_counts_add_up(self):
         # F_(1,3) straightens to -s_(2,2) and cancels F_(2,2); F_(1,2) vanishes
         agg = {(1, 3): {(0, 0): 2, (1, 0): 1}, (2, 2): {(0, 0): 2}, (1, 2): {(0, 0): 5}}
-        assert sf.from_fundamentals(agg) == SymFunc({Partition((2, 2)): Coef({(1, 0): -1})})
-        assert sf.from_fundamentals({(1, 3): {(0, 0): 1}, (2, 2): {(0, 0): 1}}) == SymFunc()
-        assert sf.from_fundamentals({}) == SymFunc()
+        assert filter_route.from_fundamentals(agg) == \
+            SymFunc({Partition((2, 2)): Coef({(1, 0): -1})})
+        assert filter_route.from_fundamentals(
+            {(1, 3): {(0, 0): 1}, (2, 2): {(0, 0): 1}}) == SymFunc()
+        assert filter_route.from_fundamentals({}) == SymFunc()
+
+    def test_folded_step_matches_the_whole_sort(self):
+        # every composition of n <= 8, vanishing ones included, against one sort of beta
+        vanishing = 0
+        for n in range(1, 9):
+            for alpha in compositions(n):
+                expected = filter_route.straighten_per_composition(alpha)
+                assert sf.straighten(alpha) == expected, alpha
+                vanishing += expected is None
+        assert vanishing > 0
 
 
 class TestLLTSums:
@@ -239,7 +311,7 @@ class TestLLTSums:
         for n in range(1, 6):
             for path in DyckPath.all_paths(n):
                 agg = filter_route.counts_aggregate(path)
-                assert sf.from_fundamentals(agg) == monomial_route(agg), path
+                assert filter_route.from_fundamentals(agg) == monomial_route(agg), path
 
     def test_schur_positive(self):
         for n in range(1, 5):
@@ -289,18 +361,19 @@ class TestDeltaSideCombinatorial:
                 subs_coeffs(full, q_image=ZERO, t_image=ZERO), k
 
     def test_matches_monomial_route(self, monkeypatch):
-        # the F-aggregate the side straightens, expanded into monomials instead
+        # the F-aggregate the reference route straightens, expanded into monomials instead
         aggs = []
-        straighten = sf.from_fundamentals
+        straighten = filter_route.from_fundamentals
 
         def capture(agg):
             aggs.append(agg)
             return straighten(agg)
 
-        monkeypatch.setattr(sf, "from_fundamentals", capture)
+        monkeypatch.setattr(filter_route, "from_fundamentals", capture)
         for n in range(1, 6):
             for k in range(1, n + 1):
                 for t_zero in (False, True):
+                    filter_route.car_count_side(n, k, t_zero)
                     side = parking.delta_side_combinatorial(n, k, t_zero)
                     assert side == monomial_route(aggs.pop()), (n, k, t_zero)
 
