@@ -25,8 +25,9 @@ The central objects:
 * ``lhs_nu`` and ``rhs_nu`` -- the two closed expansions of the same operator
   image, one through the eigenvalue route, one through length-graded
   Hall-Littlewood sums.  ``lhs_nu`` is ``delta_prime_t0``'s eigenvalue sum
-  over ``_lhs_table``: each T_l with its shapes conjugated (omega) and
-  X -> X(1-q) applied in ZZ[q] (``symfunc.plethysm_one_minus_q``), once per n.
+  over ``_lhs_table``, the images of the T_l under omega and X -> X(1-q),
+  once per n: omega(H~_mu(X;q,0))[X(1-q)] is (-1)^n q^(n+n(mu)) Q_mu(X;1/q),
+  so each row sums the reversed Hall-Littlewood Q columns by ``qfield.dot``.
 * the hook-indexed family (``lhs_hook_closed``, ``rhs_hook``, ``remmel_sum``)
   plus the scalar q-binomial identities (``prop31`` .. ``prop33b``) that link
   them.  Their coefficients are products and sums of dense Laurent
@@ -44,7 +45,7 @@ The central objects:
   (1 - q^s) of remmel_coeff(s) into the Pochhammer window next to it.
 * ``shifted_cauchy`` -- length-graded Hall-Littlewood expansions of the kernel
   ``h_n[X(1-q^i)]/(1-q^i)``, which ``hook_kernel`` writes in hooks.
-  ``h_plethysm`` is h_n[X(1-q^u)] by ``symfunc.plethysm_one_minus_q`` read at q^u.
+  ``h_plethysm`` is h_n[X(1-q^u)], the Hall-Littlewood Q_(n) read at q^u.
 * ``span_rank_at_point`` -- rank of the span of plain-Delta images at one point
   (q,t) of GF(p)^2, p = 2^61 - 1: a lower bound on their rank over Q(q,t),
   taken as the rank of their eigenvalues s_nu[B_mu], with no H~_mu or weight,
@@ -137,14 +138,24 @@ def _t0_operator_table(n: int) -> dict[int, dict[Partition, QPoly]]:
 
 @lru_cache(maxsize=None)
 def _lhs_table(n: int) -> dict[int, dict[Partition, QPoly]]:
-    """{l: omega(T_l)[X(1-q)]} for T_l = ``_t0_operator_table(n)[l]``, in ZZ[q].
+    """{l: omega(T_l)[X(1-q)]} for T_l = ``_t0_operator_table(n)[l]``, in ZZ[q, 1/q].
 
-    omega conjugates the shapes and ``symfunc.plethysm_one_minus_q`` applies
-    X -> X(1-q); both are linear, so the image of sum_l c_l T_l is sum_l c_l
-    times row l (``lhs_nu``).
+    omega(H~_mu(X;q,0))[X(1-q)] = (-1)^n q^(n+n(mu)) Q_mu(X;1/q), so with the
+    weights of ``_t0_operator_table`` row l is (-1)^l times the sum over
+    l(mu) = l of q^(n+n(mu)-E(mu)) [l; m(mu)]_q Q_mu(X;1/q): one ``qfield.dot``
+    per s_lam over the entries of ``hall_littlewood._q_column``, each
+    reversed.  Here n + n(mu) - E(mu) = sum_i C(m_i+1, 2) - n(mu).  Both maps
+    are linear, so the image of sum_l c_l T_l is sum_l c_l times row l (``lhs_nu``).
     """
-    return {ell: sf.plethysm_one_minus_q({lam.conjugate(): c for lam, c in row.items()})
-            for ell, row in _t0_operator_table(n).items()}
+    sums: dict[int, dict[Partition, list[tuple[QPoly, ...]]]] = {}
+    for mu in partitions_of(n):
+        binoms = _multinomial(mu)
+        shift = sum(comb(m + 1, 2) for m in mu.multiplicities().values()) - mu.nstat()
+        row = sums.setdefault(len(mu), {})
+        for lam, c in hl._q_column(mu).items():
+            row.setdefault(lam, []).append((reverse(c).shift(shift), *binoms))
+    return {ell: {lam: -c if ell % 2 else c for lam, terms in row.items() if (c := dot(terms))}
+            for ell, row in sums.items()}
 
 
 def _table_sum(table: dict, *coeffs: Callable[[int], QPoly]) -> SymFunc:
@@ -324,12 +335,12 @@ def hook_kernel(n: int, i: int, factor: QPoly | None = None) -> SymFunc:
 
 
 def h_plethysm(n: int, u: int) -> SymFunc:
-    """h_n[X(1-q^u)]: ``symfunc.plethysm_one_minus_q`` of h_n = s_(n), read at q^u (hook_support).
+    """h_n[X(1-q^u)], hook_support's rhs: h_n[X(1-q)] = Q_(n) (``hall_littlewood._q_column``).
 
     p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u, so each coefficient of q^i in
-    the image moves to q^(u*i); one ``Coef`` per hook.
+    Q_(n) moves to q^(u*i); one ``Coef`` per hook.
     """
-    image = sf.plethysm_one_minus_q({Partition((n,)): QPoly([1])})
+    image = hl._q_column(Partition((n,)))
     return SymFunc({lam: Coef({(u * (poly.e + i), 0): v for i, v in enumerate(poly.c)})
                     for lam, poly in image.items()})
 
@@ -438,6 +449,15 @@ def lhs_expansion_thm41(nu, n: int) -> SymFunc:
     return _table_sum(_graded_P(n, True), _eigenvalue(nu), partial(qpoch_poly, 1))
 
 
+def _multinomial(rho: Partition) -> list[QPoly]:
+    """The q-binomials whose product is the q-multinomial [l(rho); m(rho)]_q = (q;q)_l / b_rho."""
+    out, top = [], 0
+    for m in rho.multiplicities().values():
+        top += m
+        out.append(qbinom_poly(top, m))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _charge_poly(nu: Partition, k: int) -> QPoly:
     """(q;q)_k times the charge-graded length-k content of s_nu.
@@ -445,18 +465,12 @@ def _charge_poly(nu: Partition, k: int) -> QPoly:
     The content is sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) / b_rho(q), with
     b_rho the P-to-Q normalization prod_i (q;q)_(m_i(rho)).  Since
     (q;q)_k / b_rho(q) is the q-multinomial of the multiplicities of rho, a
-    product of q-binomials, the product lies in ZZ[q]:
+    product of q-binomials (``_multinomial``), the product lies in ZZ[q]:
     sum_{l(rho)=k} K_(nu,rho)(q) q^(n(rho)) [k; m(rho)]_q, one ``qfield.dot``
     with one term per rho: K_(nu,rho)(q) q^(n(rho)) and its q-binomials.
     """
-    terms = []
-    for rho in partitions_of(nu.size, length=k):
-        term, top = [hl._kf_column(rho).get(nu, QPoly()).shift(rho.nstat())], 0
-        for m in rho.multiplicities().values():
-            top += m
-            term.append(qbinom_poly(top, m))
-        terms.append(term)
-    return dot(terms)
+    return dot((hl._kf_column(rho).get(nu, QPoly()).shift(rho.nstat()), *_multinomial(rho))
+               for rho in partitions_of(nu.size, length=k))
 
 
 def schur_principal_eval(nu, j: int) -> tuple[QPoly, QPoly]:

@@ -1,12 +1,14 @@
 """Hall-Littlewood P and Q and the modified Macdonald bases.
 
-Kostka-Foulkes polynomials come from the Jing-Garsia operator, which builds
-the column K_(.,mu)(q) of each mu from its tail's column by removing and
-adding strips (``tableaux``), with no tableau enumerated, in dense ZZ[q]
-(``qfield.QPoly``).  As Q'_mu = sum_lam K_(lam,mu)(q) s_lam, a
-column gives Q_mu = Q'_mu[X(1-q)] = b_mu(q) P_mu (Macdonald, ch. III) by the
-one plethysm, ``symfunc.plethysm_one_minus_q``, and P_mu divides it exactly by
-b_mu (``qfield.one_minus_product``).  Every table entry becomes one
+Kostka-Foulkes polynomials and the Schur coefficients of Q_mu come from Jing's
+vertex operators, which build the column of each mu from its tail's column
+by removing and adding strips (``tableaux``), with no tableau enumerated, in
+dense ZZ[q] (``qfield.QPoly``): K_(.,mu)(q) is the column of
+Q'_mu = sum_lam K_(lam,mu)(q) s_lam, and <Q_mu, s_lam> that of
+Q_mu = Q'_mu[X(1-q)] = b_mu(q) P_mu (Macdonald, ch. III).  The two operators
+share one walk and differ in its middle step.  P_mu divides Q_mu exactly by
+b_mu (``qfield.one_minus_product``), and ``delta_ops`` reads the Q columns
+for its images under X -> X(1-q).  Every table entry becomes one
 ``qfield.Coef`` through ``qfield.from_poly``, P_mu[X;1/q] after
 ``qfield.reverse``, which reverses coefficients instead of substituting 1/q.
 The two-parameter modified Macdonald functions come from the
@@ -35,9 +37,46 @@ from . import qfield, symfunc
 from .partition import Partition, partitions_of
 from .qfield import Coef, QPoly, from_poly, reverse
 from .symfunc import SymFunc
-from .tableaux import horizontal_strip_removals, pieri, vertical_strip_removals
+from .tableaux import (horizontal_strip_removals, pieri, vertical_strip_additions,
+                       vertical_strip_removals)
 
 MACDONALD_FULL_LIMIT = 6
+
+
+def _jing_column(mu: Partition, column, middle, alternating: bool, extra: int):
+    """{lam: coefficient of s_lam} of one Jing operator's column for mu, from ``column(tail)``.
+
+    Each s_lam of the tail's column loses a vertical strip of j cells, times
+    (-1)^j; each s_kappa left becomes (q or -q)^i s_rho for each (rho, i) of
+    ``middle(kappa, n - |kappa|)``, -q if alternating; and Pieri adds a
+    horizontal strip up to size n.  Each coefficient stays one int (Kronecker
+    substitution) through all three steps.  Evaluation is a ring map, so only
+    the column's digits must fit: below 2^extra n!/prod mu_i!, in degree at
+    most n(mu) + extra.
+    """
+    if not mu:
+        return {mu: QPoly([1])}
+    n = mu.size
+    width = qfield._digit_width(factorial(n) // prod(map(factorial, mu)) << extra)
+    digit = 8 * width  # bits
+    removed: dict[Partition, int] = {}
+    for lam, poly in column(Partition(mu[1:])).items():
+        x = qfield._pack(poly.c, width) << (digit * poly.e)
+        for kappa, j in vertical_strip_removals(lam):
+            removed[kappa] = removed.get(kappa, 0) + (-x if j % 2 else x)
+    weighted: dict[Partition, int] = {}
+    for kappa, x in removed.items():
+        if x:
+            for rho, i in middle(kappa, n - kappa.size):
+                y = x << (digit * i)
+                weighted[rho] = weighted.get(rho, 0) + (-y if alternating and i % 2 else y)
+    out: dict[Partition, int] = {}
+    for rho, x in weighted.items():
+        if x:
+            for sigma in pieri(rho, n - rho.size):
+                out[sigma] = out.get(sigma, 0) + x
+    return {lam: QPoly(qfield._unpack(x, mu.nstat() + extra + 1, width))
+            for lam, x in out.items() if x}
 
 
 @lru_cache(maxsize=None)
@@ -46,34 +85,27 @@ def _kf_column(mu: Partition) -> dict[Partition, QPoly]:
 
     Q'_() = 1 and Q'_mu = H_(mu_1) Q'_(mu_2, ...), where H_m F is the sum of
     h_(m+i+j) q^i (-1)^j h_i^perp e_j^perp F over i, j >= 0 (Jing, Adv. Math.
-    87, 1991; Garsia, Discrete Math. 99, 1992): each s_lam of F loses a vertical
-    strip of j cells and a horizontal strip of i cells, then gains a horizontal
-    strip of mu_1 + i + j cells by Pieri.  Each coefficient stays one int
-    (Kronecker substitution) through all three steps.  Evaluation is a ring map,
-    so only the column's digits must fit: tableau counts, below the n!/prod mu_i!
-    words of content mu, in degree at most n(mu).
+    87, 1991; Garsia, Discrete Math. 99, 1992): the middle step of
+    ``_jing_column`` removes a horizontal strip of i cells.  The entries count
+    tableaux, below the n!/prod mu_i! words of content mu, in degree at most n(mu).
     """
-    if not mu:
-        return {mu: QPoly([1])}
-    n = mu.size
-    width = qfield._digit_width(factorial(n) // prod(map(factorial, mu)))
-    digit = 8 * width  # bits
-    removed: dict[Partition, int] = {}
-    for lam, poly in _kf_column(Partition(mu[1:])).items():
-        x = qfield._pack(poly.c, width) << (digit * poly.e)
-        for kappa, j in vertical_strip_removals(lam):
-            removed[kappa] = removed.get(kappa, 0) + (-x if j % 2 else x)
-    weighted: dict[Partition, int] = {}
-    for kappa, x in removed.items():
-        if x:
-            for rho, i in horizontal_strip_removals(kappa):
-                weighted[rho] = weighted.get(rho, 0) + (x << (digit * i))
-    column: dict[Partition, int] = {}
-    for rho, x in weighted.items():
-        if x:
-            for sigma in pieri(rho, n - rho.size):
-                column[sigma] = column.get(sigma, 0) + x
-    return {lam: QPoly(qfield._unpack(x, mu.nstat() + 1, width)) for lam, x in column.items() if x}
+    return _jing_column(mu, _kf_column, lambda kappa, room: horizontal_strip_removals(kappa),
+                        False, 0)
+
+
+@lru_cache(maxsize=None)
+def _q_column(mu: Partition) -> dict[Partition, QPoly]:
+    """{lam: <Q_mu, s_lam>}, the nonzero Schur coefficients of Q_mu, by Jing's operator.
+
+    Q_() = 1 and Q_mu = B_(mu_1) Q_(mu_2, ...), B_m F = sum_i (-1)^i q_(m+i) e_i^perp F
+    with q_r = h_r[X(1-q)] = sum_b (-q)^b h_(r-b) e_b (Jing, Adv. Math. 87, 1991):
+    the middle step of ``_jing_column`` adds a vertical strip of b cells.  An
+    entry's |coefficients| sum to at most 2^n n!/prod mu_i!: Q_mu is
+    sum_lam K_(lam,mu)(q) s_lam[X(1-q)], s_lam[X(1-q)] = sum_kappa
+    (-q)^|kappa| s_(lam/kappa) s_kappa' has at most 2^n f^lam Schur terms
+    when s_nu counts f^nu times, and sum_lam K_(lam,mu)(1) f^lam = n!/prod mu_i!.
+    """
+    return _jing_column(mu, _q_column, vertical_strip_additions, True, mu.size)
 
 
 def kostka_foulkes(lam, mu) -> Coef:
@@ -90,16 +122,14 @@ def _b_exponents(mu: Partition) -> list[int]:
 def _p_table(n: int) -> dict[Partition, dict[Partition, QPoly]]:
     """Schur coefficients of P_mu for mu |- n, as {mu: {lam: polynomial in ZZ[q]}}.
 
-    P_mu = Q'_mu[X(1-q)] / b_mu(q), Q'_mu = sum_lam K_(lam,mu)(q) s_lam
-    (Macdonald, ch. III): one ``symfunc.plethysm_one_minus_q`` per mu, and each
-    coefficient divided exactly by every 1 - q^j of b_mu, so a division that
-    is not exact raises ArithmeticError.
+    P_mu = Q_mu / b_mu(q) (Macdonald, ch. III): each coefficient of
+    ``_q_column(mu)`` divided exactly by every 1 - q^j of b_mu, so a division
+    that is not exact raises ArithmeticError.
     """
     table = {}
     for mu in partitions_of(n):
         over_b = [-j for j in _b_exponents(mu)]
-        table[mu] = {lam: qfield.one_minus_product(over_b, c)
-                     for lam, c in symfunc.plethysm_one_minus_q(_kf_column(mu)).items()}
+        table[mu] = {lam: qfield.one_minus_product(over_b, c) for lam, c in _q_column(mu).items()}
     return table
 
 
@@ -122,9 +152,8 @@ def b_factor(mu) -> QPoly:
 
 
 def hl_Q(mu) -> SymFunc:
-    """Q_mu = Q'_mu[X(1-q)], by ``symfunc.plethysm_one_minus_q`` of the Kostka-Foulkes column."""
-    return SymFunc({lam: from_poly(c)
-                    for lam, c in symfunc.plethysm_one_minus_q(_kf_column(Partition(mu))).items()})
+    """Q_mu = b_mu(q) P_mu in the Schur basis: its column by Jing's operator (``_q_column``)."""
+    return SymFunc({lam: from_poly(c) for lam, c in _q_column(Partition(mu)).items()})
 
 
 def modified_macdonald_t0(mu) -> SymFunc:

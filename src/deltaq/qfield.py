@@ -20,7 +20,8 @@ once packed at a digit width, a cached q-binomial is packed once, and
 ``shift``, which leaves the coefficients alone, shares the memo.  Digits are
 signed, packed little-endian, and offset by H, the int whose every digit is
 X/2; H is cut from one long constant per width (``_half``).  ``_pack`` and
-``_unpack`` also serve ``symfunc.plethysm_one_minus_q``.
+``_unpack`` also serve the Jing operators of ``hall_littlewood`` and the car
+counts of ``parking``.
 
 Every exact q-product is one ``one_minus_product``: a start polynomial times
 factors 1 - q^e and exact divisions by 1 - q^j in the order given, as in
@@ -146,23 +147,23 @@ def _unpack(value: int, n: int, width: int) -> list:
 
 
 def _wrap(c: list, e: int = 0) -> QPoly:
-    """A QPoly holding c q^e, c with no zero at either end."""
+    """A QPoly holding c q^e, c with no zero at either end, and no memo yet."""
     poly = object.__new__(QPoly)
     poly.c = c
     poly.e = e if c else 0
+    poly._norm = poly._packs = None
     return poly
 
 
 def _norm_of(p: QPoly) -> int:
-    """max |c_i| over the coefficients of p, p nonzero, computed once per value."""
-    if (norm := getattr(p, "_norm", None)) is None:
-        norm = p._norm = max(max(p.c), -min(p.c))
+    """max |c_i| over the coefficients of p, p nonzero, kept: read ``p._norm or _norm_of(p)``."""
+    p._norm = norm = max(max(p.c), -min(p.c))
     return norm
 
 
 def _packed(p: QPoly, width: int) -> int:
     """``_pack(p.c, width)``, computed once per value and width."""
-    if (packs := getattr(p, "_packs", None)) is None:
+    if (packs := p._packs) is None:
         packs = p._packs = {}
     if (value := packs.get(width)) is None:
         value = packs[width] = _pack(p.c, width)
@@ -182,10 +183,10 @@ class QPoly:
     ``qpoch_poly`` and ``qbinom_poly``; so two memos that ``dot`` fills,
     ``_norm`` (``_norm_of``) and ``_packs``, the Kronecker int of ``c`` by
     digit width (``_packed``), stay valid, and a cached factor is packed once
-    per width.  New values start without them, except that ``shift`` hands
-    its result the same ``_packs``.  ``c`` is a list rather than a tuple
-    because every operation frees short intermediates, and freed tuples of
-    up to 20 items stay in CPython's per-size free lists: about 1 MiB more
+    per width.  New values start with both None, except that ``shift``
+    hands its result the same ``_packs``.  ``c`` is a list rather than a
+    tuple because every operation frees short intermediates, and freed tuples
+    of up to 20 items stay in CPython's per-size free lists: about 1 MiB more
     peak memory on a sweep of q-binomial identities.
     """
 
@@ -193,13 +194,14 @@ class QPoly:
 
     def __init__(self, coeffs=(), e: int = 0):
         self.c, self.e = _canonical(list(coeffs), e)
+        self._norm = self._packs = None
 
     def shift(self, e: int) -> QPoly:
         """q^e times self, for any integer e; the result shares self's Kronecker ints."""
         if not self.c:
             return self
         out = _wrap(self.c, self.e + e)
-        if (packs := getattr(self, "_packs", None)) is None:
+        if (packs := self._packs) is None:
             packs = self._packs = {}
         out._packs = packs
         return out
@@ -240,7 +242,7 @@ def dot(terms, factor: QPoly | None = None) -> QPoly:
             if not f.c:
                 break
             s += f.e
-            size *= _norm_of(f) * min(length, len(f.c))
+            size *= (f._norm or _norm_of(f)) * min(length, len(f.c))
             length += len(f.c) - 1
         else:
             live.append((s, term))
@@ -253,7 +255,7 @@ def dot(terms, factor: QPoly | None = None) -> QPoly:
         return QPoly()
     digits = top - low
     if factor is not None:
-        bound *= _norm_of(factor) * min(digits, len(factor.c))
+        bound *= (factor._norm or _norm_of(factor)) * min(digits, len(factor.c))
     width = _digit_width(bound)
     total = 0
     for s, term in live:

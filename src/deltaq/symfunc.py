@@ -1,4 +1,4 @@
-"""Symmetric functions with Laurent coefficients in q,t, and the t=0 routes in ZZ[q].
+"""Symmetric functions with Laurent coefficients in q,t, and principal specializations in ZZ[q].
 
 Everything is stored in the Schur basis as a sparse map {Partition: Coef},
 one homogeneous degree per function, each coefficient a ``qfield.Coef``
@@ -7,15 +7,12 @@ output format.  A ``SymFunc`` has no arithmetic: each route sums its
 coefficients as integers or in ZZ[q] first.  ``s`` builds a Schur function.
 
 The t=0 operator sides and thm43 stay in ZZ[q, 1/q] instead, each
-coefficient one ``qfield.QPoly``:
-``principal_poly`` is s_lam[1 + q + ... + q^(n-1)] by the hook-content
-formula, and ``plethysm_one_minus_q`` is f[X(1-q)] by the integer
-characters, each polynomial packed into one int (Kronecker substitution).
-That is the package's one plethysm; it takes no other alphabet.  Read at q^u
-(coefficient i moved to u*i), its output is f[X(1-q^u)], because
-p_k[X(1-q^u)] is p_k[X(1-q)] at q -> q^u: ``delta_ops.h_plethysm`` reads it
-so for h_n.  ``hall_littlewood`` builds Q_mu and P_mu with it from the
-Kostka-Foulkes columns, as Q'_mu[X(1-q)].
+coefficient one ``qfield.QPoly``: ``principal_poly`` is
+s_lam[1 + q + ... + q^(n-1)] by the hook-content formula.  The package has
+no plethysm: each image under X -> X(1-q) that it needs is a
+Hall-Littlewood Q_mu = Q'_mu[X(1-q)], which ``hall_littlewood`` builds by
+Jing's operator.  The characters (``character``, ``zee``) serve the
+power-sum evaluations of ``delta_ops``.
 
 ``_straighten_step`` is the package's one straightening rule
 (Egge-Loehr-Warrington): it reads the Schur function of a composition one
@@ -32,7 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import qfield
-from .partition import Partition, partitions_of
+from .partition import Partition
 
 Coef = qfield.Coef
 
@@ -132,7 +129,7 @@ def is_hook_only(f: SymFunc) -> bool:
     return all(lam.is_hook() for lam in f.terms)
 
 
-# -- the t=0 routes in ZZ[q] --------------------------------------------------------
+# -- the principal specialization in ZZ[q] ------------------------------------------
 
 @lru_cache(maxsize=None)
 def principal_poly(lam: Partition, n: int) -> qfield.QPoly:
@@ -149,59 +146,6 @@ def principal_poly(lam: Partition, n: int) -> qfield.QPoly:
     cells = lam.cell_stats()
     return qfield.one_minus_product([n + x.content for x in cells]
                                     + [-x.hook for x in cells]).shift(lam.nstat())
-
-
-@lru_cache(maxsize=None)
-def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
-    """(weights, characters, growth) of the plethysm by X(1 - q) in degree n.
-
-    weights[i] is (n!/z_rho) p_rho[1 - q] = (n!/z_rho) prod_j (1 - q^(rho_j))
-    and characters[lam][i] is chi^lam(rho), for rho = partitions_of(n)[i].
-    growth bounds how much the route of ``plethysm_one_minus_q`` can grow a
-    coefficient: p(n) C^2 W, C the largest |chi| and W the largest weight's
-    sum of |coefficients|, so times the number of terms and their largest
-    |coefficient| it bounds every coefficient before the division by n!.
-    """
-    rhos = partitions_of(n)
-    weights = [qfield.one_minus_product(rho, qfield.QPoly([factorial(n) // zee(rho)])).c
-               for rho in rhos]
-    characters = {lam: [character(lam, rho) for rho in rhos] for lam in rhos}
-    top = max(abs(chi) for row in characters.values() for chi in row)
-    growth = len(rhos) * top * top * max(sum(map(abs, c)) for c in weights)
-    return weights, characters, growth
-
-
-def plethysm_one_minus_q(terms: dict[Partition, qfield.QPoly]) -> dict[Partition, qfield.QPoly]:
-    """f[X(1-q)] for f = sum_lam poly_lam s_lam, given and returned as {lam: poly_lam}.
-
-    In ZZ[q, 1/q] by Kronecker substitution: every poly is aligned at the
-    least exponent and goes into one int at a digit width that holds
-    the largest coefficient the route can reach (``_one_minus_q_table``).
-    c_rho = sum_lam chi^lam(rho) poly_lam is scaled by (n!/z_rho) p_rho[1 - q],
-    and sum_rho chi^mu(rho) c_rho is unpacked and divided exactly by n! for
-    each s_mu.  Zero coefficients are left out.
-    """
-    if not terms:
-        return {}
-    n = next(iter(terms)).size
-    weights, characters, growth = _one_minus_q_table(n)
-    low = min(poly.e for poly in terms.values())
-    polys = [(characters[lam], [0] * (poly.e - low) + poly.c) for lam, poly in terms.items()]
-    top = max((abs(v) for _, c in polys for v in c), default=0)
-    width = qfield._digit_width(growth * len(polys) * top)
-    packed = [(row, qfield._pack(c, width)) for row, c in polys]
-    images = [(i, sum(row[i] * x for row, x in packed if row[i]) * qfield._pack(weight, width))
-              for i, weight in enumerate(weights)]
-    images = [(i, x) for i, x in images if x]
-    digits = max(len(c) for _, c in polys) + n
-    out, scale = {}, factorial(n)
-    for mu, row in characters.items():
-        total = sum(row[i] * x for i, x in images if row[i])
-        if any(c := qfield._unpack(total, digits, width)):
-            if any(v % scale for v in c):
-                raise ArithmeticError(f"{scale} does not divide the s{mu.render()} coefficient")
-            out[mu] = qfield.QPoly([v // scale for v in c], low)
-    return out
 
 
 # -- fundamental quasisymmetric expansions ---------------------------------------

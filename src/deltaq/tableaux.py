@@ -1,4 +1,4 @@
-"""The strips that the Jing-Garsia operator of ``hall_littlewood`` removes and adds.
+"""The strips that the Jing operators of ``hall_littlewood`` remove and add.
 
 lam/rho is a horizontal strip, no two cells in one column, when rho interlaces
 lam from below: lam_1 >= rho_1 >= lam_2 >= rho_2 >= ...  A vertical strip of
@@ -42,3 +42,13 @@ def pieri(lam: Partition, k: int) -> tuple[Partition, ...]:
     first = lam[0] if lam else 0
     return tuple(Partition((k + i,) + rho if k + i else ())
                  for rho, i in horizontal_strip_removals(lam) if k + i >= first)
+
+
+@lru_cache(maxsize=None)
+def vertical_strip_additions(kappa: Partition, room: int) -> tuple[tuple[Partition, int], ...]:
+    """Every (sigma, b) with sigma/kappa a vertical strip of b <= room cells: e_b s_kappa's terms.
+
+    The conjugate of ``pieri``: sigma'/kappa' is a horizontal strip of b cells.
+    """
+    conjugate = kappa.conjugate()
+    return tuple((sigma.conjugate(), b) for b in range(room + 1) for sigma in pieri(conjugate, b))

@@ -10,6 +10,7 @@ text of a field element, the oracle of ``qfield.render``.
 
 from collections import Counter
 from functools import lru_cache
+from math import factorial
 from operator import add
 
 from sympy import sympify
@@ -383,6 +384,61 @@ def ssyt(shape: Partition, content: Partition) -> tuple[tuple[int, ...], ...]:
 
     fill(0)
     return tuple(found)
+
+
+# -- X -> X(1-q) by the integer characters, the reference of hall_littlewood._q_column --
+
+@lru_cache(maxsize=None)
+def _one_minus_q_table(n: int) -> tuple[list, dict, int]:
+    """(weights, characters, growth) of the plethysm by X(1 - q) in degree n.
+
+    weights[i] is (n!/z_rho) p_rho[1 - q] = (n!/z_rho) prod_j (1 - q^(rho_j))
+    and characters[lam][i] is chi^lam(rho), for rho = partitions_of(n)[i].
+    growth bounds how much the route of ``plethysm_one_minus_q`` can grow a
+    coefficient: p(n) C^2 W, C the largest |chi| and W the largest weight's
+    sum of |coefficients|, so times the number of terms and their largest
+    |coefficient| it bounds every coefficient before the division by n!.
+    """
+    rhos = partitions_of(n)
+    weights = [qfield.one_minus_product(rho, qfield.QPoly([factorial(n) // sf.zee(rho)])).c
+               for rho in rhos]
+    characters = {lam: [sf.character(lam, rho) for rho in rhos] for lam in rhos}
+    top = max(abs(chi) for row in characters.values() for chi in row)
+    growth = len(rhos) * top * top * max(sum(map(abs, c)) for c in weights)
+    return weights, characters, growth
+
+
+def plethysm_one_minus_q(terms: dict[Partition, qfield.QPoly]) -> dict[Partition, qfield.QPoly]:
+    """f[X(1-q)] for f = sum_lam poly_lam s_lam, given and returned as {lam: poly_lam}.
+
+    In ZZ[q, 1/q] by Kronecker substitution: every poly is aligned at the
+    least exponent and goes into one int at a digit width that holds
+    the largest coefficient the route can reach (``_one_minus_q_table``).
+    c_rho = sum_lam chi^lam(rho) poly_lam is scaled by (n!/z_rho) p_rho[1 - q],
+    and sum_rho chi^mu(rho) c_rho is unpacked and divided exactly by n! for
+    each s_mu.  Zero coefficients are left out.
+    """
+    if not terms:
+        return {}
+    n = next(iter(terms)).size
+    weights, characters, growth = _one_minus_q_table(n)
+    low = min(poly.e for poly in terms.values())
+    polys = [(characters[lam], [0] * (poly.e - low) + poly.c) for lam, poly in terms.items()]
+    top = max((abs(v) for _, c in polys for v in c), default=0)
+    width = qfield._digit_width(growth * len(polys) * top)
+    packed = [(row, qfield._pack(c, width)) for row, c in polys]
+    images = [(i, sum(row[i] * x for row, x in packed if row[i]) * qfield._pack(weight, width))
+              for i, weight in enumerate(weights)]
+    images = [(i, x) for i, x in images if x]
+    digits = max(len(c) for _, c in polys) + n
+    out, scale = {}, factorial(n)
+    for mu, row in characters.items():
+        total = sum(row[i] * x for i, x in images if row[i])
+        if any(c := qfield._unpack(total, digits, width)):
+            if any(v % scale for v in c):
+                raise ArithmeticError(f"{scale} does not divide the s{mu.render()} coefficient")
+            out[mu] = qfield.QPoly([v // scale for v in c], low)
+    return out
 
 
 # -- substitution: an evaluator independent of the package's reversal and swap --

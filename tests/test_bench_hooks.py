@@ -48,7 +48,8 @@ def test_cleared_caches_leave_no_packed_ints(monkeypatch):
     from deltaq.qfield import QPoly
 
     def memoized():
-        return [obj for obj in gc.get_objects() if isinstance(obj, QPoly) and hasattr(obj, "_packs")]
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, QPoly) and obj._packs is not None]
 
     caches = spans.lru_caches(spans.deltaq_modules())
     spans.clear_caches(caches)

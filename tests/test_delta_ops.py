@@ -285,6 +285,15 @@ class TestLengthTables:
                     references.omega(field_route.operator_table(n, ell)), ONE - q)
                 assert got == want.terms, (n, ell)
 
+    def test_lhs_table_matches_the_character_plethysm(self):
+        # past the field route's n <= 7: omega of the operator table, then X -> X(1-q) by
+        # the integer characters, against the reversed Jing columns, n = 8..10
+        for n in range(8, 11):
+            want = {ell: references.plethysm_one_minus_q({lam.conjugate(): c
+                                                          for lam, c in row.items()})
+                    for ell, row in d._t0_operator_table(n).items()}
+            assert d._lhs_table(n) == want, n
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_table_sum_matches_field_sum(self, data):

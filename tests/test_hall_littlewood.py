@@ -16,8 +16,8 @@ from sympy.utilities.iterables import multiset_permutations
 import field_route
 from references import (FIELD, ONE, ZERO, basis_convert, charge, charge_counts, coef, dominates, e,
                         field, from_poly, h, inverse_kostka, kf_table, kostka_number, lincomb, m,
-                        poly_from_terms, poly_sum, qpoch, render_field, ssyt, subs, subs_coeffs,
-                        to_field, to_ring, unitriangular_inverse)
+                        plethysm_one_minus_q, poly_from_terms, poly_sum, qpoch, render_field, ssyt,
+                        subs, subs_coeffs, to_field, to_ring, unitriangular_inverse)
 from deltaq import hall_littlewood as hl, qfield, symfunc as sf
 from deltaq.delta_ops import delta_prime_t0
 from deltaq.partition import Partition, partitions_of
@@ -211,7 +211,7 @@ class TestHallLittlewoodP:
             assert got == want, n
 
     def test_p_table_matches_dense_back_substitution(self):
-        # the plethysm route against inverting the Kostka-Foulkes columns in
+        # Q_mu / b_mu against inverting the Kostka-Foulkes columns in
         # dense QPoly, at every entry for every |mu| <= 10
         for n in range(11):
             want = unitriangular_inverse(n, lambda a, b: hl._kf_column(b).get(a, 0),
@@ -256,6 +256,25 @@ class TestHallLittlewoodP:
                         for part in r1:
                             expected *= ONE - q**part
                         assert got == expected
+
+
+class TestHallLittlewoodQ:
+    def test_columns_match_the_character_plethysm(self):
+        # Jing's operator against Q'_mu[X(1-q)], the integer-character plethysm of the
+        # Kostka-Foulkes column, at every entry for every |mu| <= 10
+        for n in range(11):
+            for mu in partitions_of(n):
+                assert hl._q_column(mu) == plethysm_one_minus_q(hl._kf_column(mu)), mu
+
+    def test_entries_fit_the_digit_bound(self):
+        # the digit width of _jing_column: every entry's |coefficients| sum to at most
+        # 2^n n!/prod mu_i!, in degrees 0 .. n(mu) + n, for every |mu| <= 11
+        for n in range(12):
+            for mu in partitions_of(n):
+                bound = 2**n * factorial(n) // prod(map(factorial, mu))
+                for lam, c in hl._q_column(mu).items():
+                    assert 0 <= c.e and c.e + len(c.c) <= mu.nstat() + n + 1, (lam, mu)
+                    assert sum(map(abs, c.c)) <= bound, (lam, mu)
 
 
 class TestModifiedMacdonald:

@@ -483,7 +483,7 @@ class TestQPoly:
         for derived in (-p, qfield.dot([(p,), (r,)]), qfield.dot([(p,)], QPoly([2])),
                         qfield.dot([(p, p)]), qfield.one_minus_product((2,), p),
                         qfield.reverse(p), QPoly(p.c, 3)):
-            assert not hasattr(derived, "_norm") and not hasattr(derived, "_packs"), derived
+            assert derived._norm is None and derived._packs is None, derived
             assert qfield.dot([(derived, r)]).c == _schoolbook(derived, r)
             assert qfield.dot([(derived, p)]).c == _schoolbook(derived, p)
 
@@ -582,7 +582,7 @@ class TestDot:
         assert [list(f.c) for term in terms for f in term] == coefficients
         # every memo holds the factor packed at its own width, never a narrower one
         for f in [f for term in terms for f in term] + [factor or QPoly()]:
-            for width, value in getattr(f, "_packs", {}).items():
+            for width, value in (f._packs or {}).items():
                 assert value == qfield._pack(f.c, width), (f, width)
 
     @pytest.mark.parametrize("bound, width", _EDGES)

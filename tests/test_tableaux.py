@@ -4,12 +4,14 @@ Two conditions are easy to get wrong and are checked here for every shape up
 to size 8: removing a vertical strip needs only the rest to be a partition (a
 row may fall below the old length of the row under it), and a row that Pieri
 lengthens is capped by the old row above it, not by that row's new length.
+Adding a vertical strip may start new rows below the shape, one cell each.
 """
 
 from itertools import product
 
 from deltaq.partition import Partition, partitions_of
-from deltaq.tableaux import horizontal_strip_removals, pieri, vertical_strip_removals
+from deltaq.tableaux import (horizontal_strip_removals, pieri, vertical_strip_additions,
+                             vertical_strip_removals)
 
 
 def strips_by_subsets(lam: Partition, horizontal: bool) -> list[tuple[Partition, int]]:
@@ -57,3 +59,20 @@ def test_pieri():
                     if len(new) == k and len({j for _, j in new}) == k:
                         want.append(sigma)
                 assert sorted(pieri(lam, k)) == sorted(want), (lam, k)
+
+
+def test_vertical_strip_additions():
+    # sigma/kappa added cell by cell: sigma contains kappa, and no two new cells share a row;
+    # every b up to the room, which a new column of b cells below kappa can always take
+    assert (Partition((1, 1, 1)), 2) in vertical_strip_additions(Partition((1,)), 2)
+    for n in range(9):
+        for kappa in partitions_of(n):
+            want = []
+            for b in range(7):
+                for sigma in partitions_of(n + b):
+                    new = set(sigma.cells()) - set(kappa.cells())
+                    if len(new) == b and len({i for i, _ in new}) == b:
+                        want.append((sigma, b))
+            for room in range(7):
+                got = vertical_strip_additions(kappa, room)
+                assert sorted(got) == sorted(x for x in want if x[1] <= room), (kappa, room)
